@@ -15,11 +15,11 @@ from ssfa.gradcheck import format_report, run_gradcheck
 margins = ssfa.Margins(delta_pair=1.0, delta_triplet=1.0)
 
 # slowness: a coincident positive pair costs nothing; a coincident
-# negative pair costs the full margin
-a = np.array([0.5, -0.2, 1.0])
-print("positive pair, same point:   ", ssfa.contrastive(a, a, 1, margins).value)
-print("negative pair, same point:   ", ssfa.contrastive(a, a, 0, margins).value)
-print("negative pair, far apart:    ", ssfa.contrastive(a, a + 10, 0, margins).value)
+# negative pair costs the full margin (batches of one pair each)
+a = np.array([[0.5, -0.2, 1.0]])
+print("positive pair, same point:   ", ssfa.pair_loss(a, a, [1], margins).value)
+print("negative pair, same point:   ", ssfa.pair_loss(a, a, [0], margins).value)
+print("negative pair, far apart:    ", ssfa.pair_loss(a, a + 10, [0], margins).value)
 
 # steadiness: collinear equally spaced triplets are free, bent ones pay
 zl, zm, zn = np.array([[0.0, 0.0]]), np.array([[1.0, 1.0]]), np.array([[2.0, 2.0]])

@@ -37,14 +37,12 @@ from .evaluate import (
     knn_accuracy,
     linear_accuracy,
     make_queries,
-    seqcomp_rank,
     seqcomp_ranks,
 )
 from .losses import (
     LossValue,
     Margins,
     coherence_objective,
-    contrastive,
     pair_loss,
     softmax_loss,
     total_objective,
@@ -69,7 +67,6 @@ from .network import (
     LayerSpec,
     NetworkParams,
     backward,
-    classify,
     forward,
     init_classifier,
     init_glorot,

@@ -24,14 +24,20 @@ class CliConfigError(ValueError):
 
 
 def _apply_threads(argv) -> None:
-    threads = "1"
+    """Pin BLAS thread pools before numpy loads. An explicit --threads
+    overrides BLAS variables already set in the environment; without it,
+    preset values are kept and unset ones default to 1."""
+    threads = None
     for i, a in enumerate(argv):
         if a == "--threads" and i + 1 < len(argv):
             threads = argv[i + 1]
         elif a.startswith("--threads="):
             threads = a.split("=", 1)[1]
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, threads)
+        if threads is None:
+            os.environ.setdefault(var, "1")
+        else:
+            os.environ[var] = threads
 
 
 def _parse_config_file(path: Path) -> dict:
@@ -52,18 +58,24 @@ def _parse_config_file(path: Path) -> dict:
 # config keys match flag names; a couple of flags use short dests
 _DEST_ALIASES = {"lambda": "lam", "lambda2": "lam2"}
 
+# accepted spellings for on/off flags (store_true) in a config file
+_BOOLEANS = {"true": True, "1": True, "false": False, "0": False}
+
 
 def _apply_config(parser: argparse.ArgumentParser, cfg: dict) -> None:
-    types = {}
-    for action in parser._actions:
-        types[action.dest] = action.type
+    actions = {action.dest: action for action in parser._actions}
     defaults = {}
     for key, value in cfg.items():
         dest = _DEST_ALIASES.get(key, key.replace("-", "_"))
-        if dest not in types:
+        action = actions.get(dest)
+        if action is None:
             raise CliConfigError(f"config key {key!r} is not a flag of this subcommand")
-        conv = types[dest]
-        defaults[dest] = conv(value) if conv is not None else value
+        if isinstance(action, argparse._StoreTrueAction):
+            if value not in _BOOLEANS:
+                raise CliConfigError(f"config key {key!r}: expected true/false/1/0, got {value!r}")
+            defaults[dest] = _BOOLEANS[value]
+        else:
+            defaults[dest] = action.type(value) if action.type is not None else value
     parser.set_defaults(**defaults)
 
 

@@ -168,11 +168,6 @@ def _query_rank(pool: CandidatePool, z_pool: np.ndarray, query: QueryPair) -> in
     return rank_of_truth(z_pool, gt, extrapolate(z_pool[i1], z_pool[i2]))
 
 
-def seqcomp_rank(query: QueryPair, pool: CandidatePool, params: NetworkParams) -> int:
-    """Rank of the true completion frame for one query."""
-    return _query_rank(pool, embed(params, pool.frames), query)
-
-
 def seqcomp_ranks(queries, pool: CandidatePool, params: NetworkParams):
     """Ranks for many queries, embedding the pool once."""
     z_pool = embed(params, pool.frames)

@@ -180,22 +180,23 @@ def check_total(rng, points: int = 100, margins: Margins = None, corrupt=None) -
                 break
 
         lv = total_objective(bx, by, pb, tb, params, W, lam, lam_prime, margins)
-        grads = {"W": lv.grads["W"]}
-        for name, arr in lv.grads["theta"].blocks():
-            grads[name] = arr
+        grads = {"theta": lv.grads["theta"], "W": lv.grads["W"]}
         if corrupt is not None:
             grads = corrupt(grads)
 
-        def value_at():
+        def value_at(_x):
             return total_objective(bx, by, pb, tb, params, W, lam, lam_prime, margins).value
 
         # central_diff perturbs the array in place, so value_at() (which
-        # closes over params/W holding these same arrays) sees each nudge.
-        for name, arr in params.blocks():
-            num = central_diff(lambda _a: value_at(), arr)
-            worst = max(worst, rel_error(grads[name], num))
-        num_W = central_diff(lambda _a: value_at(), W)
-        worst = max(worst, rel_error(grads["W"], num_W))
+        # closes over params, whose weights and biases view params.flat,
+        # and W) sees each nudge.
+        num_theta = central_diff(value_at, params.flat)
+        num_W = central_diff(value_at, W)
+        worst = max(
+            worst,
+            rel_error(grads["theta"].flat, num_theta),
+            rel_error(grads["W"], num_W),
+        )
     return worst
 
 
@@ -212,7 +213,8 @@ class GradCheckRow:
 
 def run_gradcheck(seed: int = 0, points: int = 100, corrupt=None):
     """Run every check; returns (rows, all_ok). ``corrupt`` is a test-only
-    hook applied to the analytic gradients of the total objective."""
+    hook applied to the analytic gradients of the total objective, a dict
+    {"theta": NetworkParams, "W": array}."""
     rng = np.random.default_rng(seed)
     rows = [
         GradCheckRow("softmax", check_softmax(rng, points), TOL_DIRECT),

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .network import NetworkParams, backward, forward
+from .network import NetworkParams, backward, forward, split_model
 
 
 @dataclass(frozen=True)
@@ -44,11 +44,11 @@ class LossValue:
 
     ``grads`` keys depend on the operation:
       softmax_loss      "W", "z"
-      contrastive       "a", "b"
       pair_loss         "a", "b"              (per-row gradients)
       triplet_loss      "l", "m", "n"
       unsupervised_loss "pair_a", "pair_b", "trip_l", "trip_m", "trip_n"
-      coherence_objective / total_objective   "theta" (NetworkParams), "W"
+      coherence_objective "theta" (NetworkParams)
+      total_objective   "theta" (NetworkParams), "W", "flat" (theta then W)
     ``terms`` carries the sub-loss values ("sup", "slow", "steady") where
     applicable.
     """
@@ -82,21 +82,6 @@ def _contrastive_rows(a: np.ndarray, b: np.ndarray, p: np.ndarray, delta: float,
     values = np.where(pos, d, np.where(active, hinge, 0.0))
     coeff = np.where(pos, 1.0, np.where(active, -1.0, 0.0))
     return values, coeff[..., None] * unit
-
-
-def contrastive(a, b, p: int, margins: Margins) -> LossValue:
-    """Contrastive loss for one pair of feature vectors.
-
-    p=1 pays the distance d(a, b); p=0 pays max(delta_pair - d, 0).
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError(f"expected equal-length vectors, got {a.shape} and {b.shape}")
-    values, da = _contrastive_rows(
-        a[None, :], b[None, :], np.array([p]), margins.delta_pair, margins.metric
-    )
-    return LossValue(float(values[0]), {"a": da[0], "b": -da[0]})
 
 
 def pair_loss(za, zb, p, margins: Margins) -> LossValue:
@@ -191,20 +176,6 @@ def unsupervised_loss(pairs, triplets, lam_prime: float, margins: Margins) -> Lo
     return LossValue(value, grads, terms)
 
 
-def _zero_like_params(params: NetworkParams) -> NetworkParams:
-    return NetworkParams(
-        [np.zeros_like(w) for w in params.weights],
-        [np.zeros_like(b) for b in params.biases],
-    )
-
-
-def _accumulate(dst: NetworkParams, src: NetworkParams, scale: float) -> None:
-    for dw, sw in zip(dst.weights, src.weights):
-        dw += scale * sw
-    for db, sb in zip(dst.biases, src.biases):
-        db += scale * sb
-
-
 def coherence_objective(pairs, triplets, params: NetworkParams,
                         lam_prime: float, margins: Margins) -> LossValue:
     """Unsupervised coherence loss composed through the network.
@@ -212,8 +183,8 @@ def coherence_objective(pairs, triplets, params: NetworkParams,
     ``pairs`` is (xa, xb, p) and ``triplets`` is (xl, xm, xn, p) of raw
     (preprocessed, flattened) inputs. The returned gradient is w.r.t. the
     single shared parameter set: every tuple member is embedded by the
-    same network and all branch gradients accumulate into one
-    NetworkParams-shaped gradient. The triplet side is skipped entirely
+    same network and each branch gradient, scaled after backward, is added
+    into one flat gradient vector. The triplet side is skipped entirely
     when lam_prime is 0.
     """
     have_pairs = pairs is not None and len(pairs[-1]) > 0
@@ -221,7 +192,7 @@ def coherence_objective(pairs, triplets, params: NetworkParams,
     if not have_pairs and not present_triplets:
         raise ValueError("need at least one of pairs/triplets")
     have_triplets = present_triplets and lam_prime != 0.0
-    dtheta = _zero_like_params(params)
+    dtheta = NetworkParams.from_flat(params.layer_spec(), np.zeros_like(params.flat))
     value = 0.0
     terms = {"slow": 0.0, "steady": 0.0}
     if have_pairs:
@@ -231,8 +202,8 @@ def coherence_objective(pairs, triplets, params: NetworkParams,
         r2 = pair_loss(za, zb, p, margins)
         value += r2.value
         terms["slow"] = r2.value
-        _accumulate(dtheta, backward(params, ta, r2.grads["a"])[0], 1.0)
-        _accumulate(dtheta, backward(params, tb, r2.grads["b"])[0], 1.0)
+        dtheta.flat += backward(params, ta, r2.grads["a"])[0].flat
+        dtheta.flat += backward(params, tb, r2.grads["b"])[0].flat
     if have_triplets:
         xl, xm, xn, p = triplets
         zl, tl = forward(params, xl)
@@ -241,9 +212,9 @@ def coherence_objective(pairs, triplets, params: NetworkParams,
         r3 = triplet_loss(zl, zm, zn, p, margins)
         value += lam_prime * r3.value
         terms["steady"] = r3.value
-        _accumulate(dtheta, backward(params, tl, r3.grads["l"])[0], lam_prime)
-        _accumulate(dtheta, backward(params, tm, r3.grads["m"])[0], lam_prime)
-        _accumulate(dtheta, backward(params, tn, r3.grads["n"])[0], lam_prime)
+        dtheta.flat += lam_prime * backward(params, tl, r3.grads["l"])[0].flat
+        dtheta.flat += lam_prime * backward(params, tm, r3.grads["m"])[0].flat
+        dtheta.flat += lam_prime * backward(params, tn, r3.grads["n"])[0].flat
     return LossValue(value, {"theta": dtheta}, terms)
 
 
@@ -254,13 +225,18 @@ def total_objective(batch_x, batch_y, pairs, triplets, params: NetworkParams,
 
     The parameter gradient is the exact sum grad(sup) + lam * grad(slow)
     + lam * lam_prime * grad(steady) accumulated into one parameter set;
-    the classifier gradient comes from the supervised term only. With
-    lam = 0 the tuple inputs are ignored.
+    the classifier gradient comes from the supervised term only. Both live
+    in one vector ``grads["flat"]`` (theta.flat followed by W, row-major)
+    that ``grads["theta"]`` and ``grads["W"]`` view. With lam = 0 the
+    tuple inputs are ignored.
     """
     W = np.asarray(W, dtype=np.float64)
     zs, tape = forward(params, batch_x)
     sup = softmax_loss(W, zs, batch_y)
-    dtheta = backward(params, tape, sup.grads["z"])[0]
+    flat = np.empty(params.flat.size + W.size)
+    dtheta, dW = split_model(params.layer_spec(), flat)
+    backward(params, tape, sup.grads["z"], dtheta.flat)
+    dW[...] = sup.grads["W"]
     value = sup.value
     terms = {"sup": sup.value, "slow": 0.0, "steady": 0.0}
     have_pairs = pairs is not None and len(pairs[-1]) > 0
@@ -270,5 +246,5 @@ def total_objective(batch_x, batch_y, pairs, triplets, params: NetworkParams,
         value += lam * co.value
         terms["slow"] = co.terms["slow"]
         terms["steady"] = co.terms["steady"]
-        _accumulate(dtheta, co.grads["theta"], lam)
-    return LossValue(value, {"theta": dtheta, "W": sup.grads["W"]}, terms)
+        dtheta.flat += lam * co.grads["theta"].flat
+    return LossValue(value, {"theta": dtheta, "W": dW, "flat": flat}, terms)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -38,9 +39,19 @@ class LayerSpec:
     def out_dim(self) -> int:
         return self.sizes[-1]
 
+    @cached_property
+    def param_count(self) -> int:
+        """Length of the flat parameter vector (all weights and biases)."""
+        return sum(o * (i + 1) for i, o in zip(self.sizes[:-1], self.sizes[1:]))
+
 
 class NetworkParams:
-    """Per-layer weight matrices (fan_out x fan_in) and bias vectors."""
+    """Per-layer weight matrices (fan_out x fan_in) and bias vectors.
+
+    All parameters live in one contiguous float64 vector ``flat``, layer by
+    layer, weight matrix (row-major) then bias vector; ``weights`` and
+    ``biases`` are views into it. This is the checkpoint body order.
+    """
 
     def __init__(self, weights, biases):
         weights = [np.asarray(w, dtype=np.float64) for w in weights]
@@ -54,22 +65,37 @@ class NetworkParams:
                 raise ValueError(
                     f"layer {i}: fan_in {w.shape[1]} != previous fan_out {weights[i - 1].shape[0]}"
                 )
-        self.weights = weights
-        self.biases = biases
+        spec = LayerSpec((weights[0].shape[1],) + tuple(w.shape[0] for w in weights))
+        flat = np.concatenate([a.ravel() for wb in zip(weights, biases) for a in wb])
+        self._bind(spec, flat)
+
+    @classmethod
+    def from_flat(cls, spec: LayerSpec, flat: np.ndarray) -> "NetworkParams":
+        """Parameters that view ``flat`` (no copy); writes go through."""
+        obj = cls.__new__(cls)
+        obj._bind(spec, flat)
+        return obj
+
+    def _bind(self, spec: LayerSpec, flat: np.ndarray) -> None:
+        if flat.dtype != np.float64 or flat.shape != (spec.param_count,):
+            raise ValueError(
+                f"flat parameters {flat.dtype}{flat.shape} != float64 ({spec.param_count},)"
+            )
+        self._spec = spec
+        self.flat = flat
+        self.weights, self.biases = [], []
+        offset = 0
+        for fan_in, fan_out in zip(spec.sizes[:-1], spec.sizes[1:]):
+            self.weights.append(flat[offset : offset + fan_out * fan_in].reshape(fan_out, fan_in))
+            offset += fan_out * fan_in
+            self.biases.append(flat[offset : offset + fan_out])
+            offset += fan_out
 
     def layer_spec(self) -> LayerSpec:
-        return LayerSpec((self.weights[0].shape[1],) + tuple(w.shape[0] for w in self.weights))
+        return self._spec
 
     def copy(self) -> "NetworkParams":
-        return NetworkParams([w.copy() for w in self.weights], [b.copy() for b in self.biases])
-
-    def blocks(self):
-        """Named parameter arrays in a fixed order (for optimizers)."""
-        out = []
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            out.append((f"layer{i}.weight", w))
-            out.append((f"layer{i}.bias", b))
-        return out
+        return NetworkParams.from_flat(self._spec, self.flat.copy())
 
 
 @dataclass
@@ -95,6 +121,13 @@ def init_glorot(spec: LayerSpec, seed) -> NetworkParams:
         weights.append(glorot_uniform(rng, fan_out, fan_in))
         biases.append(np.zeros(fan_out))
     return NetworkParams(weights, biases)
+
+
+def split_model(spec: LayerSpec, vec: np.ndarray):
+    """Views (params, W) of one vector holding params.flat followed by the
+    row-major classifier W: the checkpoint body and optimizer layout."""
+    n_params = spec.param_count
+    return NetworkParams.from_flat(spec, vec[:n_params]), vec[n_params:].reshape(-1, spec.out_dim)
 
 
 def init_classifier(num_classes: int, dim: int, seed) -> np.ndarray:
@@ -133,41 +166,29 @@ def forward(params: NetworkParams, x):
     return z, ActivationTape(X2, pre, post, single)
 
 
-def backward(params: NetworkParams, tape: ActivationTape, dz):
+def backward(params: NetworkParams, tape: ActivationTape, dz, out=None):
     """Backpropagate a feature-space gradient through the tape.
 
-    Returns (d_params, dx): a NetworkParams-shaped gradient and the
-    gradient w.r.t. the input. The ReLU subgradient at exactly zero
-    pre-activation is zero.
+    Returns (d_params, dx): the parameter gradient, written into the flat
+    vector ``out`` (a fresh one when None), and the gradient w.r.t. the
+    input. The ReLU subgradient at exactly zero pre-activation is zero.
     """
     G = np.asarray(dz, dtype=np.float64)
     G2 = G[None, :] if G.ndim == 1 else G
     if G2.shape != tape.post[-1].shape:
         raise ValueError(f"dz shape {G2.shape} != output shape {tape.post[-1].shape}")
-    n_layers = len(params.weights)
-    dws = [None] * n_layers
-    dbs = [None] * n_layers
+    spec = params.layer_spec()
+    grad = NetworkParams.from_flat(spec, np.empty(spec.param_count) if out is None else out)
     delta = G2
-    for i in reversed(range(n_layers)):
+    for i in reversed(range(len(params.weights))):
         inp = tape.x if i == 0 else tape.post[i - 1]
-        dws[i] = delta.T @ inp
-        dbs[i] = delta.sum(axis=0)
+        np.matmul(delta.T, inp, out=grad.weights[i])
+        delta.sum(axis=0, out=grad.biases[i])
         delta = delta @ params.weights[i]
         if i > 0:
             delta = delta * (tape.pre[i - 1] > 0.0)
     dx = delta[0] if tape.single else delta
-    return NetworkParams(dws, dbs), dx
-
-
-def classify(W: np.ndarray, z):
-    """Bias-free linear classifier: logits W @ z, prediction argmax
-    (smallest index on ties)."""
-    W = np.asarray(W, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
-    if W.ndim != 2 or z.ndim != 1 or W.shape[1] != z.shape[0]:
-        raise ValueError(f"classifier {W.shape} incompatible with feature dim {z.shape}")
-    logits = W @ z
-    return logits, int(np.argmax(logits))
+    return grad, dx
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +200,8 @@ def classify(W: np.ndarray, z):
 #   line 3: b"classes C\n"               (classifier row count)
 #   body:   for each layer i: weight matrix (row-major), then bias vector,
 #           as little-endian float64; finally the (C x sk) classifier
-#           matrix, row-major little-endian float64. No padding.
+#           matrix, row-major little-endian float64. No padding. This is
+#           params.flat followed by W.
 
 def save_checkpoint(path, params: NetworkParams, W: np.ndarray) -> None:
     W = np.asarray(W, dtype=np.float64)
@@ -191,12 +213,8 @@ def save_checkpoint(path, params: NetworkParams, W: np.ndarray) -> None:
         f"layers {' '.join(str(s) for s in spec.sizes)}\n"
         f"classes {W.shape[0]}\n"
     ).encode("ascii")
-    body = [head]
-    for w, b in zip(params.weights, params.biases):
-        body.append(np.ascontiguousarray(w, dtype="<f8").tobytes())
-        body.append(np.ascontiguousarray(b, dtype="<f8").tobytes())
-    body.append(np.ascontiguousarray(W, dtype="<f8").tobytes())
-    Path(path).write_bytes(b"".join(body))
+    body = [np.ascontiguousarray(a, dtype="<f8").tobytes() for a in (params.flat, W)]
+    Path(path).write_bytes(head + b"".join(body))
 
 
 def load_checkpoint(path):
@@ -213,27 +231,12 @@ def load_checkpoint(path):
         raise ValueError(f"{path}: bad layers line {l2!r}")
     if len(t3) != 2 or t3[0] != b"classes":
         raise ValueError(f"{path}: bad classes line {l3!r}")
-    sizes = [int(t) for t in t2[1:]]
+    spec = LayerSpec(tuple(int(t) for t in t2[1:]))
     num_classes = int(t3[1])
-    spec = LayerSpec(tuple(sizes))
 
-    offset = 0
-
-    def take(shape):
-        nonlocal offset
-        count = int(np.prod(shape))
-        end = offset + count * 8
-        if end > len(rest):
-            raise ValueError(f"{path}: truncated checkpoint body")
-        arr = np.frombuffer(rest[offset:end], dtype="<f8").astype(np.float64).reshape(shape)
-        offset = end
-        return arr
-
-    weights, biases = [], []
-    for fan_in, fan_out in zip(spec.sizes[:-1], spec.sizes[1:]):
-        weights.append(take((fan_out, fan_in)))
-        biases.append(take((fan_out,)))
-    W = take((num_classes, spec.out_dim))
-    if offset != len(rest):
-        raise ValueError(f"{path}: {len(rest) - offset} trailing bytes in checkpoint")
-    return NetworkParams(weights, biases), W
+    size = 8 * (spec.param_count + num_classes * spec.out_dim)
+    if len(rest) < size:
+        raise ValueError(f"{path}: truncated checkpoint body")
+    if len(rest) > size:
+        raise ValueError(f"{path}: {len(rest) - size} trailing bytes in checkpoint")
+    return split_model(spec, np.frombuffer(rest, dtype="<f8").astype(np.float64))

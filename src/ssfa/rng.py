@@ -47,9 +47,6 @@ class Xorshift64Star:
         """Uniform double in [0, 1) with 53 random bits."""
         return (self.next_u64() >> 11) * (2.0 ** -53)
 
-    def uniforms(self, n: int) -> list:
-        return [self.uniform() for _ in range(n)]
-
     def randint(self, n: int) -> int:
         """Uniform integer in [0, n)."""
         if n < 1:

@@ -2,14 +2,16 @@
 and the greedy staged hyperparameter search.
 
 Every step draws a labeled batch plus (when regularizing) a pair batch and
-a triplet batch; all branch gradients accumulate into one shared parameter
-set before a single update. An epoch is one full pass over the labeled
-training split; tuple streams cycle independently with their own
+a triplet batch; all branch gradients accumulate into one flat gradient
+vector before a single update of the flat parameter vector (network
+parameters followed by the classifier). An epoch is one full pass over the
+labeled training split; tuple streams cycle independently with their own
 reshuffling. Training is bit-reproducible for a fixed config.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -18,7 +20,7 @@ import numpy as np
 
 from .data import LabeledSet, UnlabeledSet, prep_stack
 from .losses import Margins, coherence_objective, softmax_loss, total_objective
-from .network import LayerSpec, NetworkParams, forward, init_classifier, init_glorot
+from .network import LayerSpec, NetworkParams, forward, init_classifier, init_glorot, split_model
 
 
 class ConfigError(ValueError):
@@ -90,34 +92,19 @@ class TrainHistory:
         Path(path).write_text("\n".join(lines) + "\n")
 
 
-@dataclass
-class OptimizerState:
-    """Velocity buffers aligned with the optimized parameter list."""
-
-    velocity: list
-
-    @classmethod
-    def zeros_like(cls, params):
-        return cls([np.zeros_like(p) for p in params])
-
-
-def nesterov_step(params, state: OptimizerState, grad_fn, lr: float, momentum: float,
-                  names=None):
-    """One Nesterov update in lookahead form:
+def nesterov_step(theta, velocity, grad_fn, lr: float, momentum: float):
+    """One Nesterov update in lookahead form on flat parameter vectors:
     v <- momentum*v - lr*grad(theta + momentum*v);  theta <- theta + v.
 
-    ``params`` is a list of arrays; ``grad_fn`` maps such a list to the
-    gradient list at that point. Returns (new_params, new_state).
+    ``grad_fn`` maps the lookahead vector to the gradient vector there.
+    Returns (new theta, new velocity); the inputs are not modified.
     """
-    look = [p + momentum * v for p, v in zip(params, state.velocity)]
-    grads = grad_fn(look)
-    for i, g in enumerate(grads):
-        if not np.all(np.isfinite(g)):
-            label = names[i] if names else f"block {i}"
-            raise OptimizerError(f"non-finite gradient in {label}")
-    velocity = [momentum * v - lr * g for v, g in zip(state.velocity, grads)]
-    new_params = [p + v for p, v in zip(params, velocity)]
-    return new_params, OptimizerState(velocity)
+    grad = grad_fn(theta + momentum * velocity)
+    if not np.all(np.isfinite(grad)):
+        bad = int(np.count_nonzero(~np.isfinite(grad)))
+        raise OptimizerError(f"non-finite gradient in {bad} of {grad.size} coordinates")
+    velocity = momentum * velocity - lr * grad
+    return theta + velocity, velocity
 
 
 # ---------------------------------------------------------------------------
@@ -158,17 +145,19 @@ def stratified_split(labels, val_fraction: float, rng):
     return np.sort(train_idx), np.sort(val_idx)
 
 
-class _CyclingBatcher:
-    """Yields index batches, reshuffling each time the deck runs out."""
+class _TupleStream:
+    """Batches of rows of resolved tuple arrays, reshuffling the deck each
+    time it runs out."""
 
-    def __init__(self, n: int, batch: int, rng):
-        self.n = n
-        self.batch = min(batch, n) if batch > 0 else 0
+    def __init__(self, arrays, batch: int, rng):
+        self.arrays = arrays
+        self.n = len(arrays[-1])
+        self.batch = min(batch, self.n)
         self.rng = rng
-        self._deck = rng.permutation(n)
+        self._deck = rng.permutation(self.n)
         self._pos = 0
 
-    def take(self) -> np.ndarray:
+    def take(self):
         out = []
         need = self.batch
         while need > 0:
@@ -181,27 +170,53 @@ class _CyclingBatcher:
             out.append(self._deck[self._pos : self._pos + grab])
             self._pos += grab
             need -= grab
-        return np.concatenate(out) if out else np.empty(0, dtype=int)
+        idx = np.concatenate(out)
+        return tuple(a[idx] for a in self.arrays)
 
 
-def _param_list(params: NetworkParams, W: np.ndarray):
-    blocks = params.blocks()
-    names = [n for n, _ in blocks] + ["classifier"]
-    arrays = [a for _, a in blocks] + [np.asarray(W, dtype=np.float64)]
-    return names, arrays
+def _tuple_streams(pairs, triplets, cfg: TrainConfig, seeds):
+    """(pair stream, triplet stream), each None when it has no tuples or
+    batch size to draw with. The triplet term is off when lam_prime is 0."""
 
+    def stream(arrays, batch, seed):
+        if arrays is None or len(arrays[-1]) == 0 or batch <= 0:
+            return None
+        return _TupleStream(arrays, batch, np.random.default_rng(seed))
 
-def _rebuild(arrays, template: NetworkParams):
-    n_layers = len(template.weights)
-    weights = [arrays[2 * i] for i in range(n_layers)]
-    biases = [arrays[2 * i + 1] for i in range(n_layers)]
-    return NetworkParams(weights, biases), arrays[-1]
+    trip_batch = cfg.batch_triplets if cfg.lam_prime > 0 else 0
+    return stream(pairs, cfg.batch_pairs, seeds[0]), stream(triplets, trip_batch, seeds[1])
 
 
 def _check_terms(terms: dict) -> None:
     for name, v in terms.items():
         if not np.isfinite(v):
             raise OptimizerError(f"non-finite loss term {name}")
+
+
+def _run_steps(theta, velocity, batches, streams, objective, cfg: TrainConfig):
+    """The training-step loop: one Nesterov step per labeled batch (None
+    when there is no supervised term), each with fresh tuple batches.
+    ``objective(look, batch, pairs, triplets)`` returns (LossValue, flat
+    gradient). Returns (theta, velocity, mean loss terms)."""
+    pair_stream, trip_stream = streams
+    sums = {"sup": 0.0, "slow": 0.0, "steady": 0.0}
+    steps = 0
+    for batch in batches:
+        pb = pair_stream.take() if pair_stream is not None else None
+        tb = trip_stream.take() if trip_stream is not None else None
+        step_terms = {}
+
+        def grad_fn(look):
+            lv, grad = objective(look, batch, pb, tb)
+            _check_terms(lv.terms)
+            step_terms.update(lv.terms)
+            return grad
+
+        theta, velocity = nesterov_step(theta, velocity, grad_fn, cfg.lr, cfg.momentum)
+        for k in sums:
+            sums[k] += step_terms.get(k, 0.0)
+        steps += 1
+    return theta, velocity, {k: v / steps for k, v in sums.items()}
 
 
 def train(labeled: LabeledSet, pairs, triplets, layer_spec: LayerSpec, cfg: TrainConfig):
@@ -231,84 +246,45 @@ def train(labeled: LabeledSet, pairs, triplets, layer_spec: LayerSpec, cfg: Trai
     Xt, yt, Xv, yv = X[tr_idx], y[tr_idx], X[va_idx], y[va_idx]
 
     rng_shuffle = np.random.default_rng(seeds[3])
-    use_pairs = cfg.lam > 0 and have_pairs and cfg.batch_pairs > 0
-    use_triplets = (
-        cfg.lam > 0 and cfg.lam_prime > 0 and have_triplets and cfg.batch_triplets > 0
-    )
-    pair_stream = (
-        _CyclingBatcher(len(pairs[-1]), cfg.batch_pairs, np.random.default_rng(seeds[4]))
-        if use_pairs
-        else None
-    )
-    trip_stream = (
-        _CyclingBatcher(len(triplets[-1]), cfg.batch_triplets, np.random.default_rng(seeds[5]))
-        if use_triplets
-        else None
-    )
+    streams = _tuple_streams(pairs, triplets, cfg, seeds[4:6]) if cfg.lam > 0 else (None, None)
 
-    names, blocks = _param_list(params, W)
-    state = OptimizerState.zeros_like(blocks)
+    theta = np.concatenate([params.flat, W.ravel()])  # the split_model layout
+    velocity = np.zeros_like(theta)
+
+    def objective(look, batch, pb, tb):
+        net, Wc = split_model(layer_spec, look)
+        lv = total_objective(*batch, pb, tb, net, Wc, cfg.lam, cfg.lam_prime, cfg.margins)
+        return lv, lv.grads["flat"]
+
     history = []
-    best = (np.inf, None, None, -1)
+    best = (np.inf, None, -1)
     stale = 0
 
     for epoch in range(1, cfg.max_epochs + 1):
         order = rng_shuffle.permutation(len(yt))
-        sums = {"sup": 0.0, "slow": 0.0, "steady": 0.0}
-        steps = 0
-        for start in range(0, len(order), cfg.batch_labeled):
-            sel = order[start : start + cfg.batch_labeled]
-            bx, by = Xt[sel], yt[sel]
-            pb = None
-            if pair_stream is not None:
-                i = pair_stream.take()
-                pb = (pairs[0][i], pairs[1][i], pairs[2][i])
-            tb = None
-            if trip_stream is not None:
-                i = trip_stream.take()
-                tb = (triplets[0][i], triplets[1][i], triplets[2][i], triplets[3][i])
-            step_terms = {}
+        sels = (order[i : i + cfg.batch_labeled] for i in range(0, len(order), cfg.batch_labeled))
+        batches = ((Xt[sel], yt[sel]) for sel in sels)
+        theta, velocity, means = _run_steps(theta, velocity, batches, streams, objective, cfg)
 
-            def grad_fn(arrays):
-                theta, Wc = _rebuild(arrays, params)
-                lv = total_objective(
-                    bx, by, pb, tb, theta, Wc, cfg.lam, cfg.lam_prime, cfg.margins
-                )
-                _check_terms(lv.terms)
-                step_terms.update(lv.terms)
-                gnames, garrays = _param_list(lv.grads["theta"], lv.grads["W"])
-                return garrays
-
-            blocks, state = nesterov_step(blocks, state, grad_fn, cfg.lr, cfg.momentum, names)
-            for k in sums:
-                sums[k] += step_terms.get(k, 0.0)
-            steps += 1
-
-        theta, Wc = _rebuild(blocks, params)
-        zv, _ = forward(theta, Xv)
+        net, Wc = split_model(layer_spec, theta)
+        zv, _ = forward(net, Xv)
         val_loss = softmax_loss(Wc, zv, yv).value
         val_acc = float(np.mean(np.argmax(zv @ Wc.T, axis=1) == yv))
         history.append(
-            EpochStats(
-                epoch,
-                sums["sup"] / steps,
-                sums["slow"] / steps,
-                sums["steady"] / steps,
-                val_loss,
-                val_acc,
-            )
+            EpochStats(epoch, means["sup"], means["slow"], means["steady"], val_loss, val_acc)
         )
         if not np.isfinite(val_loss):
             raise OptimizerError("non-finite loss term validation")
         if val_loss < best[0]:
-            best = (val_loss, theta.copy(), Wc.copy(), epoch)
+            best = (val_loss, theta, epoch)  # steps never write theta in place
             stale = 0
         else:
             stale += 1
             if stale >= cfg.patience:
                 break
 
-    _, best_params, best_W, best_epoch = best
+    _, best_theta, best_epoch = best
+    best_params, best_W = split_model(layer_spec, best_theta)
     return best_params, best_W, TrainHistory(history, best_epoch)
 
 
@@ -329,67 +305,28 @@ def train_unsupervised(pairs, triplets, layer_spec: LayerSpec, cfg: TrainConfig,
 
     seeds = np.random.SeedSequence(cfg.seed).spawn(3)
     params = init_glorot(layer_spec, seeds[0])
-    initial = params.copy()
-
-    use_pairs = have_pairs and cfg.batch_pairs > 0
-    use_triplets = have_triplets and cfg.lam_prime > 0 and cfg.batch_triplets > 0
-    if use_pairs:
+    streams = _tuple_streams(pairs, triplets, cfg, seeds[1:3])
+    if streams[0] is not None:
         steps_per_pass = math.ceil(len(pairs[-1]) / cfg.batch_pairs)
-    elif use_triplets:
+    elif streams[1] is not None:
         steps_per_pass = math.ceil(len(triplets[-1]) / cfg.batch_triplets)
     else:
         raise ConfigError("nothing to optimize: check batch sizes and lam_prime")
-    pair_stream = (
-        _CyclingBatcher(len(pairs[-1]), cfg.batch_pairs, np.random.default_rng(seeds[1]))
-        if use_pairs
-        else None
-    )
-    trip_stream = (
-        _CyclingBatcher(len(triplets[-1]), cfg.batch_triplets, np.random.default_rng(seeds[2]))
-        if use_triplets
-        else None
-    )
 
-    blocks = [a for _, a in params.blocks()]
-    names = [n for n, _ in params.blocks()]
-    state = OptimizerState.zeros_like(blocks)
+    def objective(look, batch, pb, tb):
+        net = NetworkParams.from_flat(layer_spec, look)
+        lv = coherence_objective(pb, tb, net, cfg.lam_prime, cfg.margins)
+        return lv, lv.grads["theta"].flat
+
+    theta = params.flat
+    velocity = np.zeros_like(theta)
     snapshots, rows = [], []
-
-    def rebuild(arrays):
-        n_layers = len(params.weights)
-        return NetworkParams(
-            [arrays[2 * i] for i in range(n_layers)],
-            [arrays[2 * i + 1] for i in range(n_layers)],
-        )
-
     for pass_i in range(1, passes + 1):
-        sums = {"slow": 0.0, "steady": 0.0}
-        for _ in range(steps_per_pass):
-            pb = None
-            if pair_stream is not None:
-                i = pair_stream.take()
-                pb = (pairs[0][i], pairs[1][i], pairs[2][i])
-            tb = None
-            if trip_stream is not None:
-                i = trip_stream.take()
-                tb = (triplets[0][i], triplets[1][i], triplets[2][i], triplets[3][i])
-            step_terms = {}
-
-            def grad_fn(arrays):
-                theta = rebuild(arrays)
-                lv = coherence_objective(pb, tb, theta, cfg.lam_prime, cfg.margins)
-                _check_terms(lv.terms)
-                step_terms.update(lv.terms)
-                return [a for _, a in lv.grads["theta"].blocks()]
-
-            blocks, state = nesterov_step(blocks, state, grad_fn, cfg.lr, cfg.momentum, names)
-            for k in sums:
-                sums[k] += step_terms.get(k, 0.0)
-        snapshots.append(rebuild(blocks).copy())
-        rows.append(
-            (pass_i, sums["slow"] / steps_per_pass, sums["steady"] / steps_per_pass)
-        )
-    return initial, snapshots, rows
+        batches = itertools.repeat(None, steps_per_pass)
+        theta, velocity, means = _run_steps(theta, velocity, batches, streams, objective, cfg)
+        snapshots.append(NetworkParams.from_flat(layer_spec, theta))
+        rows.append((pass_i, means["slow"], means["steady"]))
+    return params, snapshots, rows
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
+import argparse
 import json
+import os
 
 import pytest
 
-from ssfa.cli import main
+from ssfa.cli import CliConfigError, _apply_config, _apply_threads, _build_parser, main
 
 
 def run_ok(argv):
@@ -173,3 +175,56 @@ def test_fixtures_command_writes_bundle(tmp_path):
         assert sub.is_dir(), name
         manifests = list(sub.glob("*.txt"))
         assert manifests, name
+
+
+def test_config_boolean_false_leaves_search_off(pipeline, tmp_path):
+    _, data, _, _ = pipeline
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("cv = false\nepochs = 2\n")
+    out = tmp_path / "run"
+    run_ok(["train", "--config", str(cfg), "--labeled", str(data / "labeled.txt"),
+            "--method", "unreg", "--out", str(out), "--seed", "0"])
+    assert not (out / "search_log.csv").exists()
+    assert "cv = False" in (out / "run_config.txt").read_text()
+
+
+def test_config_boolean_values_parse_strictly():
+    parser = _build_parser()
+    train_parser = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices["train"]
+    for text, expect in (("true", True), ("1", True), ("false", False), ("0", False)):
+        _apply_config(train_parser, {"cv": text})
+        args = parser.parse_args(["train", "--labeled", "l.txt", "--out", "o"])
+        assert args.cv is expect, text
+    for text in ("yes", "False", "", "2"):
+        with pytest.raises(CliConfigError):
+            _apply_config(train_parser, {"cv": text})
+
+
+def test_config_boolean_bad_value_exits_2(tmp_path):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("cv = yes\n")
+    code = main(["train", "--config", str(cfg), "--labeled", str(tmp_path / "none.txt"),
+                 "--method", "unreg", "--out", str(tmp_path / "o")])
+    assert code == 2
+
+
+BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_explicit_threads_flag_overrides_preset_blas_env(monkeypatch):
+    for var in BLAS_VARS:
+        monkeypatch.setenv(var, "7")
+    _apply_threads(["train", "--threads", "2"])
+    assert [os.environ[v] for v in BLAS_VARS] == ["2", "2", "2"]
+    _apply_threads(["train", "--threads=3"])
+    assert [os.environ[v] for v in BLAS_VARS] == ["3", "3", "3"]
+
+
+def test_threads_default_keeps_preset_blas_env(monkeypatch):
+    monkeypatch.setenv("OMP_NUM_THREADS", "7")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    _apply_threads(["train", "--seed", "3"])
+    assert [os.environ[v] for v in BLAS_VARS] == ["7", "1", "1"]

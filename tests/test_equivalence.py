@@ -1,0 +1,236 @@
+"""The flat-vector training path against the per-block reference it
+replaced.
+
+The reference keeps the parameters as a list of arrays (each layer's
+weight and bias, then the classifier), accumulates branch gradients block
+by block and runs Nesterov per block. The library stores the same numbers
+in one contiguous vector; every result must be bit-identical.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from ssfa.data import prep_stack
+from ssfa.losses import Margins, pair_loss, softmax_loss, triplet_loss
+from ssfa.mining import MiningConfig, mine_pairs, mine_triplets
+from ssfa.network import (
+    LayerSpec,
+    NetworkParams,
+    backward,
+    forward,
+    init_classifier,
+    init_glorot,
+)
+from ssfa.synth import SynthConfig, gen_labeled, gen_unlabeled
+from ssfa.trainer import (
+    TrainConfig,
+    resolve_pairs,
+    resolve_triplets,
+    stratified_split,
+    train,
+    train_unsupervised,
+)
+
+
+@pytest.fixture(scope="module")
+def data():
+    u = gen_unlabeled(SynthConfig(grid=8, clip_len=12, num_clips=6, seed=4))
+    labeled = gen_labeled(SynthConfig(grid=8, seed=54), 6)
+    mc = MiningConfig(T_seconds=2.0, seed=4, max_pairs=300, max_triplets=300)
+    return labeled, resolve_pairs(u, mine_pairs(u, mc)), resolve_triplets(u, mine_triplets(u, mc))
+
+
+# ---------------------------------------------------------------------------
+# per-block reference
+
+def _blocks(params):
+    return [a for wb in zip(params.weights, params.biases) for a in wb]
+
+
+def _net(arrays, n_layers):
+    return NetworkParams(arrays[0 : 2 * n_layers : 2], arrays[1 : 2 * n_layers : 2])
+
+
+def _accumulate(dst, src, scale):
+    for d, s in zip(dst, src):
+        d += scale * s
+
+
+def _ref_nesterov(params, velocity, grad_fn, lr, momentum):
+    look = [p + momentum * v for p, v in zip(params, velocity)]
+    grads = grad_fn(look)
+    velocity = [momentum * v - lr * g for v, g in zip(velocity, grads)]
+    return [p + v for p, v in zip(params, velocity)], velocity
+
+
+def _ref_coherence(pairs, triplets, params, lam_prime, margins):
+    dtheta = [np.zeros_like(a) for a in _blocks(params)]
+    terms = {"slow": 0.0, "steady": 0.0}
+    if pairs is not None:
+        za, ta = forward(params, pairs[0])
+        zb, tb = forward(params, pairs[1])
+        r2 = pair_loss(za, zb, pairs[2], margins)
+        terms["slow"] = r2.value
+        _accumulate(dtheta, _blocks(backward(params, ta, r2.grads["a"])[0]), 1.0)
+        _accumulate(dtheta, _blocks(backward(params, tb, r2.grads["b"])[0]), 1.0)
+    if triplets is not None and lam_prime != 0.0:
+        zl, tl = forward(params, triplets[0])
+        zm, tm = forward(params, triplets[1])
+        zn, tn = forward(params, triplets[2])
+        r3 = triplet_loss(zl, zm, zn, triplets[3], margins)
+        terms["steady"] = r3.value
+        for tape, key in ((tl, "l"), (tm, "m"), (tn, "n")):
+            _accumulate(dtheta, _blocks(backward(params, tape, r3.grads[key])[0]), lam_prime)
+    return terms, dtheta
+
+
+def _ref_total(bx, by, pairs, triplets, params, W, cfg):
+    zs, tape = forward(params, bx)
+    sup = softmax_loss(W, zs, by)
+    dtheta = _blocks(backward(params, tape, sup.grads["z"])[0])
+    terms = {"sup": sup.value, "slow": 0.0, "steady": 0.0}
+    if cfg.lam != 0.0 and (pairs is not None or triplets is not None):
+        co_terms, co = _ref_coherence(pairs, triplets, params, cfg.lam_prime, cfg.margins)
+        terms.update(co_terms)
+        _accumulate(dtheta, co, cfg.lam)
+    return terms, dtheta + [sup.grads["W"]]
+
+
+class _RefBatcher:
+    def __init__(self, arrays, batch, seed):
+        self.arrays, self.n = arrays, len(arrays[-1])
+        self.batch = min(batch, self.n)
+        self.rng = np.random.default_rng(seed)
+        self.deck, self.pos = self.rng.permutation(self.n), 0
+
+    def take(self):
+        out, need = [], self.batch
+        while need > 0:
+            if self.pos == len(self.deck):
+                self.deck, self.pos = self.rng.permutation(self.n), 0
+                continue
+            grab = min(need, len(self.deck) - self.pos)
+            out.append(self.deck[self.pos : self.pos + grab])
+            self.pos += grab
+            need -= grab
+        idx = np.concatenate(out)
+        return tuple(a[idx] for a in self.arrays)
+
+
+def _ref_train(labeled, pairs, triplets, spec, cfg):
+    """Returns the parameter blocks and (epoch stats) rows after every epoch."""
+    seeds = np.random.SeedSequence(cfg.seed).spawn(6)
+    params = init_glorot(spec, seeds[0])
+    W = init_classifier(labeled.num_classes, spec.out_dim, seeds[1])
+    X, y = prep_stack(labeled.images), np.array(labeled.labels)
+    tr, va = stratified_split(y, cfg.val_fraction, np.random.default_rng(seeds[2]))
+    rng_shuffle = np.random.default_rng(seeds[3])
+    ps = _RefBatcher(pairs, cfg.batch_pairs, seeds[4]) if cfg.lam > 0 else None
+    ts = _RefBatcher(triplets, cfg.batch_triplets, seeds[5]) if cfg.lam_prime > 0 else None
+    n = len(spec.sizes) - 1
+    blocks = _blocks(params) + [W]
+    velocity = [np.zeros_like(b) for b in blocks]
+    epochs = []
+    for epoch in range(1, cfg.max_epochs + 1):
+        order = rng_shuffle.permutation(len(tr))
+        sums = {"sup": 0.0, "slow": 0.0, "steady": 0.0}
+        steps = 0
+        for start in range(0, len(order), cfg.batch_labeled):
+            sel = tr[order[start : start + cfg.batch_labeled]]
+            pb = ps.take() if ps else None
+            tb = ts.take() if ts else None
+            step_terms = {}
+
+            def grad_fn(arrays):
+                terms, grads = _ref_total(X[sel], y[sel], pb, tb, _net(arrays, n),
+                                          arrays[-1], cfg)
+                step_terms.update(terms)
+                return grads
+
+            blocks, velocity = _ref_nesterov(blocks, velocity, grad_fn, cfg.lr, cfg.momentum)
+            for k in sums:
+                sums[k] += step_terms[k]
+            steps += 1
+        zv, _ = forward(_net(blocks, n), X[va])
+        val_loss = softmax_loss(blocks[-1], zv, y[va]).value
+        val_acc = float(np.mean(np.argmax(zv @ blocks[-1].T, axis=1) == y[va]))
+        epochs.append((blocks, (epoch, sums["sup"] / steps, sums["slow"] / steps,
+                                sums["steady"] / steps, val_loss, val_acc)))
+    return epochs
+
+
+def _ref_train_unsupervised(pairs, triplets, spec, cfg, passes):
+    seeds = np.random.SeedSequence(cfg.seed).spawn(3)
+    blocks = _blocks(init_glorot(spec, seeds[0]))
+    ps = _RefBatcher(pairs, cfg.batch_pairs, seeds[1]) if pairs is not None else None
+    ts = _RefBatcher(triplets, cfg.batch_triplets, seeds[2]) if cfg.lam_prime > 0 else None
+    steps = math.ceil(len(pairs[-1]) / cfg.batch_pairs) if ps else math.ceil(
+        len(triplets[-1]) / cfg.batch_triplets)
+    n = len(spec.sizes) - 1
+    velocity = [np.zeros_like(b) for b in blocks]
+    out = []
+    for pass_i in range(1, passes + 1):
+        sums = {"slow": 0.0, "steady": 0.0}
+        for _ in range(steps):
+            pb = ps.take() if ps else None
+            tb = ts.take() if ts else None
+            step_terms = {}
+
+            def grad_fn(arrays):
+                terms, grads = _ref_coherence(pb, tb, _net(arrays, n), cfg.lam_prime,
+                                              cfg.margins)
+                step_terms.update(terms)
+                return grads
+
+            blocks, velocity = _ref_nesterov(blocks, velocity, grad_fn, cfg.lr, cfg.momentum)
+            for k in sums:
+                sums[k] += step_terms[k]
+        out.append((blocks, (pass_i, sums["slow"] / steps, sums["steady"] / steps)))
+    return out
+
+
+def _assert_blocks_equal(params, blocks):
+    for a, b in zip(_blocks(params), blocks):
+        assert a.tobytes() == b.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# flat path == per-block reference
+
+SPEC = LayerSpec((64, 9, 7, 5))
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        TrainConfig(lr=0.02, lam=3.0, lam_prime=0.3, batch_labeled=4, batch_pairs=17,
+                    batch_triplets=13, max_epochs=3, patience=3, seed=1),
+        TrainConfig(lr=0.05, momentum=0.5, lam=0.7, lam_prime=0.0, max_epochs=2, patience=2,
+                    seed=2, margins=Margins(metric="l1")),
+        TrainConfig(lr=0.03, lam=0.0, max_epochs=2, patience=2, seed=3),
+    ],
+)
+def test_train_matches_per_block_reference(data, cfg):
+    labeled, pairs, triplets = data
+    trip = triplets if cfg.lam_prime > 0 else None
+    ref = _ref_train(labeled, pairs if cfg.lam > 0 else None, trip, SPEC, cfg)
+    params, W, hist = train(labeled, pairs, trip, SPEC, cfg)
+    assert [tuple(vars(e).values()) for e in hist.epochs] == [row for _, row in ref]
+    best_blocks = ref[hist.best_epoch - 1][0]
+    _assert_blocks_equal(params, best_blocks[:-1])
+    assert W.tobytes() == best_blocks[-1].tobytes()
+
+
+@pytest.mark.parametrize("with_pairs", [True, False])
+def test_train_unsupervised_matches_per_block_reference(data, with_pairs):
+    _, pairs, triplets = data
+    cfg = TrainConfig(lr=0.01, momentum=0.9, lam_prime=0.6, batch_pairs=40,
+                      batch_triplets=30, seed=5)
+    p = pairs if with_pairs else None
+    ref = _ref_train_unsupervised(p, triplets, SPEC, cfg, passes=2)
+    _, snaps, rows = train_unsupervised(p, triplets, SPEC, cfg, passes=2)
+    assert rows == [row for _, row in ref]
+    for snap, (blocks, _) in zip(snaps, ref):
+        _assert_blocks_equal(snap, blocks)

@@ -16,7 +16,6 @@ from ssfa.evaluate import (
     linear_accuracy,
     make_queries,
     rank_of_truth,
-    seqcomp_rank,
     seqcomp_ranks,
 )
 from ssfa.network import LayerSpec, NetworkParams, init_glorot
@@ -181,7 +180,7 @@ def test_seqcomp_rank_matches_independent_embedding_path():
         zt = 2.0 * Z[i2] - Z[i1]
         d = np.linalg.norm(Z - zt, axis=1)
         brute = 1 + int(np.sum(d < d[gt]))
-        assert seqcomp_rank(q, pool, params) == brute
+        assert seqcomp_ranks([q], pool, params) == [brute]
 
 
 def test_seqcomp_rank_requires_ground_truth_in_pool():
@@ -190,7 +189,7 @@ def test_seqcomp_rank_requires_ground_truth_in_pool():
         (u.clips[0].frames[0], u.clips[0].frames[1]), (("c0", 0), ("c0", 1))
     )
     with pytest.raises(ValueError, match="ground truth"):
-        seqcomp_rank(QueryPair("c0", 0, 1, 2), pool, identity_net(6))
+        seqcomp_ranks([QueryPair("c0", 0, 1, 2)], pool, identity_net(6))
 
 
 def test_seqcomp_ranks_matches_single_query_path():
@@ -199,7 +198,7 @@ def test_seqcomp_ranks_matches_single_query_path():
     pool = build_pool(qs, u, 4, seed=2)
     params = init_glorot(LayerSpec((6, 5, 4)), 3)
     batch = seqcomp_ranks(qs, pool, params)
-    singles = [seqcomp_rank(q, pool, params) for q in qs]
+    singles = [seqcomp_ranks([q], pool, params)[0] for q in qs]
     assert batch == singles
 
 

@@ -46,9 +46,9 @@ def test_run_gradcheck_passes_and_reports():
 
 def test_injected_sign_flip_is_detected():
     def corrupt(grads):
-        out = dict(grads)
-        out["layer0.weight"] = -out["layer0.weight"]
-        return out
+        theta = grads["theta"].copy()
+        theta.weights[0][...] = -theta.weights[0]
+        return {**grads, "theta": theta}
 
     rows, ok = run_gradcheck(seed=5, points=3, corrupt=corrupt)
     assert not ok

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from ssfa.losses import (
+    LossValue,
     Margins,
     coherence_objective,
-    contrastive,
     pair_loss,
     softmax_loss,
     total_objective,
@@ -68,7 +68,14 @@ def test_softmax_stable_for_huge_logits():
 
 
 # ---------------------------------------------------------------------------
-# contrastive
+# contrastive form, on batches of one pair
+
+
+def contrastive(a, b, p, margins):
+    """pair_loss on a one-pair batch; gradients are that pair's rows."""
+    lv = pair_loss(np.atleast_2d(a), np.atleast_2d(b), [p], margins)
+    return LossValue(lv.value, {k: g[0] for k, g in lv.grads.items()})
+
 
 def test_contrastive_zero_distance_positive():
     a = np.array([0.3, -0.2])
@@ -134,12 +141,16 @@ def test_pair_loss_constant_map_pays_margin_per_negative():
 
 
 def test_pair_loss_single_pair_reduces_to_contrastive():
+    # a negative pair pays max(delta - d, 0), gradient -(a - b) / d inside the margin
     rng = np.random.default_rng(2)
-    a, b = rng.normal(size=3), rng.normal(size=3)
-    single = pair_loss(a[None], b[None], np.array([0]), M)
-    ref = contrastive(a, b, 0, M)
-    assert single.value == ref.value
-    np.testing.assert_array_equal(single.grads["a"][0], ref.grads["a"])
+    for delta in (1.0, 10.0):  # the pair lies outside, then inside, the margin
+        m = Margins(delta_pair=delta)
+        a, b = rng.normal(size=3), rng.normal(size=3)
+        single = pair_loss(a[None], b[None], np.array([0]), m)
+        d = np.sqrt(np.sum((a - b) ** 2))
+        assert abs(single.value - max(delta - d, 0.0)) < 1e-15
+        expect = -(a - b) / d if d < delta else np.zeros(3)
+        np.testing.assert_allclose(single.grads["a"][0], expect, rtol=1e-15)
 
 
 def test_pair_loss_empty_batch_rejected():

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from ssfa.data import Frame, LabeledSet
+from ssfa.evaluate import linear_accuracy
 from ssfa.network import (
     LayerSpec,
     NetworkParams,
     backward,
-    classify,
     forward,
     init_classifier,
     init_glorot,
@@ -175,22 +176,27 @@ def test_relu_subgradient_zero_at_exact_zero():
     assert dx[0] == 0.0
 
 
+def classify(W, z):
+    """Per-class hit rates of linear_accuracy for an embedding fixed at z:
+    1.0 at the predicted class, 0.0 elsewhere."""
+    # one layer with zero weights maps every image to its bias, z
+    net = NetworkParams([np.zeros((len(z), 1))], [z])
+    image = Frame(1, 1, [0.0])
+    return [linear_accuracy(net, W, LabeledSet([image], [c], len(W))) for c in range(len(W))]
+
+
 def test_classify_tie_and_example():
-    logits, pred = classify(np.zeros((3, 2)), np.array([0.3, 0.4]))
-    np.testing.assert_array_equal(logits, np.zeros(3))
-    assert pred == 0  # smallest index wins ties
+    hits = classify(np.zeros((3, 2)), np.array([0.3, 0.4]))
+    assert hits == [1.0, 0.0, 0.0]  # all logits tie: smallest index wins
     W = np.array([[1.0, 0.0], [0.0, 1.0]])
-    _, pred = classify(W, np.array([0.2, 0.9]))
-    assert pred == 1
+    assert classify(W, np.array([0.2, 0.9])) == [0.0, 1.0]
 
 
 def test_classify_scale_invariance():
     rng = np.random.default_rng(11)
     W = rng.normal(size=(4, 6))
     z = rng.normal(size=6)
-    _, p1 = classify(W, z)
-    _, p2 = classify(W, 17.3 * z)
-    assert p1 == p2
+    assert classify(W, z) == classify(W, 17.3 * z)
 
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):
@@ -206,6 +212,30 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     # header is the documented text
     head = path.read_bytes().split(b"\n")[:3]
     assert head == [b"SSFA-CKPT v1", b"layers 6 5 4", b"classes 3"]
+
+
+def test_checkpoint_body_is_flat_params_then_classifier(tmp_path):
+    params = init_glorot(LayerSpec((6, 5, 4)), 3)
+    W = init_classifier(3, 4, 4)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, params, W)
+    body = path.read_bytes().split(b"\n", 3)[3]
+    assert body == params.flat.tobytes() + W.tobytes()
+
+
+def test_params_are_views_of_one_flat_vector():
+    weights = [np.arange(12.0).reshape(3, 4), np.arange(6.0).reshape(2, 3) + 20]
+    biases = [np.array([-1.0, -2.0, -3.0]), np.array([-4.0, -5.0])]
+    params = NetworkParams(weights, biases)
+    expect = np.concatenate([weights[0].ravel(), biases[0], weights[1].ravel(), biases[1]])
+    assert params.flat.tobytes() == expect.tobytes()
+    assert params.flat.size == params.layer_spec().param_count
+    for arr in params.weights + params.biases:
+        assert np.shares_memory(arr, params.flat)
+    params.flat[:] = 0.0
+    assert not any(a.any() for a in params.weights + params.biases)
+    with pytest.raises(ValueError):
+        NetworkParams.from_flat(LayerSpec((4, 3)), np.zeros(14))
 
 
 def test_checkpoint_rejects_garbage(tmp_path):

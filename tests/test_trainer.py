@@ -9,7 +9,6 @@ from ssfa.synth import SynthConfig, gen_labeled, gen_unlabeled
 from ssfa.trainer import (
     ConfigError,
     OptimizerError,
-    OptimizerState,
     SearchError,
     SearchGrids,
     TrainConfig,
@@ -39,19 +38,16 @@ def small_data(seed=0, clips=6, per_class=5):
 # nesterov_step
 
 def test_nesterov_zero_momentum_is_plain_sgd():
-    params = [np.array([2.0, -1.0])]
-    state = OptimizerState.zeros_like(params)
-    new, _ = nesterov_step(params, state, lambda ps: [2 * ps[0]], lr=0.1, momentum=0.0)
-    np.testing.assert_allclose(new[0], params[0] - 0.1 * 2 * params[0])
+    theta = np.array([2.0, -1.0])
+    new, _ = nesterov_step(theta, np.zeros(2), lambda x: 2 * x, lr=0.1, momentum=0.0)
+    np.testing.assert_allclose(new, theta - 0.1 * 2 * theta)
 
 
 def test_nesterov_single_step_hand_oracle():
     # f(x) = x^2 at x=1, v=0, lr=0.1, mu=0.9: v' = -0.2, x' = 0.8
-    params = [np.array([1.0])]
-    state = OptimizerState.zeros_like(params)
-    new, st = nesterov_step(params, state, lambda ps: [2 * ps[0]], lr=0.1, momentum=0.9)
-    assert abs(st.velocity[0][0] + 0.2) < 1e-15
-    assert abs(new[0][0] - 0.8) < 1e-15
+    new, v = nesterov_step(np.array([1.0]), np.zeros(1), lambda x: 2 * x, lr=0.1, momentum=0.9)
+    assert abs(v[0] + 0.2) < 1e-15
+    assert abs(new[0] - 0.8) < 1e-15
 
 
 def test_nesterov_lookahead_equals_rewritten_form():
@@ -63,30 +59,22 @@ def test_nesterov_lookahead_equals_rewritten_form():
     A = rng.normal(size=(3, 3))
     A = A @ A.T + np.eye(3)  # SPD quadratic f = 0.5 x'Ax
 
-    def grad(ps):
-        return [A @ ps[0]]
-
     lr, mu = 0.02, 0.9
-    x1 = [rng.normal(size=3)]
-    st = OptimizerState.zeros_like(x1)
-    x2 = x1[0].copy()
+    x1 = rng.normal(size=3)
+    v1 = np.zeros(3)
+    x2 = x1.copy()
     v2 = np.zeros(3)
     for _ in range(100):
-        x1, st = nesterov_step(x1, st, grad, lr, mu)
+        x1, v1 = nesterov_step(x1, v1, lambda x: A @ x, lr, mu)
         g = A @ (x2 + mu * v2)
         v2 = mu * v2 - lr * g
         x2 = x2 + v2
-    np.testing.assert_allclose(x1[0], x2, atol=1e-12)
+    np.testing.assert_allclose(x1, x2, atol=1e-12)
 
 
 def test_nesterov_rejects_non_finite_gradient():
-    params = [np.zeros(2)]
-    state = OptimizerState.zeros_like(params)
-    with pytest.raises(OptimizerError, match="classifier"):
-        nesterov_step(
-            params, state, lambda ps: [np.array([np.nan, 0.0])], 0.1, 0.9,
-            names=["classifier"],
-        )
+    with pytest.raises(OptimizerError, match="non-finite gradient in 1 of 2"):
+        nesterov_step(np.zeros(2), np.zeros(2), lambda x: np.array([np.nan, 0.0]), 0.1, 0.9)
 
 
 # ---------------------------------------------------------------------------
