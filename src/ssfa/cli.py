@@ -23,11 +23,13 @@ class CliConfigError(ValueError):
     """Bad config file or flag combination."""
 
 
-def _apply_threads(argv) -> None:
-    """Pin BLAS thread pools before numpy loads. An explicit --threads
-    overrides BLAS variables already set in the environment; without it,
-    preset values are kept and unset ones default to 1."""
-    threads = None
+def _apply_threads(argv, config_threads=None) -> None:
+    """Pin BLAS thread pools before numpy loads. The thread count comes from
+    an explicit --threads, else ``config_threads`` (the config file's
+    ``threads`` key); either overrides BLAS variables already set in the
+    environment. Without both, preset values are kept and unset ones
+    default to 1."""
+    threads = config_threads
     for i, a in enumerate(argv):
         if a == "--threads" and i + 1 < len(argv):
             threads = argv[i + 1]
@@ -74,8 +76,13 @@ def _apply_config(parser: argparse.ArgumentParser, cfg: dict) -> None:
             if value not in _BOOLEANS:
                 raise CliConfigError(f"config key {key!r}: expected true/false/1/0, got {value!r}")
             defaults[dest] = _BOOLEANS[value]
+        elif action.type is None:
+            defaults[dest] = value
         else:
-            defaults[dest] = action.type(value) if action.type is not None else value
+            try:
+                defaults[dest] = action.type(value)
+            except ValueError:
+                raise CliConfigError(f"config key {key!r}: bad value {value!r}") from None
     parser.set_defaults(**defaults)
 
 
@@ -87,7 +94,9 @@ def _echo_config(args, out_dir: Path) -> None:
         if key in skip:
             continue
         lines.append(f"{key} = {getattr(args, key)}")
-    (out_dir / "run_config.txt").write_text("\n".join(lines) + "\n")
+    from .data import write_atomic
+
+    write_atomic(out_dir / "run_config.txt", "\n".join(lines) + "\n")
 
 
 def _hidden_sizes(text: str):
@@ -322,7 +331,7 @@ def cmd_eval_knn(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    from . import gradcheck
+    from . import data, gradcheck
 
     rows, ok = gradcheck.run_gradcheck(seed=args.seed, points=args.points)
     text = gradcheck.format_report(rows)
@@ -330,7 +339,7 @@ def cmd_gradcheck(args) -> int:
     if args.out:
         out = Path(args.out)
         _echo_config(args, out)
-        (out / "gradcheck.csv").write_text(text)
+        data.write_atomic(out / "gradcheck.csv", text)
     if not ok:
         print("gradient check FAILED", file=sys.stderr)
         return 3
@@ -348,7 +357,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="key = value config file; flags override it")
         p.add_argument("--threads", type=int, default=1,
-                       help="BLAS thread cap (default 1 for bit-stable runs)")
+                       help="BLAS thread cap; overrides preset OMP/OPENBLAS/MKL_NUM_THREADS "
+                            "(default: keep preset values, else 1 for bit-stable runs)")
         p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("synth", help="generate synthetic shape clips and labeled images")
@@ -444,10 +454,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    _apply_threads(argv)
     top = _build_parser()
     try:
-        # pre-pass: route --config values into the right subparser defaults
+        # pre-pass: route --config values into the right subparser defaults;
+        # nothing here loads numpy, so a config `threads` can still pin BLAS
+        cfg = {}
         if any(a == "--config" or a.startswith("--config=") for a in argv):
             probe, _ = top.parse_known_args(argv)
             cfg = _parse_config_file(Path(probe.config))
@@ -455,6 +466,7 @@ def main(argv=None) -> int:
                 a for a in top._actions if isinstance(a, argparse._SubParsersAction)
             )
             _apply_config(subparsers.choices[probe.command], cfg)
+        _apply_threads(argv, cfg.get("threads"))
         args = top.parse_args(argv)
         return args.func(args)
     except CliConfigError as e:

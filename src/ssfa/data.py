@@ -7,6 +7,7 @@ unbounded (zero mean, unit variance per image).
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -138,6 +139,31 @@ def prep_stack(frames) -> np.ndarray:
     mu = X.mean(axis=1, keepdims=True)
     sd = np.maximum(X.std(axis=1, keepdims=True), STD_FLOOR)
     return (X - mu) / sd
+
+
+# ---------------------------------------------------------------------------
+# Output files
+
+def write_atomic(path, content) -> None:
+    """Write ``content`` (str or bytes) to ``path`` so that readers see the
+    previous file or the complete new one, never a partial write.
+
+    The content goes to a temporary file in the same directory, which
+    ``os.replace`` then renames over ``path``. If writing fails, the
+    temporary file is removed and ``path`` is left as it was. The bytes
+    written are those of ``Path.write_text`` / ``Path.write_bytes``.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        if isinstance(content, bytes):
+            tmp.write_bytes(content)
+        else:
+            tmp.write_text(content)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +353,7 @@ def write_unlabeled(u: UnlabeledSet, out_dir, manifest_name="unlabeled.txt") -> 
             rels.append(rel)
         lines.append(f"{clip.clip_id}\t{clip.frame_period!r}\t{','.join(rels)}")
     manifest = out / manifest_name
-    manifest.write_text("\n".join(lines) + "\n")
+    write_atomic(manifest, "\n".join(lines) + "\n")
     return manifest
 
 
@@ -342,5 +368,5 @@ def write_labeled(s: LabeledSet, out_dir, manifest_name="labeled.txt", image_dir
         save_pgm(img, out / rel)
         lines.append(f"{rel}\t{label}")
     manifest = out / manifest_name
-    manifest.write_text("\n".join(lines) + "\n")
+    write_atomic(manifest, "\n".join(lines) + "\n")
     return manifest

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .data import LabeledSet, UnlabeledSet, prep_stack
+from .data import LabeledSet, UnlabeledSet, prep_stack, write_atomic
 from .mining import window_frames
 from .network import NetworkParams, forward
 
@@ -82,13 +81,13 @@ class EvalReport:
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
     def save_json(self, path) -> None:
-        Path(path).write_text(self.to_json())
+        write_atomic(path, self.to_json())
 
     def save_ranks_csv(self, path) -> None:
         lines = ["query,rank"]
         for i, r in enumerate(self.ranks or []):
             lines.append(f"{i},{r}")
-        Path(path).write_text("\n".join(lines) + "\n")
+        write_atomic(path, "\n".join(lines) + "\n")
 
 
 def embed(params: NetworkParams, frames) -> np.ndarray:

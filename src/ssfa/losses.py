@@ -202,8 +202,8 @@ def coherence_objective(pairs, triplets, params: NetworkParams,
         r2 = pair_loss(za, zb, p, margins)
         value += r2.value
         terms["slow"] = r2.value
-        dtheta.flat += backward(params, ta, r2.grads["a"])[0].flat
-        dtheta.flat += backward(params, tb, r2.grads["b"])[0].flat
+        dtheta.flat += backward(params, ta, r2.grads["a"], input_grad=False)[0].flat
+        dtheta.flat += backward(params, tb, r2.grads["b"], input_grad=False)[0].flat
     if have_triplets:
         xl, xm, xn, p = triplets
         zl, tl = forward(params, xl)
@@ -212,9 +212,9 @@ def coherence_objective(pairs, triplets, params: NetworkParams,
         r3 = triplet_loss(zl, zm, zn, p, margins)
         value += lam_prime * r3.value
         terms["steady"] = r3.value
-        dtheta.flat += lam_prime * backward(params, tl, r3.grads["l"])[0].flat
-        dtheta.flat += lam_prime * backward(params, tm, r3.grads["m"])[0].flat
-        dtheta.flat += lam_prime * backward(params, tn, r3.grads["n"])[0].flat
+        dtheta.flat += lam_prime * backward(params, tl, r3.grads["l"], input_grad=False)[0].flat
+        dtheta.flat += lam_prime * backward(params, tm, r3.grads["m"], input_grad=False)[0].flat
+        dtheta.flat += lam_prime * backward(params, tn, r3.grads["n"], input_grad=False)[0].flat
     return LossValue(value, {"theta": dtheta}, terms)
 
 
@@ -235,7 +235,7 @@ def total_objective(batch_x, batch_y, pairs, triplets, params: NetworkParams,
     sup = softmax_loss(W, zs, batch_y)
     flat = np.empty(params.flat.size + W.size)
     dtheta, dW = split_model(params.layer_spec(), flat)
-    backward(params, tape, sup.grads["z"], dtheta.flat)
+    backward(params, tape, sup.grads["z"], dtheta.flat, input_grad=False)
     dW[...] = sup.grads["W"]
     value = sup.value
     terms = {"sup": sup.value, "slow": 0.0, "steady": 0.0}

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import UnlabeledSet
+from .data import UnlabeledSet, write_atomic
 
 log = logging.getLogger(__name__)
 
@@ -186,7 +186,7 @@ def save_tuples(path, samples, cfg: MiningConfig) -> None:
             lines.append(f"TRIP {s.clip_id} {s.l} {s.m} {s.n} {s.p}")
         else:
             raise TypeError(f"cannot serialize {type(s).__name__}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_tuples(path):

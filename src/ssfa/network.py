@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .data import write_atomic
+
 CHECKPOINT_MAGIC = "SSFA-CKPT v1"
 
 
@@ -166,12 +168,17 @@ def forward(params: NetworkParams, x):
     return z, ActivationTape(X2, pre, post, single)
 
 
-def backward(params: NetworkParams, tape: ActivationTape, dz, out=None):
+def backward(params: NetworkParams, tape: ActivationTape, dz, out=None, *, input_grad=True):
     """Backpropagate a feature-space gradient through the tape.
 
     Returns (d_params, dx): the parameter gradient, written into the flat
     vector ``out`` (a fresh one when None), and the gradient w.r.t. the
-    input. The ReLU subgradient at exactly zero pre-activation is zero.
+    input. The input gradient is optional: with ``input_grad=False`` the
+    pass stops after layer 0's parameter gradient, skips the product with
+    the first weight matrix (the widest GEMM of the pass) and returns
+    ``dx = None``; the parameter gradient is bit-identical either way.
+    Training never needs ``dx``, so the objectives in ``losses`` pass False.
+    The ReLU subgradient at exactly zero pre-activation is zero.
     """
     G = np.asarray(dz, dtype=np.float64)
     G2 = G[None, :] if G.ndim == 1 else G
@@ -184,11 +191,12 @@ def backward(params: NetworkParams, tape: ActivationTape, dz, out=None):
         inp = tape.x if i == 0 else tape.post[i - 1]
         np.matmul(delta.T, inp, out=grad.weights[i])
         delta.sum(axis=0, out=grad.biases[i])
-        delta = delta @ params.weights[i]
         if i > 0:
-            delta = delta * (tape.pre[i - 1] > 0.0)
-    dx = delta[0] if tape.single else delta
-    return grad, dx
+            delta = (delta @ params.weights[i]) * (tape.pre[i - 1] > 0.0)
+    if not input_grad:
+        return grad, None
+    dx = delta @ params.weights[0]
+    return grad, (dx[0] if tape.single else dx)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +222,7 @@ def save_checkpoint(path, params: NetworkParams, W: np.ndarray) -> None:
         f"classes {W.shape[0]}\n"
     ).encode("ascii")
     body = [np.ascontiguousarray(a, dtype="<f8").tobytes() for a in (params.flat, W)]
-    Path(path).write_bytes(head + b"".join(body))
+    write_atomic(path, head + b"".join(body))
 
 
 def load_checkpoint(path):

@@ -14,11 +14,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
-from .data import LabeledSet, UnlabeledSet, prep_stack
+from .data import LabeledSet, UnlabeledSet, prep_stack, write_atomic
 from .losses import Margins, coherence_objective, softmax_loss, total_objective
 from .network import LayerSpec, NetworkParams, forward, init_classifier, init_glorot, split_model
 
@@ -89,7 +88,7 @@ class TrainHistory:
                 f"{e.epoch},{float(e.loss_sup)!r},{float(e.loss_slow)!r},"
                 f"{float(e.loss_steady)!r},{float(e.val_loss)!r},{float(e.val_acc)!r}"
             )
-        Path(path).write_text("\n".join(lines) + "\n")
+        write_atomic(path, "\n".join(lines) + "\n")
 
 
 def nesterov_step(theta, velocity, grad_fn, lr: float, momentum: float):
@@ -398,4 +397,4 @@ def write_search_log(log, path) -> None:
     lines = ["stage,candidate,val_loss"]
     for row in log:
         lines.append(f"{row['stage']},{row['candidate']!r},{row['val_loss']!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")

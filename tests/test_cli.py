@@ -228,3 +228,36 @@ def test_threads_default_keeps_preset_blas_env(monkeypatch):
     monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
     _apply_threads(["train", "--seed", "3"])
     assert [os.environ[v] for v in BLAS_VARS] == ["7", "1", "1"]
+
+
+def _unset_blas_env(monkeypatch):
+    for var in BLAS_VARS:
+        monkeypatch.setenv(var, "unset")  # so teardown restores the original
+        monkeypatch.delenv(var)
+
+
+def test_config_threads_key_pins_blas_env(monkeypatch, tmp_path):
+    _unset_blas_env(monkeypatch)
+    cfg = tmp_path / "c.txt"
+    cfg.write_text("threads = 3\n")
+    run_ok(["gradcheck", "--points", "1", "--config", str(cfg)])
+    assert [os.environ[v] for v in BLAS_VARS] == ["3", "3", "3"]
+
+
+def test_threads_precedence_flag_then_config_then_preset_env(monkeypatch, tmp_path):
+    cfg = tmp_path / "c.txt"
+    cfg.write_text("threads = 3\n")
+    for var in BLAS_VARS:
+        monkeypatch.setenv(var, "7")
+    run_ok(["gradcheck", "--points", "1", "--config", str(cfg)])
+    assert [os.environ[v] for v in BLAS_VARS] == ["3", "3", "3"]
+    run_ok(["gradcheck", "--points", "1", "--config", str(cfg), "--threads", "2"])
+    assert [os.environ[v] for v in BLAS_VARS] == ["2", "2", "2"]
+
+
+def test_config_threads_non_integer_exits_2(monkeypatch, tmp_path):
+    _unset_blas_env(monkeypatch)
+    cfg = tmp_path / "c.txt"
+    cfg.write_text("threads = many\n")
+    assert main(["gradcheck", "--points", "1", "--config", str(cfg)]) == 2
+    assert not any(v in os.environ for v in BLAS_VARS)

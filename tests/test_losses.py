@@ -342,6 +342,26 @@ def test_total_objective_gradient_is_monolithic_sum():
     assert abs(lv.value - expect) < 1e-12
 
 
+def test_objectives_never_request_the_input_gradient(monkeypatch):
+    # training reads only the parameter gradient; dx would be a wasted GEMM
+    import ssfa.losses as losses_mod
+    from ssfa.network import backward
+
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("input_grad", True))
+        return backward(*args, **kwargs)
+
+    monkeypatch.setattr(losses_mod, "backward", spy)
+    _, params, W, bx, by, pairs, triplets = _setup_objective(11)
+    total_objective(bx, by, pairs, triplets, params, W, 0.7, 0.3, M)
+    assert calls == [False] * 6
+    calls.clear()
+    coherence_objective(pairs, triplets, params, 0.3, M)
+    assert calls == [False] * 5
+
+
 def test_total_objective_accepts_reference_weight_settings():
     # the validated weight combinations are legal configurations
     _, params, W, bx, by, pairs, triplets = _setup_objective(9)

@@ -151,6 +151,27 @@ def test_backward_matches_finite_differences():
             assert abs(dx[i] - num) / max(1.0, abs(num)) < 1e-6
 
 
+@pytest.mark.parametrize("sizes", [(5, 4, 3), (64, 9, 7, 5)])
+@pytest.mark.parametrize("rows", [None, 1, 6])
+@pytest.mark.parametrize("use_out", [False, True])
+def test_backward_without_input_grad_is_bit_identical(sizes, rows, use_out):
+    rng = np.random.default_rng(sum(sizes) + (rows or 0))
+    spec = LayerSpec(sizes)
+    params = init_glorot(spec, 3)
+    shape = (spec.in_dim,) if rows is None else (rows, spec.in_dim)
+    x = rng.normal(size=shape)
+    z, tape = forward(params, x)
+    dz = rng.normal(size=z.shape)
+    full, dx = backward(params, tape, dz, np.empty(spec.param_count) if use_out else None)
+    out = np.full(spec.param_count, np.nan) if use_out else None
+    grad, none = backward(params, tape, dz, out, input_grad=False)
+    assert none is None
+    assert dx.shape == x.shape
+    assert grad.flat.tobytes() == full.flat.tobytes()
+    if use_out:
+        assert grad.flat is out
+
+
 def test_dead_relu_blocks_gradient():
     # single hidden unit forced negative: no gradient reaches its weights
     params = NetworkParams(
