@@ -28,13 +28,16 @@ def _apply_threads(argv, config_threads=None) -> None:
     an explicit --threads, else ``config_threads`` (the config file's
     ``threads`` key); either overrides BLAS variables already set in the
     environment. Without both, preset values are kept and unset ones
-    default to 1."""
+    default to 1. A count below 1 (which OpenBLAS reads as no cap) is a
+    CliConfigError, raised before any variable is written."""
     threads = config_threads
     for i, a in enumerate(argv):
         if a == "--threads" and i + 1 < len(argv):
             threads = argv[i + 1]
         elif a.startswith("--threads="):
             threads = a.split("=", 1)[1]
+    if threads is not None and not (threads.isdigit() and int(threads) >= 1):
+        raise CliConfigError(f"--threads: expected a count >= 1, got {threads!r}")
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         if threads is None:
             os.environ.setdefault(var, "1")
@@ -83,6 +86,8 @@ def _apply_config(parser: argparse.ArgumentParser, cfg: dict) -> None:
                 defaults[dest] = action.type(value)
             except ValueError:
                 raise CliConfigError(f"config key {key!r}: bad value {value!r}") from None
+        if action.choices is not None and defaults[dest] not in action.choices:
+            raise CliConfigError(f"config key {key!r}: {value!r} is not one of {action.choices}")
     parser.set_defaults(**defaults)
 
 

@@ -242,7 +242,7 @@ def save_pgm(frame: Frame, path) -> None:
     and quantized by round(p * 255)."""
     q = np.rint(np.clip(frame.pixels, 0.0, 1.0) * 255.0).astype(np.uint8)
     header = f"P5\n{frame.width} {frame.height}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + q.tobytes())
+    write_atomic(path, header + q.tobytes())
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,12 @@ def softmax_loss(W, zs, ys) -> LossValue:
     return LossValue(float(value), {"W": G.T @ zs, "z": G @ W})
 
 
+def has_tuples(batch) -> bool:
+    """True when ``batch`` (tuple arrays with the labels last, or None)
+    holds at least one tuple."""
+    return batch is not None and len(batch[-1]) > 0
+
+
 def unsupervised_loss(pairs, triplets, lam_prime: float, margins: Margins) -> LossValue:
     """Combined coherence loss on feature vectors:
     pair term + lam_prime * triplet term. A missing side contributes 0.
@@ -154,8 +160,7 @@ def unsupervised_loss(pairs, triplets, lam_prime: float, margins: Margins) -> Lo
     ``pairs`` is (za, zb, p) and ``triplets`` is (zl, zm, zn, p); either
     may be None or empty, but not both.
     """
-    have_pairs = pairs is not None and len(pairs[-1]) > 0
-    have_triplets = triplets is not None and len(triplets[-1]) > 0
+    have_pairs, have_triplets = has_tuples(pairs), has_tuples(triplets)
     if not have_pairs and not have_triplets:
         raise ValueError("need at least one of pairs/triplets")
     value = 0.0
@@ -187,34 +192,24 @@ def coherence_objective(pairs, triplets, params: NetworkParams,
     into one flat gradient vector. The triplet side is skipped entirely
     when lam_prime is 0.
     """
-    have_pairs = pairs is not None and len(pairs[-1]) > 0
-    present_triplets = triplets is not None and len(triplets[-1]) > 0
-    if not have_pairs and not present_triplets:
+    if not has_tuples(pairs) and not has_tuples(triplets):
         raise ValueError("need at least one of pairs/triplets")
-    have_triplets = present_triplets and lam_prime != 0.0
     dtheta = NetworkParams.from_flat(params.layer_spec(), np.zeros_like(params.flat))
     value = 0.0
     terms = {"slow": 0.0, "steady": 0.0}
-    if have_pairs:
-        xa, xb, p = pairs
-        za, ta = forward(params, xa)
-        zb, tb = forward(params, xb)
-        r2 = pair_loss(za, zb, p, margins)
-        value += r2.value
-        terms["slow"] = r2.value
-        dtheta.flat += backward(params, ta, r2.grads["a"], input_grad=False)[0].flat
-        dtheta.flat += backward(params, tb, r2.grads["b"], input_grad=False)[0].flat
-    if have_triplets:
-        xl, xm, xn, p = triplets
-        zl, tl = forward(params, xl)
-        zm, tm = forward(params, xm)
-        zn, tn = forward(params, xn)
-        r3 = triplet_loss(zl, zm, zn, p, margins)
-        value += lam_prime * r3.value
-        terms["steady"] = r3.value
-        dtheta.flat += lam_prime * backward(params, tl, r3.grads["l"], input_grad=False)[0].flat
-        dtheta.flat += lam_prime * backward(params, tm, r3.grads["m"], input_grad=False)[0].flat
-        dtheta.flat += lam_prime * backward(params, tn, r3.grads["n"], input_grad=False)[0].flat
+    branches = ((pairs, pair_loss, 1.0, "slow"),
+                (triplets if lam_prime != 0.0 else None, triplet_loss, lam_prime, "steady"))
+    for batch, loss_fn, scale, term in branches:
+        if not has_tuples(batch):
+            continue
+        *xs, p = batch
+        embedded = [forward(params, x) for x in xs]
+        r = loss_fn(*(z for z, _ in embedded), p, margins)
+        value += scale * r.value
+        terms[term] = r.value
+        # r.grads holds one gradient per tuple member, in member order
+        for (_, tape), dz in zip(embedded, r.grads.values()):
+            dtheta.flat += scale * backward(params, tape, dz, input_grad=False)[0].flat
     return LossValue(value, {"theta": dtheta}, terms)
 
 
@@ -239,9 +234,7 @@ def total_objective(batch_x, batch_y, pairs, triplets, params: NetworkParams,
     dW[...] = sup.grads["W"]
     value = sup.value
     terms = {"sup": sup.value, "slow": 0.0, "steady": 0.0}
-    have_pairs = pairs is not None and len(pairs[-1]) > 0
-    have_triplets = triplets is not None and len(triplets[-1]) > 0
-    if lam != 0.0 and (have_pairs or have_triplets):
+    if lam != 0.0 and (has_tuples(pairs) or has_tuples(triplets)):
         co = coherence_objective(pairs, triplets, params, lam_prime, margins)
         value += lam * co.value
         terms["slow"] = co.terms["slow"]

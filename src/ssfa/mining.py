@@ -82,90 +82,74 @@ def window_frames(T_seconds: float, frame_period: float) -> int:
 
 
 def pair_candidates(n_frames: int, t_frames: int):
-    """All eligible (j, k) pairs for one clip: positives with
-    1 <= j-k <= t_frames, negatives with j-k >= 2*t_frames + 1."""
-    pos, neg = [], []
-    if t_frames < 1:
-        return pos, neg
-    for k in range(n_frames):
-        for j in range(k + 1, n_frames):
-            gap = j - k
-            if gap <= t_frames:
-                pos.append((j, k))
-            elif gap >= 2 * t_frames + 1:
-                neg.append((j, k))
-    return pos, neg
+    """All eligible pairs of one clip as ``(pos, neg)`` int arrays of shape
+    (m, 2), rows ``(j, k)`` with j > k: positives with 1 <= j-k <= t_frames,
+    negatives with j-k >= 2*t_frames + 1. Rows are ordered by k, then j."""
+    k, j = np.triu_indices(n_frames, 1)
+    rows = np.column_stack((j, k))
+    gap = j - k
+    return rows[gap <= t_frames], rows[(gap >= 2 * t_frames + 1) & (t_frames >= 1)]
 
 
 def triplet_candidates(n_frames: int, t_frames: int):
-    """All eligible (l, m, n) triplets for one clip: positives evenly
-    spaced with spacing in [1, t_frames]; negatives with m-l in
-    [1, t_frames] and n-m >= 2*t_frames."""
-    pos, neg = [], []
-    if t_frames < 1:
-        return pos, neg
-    for l in range(n_frames):
-        for s in range(1, t_frames + 1):
-            if l + 2 * s < n_frames:
-                pos.append((l, l + s, l + 2 * s))
-        for g1 in range(1, t_frames + 1):
-            m = l + g1
-            if m >= n_frames:
-                break
-            for n in range(m + 2 * t_frames, n_frames):
-                neg.append((l, m, n))
-    return pos, neg
+    """All eligible triplets of one clip as ``(pos, neg)`` int arrays of
+    shape (m, 3), rows ``(l, m, n)``: positives evenly spaced with spacing
+    in [1, t_frames]; negatives with m-l in [1, t_frames] and
+    n-m >= 2*t_frames. Rows are ordered by l, then spacing (or m), then n."""
+    frame, step = np.arange(n_frames), np.arange(1, t_frames + 1)
+    l, s = np.nonzero(frame[:, None] + 2 * step < n_frames)
+    s = step[s]
+    pos = np.column_stack((l, l + s, l + 2 * s))
+    # mask over (l, g1, n) with m = l + g1
+    l, g1, n = np.nonzero(frame >= (frame[:, None] + step)[..., None] + 2 * t_frames)
+    return pos, np.column_stack((l, l + step[g1], n))
 
 
-def _gather(u: UnlabeledSet, cfg: MiningConfig, enumerate_fn, kind: str):
+def _mine(u: UnlabeledSet, cfg: MiningConfig, candidates, kind: str, cap, ratio, seed, sample):
+    """Candidates of every clip stacked behind a clip-index column, then
+    ``cap`` of them at 1:``ratio`` drawn by two permutations; samples are
+    built for the kept rows only, positives first."""
     pos_all, neg_all = [], []
     skipped = 0
-    for clip in u.clips:
-        tf = window_frames(cfg.T_seconds, clip.frame_period)
-        pos, neg = enumerate_fn(len(clip.frames), tf)
-        if not pos:
+    for c, clip in enumerate(u.clips):
+        pos, neg = candidates(len(clip.frames), window_frames(cfg.T_seconds, clip.frame_period))
+        if not len(pos):
             skipped += 1
             continue
-        pos_all.extend((clip.clip_id,) + t for t in pos)
-        neg_all.extend((clip.clip_id,) + t for t in neg)
+        pos_all.append(np.column_stack((np.full(len(pos), c), pos)))
+        neg_all.append(np.column_stack((np.full(len(neg), c), neg)))
     if skipped:
         log.warning("%s mining skipped %d clip(s) with no positive candidates", kind, skipped)
     if not pos_all:
         raise MiningError(f"no clip admits a positive {kind}")
-    if not neg_all:
+    pos_all, neg_all = np.concatenate(pos_all), np.concatenate(neg_all)
+    if not len(neg_all):
         raise MiningError(f"no clip admits a negative {kind} (all clips too short for the buffer gap)")
-    return pos_all, neg_all
-
-
-def _select(pos_all, neg_all, cap, ratio, rng):
     n_pos = min(len(pos_all), int(cap / (1.0 + ratio)))
     n_neg = min(len(neg_all), int(n_pos * ratio))
-    pos_idx = rng.permutation(len(pos_all))[:n_pos]
-    neg_idx = rng.permutation(len(neg_all))[:n_neg]
-    return [pos_all[i] for i in pos_idx], [neg_all[i] for i in neg_idx]
+    rng = np.random.default_rng(seed)
+    pos = pos_all[rng.permutation(len(pos_all))[:n_pos]]
+    neg = neg_all[rng.permutation(len(neg_all))[:n_neg]]
+    ids = [clip.clip_id for clip in u.clips]
+    return [sample(ids[c], *t, 1) for c, *t in pos.tolist()] + [
+        sample(ids[c], *t, 0) for c, *t in neg.tolist()
+    ]
 
 
 def mine_pairs(u: UnlabeledSet, cfg: MiningConfig):
     """Sample labeled frame pairs, positives first, at ratio
     1:pair_neg_ratio (negatives rounded down when exhausted).
     Deterministic for a fixed config."""
-    pos_all, neg_all = _gather(u, cfg, pair_candidates, "pair")
-    rng = np.random.default_rng(cfg.seed)
-    pos, neg = _select(pos_all, neg_all, cfg.max_pairs, cfg.pair_neg_ratio, rng)
-    return [PairSample(c, j, k, 1) for c, j, k in pos] + [
-        PairSample(c, j, k, 0) for c, j, k in neg
-    ]
+    return _mine(u, cfg, pair_candidates, "pair", cfg.max_pairs, cfg.pair_neg_ratio,
+                 cfg.seed, PairSample)
 
 
 def mine_triplets(u: UnlabeledSet, cfg: MiningConfig):
     """Sample labeled frame triplets at ratio 1:triplet_neg_ratio.
     Deterministic for a fixed config."""
-    pos_all, neg_all = _gather(u, cfg, triplet_candidates, "triplet")
-    rng = np.random.default_rng(cfg.seed + 1)  # independent of the pair stream
-    pos, neg = _select(pos_all, neg_all, cfg.max_triplets, cfg.triplet_neg_ratio, rng)
-    return [TripletSample(c, l, m, n, 1) for c, l, m, n in pos] + [
-        TripletSample(c, l, m, n, 0) for c, l, m, n in neg
-    ]
+    # seed + 1: independent of the pair stream
+    return _mine(u, cfg, triplet_candidates, "triplet", cfg.max_triplets,
+                 cfg.triplet_neg_ratio, cfg.seed + 1, TripletSample)
 
 
 # ---------------------------------------------------------------------------

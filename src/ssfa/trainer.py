@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import LabeledSet, UnlabeledSet, prep_stack, write_atomic
-from .losses import Margins, coherence_objective, softmax_loss, total_objective
+from .losses import Margins, coherence_objective, has_tuples, softmax_loss, total_objective
 from .network import LayerSpec, NetworkParams, forward, init_classifier, init_glorot, split_model
 
 
@@ -109,22 +109,37 @@ def nesterov_step(theta, velocity, grad_fn, lr: float, momentum: float):
 # ---------------------------------------------------------------------------
 # Data plumbing
 
+def _resolve(u: UnlabeledSet, samples, members):
+    """(frames, idx, p): ``frames`` is every frame of ``u`` preprocessed,
+    clip after clip; row i of ``idx`` holds the ``frames`` rows of sample
+    i's ``members``; ``p`` holds the labels. A sample naming an unknown
+    clip or a frame past its clip's end raises ValueError."""
+    starts = itertools.accumulate((len(c.frames) for c in u.clips), initial=0)
+    spans = {c.clip_id: (start, len(c.frames)) for c, start in zip(u.clips, starts)}
+    rows = []
+    for s in samples:
+        if s.clip_id not in spans:
+            raise ValueError(f"tuple {s} names unknown clip {s.clip_id!r}")
+        start, n = spans[s.clip_id]
+        if max(getattr(s, m) for m in members) >= n:
+            raise ValueError(f"tuple {s} names a frame past the end of its {n}-frame clip")
+        rows.append([start + getattr(s, m) for m in members])
+    idx = np.array(rows, dtype=np.intp).reshape(len(rows), len(members))
+    frames = prep_stack([f for clip in u.clips for f in clip.frames])
+    return frames, idx, np.array([s.p for s in samples])
+
+
 def resolve_pairs(u: UnlabeledSet, samples):
-    """Turn mined pair samples into stacked (A, B, p) input arrays of
-    preprocessed, flattened frames. A rows are the later frames."""
-    clips = u.clip_map()
-    a = prep_stack([clips[s.clip_id].frames[s.j] for s in samples])
-    b = prep_stack([clips[s.clip_id].frames[s.k] for s in samples])
-    return a, b, np.array([s.p for s in samples])
+    """Mined pair samples as (frames, idx, p): ``idx`` is (n, 2), columns
+    (j, k) as rows of the preprocessed corpus table ``frames``, so the
+    first member is the later frame."""
+    return _resolve(u, samples, ("j", "k"))
 
 
 def resolve_triplets(u: UnlabeledSet, samples):
-    """Turn mined triplet samples into stacked (L, M, N, p) input arrays."""
-    clips = u.clip_map()
-    l = prep_stack([clips[s.clip_id].frames[s.l] for s in samples])
-    m = prep_stack([clips[s.clip_id].frames[s.m] for s in samples])
-    n = prep_stack([clips[s.clip_id].frames[s.n] for s in samples])
-    return l, m, n, np.array([s.p for s in samples])
+    """Mined triplet samples as (frames, idx, p); ``idx`` is (n, 3),
+    columns (l, m, n)."""
+    return _resolve(u, samples, ("l", "m", "n"))
 
 
 def stratified_split(labels, val_fraction: float, rng):
@@ -145,12 +160,13 @@ def stratified_split(labels, val_fraction: float, rng):
 
 
 class _TupleStream:
-    """Batches of rows of resolved tuple arrays, reshuffling the deck each
-    time it runs out."""
+    """Batches of resolved tuples, reshuffling the deck each time it runs
+    out. A batch is one array of frame rows per tuple member, then the
+    labels."""
 
-    def __init__(self, arrays, batch: int, rng):
-        self.arrays = arrays
-        self.n = len(arrays[-1])
+    def __init__(self, resolved, batch: int, rng):
+        self.frames, self.idx, self.p = resolved
+        self.n = len(self.p)
         self.batch = min(batch, self.n)
         self.rng = rng
         self._deck = rng.permutation(self.n)
@@ -169,18 +185,18 @@ class _TupleStream:
             out.append(self._deck[self._pos : self._pos + grab])
             self._pos += grab
             need -= grab
-        idx = np.concatenate(out)
-        return tuple(a[idx] for a in self.arrays)
+        sel = np.concatenate(out)
+        return tuple(self.frames[col] for col in self.idx[sel].T) + (self.p[sel],)
 
 
 def _tuple_streams(pairs, triplets, cfg: TrainConfig, seeds):
     """(pair stream, triplet stream), each None when it has no tuples or
     batch size to draw with. The triplet term is off when lam_prime is 0."""
 
-    def stream(arrays, batch, seed):
-        if arrays is None or len(arrays[-1]) == 0 or batch <= 0:
+    def stream(resolved, batch, seed):
+        if not has_tuples(resolved) or batch <= 0:
             return None
-        return _TupleStream(arrays, batch, np.random.default_rng(seed))
+        return _TupleStream(resolved, batch, np.random.default_rng(seed))
 
     trip_batch = cfg.batch_triplets if cfg.lam_prime > 0 else 0
     return stream(pairs, cfg.batch_pairs, seeds[0]), stream(triplets, trip_batch, seeds[1])
@@ -221,16 +237,14 @@ def _run_steps(theta, velocity, batches, streams, objective, cfg: TrainConfig):
 def train(labeled: LabeledSet, pairs, triplets, layer_spec: LayerSpec, cfg: TrainConfig):
     """Optimize the joint objective; returns (params, W, history).
 
-    ``pairs``/``triplets`` are resolved input arrays from
+    ``pairs``/``triplets`` are resolved tuples from
     :func:`resolve_pairs` / :func:`resolve_triplets` (or None when
     lam == 0). The returned parameters are the ones from the epoch with
     the lowest validation classification loss, not the final ones.
     """
     if len(labeled) == 0:
         raise ConfigError("labeled set is empty")
-    have_pairs = pairs is not None and len(pairs[-1]) > 0
-    have_triplets = triplets is not None and len(triplets[-1]) > 0
-    if cfg.lam > 0 and not have_pairs and not have_triplets:
+    if cfg.lam > 0 and not has_tuples(pairs) and not has_tuples(triplets):
         raise ConfigError("lam > 0 requires mined pairs and/or triplets")
 
     seeds = np.random.SeedSequence(cfg.seed).spawn(6)
@@ -295,9 +309,7 @@ def train_unsupervised(pairs, triplets, layer_spec: LayerSpec, cfg: TrainConfig,
     pairs are given). Returns (initial params, [params after each pass],
     per-pass (slow, steady) mean loss rows).
     """
-    have_pairs = pairs is not None and len(pairs[-1]) > 0
-    have_triplets = triplets is not None and len(triplets[-1]) > 0
-    if not have_pairs and not have_triplets:
+    if not has_tuples(pairs) and not has_tuples(triplets):
         raise ConfigError("unsupervised training needs mined pairs and/or triplets")
     if passes < 1:
         raise ConfigError("passes must be >= 1")

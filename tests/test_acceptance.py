@@ -156,12 +156,12 @@ def test_criterion_3_mining_oracle_equivalence():
         for t in (1, 2, 3):
             pp, pn = ssfa.pair_candidates(n, t)
             bp, bn = brute_pairs(n, t)
-            assert set(pp) == bp and len(pp) == len(bp), (n, t)
-            assert set(pn) == bn and len(pn) == len(bn), (n, t)
+            assert set(map(tuple, pp.tolist())) == bp and len(pp) == len(bp), (n, t)
+            assert set(map(tuple, pn.tolist())) == bn and len(pn) == len(bn), (n, t)
             tp, tn = ssfa.triplet_candidates(n, t)
             btp, btn = brute_triplets(n, t)
-            assert set(tp) == btp and len(tp) == len(btp), (n, t)
-            assert set(tn) == btn and len(tn) == len(btn), (n, t)
+            assert set(map(tuple, tp.tolist())) == btp and len(tp) == len(btp), (n, t)
+            assert set(map(tuple, tn.tolist())) == btn and len(tn) == len(btn), (n, t)
             checked += 1
     report(3, "mining oracle equivalence", True, f"{checked} (length, window) cases exact")
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from ssfa.cli import _echo_config, main
-from ssfa.data import Frame, LabeledSet, write_atomic, write_labeled
+from ssfa.data import Frame, LabeledSet, save_pgm, write_atomic, write_labeled
 from ssfa.evaluate import EvalReport
 from ssfa.mining import MiningConfig, PairSample, save_tuples
 from ssfa.network import LayerSpec, init_classifier, init_glorot, save_checkpoint
@@ -92,8 +92,13 @@ def _run_config(path, seed):
     _echo_config(argparse.Namespace(seed=seed, out=str(path.parent), note="x" * 200), path.parent)
 
 
+def _frame(path, seed):
+    save_pgm(Frame(8, 8, np.linspace(0.0, 1.0, 64) ** (seed + 1)), path)
+
+
 WRITERS = {
     "checkpoint.ckpt": _checkpoint,
+    "frame.pgm": _frame,
     "pairs.txt": _tuples,
     "labeled.txt": _manifest,
     "seqcomp.json": _report_json,

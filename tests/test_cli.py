@@ -261,3 +261,46 @@ def test_config_threads_non_integer_exits_2(monkeypatch, tmp_path):
     cfg.write_text("threads = many\n")
     assert main(["gradcheck", "--points", "1", "--config", str(cfg)]) == 2
     assert not any(v in os.environ for v in BLAS_VARS)
+
+
+def test_config_value_outside_choices_exits_2(pipeline, tmp_path):
+    _, data, mined, _ = pipeline
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("method = bogus\n")
+    out = tmp_path / "run"
+    code = main(["train", "--config", str(cfg), "--labeled", str(data / "labeled.txt"),
+                 "--unlabeled", str(data / "unlabeled.txt"), "--pairs", str(mined / "pairs.txt"),
+                 "--epochs", "1", "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+    cfg.write_text("mode = wobbly\n")
+    assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 2
+
+
+@pytest.mark.parametrize("argv,config", [
+    (["--threads", "0"], None),
+    (["--threads=-2"], None),
+    ([], "threads = 0\n"),
+])
+def test_thread_count_below_1_exits_2_and_leaves_env(monkeypatch, tmp_path, argv, config):
+    _unset_blas_env(monkeypatch)
+    monkeypatch.setenv("OMP_NUM_THREADS", "7")
+    if config is not None:
+        (tmp_path / "c.txt").write_text(config)
+        argv = argv + ["--config", str(tmp_path / "c.txt")]
+    assert main(["gradcheck", "--points", "1"] + argv) == 2
+    assert os.environ["OMP_NUM_THREADS"] == "7"
+    assert not any(v in os.environ for v in BLAS_VARS[1:])
+
+
+def test_tuple_naming_unknown_clip_or_frame_exits_3(pipeline, tmp_path, capsys):
+    _, data, _, _ = pipeline
+    clip_id = (data / "unlabeled.txt").read_text().split("\t", 1)[0]
+    for line in ("PAIR nosuch 9 5 1", f"PAIR {clip_id} 99 5 1"):
+        (tmp_path / "pairs.txt").write_text(line + "\n")
+        code = main(["train", "--labeled", str(data / "labeled.txt"),
+                     "--unlabeled", str(data / "unlabeled.txt"),
+                     "--pairs", str(tmp_path / "pairs.txt"), "--method", "sfa2",
+                     "--epochs", "1", "--out", str(tmp_path / "run")])
+        assert code == 3, line
+        assert line.split()[1] in capsys.readouterr().err

@@ -42,6 +42,13 @@ def data():
     return labeled, resolve_pairs(u, mine_pairs(u, mc)), resolve_triplets(u, mine_triplets(u, mc))
 
 
+def _members(resolved):
+    """Resolved (frames, idx, p) as the per-member row arrays plus labels
+    that the reference batcher draws from."""
+    frames, idx, p = resolved
+    return tuple(frames[idx[:, c]] for c in range(idx.shape[1])) + (p,)
+
+
 # ---------------------------------------------------------------------------
 # per-block reference
 
@@ -99,8 +106,8 @@ def _ref_total(bx, by, pairs, triplets, params, W, cfg):
 
 
 class _RefBatcher:
-    def __init__(self, arrays, batch, seed):
-        self.arrays, self.n = arrays, len(arrays[-1])
+    def __init__(self, resolved, batch, seed):
+        self.arrays, self.n = _members(resolved), len(resolved[-1])
         self.batch = min(batch, self.n)
         self.rng = np.random.default_rng(seed)
         self.deck, self.pos = self.rng.permutation(self.n), 0

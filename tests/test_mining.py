@@ -46,13 +46,18 @@ def brute_triplets(n, t):
     return sorted(pos), sorted(neg)
 
 
+def rows(a):
+    """Candidate array rows as a list of int tuples."""
+    return list(map(tuple, a.tolist()))
+
+
 def test_pair_candidates_match_brute_force_everywhere():
     for n in range(2, 31):
         for t in (1, 2, 3):
             pos, neg = pair_candidates(n, t)
             bpos, bneg = brute_pairs(n, t)
-            assert sorted(pos) == bpos, (n, t)
-            assert sorted(neg) == bneg, (n, t)
+            assert sorted(rows(pos)) == bpos, (n, t)
+            assert sorted(rows(neg)) == bneg, (n, t)
 
 
 def test_triplet_candidates_match_brute_force_everywhere():
@@ -60,12 +65,12 @@ def test_triplet_candidates_match_brute_force_everywhere():
         for t in (1, 2, 3):
             pos, neg = triplet_candidates(n, t)
             bpos, bneg = brute_triplets(n, t)
-            assert sorted(pos) == bpos, (n, t)
-            assert sorted(neg) == bneg, (n, t)
+            assert sorted(rows(pos)) == bpos, (n, t)
+            assert sorted(rows(neg)) == bneg, (n, t)
 
 
 def test_documented_pair_memberships():
-    pos, neg = pair_candidates(10, 2)
+    pos, neg = map(rows, pair_candidates(10, 2))
     assert set(pos) == {(j, k) for k in range(10) for j in range(10) if j - k in (1, 2)}
     assert all(j - k >= 5 for j, k in neg)
     assert (5, 3) in pos
@@ -75,7 +80,7 @@ def test_documented_pair_memberships():
 
 
 def test_documented_triplet_memberships():
-    pos, neg = triplet_candidates(10, 2)
+    pos, neg = map(rows, triplet_candidates(10, 2))
     assert (0, 2, 4) in pos
     assert (3, 4, 5) in pos
     assert (0, 2, 7) in neg          # n - m = 5 >= 4

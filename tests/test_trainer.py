@@ -3,7 +3,7 @@ import pytest
 
 from ssfa.data import prep_stack
 from ssfa.losses import softmax_loss
-from ssfa.mining import MiningConfig, mine_pairs, mine_triplets
+from ssfa.mining import MiningConfig, PairSample, TripletSample, mine_pairs, mine_triplets
 from ssfa.network import LayerSpec, forward
 from ssfa.synth import SynthConfig, gen_labeled, gen_unlabeled
 from ssfa.trainer import (
@@ -97,22 +97,38 @@ def test_resolve_pairs_produces_preprocessed_rows():
     cfg = SynthConfig(grid=8, num_clips=2, seed=1)
     u = gen_unlabeled(cfg)
     samples = mine_pairs(u, MiningConfig(T_seconds=2.0, seed=0, max_pairs=12))
-    A, B, p = resolve_pairs(u, samples)
-    assert A.shape == (len(samples), 64) and len(p) == len(samples)
+    frames, idx, p = resolve_pairs(u, samples)
+    assert frames.shape == (sum(len(c.frames) for c in u.clips), 64)
+    assert idx.shape == (len(samples), 2) and len(p) == len(samples)
     s = samples[3]
     clip = u.clip_map()[s.clip_id]
-    np.testing.assert_allclose(A[3], prep_stack([clip.frames[s.j]])[0])
-    np.testing.assert_allclose(B[3], prep_stack([clip.frames[s.k]])[0])
+    np.testing.assert_allclose(frames[idx[3, 0]], prep_stack([clip.frames[s.j]])[0])
+    np.testing.assert_allclose(frames[idx[3, 1]], prep_stack([clip.frames[s.k]])[0])
 
 
 def test_resolve_triplets_ordering():
     cfg = SynthConfig(grid=8, num_clips=2, seed=2)
     u = gen_unlabeled(cfg)
     samples = mine_triplets(u, MiningConfig(T_seconds=2.0, seed=0, max_triplets=12))
-    L, Mid, N, p = resolve_triplets(u, samples)
+    frames, idx, p = resolve_triplets(u, samples)
+    assert idx.shape == (len(samples), 3)
     s = samples[0]
     clip = u.clip_map()[s.clip_id]
-    np.testing.assert_allclose(Mid[0], prep_stack([clip.frames[s.m]])[0])
+    np.testing.assert_allclose(frames[idx[0, 1]], prep_stack([clip.frames[s.m]])[0])
+
+
+def test_resolve_rejects_unknown_clip_and_frame_past_clip_end():
+    u = gen_unlabeled(SynthConfig(grid=8, clip_len=12, num_clips=2, seed=1))
+    clip_id = u.clips[0].clip_id
+    with pytest.raises(ValueError, match="nosuch"):
+        resolve_pairs(u, [PairSample("nosuch", 1, 0, 1)])
+    with pytest.raises(ValueError, match="j=99"):
+        resolve_pairs(u, [PairSample(clip_id, 99, 5, 1)])
+    with pytest.raises(ValueError, match="n=12"):
+        resolve_triplets(u, [TripletSample(clip_id, 0, 6, 12, 1)])
+    # the last frame of the first clip resolves; one further would be the next clip's first
+    frames, idx, _ = resolve_triplets(u, [TripletSample(clip_id, 0, 6, 11, 1)])
+    assert idx.tolist() == [[0, 6, 11]] and frames.shape[0] == 24
 
 
 # ---------------------------------------------------------------------------
