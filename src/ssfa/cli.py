@@ -7,8 +7,10 @@ writes byte-identical outputs; the effective configuration is echoed to
 `run_config.txt` in each output directory.
 
 A config file (plain `key = value` lines, '#' comments) may supply any
-flag's value; explicit flags always win. Heavy imports happen after
---threads is applied so BLAS thread pools are pinned before numpy loads.
+flag's value; explicit flags always win. --threads sets the BLAS thread
+variables before the subcommand runs; importing the package has loaded
+numpy by then, so they reach this process's BLAS pool only when they were
+already set when it started.
 """
 
 from __future__ import annotations
@@ -23,26 +25,20 @@ class CliConfigError(ValueError):
     """Bad config file or flag combination."""
 
 
-def _apply_threads(argv, config_threads=None) -> None:
-    """Pin BLAS thread pools before numpy loads. The thread count comes from
-    an explicit --threads, else ``config_threads`` (the config file's
-    ``threads`` key); either overrides BLAS variables already set in the
-    environment. Without both, preset values are kept and unset ones
-    default to 1. A count below 1 (which OpenBLAS reads as no cap) is a
-    CliConfigError, raised before any variable is written."""
-    threads = config_threads
-    for i, a in enumerate(argv):
-        if a == "--threads" and i + 1 < len(argv):
-            threads = argv[i + 1]
-        elif a.startswith("--threads="):
-            threads = a.split("=", 1)[1]
-    if threads is not None and not (threads.isdigit() and int(threads) >= 1):
-        raise CliConfigError(f"--threads: expected a count >= 1, got {threads!r}")
+def _apply_threads(threads) -> None:
+    """Pin BLAS thread pools to ``threads`` (the parsed --threads, from the
+    command line or the config file's ``threads`` key), overriding BLAS
+    variables already set in the environment. With None, preset values
+    are kept and unset ones default to 1. A count below 1 (which OpenBLAS
+    reads as no cap) is a CliConfigError, raised before any variable is
+    written."""
+    if threads is not None and threads < 1:
+        raise CliConfigError(f"--threads: expected a count >= 1, got {threads}")
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         if threads is None:
             os.environ.setdefault(var, "1")
         else:
-            os.environ[var] = threads
+            os.environ[var] = str(threads)
 
 
 def _parse_config_file(path: Path) -> dict:
@@ -221,6 +217,8 @@ def cmd_train(args) -> int:
     labeled = data.load_manifest(args.labeled)
     if not isinstance(labeled, data.LabeledSet):
         raise CliConfigError(f"{args.labeled} is not a labeled manifest")
+    if len(labeled) == 0:
+        raise trainer.ConfigError(f"{args.labeled}: labeled set is empty")
     cfg = _train_config(args, losses, trainer)
 
     pairs = triplets = None
@@ -361,7 +359,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="key = value config file; flags override it")
-        p.add_argument("--threads", type=int, default=1,
+        p.add_argument("--threads", type=int,
                        help="BLAS thread cap; overrides preset OMP/OPENBLAS/MKL_NUM_THREADS "
                             "(default: keep preset values, else 1 for bit-stable runs)")
         p.add_argument("--seed", type=int, default=0)
@@ -461,18 +459,17 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     top = _build_parser()
     try:
-        # pre-pass: route --config values into the right subparser defaults;
-        # nothing here loads numpy, so a config `threads` can still pin BLAS
-        cfg = {}
-        if any(a == "--config" or a.startswith("--config=") for a in argv):
-            probe, _ = top.parse_known_args(argv)
-            cfg = _parse_config_file(Path(probe.config))
+        # argparse is the only reader of argv (so abbreviated flags work);
+        # a config file becomes the subcommand's defaults and argv is
+        # parsed again, so explicit flags still win
+        args = top.parse_args(argv)
+        if args.config is not None:
             subparsers = next(
                 a for a in top._actions if isinstance(a, argparse._SubParsersAction)
             )
-            _apply_config(subparsers.choices[probe.command], cfg)
-        _apply_threads(argv, cfg.get("threads"))
-        args = top.parse_args(argv)
+            _apply_config(subparsers.choices[args.command], _parse_config_file(Path(args.config)))
+            args = top.parse_args(argv)
+        _apply_threads(args.threads)
         return args.func(args)
     except CliConfigError as e:
         print(f"error: {e}", file=sys.stderr)

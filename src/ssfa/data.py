@@ -138,7 +138,9 @@ def prep_stack(frames) -> np.ndarray:
     X = np.stack([f.pixels for f in frames])
     mu = X.mean(axis=1, keepdims=True)
     sd = np.maximum(X.std(axis=1, keepdims=True), STD_FLOOR)
-    return (X - mu) / sd
+    X -= mu
+    X /= sd
+    return X
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 Central differences with h = 1e-5 in double precision; the error measure
 is max over coordinates of |analytic - numeric| / max(1, |numeric|).
-Random negative tuples are resampled until their distance is at least
-1e-3 away from the hinge margin, where the loss is non-differentiable.
+Random tuples are resampled until every distance is more than 1e-3 away
+from 0 and, for negatives, from the hinge margin, where the loss is
+non-differentiable.
 Direct loss gradients are held to 1e-6; gradients composed through the
 network to 1e-4.
 """
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import Margins, pair_loss, softmax_loss, total_objective, triplet_loss
-from .network import LayerSpec, init_classifier, init_glorot
+from .network import LayerSpec, forward, init_classifier, init_glorot, split_model
 
 H = 1e-5
 TOL_DIRECT = 1e-6
@@ -46,158 +47,130 @@ def rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.max(np.abs(a - n) / np.maximum(1.0, np.abs(n))))
 
 
-def _away_from_hinge(d: np.ndarray, p: np.ndarray, delta: float) -> bool:
-    neg = p == 0
-    return bool(np.all(np.abs(d[neg] - delta) > HINGE_GAP))
+def _contrast(zs) -> np.ndarray:
+    """The vector whose distance a contrastive loss measures: a - b for a
+    pair (a, b), (l - m) - (m - n) for a triplet (l, m, n)."""
+    return zs[0] - zs[1] if len(zs) == 2 else (zs[0] - zs[1]) - (zs[1] - zs[2])
 
 
-def _sample_pair_batch(rng, n, dim, margins):
+def _smooth(contrast: np.ndarray, p: np.ndarray, delta: float, metric: str) -> bool:
+    """True when every distance is more than HINGE_GAP from 0 and, for
+    negatives (p == 0), from the margin ``delta``."""
+    if metric == "l2":
+        d = np.linalg.norm(contrast, axis=1)
+    else:
+        d = np.sum(np.abs(contrast), axis=1)
+    return bool(np.all(np.abs(d[p == 0] - delta) > HINGE_GAP) and np.all(d > HINGE_GAP))
+
+
+def _sample_tuples(rng, members: int, n: int, dim: int, margins: Margins):
+    """Draw ``members`` (n, dim) feature arrays and n labels until the
+    batch is smooth; returns (*members, p)."""
+    delta = margins.delta_pair if members == 2 else margins.delta_triplet
     while True:
-        za = rng.normal(size=(n, dim))
-        zb = rng.normal(size=(n, dim))
+        zs = [rng.normal(size=(n, dim)) for _ in range(members)]
         p = rng.integers(0, 2, size=n)
-        if margins.metric == "l2":
-            d = np.linalg.norm(za - zb, axis=1)
-        else:
-            d = np.sum(np.abs(za - zb), axis=1)
-        if _away_from_hinge(d, p, margins.delta_pair) and np.all(d > HINGE_GAP):
-            return za, zb, p
+        if _smooth(_contrast(zs), p, delta, margins.metric):
+            return (*zs, p)
 
 
-def _sample_triplet_batch(rng, n, dim, margins):
-    while True:
-        zl = rng.normal(size=(n, dim))
-        zm = rng.normal(size=(n, dim))
-        zn = rng.normal(size=(n, dim))
-        p = rng.integers(0, 2, size=n)
-        u, v = zl - zm, zm - zn
-        if margins.metric == "l2":
-            d = np.linalg.norm(u - v, axis=1)
-        else:
-            d = np.sum(np.abs(u - v), axis=1)
-        if _away_from_hinge(d, p, margins.delta_triplet) and np.all(d > HINGE_GAP):
-            return zl, zm, zn, p
+def _max_fd_error(rng, points: int, draw) -> float:
+    """Max relative FD error over ``points`` draws. ``draw(rng)`` returns
+    (loss, args, grads): a scalar function, its array arguments by name in
+    call order, and the analytic gradient of each argument by name."""
+    worst = 0.0
+    for _ in range(points):
+        loss, args, grads = draw(rng)
+        for name, x in args.items():
+
+            def f(v, _name=name):
+                return loss(*{**args, _name: v}.values())
+
+            worst = max(worst, rel_error(grads[name], central_diff(f, x.copy())))
+    return worst
 
 
 def check_softmax(rng, points: int = 100) -> float:
     """Max relative FD error of softmax gradients (W and features)."""
-    worst = 0.0
-    for _ in range(points):
+
+    def draw(rng):
         n, dim, classes = int(rng.integers(1, 5)), int(rng.integers(2, 6)), int(rng.integers(2, 5))
         W = rng.normal(size=(classes, dim))
         zs = rng.normal(size=(n, dim))
         ys = rng.integers(0, classes, size=n)
-        lv = softmax_loss(W, zs, ys)
-        num_W = central_diff(lambda W_: softmax_loss(W_, zs, ys).value, W.copy())
-        num_z = central_diff(lambda z_: softmax_loss(W, z_, ys).value, zs.copy())
-        worst = max(worst, rel_error(lv.grads["W"], num_W), rel_error(lv.grads["z"], num_z))
-    return worst
+        return (lambda W_, z_: softmax_loss(W_, z_, ys).value,
+                {"W": W, "z": zs}, softmax_loss(W, zs, ys).grads)
+
+    return _max_fd_error(rng, points, draw)
+
+
+def _check_tuples(rng, points, loss_fn, names, margins):
+    """Max relative FD error of a contrastive loss over tuples whose
+    members are named by the characters of ``names``."""
+
+    def draw(rng):
+        n, dim = int(rng.integers(1, 5)), int(rng.integers(2, 6))
+        *zs, p = _sample_tuples(rng, len(names), n, dim, margins)
+        return (lambda *z: loss_fn(*z, p, margins).value,
+                dict(zip(names, zs)), loss_fn(*zs, p, margins).grads)
+
+    return _max_fd_error(rng, points, draw)
 
 
 def check_pair(rng, points: int = 100, margins: Margins = None) -> float:
     """Max relative FD error of the pair (slowness) loss gradients."""
-    margins = margins or Margins()
-    worst = 0.0
-    for _ in range(points):
-        n, dim = int(rng.integers(1, 5)), int(rng.integers(2, 6))
-        za, zb, p = _sample_pair_batch(rng, n, dim, margins)
-        lv = pair_loss(za, zb, p, margins)
-        num_a = central_diff(lambda a: pair_loss(a, zb, p, margins).value, za.copy())
-        num_b = central_diff(lambda b: pair_loss(za, b, p, margins).value, zb.copy())
-        worst = max(worst, rel_error(lv.grads["a"], num_a), rel_error(lv.grads["b"], num_b))
-    return worst
+    return _check_tuples(rng, points, pair_loss, "ab", margins or Margins())
 
 
 def check_triplet(rng, points: int = 100, margins: Margins = None) -> float:
     """Max relative FD error of the triplet (steadiness) loss gradients."""
-    margins = margins or Margins()
-    worst = 0.0
-    for _ in range(points):
-        n, dim = int(rng.integers(1, 5)), int(rng.integers(2, 6))
-        zl, zm, zn, p = _sample_triplet_batch(rng, n, dim, margins)
-        lv = triplet_loss(zl, zm, zn, p, margins)
-        for name, arr in (("l", zl), ("m", zm), ("n", zn)):
-            kw = {"zl": zl, "zm": zm, "zn": zn}
-
-            def f(x, _name=name):
-                kw2 = dict(kw)
-                kw2["z" + _name] = x
-                return triplet_loss(kw2["zl"], kw2["zm"], kw2["zn"], p, margins).value
-
-            worst = max(worst, rel_error(lv.grads[name], central_diff(f, arr.copy())))
-    return worst
+    return _check_tuples(rng, points, triplet_loss, "lmn", margins or Margins())
 
 
 def check_total(rng, points: int = 100, margins: Margins = None, corrupt=None) -> float:
-    """Max relative FD error of the full objective gradient (all network
-    parameters and the classifier) through a 1-hidden-layer network.
+    """Max relative FD error of the full objective gradient through a
+    1-hidden-layer network, over the one vector of all network parameters
+    followed by the classifier (the layout of ``split_model``).
 
     Sampled configurations are rejected when any hidden pre-activation or
     contrastive distance sits within the perturbation reach of a kink
     (ReLU corner or hinge margin), where the loss is non-differentiable.
     """
-    from .network import forward
-
     margins = margins or Margins()
     spec = LayerSpec((6, 5, 4))
-    worst = 0.0
-    for _ in range(points):
+
+    def draw(rng):
         params = init_glorot(spec, int(rng.integers(1 << 31)))
         W = init_classifier(3, spec.out_dim, int(rng.integers(1 << 31)))
         lam = float(rng.uniform(0.1, 2.0))
         lam_prime = float(rng.uniform(0.1, 2.0))
 
-        def smooth_here(bx, pb, tb):
-            inputs = np.vstack([bx, pb[0], pb[1], tb[0], tb[1], tb[2]])
-            _, tape = forward(params, inputs)
-            if np.min(np.abs(tape.pre[0])) <= HINGE_GAP:
-                return False
-            za, _ = forward(params, pb[0])
-            zb, _ = forward(params, pb[1])
-            d_pair = np.linalg.norm(za - zb, axis=1)
-            zl, _ = forward(params, tb[0])
-            zm, _ = forward(params, tb[1])
-            zn, _ = forward(params, tb[2])
-            d_trip = np.linalg.norm((zl - zm) - (zm - zn), axis=1)
-            return (
-                _away_from_hinge(d_pair, pb[2], margins.delta_pair)
-                and _away_from_hinge(d_trip, tb[3], margins.delta_triplet)
-                and np.all(d_pair > HINGE_GAP)
-                and np.all(d_trip > HINGE_GAP)
-            )
-
         while True:
             bx = rng.normal(size=(3, spec.in_dim))
             by = rng.integers(0, 3, size=3)
             pb = (rng.normal(size=(3, 6)), rng.normal(size=(3, 6)), rng.integers(0, 2, 3))
-            tb = (
-                rng.normal(size=(3, 6)),
-                rng.normal(size=(3, 6)),
-                rng.normal(size=(3, 6)),
-                rng.integers(0, 2, 3),
-            )
-            if smooth_here(bx, pb, tb):
+            tb = (rng.normal(size=(3, 6)), rng.normal(size=(3, 6)), rng.normal(size=(3, 6)),
+                  rng.integers(0, 2, 3))
+            _, tape = forward(params, np.vstack([bx, *pb[:2], *tb[:3]]))
+            if np.min(np.abs(tape.pre[0])) > HINGE_GAP and all(
+                _smooth(_contrast([forward(params, x)[0] for x in batch[:-1]]), batch[-1],
+                        delta, margins.metric)
+                for batch, delta in ((pb, margins.delta_pair), (tb, margins.delta_triplet))
+            ):
                 break
 
-        lv = total_objective(bx, by, pb, tb, params, W, lam, lam_prime, margins)
-        grads = {"theta": lv.grads["theta"], "W": lv.grads["W"]}
+        def loss(vec):
+            theta, W_ = split_model(spec, vec)
+            return total_objective(bx, by, pb, tb, theta, W_, lam, lam_prime, margins)
+
+        vec = np.concatenate((params.flat, W.ravel()))
+        grads = loss(vec).grads
         if corrupt is not None:
-            grads = corrupt(grads)
+            bad = corrupt(grads)
+            grads = {"flat": np.concatenate((bad["theta"].flat, bad["W"].ravel()))}
+        return (lambda v: loss(v).value), {"flat": vec}, grads
 
-        def value_at(_x):
-            return total_objective(bx, by, pb, tb, params, W, lam, lam_prime, margins).value
-
-        # central_diff perturbs the array in place, so value_at() (which
-        # closes over params, whose weights and biases view params.flat,
-        # and W) sees each nudge.
-        num_theta = central_diff(value_at, params.flat)
-        num_W = central_diff(value_at, W)
-        worst = max(
-            worst,
-            rel_error(grads["theta"].flat, num_theta),
-            rel_error(grads["W"], num_W),
-        )
-    return worst
+    return _max_fd_error(rng, points, draw)
 
 
 @dataclass
@@ -214,7 +187,8 @@ class GradCheckRow:
 def run_gradcheck(seed: int = 0, points: int = 100, corrupt=None):
     """Run every check; returns (rows, all_ok). ``corrupt`` is a test-only
     hook applied to the analytic gradients of the total objective, a dict
-    {"theta": NetworkParams, "W": array}."""
+    {"theta": NetworkParams, "W": array}; the theta and W it returns are
+    audited."""
     rng = np.random.default_rng(seed)
     rows = [
         GradCheckRow("softmax", check_softmax(rng, points), TOL_DIRECT),

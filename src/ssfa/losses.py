@@ -209,7 +209,7 @@ def coherence_objective(pairs, triplets, params: NetworkParams,
         terms[term] = r.value
         # r.grads holds one gradient per tuple member, in member order
         for (_, tape), dz in zip(embedded, r.grads.values()):
-            dtheta.flat += scale * backward(params, tape, dz, input_grad=False)[0].flat
+            dtheta.flat += scale * backward(params, tape, dz).flat
     return LossValue(value, {"theta": dtheta}, terms)
 
 
@@ -230,7 +230,7 @@ def total_objective(batch_x, batch_y, pairs, triplets, params: NetworkParams,
     sup = softmax_loss(W, zs, batch_y)
     flat = np.empty(params.flat.size + W.size)
     dtheta, dW = split_model(params.layer_spec(), flat)
-    backward(params, tape, sup.grads["z"], dtheta.flat, input_grad=False)
+    backward(params, tape, sup.grads["z"], dtheta.flat)
     dW[...] = sup.grads["W"]
     value = sup.value
     terms = {"sup": sup.value, "slow": 0.0, "steady": 0.0}

@@ -2,8 +2,8 @@
 the bias-free linear classifier.
 
 The network is a chain of affine layers with ReLU after every layer except
-the last (identity output). Everything is float64; forward works on a single
-flattened image or a batch (rows are samples).
+the last (identity output). Everything is float64; forward and backward work
+on batches of flattened images, one sample per row.
 """
 
 from __future__ import annotations
@@ -107,7 +107,6 @@ class ActivationTape:
     x: np.ndarray
     pre: list
     post: list
-    single: bool
 
 
 def glorot_uniform(rng, fan_out: int, fan_in: int) -> np.ndarray:
@@ -137,66 +136,44 @@ def init_classifier(num_classes: int, dim: int, seed) -> np.ndarray:
     return glorot_uniform(np.random.default_rng(seed), num_classes, dim)
 
 
-def forward(params: NetworkParams, x):
-    """Map input(s) to feature vector(s).
-
-    Parameters
-    ----------
-    x : (d,) or (n, d) array of preprocessed, flattened images.
-
-    Returns
-    -------
-    (z, tape) : features with the same leading shape as ``x``, plus the
-    activation tape for backward().
-    """
-    X = np.asarray(x, dtype=np.float64)
-    single = X.ndim == 1
-    X2 = X[None, :] if single else X
-    if X2.ndim != 2 or X2.shape[1] != params.weights[0].shape[1]:
-        raise ValueError(
-            f"input dim {X2.shape[-1]} != network input dim {params.weights[0].shape[1]}"
-        )
+def forward(params: NetworkParams, X):
+    """Map an (n, d) batch of preprocessed, flattened images, one per row, to
+    (Z, tape): the (n, k) features and the activation tape for backward().
+    Any other input shape is a ValueError."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != params.weights[0].shape[1]:
+        raise ValueError(f"input shape {X.shape} != (rows, {params.weights[0].shape[1]})")
     pre, post = [], []
-    h = X2
+    h = X
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         a = h @ w.T + b
         pre.append(a)
         h = np.maximum(a, 0.0) if i < last else a
         post.append(h)
-    z = post[-1][0] if single else post[-1]
-    return z, ActivationTape(X2, pre, post, single)
+    return h, ActivationTape(X, pre, post)
 
 
-def backward(params: NetworkParams, tape: ActivationTape, dz, out=None, *, input_grad=True):
+def backward(params: NetworkParams, tape: ActivationTape, dZ, out=None) -> NetworkParams:
     """Backpropagate a feature-space gradient through the tape.
 
-    Returns (d_params, dx): the parameter gradient, written into the flat
-    vector ``out`` (a fresh one when None), and the gradient w.r.t. the
-    input. The input gradient is optional: with ``input_grad=False`` the
-    pass stops after layer 0's parameter gradient, skips the product with
-    the first weight matrix (the widest GEMM of the pass) and returns
-    ``dx = None``; the parameter gradient is bit-identical either way.
-    Training never needs ``dx``, so the objectives in ``losses`` pass False.
-    The ReLU subgradient at exactly zero pre-activation is zero.
+    Returns the parameter gradient, written into the flat vector ``out`` (a
+    fresh one when None). The pass stops after layer 0's parameter gradient:
+    the gradient w.r.t. the input is never formed. The ReLU subgradient at
+    exactly zero pre-activation is zero.
     """
-    G = np.asarray(dz, dtype=np.float64)
-    G2 = G[None, :] if G.ndim == 1 else G
-    if G2.shape != tape.post[-1].shape:
-        raise ValueError(f"dz shape {G2.shape} != output shape {tape.post[-1].shape}")
+    delta = np.asarray(dZ, dtype=np.float64)
+    if delta.shape != tape.post[-1].shape:
+        raise ValueError(f"dZ shape {delta.shape} != output shape {tape.post[-1].shape}")
     spec = params.layer_spec()
     grad = NetworkParams.from_flat(spec, np.empty(spec.param_count) if out is None else out)
-    delta = G2
     for i in reversed(range(len(params.weights))):
         inp = tape.x if i == 0 else tape.post[i - 1]
         np.matmul(delta.T, inp, out=grad.weights[i])
         delta.sum(axis=0, out=grad.biases[i])
         if i > 0:
             delta = (delta @ params.weights[i]) * (tape.pre[i - 1] > 0.0)
-    if not input_grad:
-        return grad, None
-    dx = delta @ params.weights[0]
-    return grad, (dx[0] if tape.single else dx)
+    return grad
 
 
 # ---------------------------------------------------------------------------

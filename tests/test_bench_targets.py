@@ -7,6 +7,10 @@ benchmark run.
 
 from pathlib import Path
 
+import numpy as np
+
+from ssfa.network import LayerSpec, backward, forward, init_glorot
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
@@ -19,3 +23,31 @@ def test_traced_functions_exist(monkeypatch):
     for owner, fname, _span, count in targets:
         assert callable(getattr(owner, fname, None)), f"{owner.__name__}.{fname}"
         assert count is None or callable(count)
+
+
+class _Counters:
+    """Stands in for the tracer: the count callbacks only call add()."""
+
+    def __init__(self):
+        self.counters = {}
+
+    def add(self, counter, amount):
+        self.counters[counter] = self.counters.get(counter, 0) + amount
+
+
+def test_network_count_callbacks_read_real_results(monkeypatch):
+    # the callbacks read forward's (Z, tape) and backward's tape.x; a change
+    # to either contract must fail here, not only inside a traced run
+    monkeypatch.syspath_prepend(str(BENCH))
+    import layers
+
+    params = init_glorot(LayerSpec((5, 4, 3)), 0)
+    X = np.random.default_rng(0).normal(size=(6, 5))
+    result = forward(params, X)
+    Z, tape = result
+    args = (params, tape, np.ones_like(Z))
+    tr = _Counters()
+    layers._forward(tr, (params, X), {}, result)
+    layers._backward(tr, args, {}, backward(*args))
+    macs = 5 * 4 + 4 * 3
+    assert tr.counters == {"network.forward_rows": 6, "network.flop": 2 * 6 * macs + 4 * 6 * macs}

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from ssfa.cli import CliConfigError, _apply_config, _apply_threads, _build_parser, main
+from ssfa.cli import CliConfigError, _apply_config, _build_parser, main
 
 
 def run_ok(argv):
@@ -216,9 +216,9 @@ BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 def test_explicit_threads_flag_overrides_preset_blas_env(monkeypatch):
     for var in BLAS_VARS:
         monkeypatch.setenv(var, "7")
-    _apply_threads(["train", "--threads", "2"])
+    run_ok(["gradcheck", "--points", "1", "--threads", "2"])
     assert [os.environ[v] for v in BLAS_VARS] == ["2", "2", "2"]
-    _apply_threads(["train", "--threads=3"])
+    run_ok(["gradcheck", "--points", "1", "--threads=3"])
     assert [os.environ[v] for v in BLAS_VARS] == ["3", "3", "3"]
 
 
@@ -226,7 +226,7 @@ def test_threads_default_keeps_preset_blas_env(monkeypatch):
     monkeypatch.setenv("OMP_NUM_THREADS", "7")
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
     monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
-    _apply_threads(["train", "--seed", "3"])
+    run_ok(["gradcheck", "--points", "1", "--seed", "3"])
     assert [os.environ[v] for v in BLAS_VARS] == ["7", "1", "1"]
 
 
@@ -281,6 +281,7 @@ def test_config_value_outside_choices_exits_2(pipeline, tmp_path):
     (["--threads", "0"], None),
     (["--threads=-2"], None),
     ([], "threads = 0\n"),
+    (["--thr", "0"], None),
 ])
 def test_thread_count_below_1_exits_2_and_leaves_env(monkeypatch, tmp_path, argv, config):
     _unset_blas_env(monkeypatch)
@@ -291,6 +292,27 @@ def test_thread_count_below_1_exits_2_and_leaves_env(monkeypatch, tmp_path, argv
     assert main(["gradcheck", "--points", "1"] + argv) == 2
     assert os.environ["OMP_NUM_THREADS"] == "7"
     assert not any(v in os.environ for v in BLAS_VARS[1:])
+
+
+def test_abbreviated_config_and_threads_flags_are_honored(monkeypatch, tmp_path):
+    # argparse accepts unique prefixes of long flags; both must take effect
+    _unset_blas_env(monkeypatch)
+    (tmp_path / "c.txt").write_text("clips = 2\n")
+    out = tmp_path / "o"
+    run_ok(["synth", "--out", str(out), "--conf", str(tmp_path / "c.txt"), "--thr", "3"])
+    assert len((out / "unlabeled.txt").read_text().splitlines()) == 2
+    assert [os.environ[v] for v in BLAS_VARS] == ["3", "3", "3"]
+
+
+def test_header_only_labeled_manifest_exits_3(tmp_path, capsys):
+    labeled = tmp_path / "labeled.txt"
+    labeled.write_text("classes\t2\n")
+    out = tmp_path / "run"
+    code = main(["train", "--labeled", str(labeled), "--method", "unreg", "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert str(labeled) in err and "empty" in err
+    assert not out.exists()
 
 
 def test_tuple_naming_unknown_clip_or_frame_exits_3(pipeline, tmp_path, capsys):

@@ -80,8 +80,8 @@ def _ref_coherence(pairs, triplets, params, lam_prime, margins):
         zb, tb = forward(params, pairs[1])
         r2 = pair_loss(za, zb, pairs[2], margins)
         terms["slow"] = r2.value
-        _accumulate(dtheta, _blocks(backward(params, ta, r2.grads["a"])[0]), 1.0)
-        _accumulate(dtheta, _blocks(backward(params, tb, r2.grads["b"])[0]), 1.0)
+        _accumulate(dtheta, _blocks(backward(params, ta, r2.grads["a"])), 1.0)
+        _accumulate(dtheta, _blocks(backward(params, tb, r2.grads["b"])), 1.0)
     if triplets is not None and lam_prime != 0.0:
         zl, tl = forward(params, triplets[0])
         zm, tm = forward(params, triplets[1])
@@ -89,14 +89,14 @@ def _ref_coherence(pairs, triplets, params, lam_prime, margins):
         r3 = triplet_loss(zl, zm, zn, triplets[3], margins)
         terms["steady"] = r3.value
         for tape, key in ((tl, "l"), (tm, "m"), (tn, "n")):
-            _accumulate(dtheta, _blocks(backward(params, tape, r3.grads[key])[0]), lam_prime)
+            _accumulate(dtheta, _blocks(backward(params, tape, r3.grads[key])), lam_prime)
     return terms, dtheta
 
 
 def _ref_total(bx, by, pairs, triplets, params, W, cfg):
     zs, tape = forward(params, bx)
     sup = softmax_loss(W, zs, by)
-    dtheta = _blocks(backward(params, tape, sup.grads["z"])[0])
+    dtheta = _blocks(backward(params, tape, sup.grads["z"]))
     terms = {"sup": sup.value, "slow": 0.0, "steady": 0.0}
     if cfg.lam != 0.0 and (pairs is not None or triplets is not None):
         co_terms, co = _ref_coherence(pairs, triplets, params, cfg.lam_prime, cfg.margins)

@@ -1,6 +1,9 @@
 import numpy as np
+import pytest
 
 from ssfa.gradcheck import (
+    HINGE_GAP,
+    _sample_tuples,
     central_diff,
     check_pair,
     check_softmax,
@@ -10,6 +13,7 @@ from ssfa.gradcheck import (
     rel_error,
     run_gradcheck,
 )
+from ssfa.losses import Margins
 
 
 def test_central_diff_on_quadratic():
@@ -44,14 +48,56 @@ def test_run_gradcheck_passes_and_reports():
     assert text.count("pass") == 4
 
 
+class _Replay:
+    """Stands in for the generator: replays given normal() and integers()
+    draws in order."""
+
+    def __init__(self, normals, labels):
+        self._normals, self._labels = iter(normals), iter(labels)
+
+    def normal(self, size):
+        return np.array(next(self._normals), dtype=np.float64).reshape(size)
+
+    def integers(self, low, high, size):
+        return np.array(next(self._labels))
+
+
+@pytest.mark.parametrize("metric", ["l2", "l1"])
+@pytest.mark.parametrize("members", [2, 3])
+def test_sampler_rejects_batches_near_a_kink(members, metric):
+    margins = Margins(delta_pair=1.5, delta_triplet=2.5, metric=metric)
+    delta = margins.delta_pair if members == 2 else margins.delta_triplet
+
+    def members_at(dist):
+        # the other members are 0, so the contrast is the first member, a
+        # row at distance ``dist`` under ``metric`` only
+        c = dist / 2 if metric == "l1" else dist / np.sqrt(2)
+        return [[c, c]] + [[0.0, 0.0]] * (members - 1)
+
+    draws = [
+        (members_at(delta + HINGE_GAP / 2), [0]),  # negative at the margin
+        (members_at(HINGE_GAP / 2), [1]),  # positive at distance 0
+        (members_at(delta + 0.5), [0]),
+    ]
+    rng = _Replay([z for zs, _ in draws for z in zs], [p for _, p in draws])
+    *zs, p = _sample_tuples(rng, members, 1, 2, margins)
+    assert len(zs) == members
+    np.testing.assert_array_equal(zs[0], [draws[2][0][0]])
+    np.testing.assert_array_equal(p, [0])
+
+
 def test_injected_sign_flip_is_detected():
-    def corrupt(grads):
+    def flip_theta(grads):
         theta = grads["theta"].copy()
         theta.weights[0][...] = -theta.weights[0]
         return {**grads, "theta": theta}
 
-    rows, ok = run_gradcheck(seed=5, points=3, corrupt=corrupt)
-    assert not ok
-    bad = {r.name: r.ok for r in rows}
-    assert bad["total_objective"] is False
-    assert "FAIL" in format_report(rows)
+    def flip_W(grads):
+        return {**grads, "W": -grads["W"]}
+
+    for corrupt in (flip_theta, flip_W):
+        rows, ok = run_gradcheck(seed=5, points=3, corrupt=corrupt)
+        assert not ok, corrupt.__name__
+        bad = {r.name: r.ok for r in rows}
+        assert bad["total_objective"] is False
+        assert "FAIL" in format_report(rows)

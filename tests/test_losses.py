@@ -296,7 +296,7 @@ def test_total_objective_lam_zero_is_pure_supervised():
     zs, tape = forward(params, bx)
     sup = softmax_loss(W, zs, by)
     assert lv.value == sup.value
-    ref = backward(params, tape, sup.grads["z"])[0]
+    ref = backward(params, tape, sup.grads["z"])
     for a, b in zip(lv.grads["theta"].weights, ref.weights):
         np.testing.assert_array_equal(a, b)
     assert lv.terms["slow"] == 0.0 and lv.terms["steady"] == 0.0
@@ -312,7 +312,7 @@ def test_total_objective_gradient_is_monolithic_sum():
 
     zs, tape = forward(params, bx)
     sup = softmax_loss(W, zs, by)
-    acc = backward(params, tape, sup.grads["z"])[0]
+    acc = backward(params, tape, sup.grads["z"])
 
     za, ta = forward(params, pairs[0])
     zb, tb = forward(params, pairs[1])
@@ -324,15 +324,15 @@ def test_total_objective_gradient_is_monolithic_sum():
         for d, x in zip(dst.biases, src.biases):
             d += s * x
 
-    add(acc, backward(params, ta, r2.grads["a"])[0], lam)
-    add(acc, backward(params, tb, r2.grads["b"])[0], lam)
+    add(acc, backward(params, ta, r2.grads["a"]), lam)
+    add(acc, backward(params, tb, r2.grads["b"]), lam)
     zl, tl = forward(params, triplets[0])
     zm, tm = forward(params, triplets[1])
     zn, tn = forward(params, triplets[2])
     r3 = triplet_loss(zl, zm, zn, triplets[3], M)
-    add(acc, backward(params, tl, r3.grads["l"])[0], lam * lam_prime)
-    add(acc, backward(params, tm, r3.grads["m"])[0], lam * lam_prime)
-    add(acc, backward(params, tn, r3.grads["n"])[0], lam * lam_prime)
+    add(acc, backward(params, tl, r3.grads["l"]), lam * lam_prime)
+    add(acc, backward(params, tm, r3.grads["m"]), lam * lam_prime)
+    add(acc, backward(params, tn, r3.grads["n"]), lam * lam_prime)
 
     for a, b in zip(
         lv.grads["theta"].weights + lv.grads["theta"].biases, acc.weights + acc.biases
@@ -340,26 +340,6 @@ def test_total_objective_gradient_is_monolithic_sum():
         np.testing.assert_allclose(a, b, atol=1e-12)
     expect = sup.value + lam * r2.value + lam * lam_prime * r3.value
     assert abs(lv.value - expect) < 1e-12
-
-
-def test_objectives_never_request_the_input_gradient(monkeypatch):
-    # training reads only the parameter gradient; dx would be a wasted GEMM
-    import ssfa.losses as losses_mod
-    from ssfa.network import backward
-
-    calls = []
-
-    def spy(*args, **kwargs):
-        calls.append(kwargs.get("input_grad", True))
-        return backward(*args, **kwargs)
-
-    monkeypatch.setattr(losses_mod, "backward", spy)
-    _, params, W, bx, by, pairs, triplets = _setup_objective(11)
-    total_objective(bx, by, pairs, triplets, params, W, 0.7, 0.3, M)
-    assert calls == [False] * 6
-    calls.clear()
-    coherence_objective(pairs, triplets, params, 0.3, M)
-    assert calls == [False] * 5
 
 
 def test_total_objective_accepts_reference_weight_settings():

@@ -46,17 +46,17 @@ def test_glorot_deterministic_per_seed():
 
 def test_forward_zero_params_is_zero_map():
     params = NetworkParams([np.zeros((3, 4)), np.zeros((2, 3))], [np.zeros(3), np.zeros(2)])
-    z, _ = forward(params, np.ones(4))
-    np.testing.assert_array_equal(z, np.zeros(2))
+    z, _ = forward(params, np.ones((1, 4)))
+    np.testing.assert_array_equal(z, np.zeros((1, 2)))
 
 
 def test_forward_relu_cases_on_chain_of_ones():
     # 1 -> 1 -> 1 net, weights 1, biases 0: hidden ReLU clips negatives
     params = NetworkParams([np.ones((1, 1)), np.ones((1, 1))], [np.zeros(1), np.zeros(1)])
-    z_neg, _ = forward(params, np.array([-2.0]))
-    z_pos, _ = forward(params, np.array([3.0]))
-    assert z_neg[0] == 0.0
-    assert z_pos[0] == 3.0
+    z_neg, _ = forward(params, np.array([[-2.0]]))
+    z_pos, _ = forward(params, np.array([[3.0]]))
+    assert z_neg[0, 0] == 0.0
+    assert z_pos[0, 0] == 3.0
 
 
 def _oracle_forward(params, x):
@@ -82,35 +82,36 @@ def test_forward_matches_loop_oracle():
     for _ in range(10):
         params = init_glorot(spec, int(rng.integers(1 << 30)))
         x = rng.normal(size=5)
-        z, _ = forward(params, x)
-        np.testing.assert_allclose(z, _oracle_forward(params, x), atol=1e-12)
+        z, _ = forward(params, x[None])
+        np.testing.assert_allclose(z[0], _oracle_forward(params, x), atol=1e-12)
 
 
 def test_forward_batch_matches_single():
-    # batched and single-sample paths agree (up to BLAS kernel rounding)
+    # a batch agrees with its rows passed as one-row batches (up to BLAS
+    # kernel rounding)
     rng = np.random.default_rng(8)
     params = init_glorot(LayerSpec((5, 4, 3)), 1)
     X = rng.normal(size=(6, 5))
     Z, _ = forward(params, X)
     for i in range(6):
-        z, _ = forward(params, X[i])
-        np.testing.assert_allclose(Z[i], z, rtol=1e-12, atol=1e-14)
+        z, _ = forward(params, X[i : i + 1])
+        np.testing.assert_allclose(Z[i], z[0], rtol=1e-12, atol=1e-14)
 
 
 def test_forward_shape_error():
     params = init_glorot(LayerSpec((5, 3)), 0)
-    with pytest.raises(ValueError):
-        forward(params, np.zeros(4))
+    for shape in ((2, 4), (5,), (1, 1, 5)):
+        with pytest.raises(ValueError):
+            forward(params, np.zeros(shape))
 
 
 def test_backward_zero_upstream_gives_zero_grads():
     rng = np.random.default_rng(9)
     params = init_glorot(LayerSpec((5, 4, 3)), 2)
-    z, tape = forward(params, rng.normal(size=5))
-    grads, dx = backward(params, tape, np.zeros(3))
+    z, tape = forward(params, rng.normal(size=(1, 5)))
+    grads = backward(params, tape, np.zeros((1, 3)))
     for w in grads.weights + grads.biases:
         np.testing.assert_array_equal(w, np.zeros_like(w))
-    np.testing.assert_array_equal(dx, np.zeros(5))
 
 
 def test_backward_matches_finite_differences():
@@ -119,14 +120,14 @@ def test_backward_matches_finite_differences():
     h = 1e-5
     for _ in range(10):
         params = init_glorot(spec, int(rng.integers(1 << 30)))
-        x = rng.normal(size=4)
-        dz = rng.normal(size=2)
+        x = rng.normal(size=(1, 4))
+        dz = rng.normal(size=(1, 2))
         _, tape = forward(params, x)
-        grads, dx = backward(params, tape, dz)
+        grads = backward(params, tape, dz)
 
         def value():
             z, _ = forward(params, x)
-            return float(z @ dz)
+            return float(np.sum(z * dz))
 
         for arr, g in zip(params.weights + params.biases, grads.weights + grads.biases):
             flat, gflat = arr.reshape(-1), g.reshape(-1)
@@ -139,35 +140,41 @@ def test_backward_matches_finite_differences():
                 flat[i] = orig
                 num = (f1 - f0) / (2 * h)
                 assert abs(gflat[i] - num) / max(1.0, abs(num)) < 1e-6
-        # input gradient
-        for i in range(4):
-            orig = x[i]
-            x[i] = orig + h
-            f1 = value()
-            x[i] = orig - h
-            f0 = value()
-            x[i] = orig
-            num = (f1 - f0) / (2 * h)
-            assert abs(dx[i] - num) / max(1.0, abs(num)) < 1e-6
+
+
+def _backward_with_dx(params, tape, dz):
+    """Reference: the full backward pass, which also forms the input
+    gradient; returns (flat parameter gradient, dx)."""
+    grads, delta = [], dz
+    for i in reversed(range(len(params.weights))):
+        inp = tape.x if i == 0 else tape.post[i - 1]
+        grads[:0] = [delta.T @ inp, delta.sum(axis=0)]
+        delta = delta @ params.weights[i]
+        if i > 0:
+            delta = delta * (tape.pre[i - 1] > 0.0)
+    return np.concatenate([g.ravel() for g in grads]), delta
 
 
 @pytest.mark.parametrize("sizes", [(5, 4, 3), (64, 9, 7, 5)])
 @pytest.mark.parametrize("rows", [None, 1, 6])
 @pytest.mark.parametrize("use_out", [False, True])
 def test_backward_without_input_grad_is_bit_identical(sizes, rows, use_out):
+    # backward stops after layer 0's parameter gradient; a full pass that
+    # also forms dx gives the same bits. rows=None: one image, as x[None].
     rng = np.random.default_rng(sum(sizes) + (rows or 0))
     spec = LayerSpec(sizes)
     params = init_glorot(spec, 3)
-    shape = (spec.in_dim,) if rows is None else (rows, spec.in_dim)
-    x = rng.normal(size=shape)
+    if rows is None:
+        x = rng.normal(size=spec.in_dim)[None]
+    else:
+        x = rng.normal(size=(rows, spec.in_dim))
     z, tape = forward(params, x)
     dz = rng.normal(size=z.shape)
-    full, dx = backward(params, tape, dz, np.empty(spec.param_count) if use_out else None)
     out = np.full(spec.param_count, np.nan) if use_out else None
-    grad, none = backward(params, tape, dz, out, input_grad=False)
-    assert none is None
+    grad = backward(params, tape, dz, out)
+    full, dx = _backward_with_dx(params, tape, dz)
     assert dx.shape == x.shape
-    assert grad.flat.tobytes() == full.flat.tobytes()
+    assert grad.flat.tobytes() == full.tobytes()
     if use_out:
         assert grad.flat is out
 
@@ -178,10 +185,9 @@ def test_dead_relu_blocks_gradient():
         [np.array([[1.0]]), np.array([[1.0]])],
         [np.array([-10.0]), np.array([0.0])],
     )
-    _, tape = forward(params, np.array([1.0]))
-    grads, dx = backward(params, tape, np.array([1.0]))
+    _, tape = forward(params, np.array([[1.0]]))
+    grads = backward(params, tape, np.array([[1.0]]))
     assert grads.weights[0][0, 0] == 0.0
-    assert dx[0] == 0.0
 
 
 def test_relu_subgradient_zero_at_exact_zero():
@@ -190,11 +196,10 @@ def test_relu_subgradient_zero_at_exact_zero():
         [np.array([[1.0]]), np.array([[1.0]])],
         [np.array([-1.0]), np.array([0.0])],
     )
-    _, tape = forward(params, np.array([1.0]))
+    _, tape = forward(params, np.array([[1.0]]))
     assert tape.pre[0][0, 0] == 0.0
-    grads, dx = backward(params, tape, np.array([1.0]))
+    grads = backward(params, tape, np.array([[1.0]]))
     assert grads.weights[0][0, 0] == 0.0
-    assert dx[0] == 0.0
 
 
 def classify(W, z):
