@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -120,6 +121,15 @@ class UnlabeledSet:
 
     def clip_map(self) -> dict:
         return {c.clip_id: c for c in self.clips}
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """Every frame preprocessed and flattened, clip after clip, one row
+        per frame. Built once per corpus and read-only, so every resolved
+        tuple set of this corpus shares it."""
+        X = prep_stack([f for clip in self.clips for f in clip.frames])
+        X.flags.writeable = False
+        return X
 
 
 def preprocess(frame: Frame) -> Frame:

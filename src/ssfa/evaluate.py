@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import LabeledSet, UnlabeledSet, prep_stack, write_atomic
-from .mining import window_frames
+from .mining import triplet_positives, window_frames
 from .network import NetworkParams, forward
 
 
@@ -108,17 +108,18 @@ def extrapolate(z1, z2) -> np.ndarray:
 def make_queries(u: UnlabeledSet, T_seconds: float, max_queries: int, seed: int):
     """Sample evenly spaced in-sequence triplets (spacing in [1, T_frames])
     as completion queries, uniformly over the corpus, seeded."""
-    cands = []
+    clip_ids, rows = [], []
     for clip in u.clips:
-        tf = window_frames(T_seconds, clip.frame_period)
-        for s in range(1, tf + 1):
-            for t1 in range(len(clip.frames) - 2 * s):
-                cands.append(QueryPair(clip.clip_id, t1, t1 + s, t1 + 2 * s))
-    if not cands:
+        pos = triplet_positives(len(clip.frames), window_frames(T_seconds, clip.frame_period))
+        # candidate order: by spacing, then first frame
+        rows.append(pos[np.lexsort((pos[:, 0], pos[:, 1] - pos[:, 0]))])
+        clip_ids += [clip.clip_id] * len(pos)
+    rows = np.concatenate(rows)
+    if not len(rows):
         raise ValueError("no clip admits a completion query for this window")
     rng = np.random.default_rng(seed)
-    pick = rng.permutation(len(cands))[: max_queries]
-    return [cands[i] for i in pick]
+    pick = rng.permutation(len(rows))[: max_queries]
+    return [QueryPair(clip_ids[i], *map(int, rows[i])) for i in pick]
 
 
 def build_pool(queries, u: UnlabeledSet, n_per_video: int, seed: int) -> CandidatePool:

@@ -130,7 +130,9 @@ def check_triplet(rng, points: int = 100, margins: Margins = None) -> float:
 def check_total(rng, points: int = 100, margins: Margins = None, corrupt=None) -> float:
     """Max relative FD error of the full objective gradient through a
     1-hidden-layer network, over the one vector of all network parameters
-    followed by the classifier (the layout of ``split_model``).
+    followed by the classifier (the layout of ``split_model``). The tuples
+    are resolved: one table of the stacked member rows, indexed by an
+    ``arange``.
 
     Sampled configurations are rejected when any hidden pre-activation or
     contrastive distance sits within the perturbation reach of a kink
@@ -145,16 +147,20 @@ def check_total(rng, points: int = 100, margins: Margins = None, corrupt=None) -
         lam = float(rng.uniform(0.1, 2.0))
         lam_prime = float(rng.uniform(0.1, 2.0))
 
+        # member k of tuple i is table row 3 * k + i: pairs k = 0, 1, triplets k = 2, 3, 4
+        idx = np.arange(15).reshape(5, 3).T
         while True:
             bx = rng.normal(size=(3, spec.in_dim))
             by = rng.integers(0, 3, size=3)
-            pb = (rng.normal(size=(3, 6)), rng.normal(size=(3, 6)), rng.integers(0, 2, 3))
-            tb = (rng.normal(size=(3, 6)), rng.normal(size=(3, 6)), rng.normal(size=(3, 6)),
-                  rng.integers(0, 2, 3))
-            _, tape = forward(params, np.vstack([bx, *pb[:2], *tb[:3]]))
+            pair_x = [rng.normal(size=(3, 6)) for _ in range(2)]
+            pair_p = rng.integers(0, 2, 3)
+            trip_x = [rng.normal(size=(3, 6)) for _ in range(3)]
+            trip_p = rng.integers(0, 2, 3)
+            table = np.vstack(pair_x + trip_x)
+            pb, tb = (table, idx[:, :2], pair_p), (table, idx[:, 2:], trip_p)
+            Z, tape = forward(params, np.vstack([bx, table]))
             if np.min(np.abs(tape.pre[0])) > HINGE_GAP and all(
-                _smooth(_contrast([forward(params, x)[0] for x in batch[:-1]]), batch[-1],
-                        delta, margins.metric)
+                _smooth(_contrast(Z[3 + batch[1].T]), batch[2], delta, margins.metric)
                 for batch, delta in ((pb, margins.delta_pair), (tb, margins.delta_triplet))
             ):
                 break

@@ -47,7 +47,7 @@ class LossValue:
       pair_loss         "a", "b"              (per-row gradients)
       triplet_loss      "l", "m", "n"
       unsupervised_loss "pair_a", "pair_b", "trip_l", "trip_m", "trip_n"
-      coherence_objective "theta" (NetworkParams)
+      coherence_objective "theta" (NetworkParams, from one fused backward)
       total_objective   "theta" (NetworkParams), "W", "flat" (theta then W)
     ``terms`` carries the sub-loss values ("sup", "slow", "steady") where
     applicable.
@@ -181,63 +181,75 @@ def unsupervised_loss(pairs, triplets, lam_prime: float, margins: Margins) -> Lo
     return LossValue(value, grads, terms)
 
 
+def _fused(params: NetworkParams, lead_x, pairs, triplets, lam: float, lam_prime: float,
+           margins: Margins):
+    """The one forward pass behind both objectives, over ``lead_x`` (None:
+    no lead rows) stacked on the unique table rows that the tuples' members
+    name; triplets count only when lam_prime != 0. Returns (Z, tape,
+    coherence LossValue, dZ), dZ holding lam times each member's feature
+    gradient added onto its row, zeros elsewhere."""
+    if lam_prime == 0.0:
+        triplets = None
+    batches = [b for b in (pairs, triplets) if has_tuples(b)]
+    if not batches:
+        if lead_x is None:
+            raise ValueError("need at least one of pairs/triplets")
+        Z, tape = forward(params, lead_x)
+        return Z, tape, LossValue(0.0, {}, {"slow": 0.0, "steady": 0.0}), np.zeros_like(Z)
+    frames = batches[0][0]
+    if any(b[0] is not frames for b in batches):
+        raise ValueError("pairs and triplets must index one frame table")
+    # every member's table row: pair column j, then k, then triplet l, m, n
+    members = np.concatenate([idx.T.ravel() for _, idx, _ in batches])
+    rows, inv = np.unique(members, return_inverse=True)
+    X = frames[rows] if lead_x is None else np.concatenate((lead_x, frames[rows]))
+    Z, tape = forward(params, X)
+    at = len(X) - len(rows) + inv  # the Z row of each member, in the order of members
+    zs, feats, start = Z[at], [], 0
+    for b in (pairs, triplets):
+        size = b[1].size if has_tuples(b) else 0
+        feats.append((*zs[start : start + size].reshape(b[1].shape[1], len(b[1]), -1), b[2])
+                     if size else None)
+        start += size
+    co = unsupervised_loss(*feats, lam_prime, margins)
+    # co.grads holds one gradient per member, lam_prime applied, in the order of members;
+    # np.add.at over flat element indices takes numpy's fast path, row indices do not
+    dZ, k = np.zeros_like(Z), Z.shape[1]
+    np.add.at(dZ.ravel(), (at[:, None] * k + np.arange(k)).ravel(),
+              lam * np.concatenate(list(co.grads.values())).ravel())
+    return Z, tape, co, dZ
+
+
 def coherence_objective(pairs, triplets, params: NetworkParams,
                         lam_prime: float, margins: Margins) -> LossValue:
-    """Unsupervised coherence loss composed through the network.
-
-    ``pairs`` is (xa, xb, p) and ``triplets`` is (xl, xm, xn, p) of raw
-    (preprocessed, flattened) inputs. The returned gradient is w.r.t. the
-    single shared parameter set: every tuple member is embedded by the
-    same network and each branch gradient, scaled after backward, is added
-    into one flat gradient vector. The triplet side is skipped entirely
-    when lam_prime is 0.
-    """
-    if not has_tuples(pairs) and not has_tuples(triplets):
-        raise ValueError("need at least one of pairs/triplets")
-    dtheta = NetworkParams.from_flat(params.layer_spec(), np.zeros_like(params.flat))
-    value = 0.0
-    terms = {"slow": 0.0, "steady": 0.0}
-    branches = ((pairs, pair_loss, 1.0, "slow"),
-                (triplets if lam_prime != 0.0 else None, triplet_loss, lam_prime, "steady"))
-    for batch, loss_fn, scale, term in branches:
-        if not has_tuples(batch):
-            continue
-        *xs, p = batch
-        embedded = [forward(params, x) for x in xs]
-        r = loss_fn(*(z for z, _ in embedded), p, margins)
-        value += scale * r.value
-        terms[term] = r.value
-        # r.grads holds one gradient per tuple member, in member order
-        for (_, tape), dz in zip(embedded, r.grads.values()):
-            dtheta.flat += scale * backward(params, tape, dz).flat
-    return LossValue(value, {"theta": dtheta}, terms)
+    """Unsupervised coherence loss through the network: the fused pass with
+    no labeled rows, over resolved (frames, idx, p) tuples on one frame
+    table. ``grads["theta"]`` is w.r.t. the one shared parameter set. The
+    triplet side is skipped entirely when lam_prime is 0."""
+    _, tape, co, dZ = _fused(params, None, pairs, triplets, 1.0, lam_prime, margins)
+    return LossValue(co.value, {"theta": backward(params, tape, dZ)}, co.terms)
 
 
 def total_objective(batch_x, batch_y, pairs, triplets, params: NetworkParams,
                     W, lam: float, lam_prime: float, margins: Margins) -> LossValue:
-    """Joint objective: supervised softmax loss plus lam times the
-    coherence loss, all through the shared network.
+    """Joint objective: supervised softmax loss on the labeled batch plus
+    lam times the coherence loss, in one fused forward and backward pass.
 
     The parameter gradient is the exact sum grad(sup) + lam * grad(slow)
-    + lam * lam_prime * grad(steady) accumulated into one parameter set;
-    the classifier gradient comes from the supervised term only. Both live
-    in one vector ``grads["flat"]`` (theta.flat followed by W, row-major)
-    that ``grads["theta"]`` and ``grads["W"]`` view. With lam = 0 the
-    tuple inputs are ignored.
+    + lam * lam_prime * grad(steady); the classifier gradient comes from
+    the supervised term only. Both live in one vector ``grads["flat"]``
+    (theta.flat followed by W, row-major) that ``grads["theta"]`` and
+    ``grads["W"]`` view. With lam = 0 the tuple inputs are ignored.
     """
     W = np.asarray(W, dtype=np.float64)
-    zs, tape = forward(params, batch_x)
-    sup = softmax_loss(W, zs, batch_y)
+    if lam == 0.0:
+        pairs = triplets = None
+    Z, tape, co, dZ = _fused(params, batch_x, pairs, triplets, lam, lam_prime, margins)
+    sup = softmax_loss(W, Z[: len(batch_x)], batch_y)
+    dZ[: len(batch_x)] = sup.grads["z"]
     flat = np.empty(params.flat.size + W.size)
     dtheta, dW = split_model(params.layer_spec(), flat)
-    backward(params, tape, sup.grads["z"], dtheta.flat)
+    backward(params, tape, dZ, dtheta.flat)
     dW[...] = sup.grads["W"]
-    value = sup.value
-    terms = {"sup": sup.value, "slow": 0.0, "steady": 0.0}
-    if lam != 0.0 and (has_tuples(pairs) or has_tuples(triplets)):
-        co = coherence_objective(pairs, triplets, params, lam_prime, margins)
-        value += lam * co.value
-        terms["slow"] = co.terms["slow"]
-        terms["steady"] = co.terms["steady"]
-        dtheta.flat += lam * co.grads["theta"].flat
-    return LossValue(value, {"theta": dtheta, "W": dW, "flat": flat}, terms)
+    return LossValue(sup.value + lam * co.value, {"theta": dtheta, "W": dW, "flat": flat},
+                     {"sup": sup.value, **co.terms})

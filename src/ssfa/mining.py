@@ -91,15 +91,22 @@ def pair_candidates(n_frames: int, t_frames: int):
     return rows[gap <= t_frames], rows[(gap >= 2 * t_frames + 1) & (t_frames >= 1)]
 
 
-def triplet_candidates(n_frames: int, t_frames: int):
-    """All eligible triplets of one clip as ``(pos, neg)`` int arrays of
-    shape (m, 3), rows ``(l, m, n)``: positives evenly spaced with spacing
-    in [1, t_frames]; negatives with m-l in [1, t_frames] and
-    n-m >= 2*t_frames. Rows are ordered by l, then spacing (or m), then n."""
+def triplet_positives(n_frames: int, t_frames: int):
+    """The evenly spaced triplets of one clip, spacing in [1, t_frames], as
+    an (m, 3) int array of rows ``(l, m, n)`` ordered by l, then spacing."""
     frame, step = np.arange(n_frames), np.arange(1, t_frames + 1)
     l, s = np.nonzero(frame[:, None] + 2 * step < n_frames)
     s = step[s]
-    pos = np.column_stack((l, l + s, l + 2 * s))
+    return np.column_stack((l, l + s, l + 2 * s))
+
+
+def triplet_candidates(n_frames: int, t_frames: int):
+    """All eligible triplets of one clip as ``(pos, neg)`` int arrays of
+    shape (m, 3), rows ``(l, m, n)``: positives are
+    :func:`triplet_positives`; negatives have m-l in [1, t_frames] and
+    n-m >= 2*t_frames. Rows are ordered by l, then spacing (or m), then n."""
+    pos = triplet_positives(n_frames, t_frames)
+    frame, step = np.arange(n_frames), np.arange(1, t_frames + 1)
     # mask over (l, g1, n) with m = l + g1
     l, g1, n = np.nonzero(frame >= (frame[:, None] + step)[..., None] + 2 * t_frames)
     return pos, np.column_stack((l, l + step[g1], n))

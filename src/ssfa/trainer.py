@@ -2,11 +2,13 @@
 and the greedy staged hyperparameter search.
 
 Every step draws a labeled batch plus (when regularizing) a pair batch and
-a triplet batch; all branch gradients accumulate into one flat gradient
-vector before a single update of the flat parameter vector (network
-parameters followed by the classifier). An epoch is one full pass over the
-labeled training split; tuple streams cycle independently with their own
-reshuffling. Training is bit-reproducible for a fixed config.
+a triplet batch of index rows into one corpus frame table. The objective
+embeds the labeled rows and the unique table rows in one forward pass and
+returns one flat gradient from one backward pass, for a single update of
+the flat parameter vector (network parameters followed by the classifier).
+An epoch is one full pass over the labeled training split; tuple streams
+cycle independently with their own reshuffling. Training is
+bit-reproducible for a fixed config.
 """
 
 from __future__ import annotations
@@ -110,10 +112,11 @@ def nesterov_step(theta, velocity, grad_fn, lr: float, momentum: float):
 # Data plumbing
 
 def _resolve(u: UnlabeledSet, samples, members):
-    """(frames, idx, p): ``frames`` is every frame of ``u`` preprocessed,
-    clip after clip; row i of ``idx`` holds the ``frames`` rows of sample
-    i's ``members``; ``p`` holds the labels. A sample naming an unknown
-    clip or a frame past its clip's end raises ValueError."""
+    """(frames, idx, p): ``frames`` is ``u.table``, every frame of ``u``
+    preprocessed, clip after clip, and the same object for every call on
+    ``u``; row i of ``idx`` holds the ``frames`` rows of sample i's
+    ``members``; ``p`` holds the labels. A sample naming an unknown clip or
+    a frame past its clip's end raises ValueError."""
     starts = itertools.accumulate((len(c.frames) for c in u.clips), initial=0)
     spans = {c.clip_id: (start, len(c.frames)) for c, start in zip(u.clips, starts)}
     rows = []
@@ -125,8 +128,7 @@ def _resolve(u: UnlabeledSet, samples, members):
             raise ValueError(f"tuple {s} names a frame past the end of its {n}-frame clip")
         rows.append([start + getattr(s, m) for m in members])
     idx = np.array(rows, dtype=np.intp).reshape(len(rows), len(members))
-    frames = prep_stack([f for clip in u.clips for f in clip.frames])
-    return frames, idx, np.array([s.p for s in samples])
+    return u.table, idx, np.array([s.p for s in samples])
 
 
 def resolve_pairs(u: UnlabeledSet, samples):
@@ -161,8 +163,7 @@ def stratified_split(labels, val_fraction: float, rng):
 
 class _TupleStream:
     """Batches of resolved tuples, reshuffling the deck each time it runs
-    out. A batch is one array of frame rows per tuple member, then the
-    labels."""
+    out. A batch is resolved tuples too: (frames, idx rows, labels)."""
 
     def __init__(self, resolved, batch: int, rng):
         self.frames, self.idx, self.p = resolved
@@ -186,20 +187,34 @@ class _TupleStream:
             self._pos += grab
             need -= grab
         sel = np.concatenate(out)
-        return tuple(self.frames[col] for col in self.idx[sel].T) + (self.p[sel],)
+        return self.frames, self.idx[sel], self.p[sel]
+
+
+def _one_table(pairs, triplets):
+    """``pairs`` and ``triplets`` over one frame table, as the fused
+    objective needs: two different tables are stacked here, once, and the
+    triplet rows offset past the pair table's."""
+    if pairs[0] is triplets[0]:
+        return pairs, triplets
+    frames = np.concatenate((pairs[0], triplets[0]))
+    return (frames, *pairs[1:]), (frames, triplets[1] + len(pairs[0]), triplets[2])
 
 
 def _tuple_streams(pairs, triplets, cfg: TrainConfig, seeds):
     """(pair stream, triplet stream), each None when it has no tuples or
-    batch size to draw with. The triplet term is off when lam_prime is 0."""
+    batch size to draw with. The triplet term is off when lam_prime is 0.
+    The two streams draw from one frame table."""
 
     def stream(resolved, batch, seed):
-        if not has_tuples(resolved) or batch <= 0:
-            return None
         return _TupleStream(resolved, batch, np.random.default_rng(seed))
 
     trip_batch = cfg.batch_triplets if cfg.lam_prime > 0 else 0
-    return stream(pairs, cfg.batch_pairs, seeds[0]), stream(triplets, trip_batch, seeds[1])
+    use_pairs = has_tuples(pairs) and cfg.batch_pairs > 0
+    use_trips = has_tuples(triplets) and trip_batch > 0
+    if use_pairs and use_trips:
+        pairs, triplets = _one_table(pairs, triplets)
+    return (stream(pairs, cfg.batch_pairs, seeds[0]) if use_pairs else None,
+            stream(triplets, trip_batch, seeds[1]) if use_trips else None)
 
 
 def _check_terms(terms: dict) -> None:
@@ -239,8 +254,10 @@ def train(labeled: LabeledSet, pairs, triplets, layer_spec: LayerSpec, cfg: Trai
 
     ``pairs``/``triplets`` are resolved tuples from
     :func:`resolve_pairs` / :func:`resolve_triplets` (or None when
-    lam == 0). The returned parameters are the ones from the epoch with
-    the lowest validation classification loss, not the final ones.
+    lam == 0); tuples on two different frame tables are stacked onto one,
+    once, before the first step. The returned parameters are the ones from
+    the epoch with the lowest validation classification loss, not the final
+    ones.
     """
     if len(labeled) == 0:
         raise ConfigError("labeled set is empty")

@@ -1,10 +1,17 @@
-"""The flat-vector training path against the per-block reference it
-replaced.
+"""The flat-vector, fused-pass training path against the per-block,
+per-branch reference it replaced.
 
 The reference keeps the parameters as a list of arrays (each layer's
-weight and bias, then the classifier), accumulates branch gradients block
-by block and runs Nesterov per block. The library stores the same numbers
-in one contiguous vector; every result must be bit-identical.
+weight and bias, then the classifier), runs one forward and one backward
+per tuple member, accumulates the branch gradients block by block and runs
+Nesterov per block. The library stores the same numbers in one contiguous
+vector and embeds a step's labeled rows and unique tuple rows in one pass,
+so it sums in a different order:
+
+- lam = 0 runs touch no tuple and stay bit-identical;
+- one objective gradient with lam > 0 matches the reference to
+  ``GRAD_RTOL`` relative to its largest entry;
+- short lam > 0 training runs match to ``RUN_RTOL``.
 """
 
 import math
@@ -12,8 +19,16 @@ import math
 import numpy as np
 import pytest
 
+from ssfa import losses
 from ssfa.data import prep_stack
-from ssfa.losses import Margins, pair_loss, softmax_loss, triplet_loss
+from ssfa.losses import (
+    Margins,
+    coherence_objective,
+    pair_loss,
+    softmax_loss,
+    total_objective,
+    triplet_loss,
+)
 from ssfa.mining import MiningConfig, mine_pairs, mine_triplets
 from ssfa.network import (
     LayerSpec,
@@ -26,12 +41,16 @@ from ssfa.network import (
 from ssfa.synth import SynthConfig, gen_labeled, gen_unlabeled
 from ssfa.trainer import (
     TrainConfig,
+    _one_table,
     resolve_pairs,
     resolve_triplets,
     stratified_split,
     train,
     train_unsupervised,
 )
+
+GRAD_RTOL = 1e-12
+RUN_RTOL = 1e-10
 
 
 @pytest.fixture(scope="module")
@@ -203,8 +222,21 @@ def _assert_blocks_equal(params, blocks):
         assert a.tobytes() == b.tobytes()
 
 
+def _assert_close(actual, ref, rtol):
+    """max |actual - ref| <= rtol * max |ref| over the blocks as one vector
+    (an entry-wise rtol fails on the output bias, whose exact gradient
+    under the translation-invariant coherence loss is 0)."""
+    actual, ref = (np.concatenate([np.ravel(b) for b in x]) for x in (actual, ref))
+    assert np.max(np.abs(actual - ref)) <= rtol * np.max(np.abs(ref))
+
+
+def _assert_rows_close(rows, ref_rows):
+    np.testing.assert_allclose(np.array(rows, dtype=float), np.array(ref_rows, dtype=float),
+                               rtol=RUN_RTOL, atol=0)
+
+
 # ---------------------------------------------------------------------------
-# flat path == per-block reference
+# flat, fused path == per-block, per-branch reference
 
 SPEC = LayerSpec((64, 9, 7, 5))
 
@@ -224,10 +256,16 @@ def test_train_matches_per_block_reference(data, cfg):
     trip = triplets if cfg.lam_prime > 0 else None
     ref = _ref_train(labeled, pairs if cfg.lam > 0 else None, trip, SPEC, cfg)
     params, W, hist = train(labeled, pairs, trip, SPEC, cfg)
-    assert [tuple(vars(e).values()) for e in hist.epochs] == [row for _, row in ref]
+    rows = [tuple(vars(e).values()) for e in hist.epochs]
     best_blocks = ref[hist.best_epoch - 1][0]
-    _assert_blocks_equal(params, best_blocks[:-1])
-    assert W.tobytes() == best_blocks[-1].tobytes()
+    if cfg.lam == 0.0:
+        assert rows == [row for _, row in ref]
+        _assert_blocks_equal(params, best_blocks[:-1])
+        assert W.tobytes() == best_blocks[-1].tobytes()
+    else:
+        assert hist.best_epoch == 1 + int(np.argmin([row[4] for _, row in ref]))
+        _assert_rows_close(rows, [row for _, row in ref])
+        _assert_close(_blocks(params) + [W], best_blocks, RUN_RTOL)
 
 
 @pytest.mark.parametrize("with_pairs", [True, False])
@@ -238,6 +276,93 @@ def test_train_unsupervised_matches_per_block_reference(data, with_pairs):
     p = pairs if with_pairs else None
     ref = _ref_train_unsupervised(p, triplets, SPEC, cfg, passes=2)
     _, snaps, rows = train_unsupervised(p, triplets, SPEC, cfg, passes=2)
-    assert rows == [row for _, row in ref]
+    _assert_rows_close(rows, [row for _, row in ref])
     for snap, (blocks, _) in zip(snaps, ref):
-        _assert_blocks_equal(snap, blocks)
+        _assert_close(_blocks(snap), blocks, RUN_RTOL)
+
+
+def _model(seed):
+    params = init_glorot(SPEC, seed)
+    return params, init_classifier(4, SPEC.out_dim, seed + 1)
+
+
+def _draw(resolved, n, seed):
+    frames, idx, p = resolved
+    sel = np.random.default_rng(seed).choice(len(p), size=n, replace=False)
+    return frames, idx[sel], p[sel]
+
+
+@pytest.mark.parametrize(
+    "case", ["pairs_and_triplets", "pairs_only", "triplets_only", "lam_prime_0", "l1"])
+def test_objectives_match_per_branch_reference(case):
+    # 40 pairs and 30 triplets whose members are all one of 3 table rows, so
+    # the fused pass sums many member gradients into each row
+    rng = np.random.default_rng(11)
+    frames = rng.normal(size=(10, SPEC.in_dim))
+    rows = np.array([2, 5, 7])
+    pairs = (frames, rows[rng.integers(0, 3, (40, 2))], rng.integers(0, 2, 40))
+    triplets = (frames, rows[rng.integers(0, 3, (30, 3))], rng.integers(0, 2, 30))
+    bx, by = rng.normal(size=(4, SPEC.in_dim)), rng.integers(0, 4, 4)
+    lam_prime = 0.0 if case == "lam_prime_0" else 0.6
+    margins = Margins(delta_pair=2.0, delta_triplet=2.0, metric="l1" if case == "l1" else "l2")
+    cfg = TrainConfig(lr=0.01, lam=1.5, lam_prime=lam_prime, margins=margins)
+    pb = None if case == "triplets_only" else pairs
+    tb = None if case == "pairs_only" else triplets
+    params, W = _model(4)
+    ref_pb, ref_tb = pb and _members(pb), tb and _members(tb)
+    lv = total_objective(bx, by, pb, tb, params, W, cfg.lam, lam_prime, margins)
+    terms, ref = _ref_total(bx, by, ref_pb, ref_tb, params, W, cfg)
+    _assert_close([lv.grads["flat"]], ref, GRAD_RTOL)
+    assert lv.terms == pytest.approx(terms, rel=GRAD_RTOL)
+    co = coherence_objective(pb, tb, params, lam_prime, margins)
+    terms, ref = _ref_coherence(ref_pb, ref_tb, params, lam_prime, margins)
+    _assert_close([co.grads["theta"].flat], ref, GRAD_RTOL)
+    assert co.terms == pytest.approx(terms, rel=GRAD_RTOL)
+
+
+def test_one_forward_and_one_backward_per_objective(data, monkeypatch):
+    labeled, pairs, triplets = data
+    calls = {"forward": 0, "backward": 0}
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(losses, name, wrapped)
+
+    spy("forward", losses.forward)
+    spy("backward", losses.backward)
+    params, W = _model(5)
+    pb, tb = _draw(pairs, 30, 3), _draw(triplets, 30, 4)
+    bx, by = prep_stack(labeled.images[:4]), np.array(labeled.labels[:4])
+    total_objective(bx, by, pb, tb, params, W, 1.0, 0.5, Margins())
+    assert calls == {"forward": 1, "backward": 1}
+    coherence_objective(pb, tb, params, 0.5, Margins())
+    assert calls == {"forward": 2, "backward": 2}
+
+
+def test_tuples_on_different_tables_match_a_shared_table(data):
+    labeled, pairs, triplets = data
+    # the triplets on a row-permuted copy of the table: training stacks the
+    # two tables once and must offset the triplet rows into the second
+    perm = np.random.default_rng(0).permutation(len(triplets[0]))
+    split = pairs, (triplets[0][perm], np.argsort(perm)[triplets[1]], triplets[2])
+    cfg = TrainConfig(lr=0.02, lam=3.0, lam_prime=0.3, batch_labeled=4, batch_pairs=17,
+                      batch_triplets=13, max_epochs=2, patience=2, seed=1)
+    params, W, hist = train(labeled, pairs, triplets, SPEC, cfg)
+    s_params, s_W, s_hist = train(labeled, *split, SPEC, cfg)
+    assert s_hist.best_epoch == hist.best_epoch
+    _assert_rows_close([tuple(vars(e).values()) for e in s_hist.epochs],
+                       [tuple(vars(e).values()) for e in hist.epochs])
+    _assert_close(_blocks(s_params) + [s_W], _blocks(params) + [W], RUN_RTOL)
+    # one objective on the stacked table against the shared one
+    pb, tb = _one_table(_draw(split[0], 40, 5), _draw(split[1], 30, 6))
+    assert pb[0] is tb[0] and len(pb[0]) == 2 * len(pairs[0])
+    net, W0 = _model(6)
+    bx, by = prep_stack(labeled.images[:4]), np.array(labeled.labels[:4])
+    lv = total_objective(bx, by, pb, tb, net, W0, 2.0, 0.5, Margins())
+    shared = total_objective(bx, by, _draw(pairs, 40, 5), _draw(triplets, 30, 6), net, W0,
+                             2.0, 0.5, Margins())
+    _assert_close([lv.grads["flat"]], [shared.grads["flat"]], GRAD_RTOL)
+    with pytest.raises(ValueError, match="one frame table"):
+        total_objective(bx, by, *split, net, W0, 2.0, 0.5, Margins())

@@ -18,7 +18,9 @@ from ssfa.evaluate import (
     rank_of_truth,
     seqcomp_ranks,
 )
+from ssfa.mining import window_frames
 from ssfa.network import LayerSpec, NetworkParams, init_glorot
+from ssfa.synth import fixture_configs, gen_unlabeled
 
 
 def clip_corpus(lengths, width=3, height=2, seed=0):
@@ -64,6 +66,27 @@ def test_make_queries_structure_and_determinism():
         assert q.t2 - q.t1 == q.t3 - q.t2 <= 2
     assert qs == make_queries(u, 2.0, 15, seed=3)
     assert qs != make_queries(u, 2.0, 15, seed=4)
+
+
+def _make_queries_loop(u, T_seconds, max_queries, seed):
+    """The nested-loop enumerator that make_queries replaced."""
+    cands = []
+    for clip in u.clips:
+        tf = window_frames(T_seconds, clip.frame_period)
+        for s in range(1, tf + 1):
+            for t1 in range(len(clip.frames) - 2 * s):
+                cands.append(QueryPair(clip.clip_id, t1, t1 + s, t1 + 2 * s))
+    pick = np.random.default_rng(seed).permutation(len(cands))[:max_queries]
+    return [cands[i] for i in pick]
+
+
+@pytest.mark.parametrize("corpus", ["train_clips", "eval_clips"])
+def test_make_queries_matches_nested_loop(corpus):
+    u = gen_unlabeled(fixture_configs(7)[corpus])
+    for T in (1.0, 2.0, 3.5):
+        for cap in (100, 10**9):  # 10**9 keeps every candidate, in drawn order
+            expect = _make_queries_loop(u, T, cap, seed=1)
+            assert make_queries(u, T, cap, seed=1) == expect
 
 
 def test_query_pair_validation():

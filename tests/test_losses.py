@@ -278,13 +278,10 @@ def _setup_objective(seed):
     W = init_classifier(3, 4, seed + 1)
     bx = rng.normal(size=(4, 6))
     by = rng.integers(0, 3, 4)
-    pairs = (rng.normal(size=(5, 6)), rng.normal(size=(5, 6)), rng.integers(0, 2, 5))
-    triplets = (
-        rng.normal(size=(5, 6)),
-        rng.normal(size=(5, 6)),
-        rng.normal(size=(5, 6)),
-        rng.integers(0, 2, 5),
-    )
+    # resolved tuples over one 8-row frame table, so members share rows
+    frames = rng.normal(size=(8, 6))
+    pairs = (frames, rng.integers(0, 8, (5, 2)), rng.integers(0, 2, 5))
+    triplets = (frames, rng.integers(0, 8, (5, 3)), rng.integers(0, 2, 5))
     return spec, params, W, bx, by, pairs, triplets
 
 
@@ -314,8 +311,9 @@ def test_total_objective_gradient_is_monolithic_sum():
     sup = softmax_loss(W, zs, by)
     acc = backward(params, tape, sup.grads["z"])
 
-    za, ta = forward(params, pairs[0])
-    zb, tb = forward(params, pairs[1])
+    frames = pairs[0]
+    za, ta = forward(params, frames[pairs[1][:, 0]])
+    zb, tb = forward(params, frames[pairs[1][:, 1]])
     r2 = pair_loss(za, zb, pairs[2], M)
 
     def add(dst, src, s):
@@ -326,10 +324,10 @@ def test_total_objective_gradient_is_monolithic_sum():
 
     add(acc, backward(params, ta, r2.grads["a"]), lam)
     add(acc, backward(params, tb, r2.grads["b"]), lam)
-    zl, tl = forward(params, triplets[0])
-    zm, tm = forward(params, triplets[1])
-    zn, tn = forward(params, triplets[2])
-    r3 = triplet_loss(zl, zm, zn, triplets[3], M)
+    zl, tl = forward(params, frames[triplets[1][:, 0]])
+    zm, tm = forward(params, frames[triplets[1][:, 1]])
+    zn, tn = forward(params, frames[triplets[1][:, 2]])
+    r3 = triplet_loss(zl, zm, zn, triplets[2], M)
     add(acc, backward(params, tl, r3.grads["l"]), lam * lam_prime)
     add(acc, backward(params, tm, r3.grads["m"]), lam * lam_prime)
     add(acc, backward(params, tn, r3.grads["n"]), lam * lam_prime)

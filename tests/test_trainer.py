@@ -117,6 +117,22 @@ def test_resolve_triplets_ordering():
     np.testing.assert_allclose(frames[idx[0, 1]], prep_stack([clip.frames[s.m]])[0])
 
 
+def test_resolve_shares_one_table_per_corpus(monkeypatch):
+    from ssfa import data
+
+    u = gen_unlabeled(SynthConfig(grid=8, clip_len=12, num_clips=3, seed=1))
+    calls = []
+    real = data.prep_stack
+    monkeypatch.setattr(data, "prep_stack", lambda frames: calls.append(1) or real(frames))
+    mc = MiningConfig(T_seconds=2.0, seed=0, max_pairs=20, max_triplets=20)
+    pairs = resolve_pairs(u, mine_pairs(u, mc))
+    triplets = resolve_triplets(u, mine_triplets(u, mc))
+    assert pairs[0] is triplets[0]
+    assert resolve_pairs(u, mine_pairs(u, mc))[0] is pairs[0]
+    assert len(calls) == 1
+    assert not pairs[0].flags.writeable
+
+
 def test_resolve_rejects_unknown_clip_and_frame_past_clip_end():
     u = gen_unlabeled(SynthConfig(grid=8, clip_len=12, num_clips=2, seed=1))
     clip_id = u.clips[0].clip_id
