@@ -42,6 +42,7 @@ from .evaluate import (
 from .losses import (
     LossValue,
     Margins,
+    Workspace,
     coherence_objective,
     pair_loss,
     softmax_loss,

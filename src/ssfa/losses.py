@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .network import NetworkParams, backward, forward, split_model
+from .network import ActivationTape, LayerSpec, NetworkParams, backward, forward, split_model
 
 
 @dataclass(frozen=True)
@@ -181,57 +181,117 @@ def unsupervised_loss(pairs, triplets, lam_prime: float, margins: Margins) -> Lo
     return LossValue(value, grads, terms)
 
 
-def _fused(params: NetworkParams, lead_x, pairs, triplets, lam: float, lam_prime: float,
-           margins: Margins):
+class Workspace:
+    """The buffers of the fused pass, sized once and reused by every
+    objective call that passes it as ``work``: the stacked batch X (``lead``
+    labeled rows plus at most min(``table_rows``, ``members``) unique table
+    rows), the forward tape with backward's scratch, dZ, the member block
+    (each member's feature row, then its gradient), a table-sized
+    row-position map, and the flat gradient (network parameters followed by
+    a ``classes`` x k classifier) with its ``split_model`` views. The
+    gradients an objective returns view these buffers, so the next call
+    with the same workspace overwrites them.
+    """
+
+    def __init__(self, spec: LayerSpec, lead: int, table_rows: int, members: int,
+                 classes: int = 0):
+        rows, k = lead + min(table_rows, members), spec.out_dim
+        self.X = np.empty((rows, spec.in_dim))
+        self.tape = ActivationTape.buffers(spec, rows)
+        self.dZ = np.empty((rows, k))
+        self.member = np.empty((members, k))
+        self.member_at = np.empty((members, k), dtype=np.intp)
+        self.pos = np.zeros(table_rows, dtype=np.intp)  # all zero between calls
+        self.cols = np.arange(k)
+        self.flat = np.empty(spec.param_count + classes * k)
+        self.dtheta, self.dW = split_model(spec, self.flat)
+
+    @classmethod
+    def fitting(cls, spec: LayerSpec, lead: int, pairs, triplets, classes: int = 0):
+        """A workspace sized for exactly these (``_tuples``-checked) batches."""
+        batches = [b for b in (pairs, triplets) if b is not None]
+        return cls(spec, lead, len(batches[0][0]) if batches else 0,
+                   sum(b[1].size for b in batches), classes)
+
+
+def _tuples(pairs, triplets, lam_prime: float):
+    """(pairs, triplets) as the fused pass takes them: a side without tuples
+    is None, and so are the triplets when lam_prime is 0. Both must index
+    one frame table."""
+    pairs, triplets = (b if has_tuples(b) else None
+                       for b in (pairs, triplets if lam_prime != 0.0 else None))
+    if pairs is not None and triplets is not None and pairs[0] is not triplets[0]:
+        raise ValueError("pairs and triplets must index one frame table")
+    return pairs, triplets
+
+
+def _fused(ws: Workspace, params: NetworkParams, lead_x, pairs, triplets, lam: float,
+           lam_prime: float, margins: Margins):
     """The one forward pass behind both objectives, over ``lead_x`` (None:
     no lead rows) stacked on the unique table rows that the tuples' members
-    name; triplets count only when lam_prime != 0. Returns (Z, tape,
-    coherence LossValue, dZ), dZ holding lam times each member's feature
-    gradient added onto its row, zeros elsewhere."""
-    if lam_prime == 0.0:
-        triplets = None
-    batches = [b for b in (pairs, triplets) if has_tuples(b)]
+    name. Returns (Z, tape, coherence LossValue, dZ), the arrays in ``ws``;
+    dZ holds lam times each member's feature gradient added onto its row,
+    zeros elsewhere."""
+    lead = 0 if lead_x is None else len(lead_x)
+    batches = [b for b in (pairs, triplets) if b is not None]
     if not batches:
         if lead_x is None:
             raise ValueError("need at least one of pairs/triplets")
-        Z, tape = forward(params, lead_x)
-        return Z, tape, LossValue(0.0, {}, {"slow": 0.0, "steady": 0.0}), np.zeros_like(Z)
-    frames = batches[0][0]
-    if any(b[0] is not frames for b in batches):
-        raise ValueError("pairs and triplets must index one frame table")
+        Z, tape = forward(params, lead_x, out=ws.tape)
+        dZ = ws.dZ[:lead]
+        dZ.fill(0.0)
+        return Z, tape, LossValue(0.0, {}, {"slow": 0.0, "steady": 0.0}), dZ
     # every member's table row: pair column j, then k, then triplet l, m, n
     members = np.concatenate([idx.T.ravel() for _, idx, _ in batches])
-    rows, inv = np.unique(members, return_inverse=True)
-    X = frames[rows] if lead_x is None else np.concatenate((lead_x, frames[rows]))
-    Z, tape = forward(params, X)
-    at = len(X) - len(rows) + inv  # the Z row of each member, in the order of members
-    zs, feats, start = Z[at], [], 0
+    # the sorted unique rows, and the X row of each member, from the position map
+    ws.pos[members] = 1
+    rows = np.flatnonzero(ws.pos)
+    ws.pos[rows] = np.arange(lead, lead + len(rows))
+    at = ws.pos[members]
+    ws.pos[rows] = 0
+    X = ws.X[: lead + len(rows)]
+    if lead:
+        X[:lead] = lead_x
+    # both index arrays are in range (they come from the table-sized map), and
+    # np.take's default mode="raise" would copy through a temporary instead of into out
+    np.take(batches[0][0], rows, axis=0, out=X[lead:], mode="clip")
+    Z, tape = forward(params, X, out=ws.tape)
+    block = np.take(Z, at, axis=0, out=ws.member[: len(members)], mode="clip")
+    feats, start = [], 0
     for b in (pairs, triplets):
-        size = b[1].size if has_tuples(b) else 0
-        feats.append((*zs[start : start + size].reshape(b[1].shape[1], len(b[1]), -1), b[2])
+        size = 0 if b is None else b[1].size
+        feats.append((*block[start : start + size].reshape(b[1].shape[1], len(b[1]), -1), b[2])
                      if size else None)
         start += size
     co = unsupervised_loss(*feats, lam_prime, margins)
     # co.grads holds one gradient per member, lam_prime applied, in the order of members;
-    # np.add.at over flat element indices takes numpy's fast path, row indices do not
-    dZ, k = np.zeros_like(Z), Z.shape[1]
-    np.add.at(dZ.ravel(), (at[:, None] * k + np.arange(k)).ravel(),
-              lam * np.concatenate(list(co.grads.values())).ravel())
+    # they replace the features in the block. np.add.at over flat element indices takes
+    # numpy's fast path, row indices do not
+    np.concatenate(list(co.grads.values()), out=block)
+    block *= lam
+    flat_at = np.add(at[:, None] * Z.shape[1], ws.cols, out=ws.member_at[: len(members)])
+    dZ = ws.dZ[: len(X)]
+    dZ.fill(0.0)
+    np.add.at(dZ.ravel(), flat_at.ravel(), block.ravel())
     return Z, tape, co, dZ
 
 
-def coherence_objective(pairs, triplets, params: NetworkParams,
-                        lam_prime: float, margins: Margins) -> LossValue:
+def coherence_objective(pairs, triplets, params: NetworkParams, lam_prime: float,
+                        margins: Margins, *, work: Workspace = None) -> LossValue:
     """Unsupervised coherence loss through the network: the fused pass with
     no labeled rows, over resolved (frames, idx, p) tuples on one frame
     table. ``grads["theta"]`` is w.r.t. the one shared parameter set. The
-    triplet side is skipped entirely when lam_prime is 0."""
-    _, tape, co, dZ = _fused(params, None, pairs, triplets, 1.0, lam_prime, margins)
-    return LossValue(co.value, {"theta": backward(params, tape, dZ)}, co.terms)
+    triplet side is skipped entirely when lam_prime is 0. ``work`` (a
+    :class:`Workspace` with room for the batches) holds the pass's arrays
+    and the gradient; None sizes one for this call."""
+    pairs, triplets = _tuples(pairs, triplets, lam_prime)
+    ws = Workspace.fitting(params.layer_spec(), 0, pairs, triplets) if work is None else work
+    _, tape, co, dZ = _fused(ws, params, None, pairs, triplets, 1.0, lam_prime, margins)
+    return LossValue(co.value, {"theta": backward(params, tape, dZ, ws.dtheta.flat)}, co.terms)
 
 
-def total_objective(batch_x, batch_y, pairs, triplets, params: NetworkParams,
-                    W, lam: float, lam_prime: float, margins: Margins) -> LossValue:
+def total_objective(batch_x, batch_y, pairs, triplets, params: NetworkParams, W, lam: float,
+                    lam_prime: float, margins: Margins, *, work: Workspace = None) -> LossValue:
     """Joint objective: supervised softmax loss on the labeled batch plus
     lam times the coherence loss, in one fused forward and backward pass.
 
@@ -240,16 +300,18 @@ def total_objective(batch_x, batch_y, pairs, triplets, params: NetworkParams,
     the supervised term only. Both live in one vector ``grads["flat"]``
     (theta.flat followed by W, row-major) that ``grads["theta"]`` and
     ``grads["W"]`` view. With lam = 0 the tuple inputs are ignored.
+    ``work`` (a :class:`Workspace` with room for the batch and W's rows)
+    holds the pass's arrays and the gradient; None sizes one for this call.
     """
     W = np.asarray(W, dtype=np.float64)
-    if lam == 0.0:
-        pairs = triplets = None
-    Z, tape, co, dZ = _fused(params, batch_x, pairs, triplets, lam, lam_prime, margins)
-    sup = softmax_loss(W, Z[: len(batch_x)], batch_y)
-    dZ[: len(batch_x)] = sup.grads["z"]
-    flat = np.empty(params.flat.size + W.size)
-    dtheta, dW = split_model(params.layer_spec(), flat)
-    backward(params, tape, dZ, dtheta.flat)
-    dW[...] = sup.grads["W"]
-    return LossValue(sup.value + lam * co.value, {"theta": dtheta, "W": dW, "flat": flat},
+    pairs, triplets = _tuples(pairs, triplets, lam_prime) if lam != 0.0 else (None, None)
+    lead = len(batch_x)
+    ws = (Workspace.fitting(params.layer_spec(), lead, pairs, triplets, len(W))
+          if work is None else work)
+    Z, tape, co, dZ = _fused(ws, params, batch_x, pairs, triplets, lam, lam_prime, margins)
+    sup = softmax_loss(W, Z[:lead], batch_y)
+    dZ[:lead] = sup.grads["z"]
+    backward(params, tape, dZ, ws.dtheta.flat)
+    ws.dW[...] = sup.grads["W"]
+    return LossValue(sup.value + lam * co.value, {"theta": ws.dtheta, "W": ws.dW, "flat": ws.flat},
                      {"sup": sup.value, **co.terms})

@@ -9,7 +9,7 @@ on batches of flattened images, one sample per row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -102,11 +102,30 @@ class NetworkParams:
 
 @dataclass
 class ActivationTape:
-    """Intermediates of one forward pass, consumed by backward()."""
+    """Intermediates of one forward pass, consumed by backward(): the input
+    rows, each layer's pre-activations and outputs (the last layer's output
+    is its pre-activation array), and optional per-hidden-layer scratch for
+    backward's deltas and ReLU masks (empty lists: backward allocates them).
+
+    ``buffers`` makes a tape of empty arrays that ``forward(..., out=)``
+    fills, so a caller that repeats passes of at most the same row count
+    allocates nothing per pass."""
 
     x: np.ndarray
     pre: list
     post: list
+    delta: list = field(default_factory=list)
+    mask: list = field(default_factory=list)
+
+    @classmethod
+    def buffers(cls, spec: "LayerSpec", rows: int) -> "ActivationTape":
+        """Arrays for up to ``rows`` rows of every layer, with backward's
+        delta and mask scratch; ``x`` stays None."""
+        widths, hidden = spec.sizes[1:], spec.sizes[1:-1]
+        pre = [np.empty((rows, w)) for w in widths]
+        return cls(None, pre, [np.empty((rows, w)) for w in hidden] + pre[-1:],
+                   [np.empty((rows, w)) for w in hidden],
+                   [np.empty((rows, w), dtype=bool) for w in hidden])
 
 
 def glorot_uniform(rng, fan_out: int, fan_in: int) -> np.ndarray:
@@ -136,22 +155,34 @@ def init_classifier(num_classes: int, dim: int, seed) -> np.ndarray:
     return glorot_uniform(np.random.default_rng(seed), num_classes, dim)
 
 
-def forward(params: NetworkParams, X):
+def forward(params: NetworkParams, X, out: ActivationTape = None):
     """Map an (n, d) batch of preprocessed, flattened images, one per row, to
     (Z, tape): the (n, k) features and the activation tape for backward().
-    Any other input shape is a ValueError."""
+    Any other input shape is a ValueError.
+
+    ``out`` (from ``ActivationTape.buffers`` for at least n rows) receives
+    the activations in the first n rows of its arrays; the returned tape
+    and Z view them, with the first n rows of its backward scratch, and the
+    next pass into ``out`` overwrites them. None allocates the activations
+    and no scratch."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != params.weights[0].shape[1]:
         raise ValueError(f"input shape {X.shape} != (rows, {params.weights[0].shape[1]})")
-    pre, post = [], []
+    n = len(X)
+    tape = (ActivationTape(X, [], []) if out is None else
+            ActivationTape(X, [], [], [a[:n] for a in out.delta], [a[:n] for a in out.mask]))
     h = X
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        a = h @ w.T + b
-        pre.append(a)
-        h = np.maximum(a, 0.0) if i < last else a
-        post.append(h)
-    return h, ActivationTape(X, pre, post)
+        a = np.matmul(h, w.T, out=None if out is None else out.pre[i][:n])
+        a += b
+        if i < last:
+            h = np.maximum(a, 0.0, out=None if out is None else out.post[i][:n])
+        else:
+            h = a
+        tape.pre.append(a)
+        tape.post.append(h)
+    return h, tape
 
 
 def backward(params: NetworkParams, tape: ActivationTape, dZ, out=None) -> NetworkParams:
@@ -159,8 +190,11 @@ def backward(params: NetworkParams, tape: ActivationTape, dZ, out=None) -> Netwo
 
     Returns the parameter gradient, written into the flat vector ``out`` (a
     fresh one when None). The pass stops after layer 0's parameter gradient:
-    the gradient w.r.t. the input is never formed. The ReLU subgradient at
-    exactly zero pre-activation is zero.
+    the gradient w.r.t. the input is never formed. The hidden layers' deltas
+    and ReLU masks go into the tape's scratch arrays when it has them, so
+    with ``out`` and a tape from ``forward(..., out=)`` nothing is
+    allocated; ``dZ`` and the tape's activations are only read. The ReLU
+    subgradient at exactly zero pre-activation is zero.
     """
     delta = np.asarray(dZ, dtype=np.float64)
     if delta.shape != tape.post[-1].shape:
@@ -172,7 +206,9 @@ def backward(params: NetworkParams, tape: ActivationTape, dZ, out=None) -> Netwo
         np.matmul(delta.T, inp, out=grad.weights[i])
         delta.sum(axis=0, out=grad.biases[i])
         if i > 0:
-            delta = (delta @ params.weights[i]) * (tape.pre[i - 1] > 0.0)
+            delta = np.matmul(delta, params.weights[i],
+                              out=tape.delta[i - 1] if tape.delta else None)
+            delta *= np.greater(tape.pre[i - 1], 0.0, out=tape.mask[i - 1] if tape.mask else None)
     return grad
 
 

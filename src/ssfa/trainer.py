@@ -4,11 +4,13 @@ and the greedy staged hyperparameter search.
 Every step draws a labeled batch plus (when regularizing) a pair batch and
 a triplet batch of index rows into one corpus frame table. The objective
 embeds the labeled rows and the unique table rows in one forward pass and
-returns one flat gradient from one backward pass, for a single update of
-the flat parameter vector (network parameters followed by the classifier).
-An epoch is one full pass over the labeled training split; tuple streams
-cycle independently with their own reshuffling. Training is
-bit-reproducible for a fixed config.
+returns one flat gradient from one backward pass, for a single in-place
+update of the flat parameter vector (network parameters followed by the
+classifier). A run sizes the objective's buffers (a losses.Workspace) and
+the lookahead vector once, before its first step, and every step reuses
+them; the parameters a run returns are copies. An epoch is one full pass
+over the labeled training split; tuple streams cycle independently with
+their own reshuffling. Training is bit-reproducible for a fixed config.
 """
 
 from __future__ import annotations
@@ -20,7 +22,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import LabeledSet, UnlabeledSet, prep_stack, write_atomic
-from .losses import Margins, coherence_objective, has_tuples, softmax_loss, total_objective
+from .losses import (
+    Margins,
+    Workspace,
+    coherence_objective,
+    has_tuples,
+    softmax_loss,
+    total_objective,
+)
 from .network import LayerSpec, NetworkParams, forward, init_classifier, init_glorot, split_model
 
 
@@ -93,19 +102,25 @@ class TrainHistory:
         write_atomic(path, "\n".join(lines) + "\n")
 
 
-def nesterov_step(theta, velocity, grad_fn, lr: float, momentum: float):
-    """One Nesterov update in lookahead form on flat parameter vectors:
-    v <- momentum*v - lr*grad(theta + momentum*v);  theta <- theta + v.
+def nesterov_step(theta, velocity, look, grad_fn, lr: float, momentum: float) -> None:
+    """One Nesterov update in lookahead form on flat parameter vectors, in
+    place: v <- momentum*v - lr*grad(theta + momentum*v);  theta <- theta + v.
 
-    ``grad_fn`` maps the lookahead vector to the gradient vector there.
-    Returns (new theta, new velocity); the inputs are not modified.
+    ``look`` is a buffer of theta's shape: theta + momentum*v is written
+    into it and ``grad_fn(look)`` returns the gradient vector there; the
+    step then reuses ``look`` as scratch. ``theta`` and ``velocity`` are
+    updated in place with the same operations, in the same order, as
+    ``velocity = momentum*velocity - lr*grad; theta = theta + velocity``.
+    A non-finite gradient raises OptimizerError and leaves both unchanged.
     """
-    grad = grad_fn(theta + momentum * velocity)
+    np.add(theta, np.multiply(momentum, velocity, out=look), out=look)
+    grad = grad_fn(look)
     if not np.all(np.isfinite(grad)):
         bad = int(np.count_nonzero(~np.isfinite(grad)))
         raise OptimizerError(f"non-finite gradient in {bad} of {grad.size} coordinates")
-    velocity = momentum * velocity - lr * grad
-    return theta + velocity, velocity
+    velocity *= momentum
+    velocity -= np.multiply(lr, grad, out=look)
+    theta += velocity
 
 
 # ---------------------------------------------------------------------------
@@ -217,17 +232,27 @@ def _tuple_streams(pairs, triplets, cfg: TrainConfig, seeds):
             stream(triplets, trip_batch, seeds[1]) if use_trips else None)
 
 
+def _workspace(layer_spec: LayerSpec, lead: int, streams, classes: int = 0) -> Workspace:
+    """One run's objective workspace: room for ``lead`` labeled rows plus
+    the tuple members of one step of ``streams``."""
+    live = [s for s in streams if s is not None]
+    return Workspace(layer_spec, lead, len(live[0].frames) if live else 0,
+                     sum(s.batch * s.idx.shape[1] for s in live), classes)
+
+
 def _check_terms(terms: dict) -> None:
     for name, v in terms.items():
         if not np.isfinite(v):
             raise OptimizerError(f"non-finite loss term {name}")
 
 
-def _run_steps(theta, velocity, batches, streams, objective, cfg: TrainConfig):
-    """The training-step loop: one Nesterov step per labeled batch (None
-    when there is no supervised term), each with fresh tuple batches.
-    ``objective(look, batch, pairs, triplets)`` returns (LossValue, flat
-    gradient). Returns (theta, velocity, mean loss terms)."""
+def _run_steps(theta, velocity, look, batches, streams, objective, cfg: TrainConfig):
+    """The training-step loop: one in-place Nesterov step of ``theta`` and
+    ``velocity`` per labeled batch (None when there is no supervised term),
+    each with fresh tuple batches. ``objective(batch, pairs, triplets)``
+    evaluates at the lookahead buffer ``look``, which its parameter views
+    share, and returns (LossValue, flat gradient). Returns the mean loss
+    terms."""
     pair_stream, trip_stream = streams
     sums = {"sup": 0.0, "slow": 0.0, "steady": 0.0}
     steps = 0
@@ -236,17 +261,17 @@ def _run_steps(theta, velocity, batches, streams, objective, cfg: TrainConfig):
         tb = trip_stream.take() if trip_stream is not None else None
         step_terms = {}
 
-        def grad_fn(look):
-            lv, grad = objective(look, batch, pb, tb)
+        def grad_fn(_look):
+            lv, grad = objective(batch, pb, tb)
             _check_terms(lv.terms)
             step_terms.update(lv.terms)
             return grad
 
-        theta, velocity = nesterov_step(theta, velocity, grad_fn, cfg.lr, cfg.momentum)
+        nesterov_step(theta, velocity, look, grad_fn, cfg.lr, cfg.momentum)
         for k in sums:
             sums[k] += step_terms.get(k, 0.0)
         steps += 1
-    return theta, velocity, {k: v / steps for k, v in sums.items()}
+    return {k: v / steps for k, v in sums.items()}
 
 
 def train(labeled: LabeledSet, pairs, triplets, layer_spec: LayerSpec, cfg: TrainConfig):
@@ -255,9 +280,10 @@ def train(labeled: LabeledSet, pairs, triplets, layer_spec: LayerSpec, cfg: Trai
     ``pairs``/``triplets`` are resolved tuples from
     :func:`resolve_pairs` / :func:`resolve_triplets` (or None when
     lam == 0); tuples on two different frame tables are stacked onto one,
-    once, before the first step. The returned parameters are the ones from
-    the epoch with the lowest validation classification loss, not the final
-    ones.
+    once, before the first step. The returned parameters are a copy of the
+    ones from the epoch with the lowest validation classification loss, not
+    the final ones. lam > 0 with no tuple batch to draw (batch sizes of 0,
+    or only triplets with lam_prime = 0) is a ConfigError.
     """
     if len(labeled) == 0:
         raise ConfigError("labeled set is empty")
@@ -276,27 +302,32 @@ def train(labeled: LabeledSet, pairs, triplets, layer_spec: LayerSpec, cfg: Trai
     Xt, yt, Xv, yv = X[tr_idx], y[tr_idx], X[va_idx], y[va_idx]
 
     rng_shuffle = np.random.default_rng(seeds[3])
-    streams = _tuple_streams(pairs, triplets, cfg, seeds[4:6]) if cfg.lam > 0 else (None, None)
+    streams = (None, None)
+    if cfg.lam > 0:
+        streams = _tuple_streams(pairs, triplets, cfg, seeds[4:6])
+        if streams == (None, None):
+            raise ConfigError("lam > 0 but nothing to optimize: check batch sizes and lam_prime")
 
     theta = np.concatenate([params.flat, W.ravel()])  # the split_model layout
-    velocity = np.zeros_like(theta)
+    velocity, look, best_theta = np.zeros_like(theta), np.empty_like(theta), np.empty_like(theta)
+    net, Wc = split_model(layer_spec, theta)  # views: they follow the in-place steps
+    look_net, look_W = split_model(layer_spec, look)
+    work = _workspace(layer_spec, min(cfg.batch_labeled, len(yt)), streams, len(W))
 
-    def objective(look, batch, pb, tb):
-        net, Wc = split_model(layer_spec, look)
-        lv = total_objective(*batch, pb, tb, net, Wc, cfg.lam, cfg.lam_prime, cfg.margins)
+    def objective(batch, pb, tb):
+        lv = total_objective(*batch, pb, tb, look_net, look_W, cfg.lam, cfg.lam_prime,
+                             cfg.margins, work=work)
         return lv, lv.grads["flat"]
 
     history = []
-    best = (np.inf, None, -1)
-    stale = 0
+    best_val, best_epoch, stale = np.inf, -1, 0
 
     for epoch in range(1, cfg.max_epochs + 1):
         order = rng_shuffle.permutation(len(yt))
         sels = (order[i : i + cfg.batch_labeled] for i in range(0, len(order), cfg.batch_labeled))
         batches = ((Xt[sel], yt[sel]) for sel in sels)
-        theta, velocity, means = _run_steps(theta, velocity, batches, streams, objective, cfg)
+        means = _run_steps(theta, velocity, look, batches, streams, objective, cfg)
 
-        net, Wc = split_model(layer_spec, theta)
         zv, _ = forward(net, Xv)
         val_loss = softmax_loss(Wc, zv, yv).value
         val_acc = float(np.mean(np.argmax(zv @ Wc.T, axis=1) == yv))
@@ -305,15 +336,14 @@ def train(labeled: LabeledSet, pairs, triplets, layer_spec: LayerSpec, cfg: Trai
         )
         if not np.isfinite(val_loss):
             raise OptimizerError("non-finite loss term validation")
-        if val_loss < best[0]:
-            best = (val_loss, theta, epoch)  # steps never write theta in place
-            stale = 0
+        if val_loss < best_val:
+            np.copyto(best_theta, theta)  # the next steps update theta in place
+            best_val, best_epoch, stale = val_loss, epoch, 0
         else:
             stale += 1
             if stale >= cfg.patience:
                 break
 
-    _, best_theta, best_epoch = best
     best_params, best_W = split_model(layer_spec, best_theta)
     return best_params, best_W, TrainHistory(history, best_epoch)
 
@@ -324,7 +354,8 @@ def train_unsupervised(pairs, triplets, layer_spec: LayerSpec, cfg: TrainConfig,
 
     One pass cycles once through the pair set (or the triplet set when no
     pairs are given). Returns (initial params, [params after each pass],
-    per-pass (slow, steady) mean loss rows).
+    per-pass (slow, steady) mean loss rows); each is its own copy, which
+    later passes do not touch.
     """
     if not has_tuples(pairs) and not has_tuples(triplets):
         raise ConfigError("unsupervised training needs mined pairs and/or triplets")
@@ -341,18 +372,20 @@ def train_unsupervised(pairs, triplets, layer_spec: LayerSpec, cfg: TrainConfig,
     else:
         raise ConfigError("nothing to optimize: check batch sizes and lam_prime")
 
-    def objective(look, batch, pb, tb):
-        net = NetworkParams.from_flat(layer_spec, look)
-        lv = coherence_objective(pb, tb, net, cfg.lam_prime, cfg.margins)
+    theta = params.flat.copy()  # init stays as drawn
+    velocity, look = np.zeros_like(theta), np.empty_like(theta)
+    look_net = NetworkParams.from_flat(layer_spec, look)
+    work = _workspace(layer_spec, 0, streams)
+
+    def objective(batch, pb, tb):
+        lv = coherence_objective(pb, tb, look_net, cfg.lam_prime, cfg.margins, work=work)
         return lv, lv.grads["theta"].flat
 
-    theta = params.flat
-    velocity = np.zeros_like(theta)
     snapshots, rows = [], []
     for pass_i in range(1, passes + 1):
         batches = itertools.repeat(None, steps_per_pass)
-        theta, velocity, means = _run_steps(theta, velocity, batches, streams, objective, cfg)
-        snapshots.append(NetworkParams.from_flat(layer_spec, theta))
+        means = _run_steps(theta, velocity, look, batches, streams, objective, cfg)
+        snapshots.append(NetworkParams.from_flat(layer_spec, theta.copy()))
         rows.append((pass_i, means["slow"], means["steady"]))
     return params, snapshots, rows
 

@@ -86,6 +86,17 @@ def test_train_ssfa_requires_tuples(pipeline):
     assert code == 2
 
 
+def test_train_sfa2_without_pair_batch_exits_3(pipeline):
+    # lam > 0 with a pair batch of 0 has nothing to regularize with
+    base, data, mined, _ = pipeline
+    code = main(["train", "--labeled", str(data / "labeled.txt"),
+                 "--unlabeled", str(data / "unlabeled.txt"), "--pairs", str(mined / "pairs.txt"),
+                 "--method", "sfa2", "--lambda", "0.5", "--batch-pairs", "0",
+                 "--epochs", "2", "--out", str(base / "no_pair_batch")])
+    assert code == 3
+    assert not (base / "no_pair_batch" / "checkpoint.ckpt").exists()
+
+
 def test_eval_commands_write_reports(pipeline):
     base, data, _, run = pipeline
     ckpt = str(run / "checkpoint.ckpt")

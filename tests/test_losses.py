@@ -6,6 +6,7 @@ import pytest
 from ssfa.losses import (
     LossValue,
     Margins,
+    Workspace,
     coherence_objective,
     pair_loss,
     softmax_loss,
@@ -346,6 +347,28 @@ def test_total_objective_accepts_reference_weight_settings():
     for lam, lam_prime in ((0.1, 0.3), (3.0, 0.1), (0.3, 1.0)):
         lv = total_objective(bx, by, pairs, triplets, params, W, lam, lam_prime, M)
         assert np.isfinite(lv.value)
+
+
+def test_reused_workspace_gives_the_bits_of_a_fresh_one():
+    # a run's workspace is sized for its largest step and reused: a smaller
+    # step after a larger one must not read the larger one's leftover rows
+    spec, params, W, bx, by, pairs, triplets = _setup_objective(11)
+    rng = np.random.default_rng(11)
+    work = Workspace(spec, len(bx), len(pairs[0]), 5 * 2 + 5 * 3, len(W))
+    co_work = Workspace(spec, 0, len(pairs[0]), 5 * 2 + 5 * 3)
+    for n_lead, n_tuples in ((4, 5), (2, 3), (4, 1), (1, 5)):
+        pb = (pairs[0], pairs[1][:n_tuples], pairs[2][:n_tuples])
+        tb = (triplets[0], rng.integers(0, 8, (n_tuples, 3)), triplets[2][:n_tuples])
+        args = (bx[:n_lead], by[:n_lead], pb, tb, params, W, 0.7, 0.3, M)
+        fresh, reused = total_objective(*args), total_objective(*args, work=work)
+        assert reused.grads["flat"] is work.flat
+        assert not work.pos.any()  # the row-position map is clear between calls
+        assert reused.grads["flat"].tobytes() == fresh.grads["flat"].tobytes()
+        assert (reused.value, reused.terms) == (fresh.value, fresh.terms)
+        fresh = coherence_objective(pb, tb, params, 0.3, M)
+        reused = coherence_objective(pb, tb, params, 0.3, M, work=co_work)
+        assert reused.grads["theta"].flat.tobytes() == fresh.grads["theta"].flat.tobytes()
+        assert (reused.value, reused.terms) == (fresh.value, fresh.terms)
 
 
 def test_coherence_objective_requires_tuples():

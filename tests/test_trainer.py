@@ -4,7 +4,7 @@ import pytest
 from ssfa.data import prep_stack
 from ssfa.losses import softmax_loss
 from ssfa.mining import MiningConfig, PairSample, TripletSample, mine_pairs, mine_triplets
-from ssfa.network import LayerSpec, forward
+from ssfa.network import LayerSpec, forward, init_glorot
 from ssfa.synth import SynthConfig, gen_labeled, gen_unlabeled
 from ssfa.trainer import (
     ConfigError,
@@ -37,17 +37,45 @@ def small_data(seed=0, clips=6, per_class=5):
 # ---------------------------------------------------------------------------
 # nesterov_step
 
+def _step(theta, velocity, grad_fn, lr, momentum):
+    """nesterov_step on copies; returns (new theta, new velocity)."""
+    theta, velocity = theta.copy(), velocity.copy()
+    nesterov_step(theta, velocity, np.empty_like(theta), grad_fn, lr, momentum)
+    return theta, velocity
+
+
 def test_nesterov_zero_momentum_is_plain_sgd():
     theta = np.array([2.0, -1.0])
-    new, _ = nesterov_step(theta, np.zeros(2), lambda x: 2 * x, lr=0.1, momentum=0.0)
+    new, _ = _step(theta, np.zeros(2), lambda x: 2 * x, lr=0.1, momentum=0.0)
     np.testing.assert_allclose(new, theta - 0.1 * 2 * theta)
 
 
 def test_nesterov_single_step_hand_oracle():
     # f(x) = x^2 at x=1, v=0, lr=0.1, mu=0.9: v' = -0.2, x' = 0.8
-    new, v = nesterov_step(np.array([1.0]), np.zeros(1), lambda x: 2 * x, lr=0.1, momentum=0.9)
+    new, v = _step(np.array([1.0]), np.zeros(1), lambda x: 2 * x, lr=0.1, momentum=0.9)
     assert abs(v[0] + 0.2) < 1e-15
     assert abs(new[0] - 0.8) < 1e-15
+
+
+def test_nesterov_updates_in_place_bitwise():
+    # theta + (m*v - lr*g) at the lookahead theta + m*v, bit for bit, written
+    # into the caller's theta and velocity
+    rng = np.random.default_rng(3)
+    theta, velocity = rng.normal(size=50), rng.normal(size=50)
+    lr, mu = 0.03, 0.9
+    t0, v0 = theta.copy(), velocity.copy()
+    seen = []
+
+    def grad_fn(look):
+        seen.append(look.copy())
+        return np.sin(look)
+
+    look = np.empty_like(theta)
+    assert nesterov_step(theta, velocity, look, grad_fn, lr, mu) is None
+    g = np.sin(t0 + mu * v0)
+    assert seen[0].tobytes() == (t0 + mu * v0).tobytes()
+    assert velocity.tobytes() == (mu * v0 - lr * g).tobytes()
+    assert theta.tobytes() == (t0 + (mu * v0 - lr * g)).tobytes()
 
 
 def test_nesterov_lookahead_equals_rewritten_form():
@@ -64,8 +92,9 @@ def test_nesterov_lookahead_equals_rewritten_form():
     v1 = np.zeros(3)
     x2 = x1.copy()
     v2 = np.zeros(3)
+    look = np.empty(3)
     for _ in range(100):
-        x1, v1 = nesterov_step(x1, v1, lambda x: A @ x, lr, mu)
+        nesterov_step(x1, v1, look, lambda x: A @ x, lr, mu)
         g = A @ (x2 + mu * v2)
         v2 = mu * v2 - lr * g
         x2 = x2 + v2
@@ -73,8 +102,11 @@ def test_nesterov_lookahead_equals_rewritten_form():
 
 
 def test_nesterov_rejects_non_finite_gradient():
+    theta, velocity = np.array([1.0, 2.0]), np.array([0.5, -0.5])
     with pytest.raises(OptimizerError, match="non-finite gradient in 1 of 2"):
-        nesterov_step(np.zeros(2), np.zeros(2), lambda x: np.array([np.nan, 0.0]), 0.1, 0.9)
+        nesterov_step(theta, velocity, np.empty(2), lambda x: np.array([np.nan, 0.0]), 0.1, 0.9)
+    # the step leaves theta and the velocity as they were
+    assert theta.tolist() == [1.0, 2.0] and velocity.tolist() == [0.5, -0.5]
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +219,8 @@ def test_train_returns_best_validation_epoch():
     params, W, hist = train(labeled, pairs, triplets, SPEC, cfg)
     losses = [e.val_loss for e in hist.epochs]
     assert hist.best_epoch == int(np.argmin(losses)) + 1
+    # steps after the best epoch move theta in place; the returned copy must not
+    assert hist.best_epoch < len(hist.epochs)
     # re-evaluate the returned parameters on the reproduced validation split
     X = prep_stack(labeled.images)
     y = np.array(labeled.labels)
@@ -212,6 +246,21 @@ def test_train_requires_tuples_when_regularized():
         train(labeled, None, None, SPEC, cfg)
 
 
+@pytest.mark.parametrize("case", ["no_pair_batch", "triplets_without_lam_prime", "no_batches"])
+def test_train_regularized_without_a_tuple_batch_is_config_error(case):
+    # lam > 0 with tuples that no step can draw used to train the lam = 0 model
+    labeled, pairs, triplets = small_data()
+    kw = dict(lr=0.01, lam=0.5, lam_prime=0.5, max_epochs=2, patience=2)
+    if case == "no_pair_batch":
+        cfg, triplets = TrainConfig(batch_pairs=0, **kw), None
+    elif case == "triplets_without_lam_prime":
+        cfg, pairs = TrainConfig(**{**kw, "lam_prime": 0.0}), None
+    else:
+        cfg = TrainConfig(batch_pairs=0, batch_triplets=0, **kw)
+    with pytest.raises(ConfigError, match="nothing to optimize"):
+        train(labeled, pairs, triplets, SPEC, cfg)
+
+
 def test_train_history_csv_format(tmp_path):
     labeled, _, _ = small_data()
     cfg = TrainConfig(lr=0.05, lam=0.0, max_epochs=3, patience=3, seed=0)
@@ -232,6 +281,19 @@ def test_train_unsupervised_monotone_loss_and_snapshots():
     assert not np.array_equal(init.weights[0], snaps[0].weights[0])
     # loss decreases from first to last pass
     assert rows[-1][1] < rows[0][1]
+
+
+def test_train_unsupervised_keeps_init_and_pass_snapshots():
+    # theta moves in place; the returned init and each pass's snapshot are copies
+    _, pairs, triplets = small_data(seed=9)
+    cfg = TrainConfig(lr=0.01, lam=1.0, lam_prime=0.5, seed=4)
+    init, snaps, _ = train_unsupervised(pairs, triplets, SPEC, cfg, passes=3)
+    drawn = init_glorot(SPEC, np.random.SeedSequence(cfg.seed).spawn(3)[0])
+    assert init.flat.tobytes() == drawn.flat.tobytes()
+    for passes in (1, 2):
+        _, ref, _ = train_unsupervised(pairs, triplets, SPEC, cfg, passes=passes)
+        assert snaps[passes - 1].flat.tobytes() == ref[-1].flat.tobytes()
+    assert len({s.flat.tobytes() for s in snaps}) == 3
 
 
 def test_train_unsupervised_deterministic():
@@ -284,3 +346,45 @@ def test_greedy_cv_diverging_stage_raises():
     grids = SearchGrids(lr=(1e30,), lam=(0.1,), lam_prime=(0.1,), delta_triplet=(1.0,))
     with pytest.raises(SearchError, match="lr"), np.errstate(over="ignore"):
         greedy_cv(labeled, pairs, triplets, LayerSpec((64, 8)), grids=grids, base=base)
+
+
+# ---------------------------------------------------------------------------
+# per-step allocation
+
+def test_training_step_allocates_less_than_one_parameter_vector(monkeypatch):
+    # the step reuses one workspace per run: from the second step on, the
+    # traced peak between consecutive step starts stays below the bytes of
+    # one parameter vector (a step that copied theta, the velocity or the
+    # gradient would exceed it)
+    import tracemalloc
+
+    from ssfa import trainer
+
+    spec = LayerSpec((1024, 256, 64))
+    u = gen_unlabeled(SynthConfig(grid=32, clip_len=16, num_clips=4, seed=1))
+    labeled = gen_labeled(SynthConfig(grid=32, seed=51), 10)
+    mc = MiningConfig(T_seconds=2.0, seed=0, max_pairs=200, max_triplets=200)
+    pairs = resolve_pairs(u, mine_pairs(u, mc))
+    triplets = resolve_triplets(u, mine_triplets(u, mc))
+    assert len(pairs[0]) == 64 and min(len(pairs[2]), len(triplets[2])) >= 32
+    cfg = TrainConfig(lr=0.01, lam=1.0, lam_prime=0.5, batch_labeled=8, batch_pairs=32,
+                      batch_triplets=32, max_epochs=1, patience=1, seed=0)
+    growth, mark, real = [], [], trainer.nesterov_step
+
+    def traced(*args):
+        now, peak = tracemalloc.get_traced_memory()
+        if mark:  # the interval since the previous step started
+            growth.append(peak - mark[0])
+        mark[:] = [now]
+        tracemalloc.reset_peak()
+        return real(*args)
+
+    monkeypatch.setattr(trainer, "nesterov_step", traced)
+    tracemalloc.start()
+    try:
+        _, W, _ = train(labeled, pairs, triplets, spec, cfg)
+    finally:
+        tracemalloc.stop()
+    bound = 8 * (spec.param_count + W.size)
+    assert len(growth) >= 2
+    assert max(growth[1:]) < bound, (growth, bound)
