@@ -11,12 +11,13 @@ the optimistic tie rule: only strictly smaller distances count.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import LabeledSet, UnlabeledSet, prep_stack, write_atomic
-from .mining import triplet_positives, window_frames
+from .mining import clip_window, triplet_positives
 from .network import NetworkParams, forward
 
 
@@ -108,9 +109,11 @@ def extrapolate(z1, z2) -> np.ndarray:
 def make_queries(u: UnlabeledSet, T_seconds: float, max_queries: int, seed: int):
     """Sample evenly spaced in-sequence triplets (spacing in [1, T_frames])
     as completion queries, uniformly over the corpus, seeded."""
+    if not (math.isfinite(T_seconds) and T_seconds > 0):
+        raise ValueError(f"T_seconds must be finite and > 0, got {T_seconds}")
     clip_ids, rows = [], []
     for clip in u.clips:
-        pos = triplet_positives(len(clip.frames), window_frames(T_seconds, clip.frame_period))
+        pos = triplet_positives(len(clip.frames), clip_window(T_seconds, clip))
         # candidate order: by spacing, then first frame
         rows.append(pos[np.lexsort((pos[:, 0], pos[:, 1] - pos[:, 0]))])
         clip_ids += [clip.clip_id] * len(pos)
@@ -220,15 +223,12 @@ def knn_accuracy(params: NetworkParams, train: LabeledSet, test: LabeledSet,
         if len(train) != len(test):
             raise ValueError("exclude_self requires aligned train/test sets")
         np.fill_diagonal(d2, np.inf)
-    order = np.argsort(d2, axis=1, kind="stable")[:, :k]
-    correct = 0
-    for row, y_true in zip(order, test.labels):
-        nbr = yt[row]
-        counts = np.bincount(nbr)
-        tied = np.flatnonzero(counts == counts.max())
-        if len(tied) == 1:
-            vote = tied[0]
-        else:
-            vote = next(c for c in nbr if c in tied)
-        correct += int(vote == y_true)
-    return correct / len(test)
+    nbr = yt[np.argsort(d2, axis=1, kind="stable")[:, :k]]
+    # votes per (query, class), then each neighbor's class's votes: the
+    # vote is the first neighbor whose class has the most votes
+    q, classes = np.arange(len(nbr))[:, None], int(yt.max()) + 1
+    votes = np.bincount((q * classes + nbr).ravel(), minlength=len(nbr) * classes)
+    at_nbr = votes.reshape(len(nbr), classes)[q, nbr]
+    first = np.argmax(at_nbr == at_nbr.max(axis=1, keepdims=True), axis=1)
+    vote = nbr[q[:, 0], first]
+    return int(np.count_nonzero(vote == np.array(test.labels))) / len(test)

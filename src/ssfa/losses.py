@@ -16,6 +16,7 @@ the margin is 0, and sign(0) = 0 for l1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,8 +33,9 @@ class Margins:
     metric: str = "l2"
 
     def __post_init__(self):
-        if self.delta_pair < 0 or self.delta_triplet < 0:
-            raise ValueError("margins must be >= 0")
+        if not all(math.isfinite(d) and d >= 0 for d in (self.delta_pair, self.delta_triplet)):
+            raise ValueError("margins must be finite and >= 0, got "
+                             f"delta_pair={self.delta_pair}, delta_triplet={self.delta_triplet}")
         if self.metric not in ("l2", "l1"):
             raise ValueError(f"unknown metric {self.metric!r}")
 

@@ -5,6 +5,15 @@ in-sequence, evenly spaced frames with spacing at most T_frames. Negatives
 are drawn beyond a buffer gap (2*T_frames + 1 for pairs, 2*T_frames for the
 closing gap of triplets) so that the excluded gray zone never contaminates
 the negative class. Tuples never cross clip boundaries.
+
+Selection never builds the candidate rows. Each clip's candidates are
+counted in closed form per group (a pair's k, a triplet's l, a negative
+triplet's (l, m)); one permutation over the positives and one over the
+negatives pick the kept indices, and only those are decoded. Mining thus
+holds 8 bytes per candidate, the larger permutation, plus the kept rows,
+and draws the same tuples, in the same order, as permuting the stacked
+rows of :func:`pair_candidates` / :func:`triplet_candidates` would: tuple
+files are unchanged by the decode.
 """
 
 from __future__ import annotations
@@ -68,10 +77,11 @@ class MiningConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.T_seconds > 0:
-            raise ValueError("T_seconds must be > 0")
-        if self.pair_neg_ratio < 0 or self.triplet_neg_ratio < 0:
-            raise ValueError("negative ratios must be >= 0")
+        if not (math.isfinite(self.T_seconds) and self.T_seconds > 0):
+            raise ValueError(f"T_seconds must be finite and > 0, got {self.T_seconds}")
+        if not all(math.isfinite(r) and r >= 0 for r in (self.pair_neg_ratio, self.triplet_neg_ratio)):
+            raise ValueError("negative ratios must be finite and >= 0, got "
+                             f"{self.pair_neg_ratio}, {self.triplet_neg_ratio}")
         if self.max_pairs < 1 or self.max_triplets < 1:
             raise ValueError("caps must be >= 1")
 
@@ -79,6 +89,15 @@ class MiningConfig:
 def window_frames(T_seconds: float, frame_period: float) -> int:
     """Convert the temporal window from seconds to frames (floor)."""
     return int(math.floor(T_seconds / frame_period))
+
+
+def clip_window(T_seconds: float, clip) -> int:
+    """:func:`window_frames` of ``clip``, clamped to its frame count: a
+    window of n frames or more admits the same tuples as one of n, and the
+    clamp keeps a huge T (or T / frame_period overflowing to inf) out of
+    array arithmetic."""
+    n = len(clip.frames)
+    return n if T_seconds / clip.frame_period >= n else window_frames(T_seconds, clip.frame_period)
 
 
 def pair_candidates(n_frames: int, t_frames: int):
@@ -112,31 +131,78 @@ def triplet_candidates(n_frames: int, t_frames: int):
     return pos, np.column_stack((l, l + step[g1], n))
 
 
-def _mine(u: UnlabeledSet, cfg: MiningConfig, candidates, kind: str, cap, ratio, seed, sample):
-    """Candidates of every clip stacked behind a clip-index column, then
-    ``cap`` of them at 1:``ratio`` drawn by two permutations; samples are
-    built for the kept rows only, positives first."""
-    pos_all, neg_all = [], []
+def _pair_groups(n: int, t: int):
+    """:func:`pair_candidates` as ``(pos, neg)`` group tables, one group per
+    k. A table is ``(base, count, step)``: group g holds the ``count[g]``
+    rows ``base[g] + r * step``, r = 0, 1, ..., in candidate order. Only
+    groups that hold a candidate are listed."""
+    k = np.arange(n - 1 if t >= 1 else 0)
+    pos = (np.column_stack((k + 1, k)), np.minimum(t, n - 1 - k), (1, 0))
+    k = k[: max(n - 1 - 2 * t, 0)]
+    neg = (np.column_stack((k + 2 * t + 1, k)), n - 1 - 2 * t - k, (1, 0))
+    return pos, neg
+
+
+def _triplet_groups(n: int, t: int):
+    """:func:`triplet_candidates` as ``(pos, neg)`` group tables (see
+    :func:`_pair_groups`): positives one group per l, rows ``(l, l+s,
+    l+2s)``; negatives one group per (l, m-l), rows ``(l, m, x)``."""
+    l = np.arange(max(n - 2, 0) if t >= 1 else 0)
+    pos = (np.column_stack((l, l + 1, l + 2)), np.minimum(t, (n - 1 - l) // 2), (0, 1, 2))
+    l = l[: max(n - 1 - 2 * t, 0)]
+    width = np.minimum(t, n - 1 - 2 * t - l)  # m - l runs over 1..width
+    l = np.repeat(l, width)
+    m = l + np.arange(1, len(l) + 1) - np.repeat(np.cumsum(width) - width, width)
+    neg = (np.column_stack((l, m, m + 2 * t)), n - 2 * t - m, (0, 0, 1))
+    return pos, neg
+
+
+def _decode(table, idx):
+    """Rows ``(clip, *candidate)`` of the flat candidate indices ``idx`` of
+    a ``(clip, base, count, step)`` group table."""
+    clip, base, count, step = table
+    end = np.cumsum(count)
+    g = np.searchsorted(end, idx, side="right")
+    r = idx - (end[g] - count[g])
+    return np.column_stack((clip[g], base[g] + r[:, None] * np.asarray(step)))
+
+
+def _stack(parts):
+    """One ``(clip, base, count, step)`` table from per-clip ones."""
+    clip, base, count, step = zip(*parts)
+    return np.concatenate(clip), np.concatenate(base), np.concatenate(count), step[0]
+
+
+def _mine(u: UnlabeledSet, cfg: MiningConfig, groups, kind: str, cap, ratio, seed, sample):
+    """``cap`` tuples at 1:``ratio`` drawn by two permutations over the
+    candidates of every clip, positives first. The candidates are never
+    built: ``groups`` describes each clip's in closed form, and only the
+    kept indices are decoded. Memory is the larger permutation, 8 bytes
+    per candidate, plus the kept rows; the samples equal those of
+    enumerating every candidate, clip after clip, in
+    :func:`pair_candidates` / :func:`triplet_candidates` order."""
+    tables = ([], [])
     skipped = 0
     for c, clip in enumerate(u.clips):
-        pos, neg = candidates(len(clip.frames), window_frames(cfg.T_seconds, clip.frame_period))
-        if not len(pos):
+        pos, neg = groups(len(clip.frames), clip_window(cfg.T_seconds, clip))
+        if not len(pos[1]):
             skipped += 1
             continue
-        pos_all.append(np.column_stack((np.full(len(pos), c), pos)))
-        neg_all.append(np.column_stack((np.full(len(neg), c), neg)))
+        for parts, (base, count, step) in zip(tables, (pos, neg)):
+            parts.append((np.full(len(count), c), base, count, step))
     if skipped:
         log.warning("%s mining skipped %d clip(s) with no positive candidates", kind, skipped)
-    if not pos_all:
+    if not tables[0]:
         raise MiningError(f"no clip admits a positive {kind}")
-    pos_all, neg_all = np.concatenate(pos_all), np.concatenate(neg_all)
-    if not len(neg_all):
+    pos, neg = (_stack(parts) for parts in tables)
+    n_pos_all, n_neg_all = int(pos[2].sum()), int(neg[2].sum())
+    if not n_neg_all:
         raise MiningError(f"no clip admits a negative {kind} (all clips too short for the buffer gap)")
-    n_pos = min(len(pos_all), int(cap / (1.0 + ratio)))
-    n_neg = min(len(neg_all), int(n_pos * ratio))
+    n_pos = min(n_pos_all, int(cap / (1.0 + ratio)))
+    n_neg = min(n_neg_all, int(n_pos * ratio))
     rng = np.random.default_rng(seed)
-    pos = pos_all[rng.permutation(len(pos_all))[:n_pos]]
-    neg = neg_all[rng.permutation(len(neg_all))[:n_neg]]
+    pos = _decode(pos, rng.permutation(n_pos_all)[:n_pos])
+    neg = _decode(neg, rng.permutation(n_neg_all)[:n_neg])
     ids = [clip.clip_id for clip in u.clips]
     return [sample(ids[c], *t, 1) for c, *t in pos.tolist()] + [
         sample(ids[c], *t, 0) for c, *t in neg.tolist()
@@ -147,7 +213,7 @@ def mine_pairs(u: UnlabeledSet, cfg: MiningConfig):
     """Sample labeled frame pairs, positives first, at ratio
     1:pair_neg_ratio (negatives rounded down when exhausted).
     Deterministic for a fixed config."""
-    return _mine(u, cfg, pair_candidates, "pair", cfg.max_pairs, cfg.pair_neg_ratio,
+    return _mine(u, cfg, _pair_groups, "pair", cfg.max_pairs, cfg.pair_neg_ratio,
                  cfg.seed, PairSample)
 
 
@@ -155,7 +221,7 @@ def mine_triplets(u: UnlabeledSet, cfg: MiningConfig):
     """Sample labeled frame triplets at ratio 1:triplet_neg_ratio.
     Deterministic for a fixed config."""
     # seed + 1: independent of the pair stream
-    return _mine(u, cfg, triplet_candidates, "triplet", cfg.max_triplets,
+    return _mine(u, cfg, _triplet_groups, "triplet", cfg.max_triplets,
                  cfg.triplet_neg_ratio, cfg.seed + 1, TripletSample)
 
 

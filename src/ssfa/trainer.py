@@ -61,12 +61,13 @@ class TrainConfig:
     val_fraction: float = 0.2
 
     def __post_init__(self):
-        if not self.lr > 0:
-            raise ConfigError("lr must be > 0")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
         if not 0 <= self.momentum < 1:
             raise ConfigError("momentum must be in [0, 1)")
-        if self.lam < 0 or self.lam_prime < 0:
-            raise ConfigError("regularization weights must be >= 0")
+        if not all(math.isfinite(w) and w >= 0 for w in (self.lam, self.lam_prime)):
+            raise ConfigError("regularization weights must be finite and >= 0, got "
+                              f"lam={self.lam}, lam_prime={self.lam_prime}")
         if self.batch_labeled < 1:
             raise ConfigError("batch_labeled must be >= 1")
         if self.batch_pairs < 0 or self.batch_triplets < 0:
@@ -115,7 +116,12 @@ def nesterov_step(theta, velocity, look, grad_fn, lr: float, momentum: float) ->
     """
     np.add(theta, np.multiply(momentum, velocity, out=look), out=look)
     grad = grad_fn(look)
-    if not np.all(np.isfinite(grad)):
+    # grad @ grad allocates nothing; only a non-finite product (a NaN or
+    # inf entry, or finite entries whose squares overflow) needs the
+    # element check
+    with np.errstate(all="ignore"):
+        norm2 = grad @ grad
+    if not np.isfinite(norm2) and not np.all(np.isfinite(grad)):
         bad = int(np.count_nonzero(~np.isfinite(grad)))
         raise OptimizerError(f"non-finite gradient in {bad} of {grad.size} coordinates")
     velocity *= momentum

@@ -70,6 +70,35 @@ def test_mine_window_too_large_exits_3(pipeline):
     assert code == 3
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--T", "inf"), ("--T", "nan"), ("--pair-neg-ratio", "nan"), ("--pair-neg-ratio", "inf"),
+    ("--triplet-neg-ratio", "nan"),
+])
+def test_mine_non_finite_value_exits_3(pipeline, tmp_path, capsys, flag, value):
+    _, data, _, _ = pipeline
+    code = main(["mine", "--data", str(data / "unlabeled.txt"), "--out", str(tmp_path / "m"),
+                 "--T", "2", flag, value])
+    assert code == 3
+    assert "must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
+
+
+@pytest.mark.parametrize("flag", ["--lambda", "--lambda2", "--delta-pair", "--delta-triplet",
+                                  "--lr"])
+def test_train_non_finite_value_exits_3(pipeline, tmp_path, capsys, flag):
+    # a NaN weight or margin used to train with that term silently off
+    _, data, mined, _ = pipeline
+    for value in ("nan", "inf"):
+        code = main(["train", "--labeled", str(data / "labeled.txt"),
+                     "--unlabeled", str(data / "unlabeled.txt"),
+                     "--pairs", str(mined / "pairs.txt"), "--triplets", str(mined / "triplets.txt"),
+                     "--method", "ssfa", "--epochs", "1", "--out", str(tmp_path / "run"),
+                     flag, value])
+        assert code == 3, value
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+
 def test_train_unreg_ignores_tuple_inputs(pipeline):
     base, data, mined, _ = pipeline
     out = base / "unreg"
@@ -118,6 +147,17 @@ def test_eval_commands_write_reports(pipeline):
             "--test", str(data / "labeled.txt"), "--k", "3", "--out", str(ek)])
     rep = json.loads((ek / "knn.json").read_text())
     assert rep["accuracy"]["k"] == 3
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_eval_seqcomp_non_finite_window_exits_3(pipeline, tmp_path, capsys, value):
+    # --T inf used to exit 1 with an OverflowError traceback
+    _, data, _, run = pipeline
+    code = main(["eval-seqcomp", "--checkpoint", str(run / "checkpoint.ckpt"),
+                 "--unlabeled", str(data / "unlabeled.txt"), "--T", value,
+                 "--out", str(tmp_path / "e")])
+    assert code == 3
+    assert "must be finite" in capsys.readouterr().err
 
 
 def test_eval_missing_checkpoint_exits_3(pipeline):

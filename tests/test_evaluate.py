@@ -89,6 +89,15 @@ def test_make_queries_matches_nested_loop(corpus):
             assert make_queries(u, T, cap, seed=1) == expect
 
 
+def test_make_queries_rejects_non_finite_window_and_clamps_a_huge_one():
+    u = clip_corpus([12, 9])
+    for T in (np.nan, np.inf, 0.0):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            make_queries(u, T, 10, seed=1)
+    # every spacing fits in a 12-frame window already
+    assert make_queries(u, 1e300, 10**9, seed=1) == make_queries(u, 12.0, 10**9, seed=1)
+
+
 def test_query_pair_validation():
     QueryPair("c", 0, 2, 4)
     with pytest.raises(ValueError):
@@ -311,6 +320,44 @@ def test_knn_matches_brute_force_oracle():
         zt, zq = embed(params, train.images), embed(params, test.images)
         preds = brute_knn(zt, np.array(train.labels), zq, k)
         assert acc == float(np.mean(preds == np.array(test.labels)))
+
+
+def loop_vote(zt, yt, zq, k, exclude_self=False):
+    """The per-query vote: majority among the k nearest (stable order),
+    a tie going to the first neighbor whose class is among the tied."""
+    preds = []
+    for i, q in enumerate(zq):
+        d = np.sum((zt - q) ** 2, axis=1)
+        if exclude_self:
+            d[i] = np.inf
+        nbr = yt[np.argsort(d, kind="stable")[:k]]
+        counts = np.bincount(nbr)
+        tied = np.flatnonzero(counts == counts.max())
+        preds.append(next(c for c in nbr if c in tied))
+    return np.array(preds)
+
+
+def test_knn_vote_matches_loop_oracle_on_tie_heavy_cases():
+    # few distinct images and few classes: distance ties and vote ties are
+    # common; labeling each query with the oracle's vote makes any
+    # disagreement show as an accuracy below 1
+    rng = np.random.default_rng(14)
+    params = identity_net(6)
+    pool = [Frame(6, 1, rng.uniform(0, 1, 6)) for _ in range(4)]
+    for case in range(120):
+        classes = int(rng.integers(1, 5))
+        n_train = int(rng.integers(1, 13))
+        train = LabeledSet([pool[i] for i in rng.integers(0, 4, n_train)],
+                           rng.integers(0, classes, n_train), classes)
+        exclude_self = case % 3 == 0 and n_train > 1
+        queries = ([pool[i] for i in rng.integers(0, 4, 7)] if not exclude_self
+                   else train.images)
+        zt, zq = embed(params, train.images), embed(params, queries)
+        top = n_train - 1 if exclude_self else n_train
+        for k in sorted({1, top, int(rng.integers(1, top + 1))}):
+            preds = loop_vote(zt, np.array(train.labels), zq, k, exclude_self)
+            test = LabeledSet(queries, preds, classes)
+            assert knn_accuracy(params, train, test, k=k, exclude_self=exclude_self) == 1.0
 
 
 def test_knn_identity_sets_k1_is_perfect():

@@ -375,3 +375,11 @@ def test_coherence_objective_requires_tuples():
     _, params, *_ = _setup_objective(10)
     with pytest.raises(ValueError):
         coherence_objective(None, None, params, 1.0, M)
+
+
+@pytest.mark.parametrize("field", ["delta_pair", "delta_triplet"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_margins_reject_non_finite_values(field, value):
+    # a NaN margin made every negative hinge `> 0` test false
+    with pytest.raises(ValueError, match="finite"):
+        Margins(**{field: value})

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,6 +12,9 @@ from ssfa.mining import (
     MiningError,
     PairSample,
     TripletSample,
+    _decode,
+    _pair_groups,
+    _triplet_groups,
     load_tuples,
     mine_pairs,
     mine_triplets,
@@ -86,6 +94,13 @@ def test_documented_triplet_memberships():
     assert (0, 2, 7) in neg          # n - m = 5 >= 4
     assert (0, 2, 5) not in pos + neg  # gray zone
     assert all(not 2 < n - m < 4 for _, m, n in neg)
+
+
+@pytest.mark.parametrize("field", ["T_seconds", "pair_neg_ratio", "triplet_neg_ratio"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_mining_config_rejects_non_finite_values(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        MiningConfig(**{"T_seconds": 2.0, field: value})
 
 
 def test_window_frames_floor_conversion():
@@ -212,3 +227,111 @@ def test_tuple_file_round_trip(tmp_path):
     save_tuples(tmp_path / "x.txt", pairs + trips, cfg)
     p2, t2 = load_tuples(tmp_path / "x.txt")
     assert p2 == pairs and t2 == trips
+
+
+# ---------------------------------------------------------------------------
+# the closed-form group tables and their decode
+
+def decoded(groups, n, t):
+    """Every candidate of one clip, decoded from its group tables in flat
+    index order, as ``(pos, neg)`` row lists."""
+    out = []
+    for base, count, step in groups(n, t):
+        assert (count >= 1).all()  # only groups that hold a candidate
+        table = (np.zeros(len(count), dtype=np.int64), base, count, step)
+        out.append(rows(_decode(table, np.arange(count.sum()))[:, 1:]))
+    return out
+
+
+def test_decode_reproduces_candidates_in_order():
+    for n in range(1, 41):
+        for t in range(6):
+            assert decoded(_pair_groups, n, t) == list(map(rows, pair_candidates(n, t))), (n, t)
+            assert decoded(_triplet_groups, n, t) == list(map(rows, triplet_candidates(n, t))), (n, t)
+        # mining clamps a huge window to the clip length n, which admits
+        # the candidates of any larger window (triplet_candidates cannot
+        # take a huge one: it builds an (n, t, n) mask)
+        assert decoded(_pair_groups, n, n) == list(map(rows, pair_candidates(n, 10 ** 30)))
+        assert decoded(_triplet_groups, n, n) == list(map(rows, triplet_candidates(n, 2 * n)))
+
+
+def materialized_mine(u, cfg, candidates, cap, ratio, seed):
+    """Selection by enumerating every candidate of every clip behind a
+    clip-index column, then two permutations: the reference that the group
+    decode must reproduce sample for sample."""
+    pos_all, neg_all = [], []
+    for c, clip in enumerate(u.clips):
+        pos, neg = candidates(len(clip.frames), window_frames(cfg.T_seconds, clip.frame_period))
+        if len(pos):
+            pos_all.append(np.column_stack((np.full(len(pos), c), pos)))
+            neg_all.append(np.column_stack((np.full(len(neg), c), neg)))
+    pos_all, neg_all = np.concatenate(pos_all), np.concatenate(neg_all)
+    n_pos = min(len(pos_all), int(cap / (1.0 + ratio)))
+    n_neg = min(len(neg_all), int(n_pos * ratio))
+    rng = np.random.default_rng(seed)
+    pos = pos_all[rng.permutation(len(pos_all))[:n_pos]]
+    neg = neg_all[rng.permutation(len(neg_all))[:n_neg]]
+    ids = [clip.clip_id for clip in u.clips]
+    return [(ids[c], *t, 1) for c, *t in pos.tolist()] + [(ids[c], *t, 0) for c, *t in neg.tolist()]
+
+
+def as_rows(samples):
+    return [tuple(vars(s).values()) for s in samples]
+
+
+@pytest.mark.parametrize("ratio", [0.0, 1.0, 3.0])
+@pytest.mark.parametrize("cap", [7, 60, 10 ** 6])
+def test_mining_equals_materialized_selection(ratio, cap):
+    # mixed lengths and frame periods; "c1" has a 0-frame window and "c3"
+    # too few frames for a triplet, so they are skipped by one or both kinds
+    lengths_periods = [(23, 1.0), (40, 4.0), (31, 0.5), (2, 1.0), (17, 0.7), (9, 1.0)]
+    u = UnlabeledSet([Clip(f"c{i}", [Frame(1, 1, [0.0])] * n, period)
+                      for i, (n, period) in enumerate(lengths_periods)])
+    for seed in (0, 5):
+        cfg = MiningConfig(T_seconds=2.0, pair_neg_ratio=ratio, triplet_neg_ratio=ratio,
+                           max_pairs=cap, max_triplets=cap, seed=seed)
+        assert as_rows(mine_pairs(u, cfg)) == materialized_mine(
+            u, cfg, pair_candidates, cap, ratio, seed)
+        assert as_rows(mine_triplets(u, cfg)) == materialized_mine(
+            u, cfg, triplet_candidates, cap, ratio, seed + 1)
+
+
+def test_huge_window_reaches_no_negative_error():
+    u = make_corpus([12, 30])
+    for miner in (mine_pairs, mine_triplets):
+        with pytest.raises(MiningError, match="no clip admits a negative"):
+            miner(u, MiningConfig(T_seconds=1e300))
+
+
+_MINING_PEAK = """
+import resource
+from ssfa.data import Clip, Frame, UnlabeledSet
+from ssfa.mining import MiningConfig, mine_pairs, mine_triplets
+cfg = MiningConfig(T_seconds=2.0, max_pairs=10000, max_triplets=10000)
+small = UnlabeledSet([Clip("w", [Frame(1, 1, [0.0])] * 40, 1.0)])
+mine_pairs(small, cfg), mine_triplets(small, cfg)  # warm up the code paths
+u = UnlabeledSet([Clip("c", [Frame(1, 1, [0.0])] * 3000, 1.0)])
+with open("/proc/self/statm") as f:  # resident pages now, not the high-water mark
+    before = int(f.read().split()[1]) * resource.getpagesize()
+kept = len(mine_pairs(u, cfg)) + len(mine_triplets(u, cfg))
+print(kept, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in kB on Linux")
+def test_mining_peak_is_one_permutation_of_the_candidates():
+    # one 3000-frame clip at a 2-frame window: the largest candidate set,
+    # 8.97M triplet negatives, is drawn by one 8-byte-per-candidate
+    # permutation; building the candidate rows would take several times it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _MINING_PEAK], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    kept, grown = map(int, proc.stdout.split())
+    assert kept == 20000
+    # triplet negatives (l, l+g1, x) with x >= l+g1+4: one triangular
+    # number per g1 in {1, 2}
+    largest = sum((3000 - g1 - 4) * (3000 - g1 - 3) // 2 for g1 in (1, 2))
+    print(f"mining peak grew {grown / 2**20:.1f} MB for {largest} candidates")
+    assert grown < 8 * largest + 16 * 2**20, (grown, largest)

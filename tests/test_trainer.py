@@ -109,6 +109,35 @@ def test_nesterov_rejects_non_finite_gradient():
     assert theta.tolist() == [1.0, 2.0] and velocity.tolist() == [0.5, -0.5]
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nesterov_rejects_each_non_finite_value_unchanged(bad):
+    theta, velocity = np.array([1.0, 2.0, 3.0]), np.array([0.5, -0.5, 0.0])
+    grad = np.array([1e200, bad, 0.0])
+    with pytest.raises(OptimizerError, match="non-finite gradient in 1 of 3"):
+        nesterov_step(theta, velocity, np.empty(3), lambda x: grad, 0.1, 0.9)
+    assert theta.tolist() == [1.0, 2.0, 3.0] and velocity.tolist() == [0.5, -0.5, 0.0]
+
+
+def test_nesterov_steps_on_a_finite_gradient_whose_norm_overflows():
+    # grad @ grad overflows to inf here, but every entry is finite
+    theta, velocity = np.zeros(4), np.zeros(4)
+    with np.errstate(all="raise"):
+        nesterov_step(theta, velocity, np.empty(4), lambda x: np.full(4, 2.0 ** 600), 2.0 ** -600,
+                      0.9)
+    assert velocity.tolist() == [-1.0] * 4 and theta.tolist() == [-1.0] * 4
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lr", np.nan), ("lr", np.inf), ("lam", np.nan), ("lam", np.inf),
+    ("lam_prime", np.nan), ("lam_prime", np.inf),
+])
+def test_train_config_rejects_non_finite_values(field, value):
+    # a NaN weight failed every `> 0` test downstream and trained the
+    # unregularized model
+    with pytest.raises(ConfigError, match="finite"):
+        TrainConfig(**{"lr": 0.01, field: value})
+
+
 # ---------------------------------------------------------------------------
 # splits and resolution
 
