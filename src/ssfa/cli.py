@@ -113,6 +113,11 @@ def _hidden_sizes(text: str):
 def cmd_synth(args) -> int:
     from . import data, synth
 
+    if args.clips < 0 or args.labeled_per_class < 0:
+        raise ValueError("--clips and --labeled-per-class must be >= 0, got "
+                         f"{args.clips} and {args.labeled_per_class}")
+    if args.clips == 0 and args.labeled_per_class == 0:
+        raise ValueError("nothing to generate: --clips and --labeled-per-class are both 0")
     cfg = synth.SynthConfig(
         grid=args.grid,
         clip_len=args.clip_len,
@@ -368,7 +373,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--out", required=True)
     p.add_argument("--mode", choices=("steady", "jerky"), default="steady")
-    p.add_argument("--clips", type=int, default=8)
+    p.add_argument("--clips", type=int, default=8, help="unlabeled clips; 0 writes labeled "
+                   "images only")
     p.add_argument("--clip-len", type=int, default=20)
     p.add_argument("--grid", type=int, default=16)
     p.add_argument("--shapes", type=int, default=4)

@@ -111,6 +111,8 @@ def make_queries(u: UnlabeledSet, T_seconds: float, max_queries: int, seed: int)
     as completion queries, uniformly over the corpus, seeded."""
     if not (math.isfinite(T_seconds) and T_seconds > 0):
         raise ValueError(f"T_seconds must be finite and > 0, got {T_seconds}")
+    if max_queries < 1:
+        raise ValueError(f"max_queries must be >= 1, got {max_queries}")
     clip_ids, rows = [], []
     for clip in u.clips:
         pos = triplet_positives(len(clip.frames), clip_window(T_seconds, clip))

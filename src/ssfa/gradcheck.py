@@ -194,7 +194,9 @@ def run_gradcheck(seed: int = 0, points: int = 100, corrupt=None):
     """Run every check; returns (rows, all_ok). ``corrupt`` is a test-only
     hook applied to the analytic gradients of the total objective, a dict
     {"theta": NetworkParams, "W": array}; the theta and W it returns are
-    audited."""
+    audited. ``points`` < 1 would check nothing and is a ValueError."""
+    if points < 1:
+        raise ValueError(f"points must be >= 1, got {points}")
     rng = np.random.default_rng(seed)
     rows = [
         GradCheckRow("softmax", check_softmax(rng, points), TOL_DIRECT),

@@ -12,6 +12,12 @@ independent of batch-size choices. Distances default to unsquared
 Euclidean ("l2"); "l1" is available. Subgradient conventions: the l2
 distance gradient at coincident points is 0, the hinge gradient exactly at
 the margin is 0, and sign(0) = 0 for l1.
+
+Both contrastive terms run through one private kernel over stacked contrast
+rows, and both softmax callers through one buffered softmax kernel: the
+public losses wrap them for feature batches, and the objectives run them on
+a :class:`Workspace`'s buffers, so the finite-difference audit of the public
+losses checks the code that training runs.
 """
 
 from __future__ import annotations
@@ -60,77 +66,133 @@ class LossValue:
     terms: dict = field(default_factory=dict)
 
 
-def _distance_rows(a: np.ndarray, b: np.ndarray, metric: str):
-    """Row-wise distance d(a, b) and its gradient w.r.t. a (shape of a)."""
-    diff = a - b
-    if metric == "l2":
-        d = np.sqrt(np.sum(diff * diff, axis=-1))
-        safe = np.where(d > 0.0, d, 1.0)
-        unit = diff / safe[..., None]
-        unit[d == 0.0] = 0.0
+_NO_LABELS = np.zeros(0, dtype=np.intp)
+
+
+class _ContrastScratch:
+    """The buffers of :func:`_contrastive` for up to ``rows`` contrast rows
+    of width k: the rows, their unit rows (first their squares or absolute
+    values), five per-row float vectors and three per-row masks."""
+
+    def __init__(self, rows: int, k: int):
+        self.c = np.empty((rows, k))
+        self.u = np.empty((rows, k))
+        self.f = np.empty((5, rows))
+        self.b = np.empty((3, rows), dtype=bool)
+
+
+def _contrastive(s: _ContrastScratch, block, p_pair, p_trip, lam: float, lam_prime: float,
+                 margins: Margins):
+    """The one contrastive kernel behind every coherence term.
+
+    ``block`` holds the members' feature rows: the pairs' a then b, then
+    the triplets' l, m and n, with ``p_pair`` / ``p_trip`` their labels
+    (either may be empty). One contrast row per tuple, a - b for a pair and
+    (l - m) - (m - n) for a triplet, goes through one pass over the stacked
+    rows: the distance d, the unit row, the hinge, the value and the
+    coefficient (+1 positive, -1 negative inside the margin, else 0), and
+    g = (coeff * unit) / n, n being the row's own batch size. The members'
+    gradients then replace their features in ``block``: g and -g for a
+    pair, lam_prime * g, lam_prime * ((-g) - g) and lam_prime * g for a
+    triplet, each times lam. Returns (value, terms): the pair mean plus
+    lam_prime times the triplet mean, and each mean as "slow" / "steady"
+    (0.0 for a side without tuples).
+    """
+    n_p, n_t, k = len(p_pair), len(p_trip), block.shape[1]
+    rows = n_p + n_t
+    a, b = block[: 2 * n_p].reshape(2, n_p, k)
+    l, m, n = block[2 * n_p : 2 * n_p + 3 * n_t].reshape(3, n_t, k)
+    c, u = s.c[:rows], s.u[:rows]
+    d, hinge, values, coeff, safe = s.f[:, :rows]
+    neg, act, zero = s.b[:, :rows]
+    np.subtract(a, b, out=c[:n_p])
+    np.subtract(l, m, out=c[n_p:])
+    c[n_p:] -= np.subtract(m, n, out=u[n_p:])
+    if margins.metric == "l2":
+        np.sqrt(np.add.reduce(np.multiply(c, c, out=u), axis=1, out=d), out=d)
+        # a row at d == 0 (coincident, or with squares that underflow) has a zero unit
+        np.equal(d, 0.0, out=zero)
+        np.divide(c, np.add(d, zero, out=safe)[:, None], out=u)
+        np.copyto(u, 0.0, where=zero[:, None])
     else:
-        d = np.sum(np.abs(diff), axis=-1)
-        unit = np.sign(diff)
-    return d, unit
+        np.add.reduce(np.abs(c, out=u), axis=1, out=d)
+        np.sign(c, out=u)
+    np.subtract(margins.delta_pair, d[:n_p], out=hinge[:n_p])
+    np.subtract(margins.delta_triplet, d[n_p:], out=hinge[n_p:])
+    np.equal(p_pair, 0, out=neg[:n_p])
+    np.equal(p_trip, 0, out=neg[n_p:])
+    # a negative is active strictly inside its margin: the gradient at the margin is 0
+    np.greater(hinge, 0.0, out=act)
+    act &= neg
+    np.copyto(values, d)
+    np.copyto(values, 0.0, where=neg)
+    np.copyto(values, hinge, where=act)
+    np.subtract(1.0, neg, out=coeff)
+    coeff -= act
+    u *= coeff[:, None]
+    u[:n_p] /= n_p
+    u[n_p:] /= n_t
+    np.copyto(a, u[:n_p])
+    np.negative(u[:n_p], out=b)
+    g = u[n_p:]
+    np.multiply(lam_prime, g, out=l)
+    np.subtract(np.negative(g, out=m), g, out=m)
+    m *= lam_prime
+    np.copyto(n, l)
+    block *= lam
+    slow = float(np.add.reduce(values[:n_p]) / n_p) if n_p else 0.0
+    steady = float(np.add.reduce(values[n_p:]) / n_t) if n_t else 0.0
+    value = 0.0
+    if n_p:
+        value += slow
+    if n_t:
+        value += lam_prime * steady
+    return value, {"slow": slow, "steady": steady}
 
 
-def _contrastive_rows(a: np.ndarray, b: np.ndarray, p: np.ndarray, delta: float, metric: str):
-    """Vectorized contrastive loss over rows; returns (values, da rows).
-    db = -da always, since both branches depend only on a - b."""
-    d, unit = _distance_rows(a, b, metric)
-    pos = p.astype(bool)
-    hinge = delta - d
-    active = (~pos) & (hinge > 0.0)
-    values = np.where(pos, d, np.where(active, hinge, 0.0))
-    coeff = np.where(pos, 1.0, np.where(active, -1.0, 0.0))
-    return values, coeff[..., None] * unit
+def _feature_batch(zs, p, kind: str):
+    """A batch of feature tuples as float64 member rows plus labels,
+    checked: one row per label in every member, all of one shape."""
+    zs = [np.atleast_2d(np.asarray(z, dtype=np.float64)) for z in zs]
+    p = np.asarray(p)
+    if len(p) == 0:
+        raise ValueError(f"empty {kind} batch")
+    if any(z.shape != zs[0].shape for z in zs) or zs[0].shape[0] != len(p):
+        raise ValueError(f"{kind} batch shapes {[z.shape for z in zs]}, {p.shape} disagree")
+    return zs, p
+
+
+def _coherence(pairs, triplets, lam_prime: float, margins: Margins):
+    """The kernel on feature batches (pairs (za, zb, p) and triplets
+    (zl, zm, zn, p), either None): (value, terms, member gradients), the
+    gradients in member order as views of one block."""
+    sides = [None if t is None else _feature_batch(t[:-1], t[-1], kind)
+             for t, kind in ((pairs, "pair"), (triplets, "triplet"))]
+    feats = [z for side in sides if side is not None for z in side[0]]
+    labels = [_NO_LABELS if side is None else side[1] for side in sides]
+    block = np.concatenate(feats)
+    value, terms = _contrastive(_ContrastScratch(sum(map(len, labels)), block.shape[1]), block,
+                                *labels, 1.0, lam_prime, margins)
+    return value, terms, np.split(block, np.cumsum([len(z) for z in feats[:-1]]))
 
 
 def pair_loss(za, zb, p, margins: Margins) -> LossValue:
     """Mean contrastive loss over a batch of feature pairs (slowness term)."""
-    za = np.atleast_2d(np.asarray(za, dtype=np.float64))
-    zb = np.atleast_2d(np.asarray(zb, dtype=np.float64))
-    p = np.asarray(p)
-    if len(p) == 0:
-        raise ValueError("empty pair batch")
-    if za.shape != zb.shape or za.shape[0] != len(p):
-        raise ValueError(f"pair batch shapes {za.shape}, {zb.shape}, {p.shape} disagree")
-    values, da = _contrastive_rows(za, zb, p, margins.delta_pair, margins.metric)
-    n = len(p)
-    ga = da / n
-    return LossValue(float(values.mean()), {"a": ga, "b": -ga})
+    _, terms, (ga, gb) = _coherence((za, zb, p), None, 1.0, margins)
+    return LossValue(terms["slow"], {"a": ga, "b": gb})
 
 
 def triplet_loss(zl, zm, zn, p, margins: Margins) -> LossValue:
     """Mean contrastive loss over the two difference vectors of each
     triplet (steadiness term). Positive triplets are penalized toward
     zl - zm == zm - zn, i.e. collinear equally spaced features."""
-    zl = np.atleast_2d(np.asarray(zl, dtype=np.float64))
-    zm = np.atleast_2d(np.asarray(zm, dtype=np.float64))
-    zn = np.atleast_2d(np.asarray(zn, dtype=np.float64))
-    p = np.asarray(p)
-    if len(p) == 0:
-        raise ValueError("empty triplet batch")
-    if not (zl.shape == zm.shape == zn.shape) or zl.shape[0] != len(p):
-        raise ValueError("triplet batch shapes disagree")
-    u = zl - zm
-    v = zm - zn
-    values, du = _contrastive_rows(u, v, p, margins.delta_triplet, margins.metric)
-    n = len(p)
-    du = du / n
-    dv = -du
-    return LossValue(
-        float(values.mean()),
-        {"l": du, "m": dv - du, "n": -dv},
-    )
+    _, terms, (gl, gm, gn) = _coherence(None, (zl, zm, zn, p), 1.0, margins)
+    return LossValue(terms["steady"], {"l": gl, "m": gm, "n": gn})
 
 
-def softmax_loss(W, zs, ys) -> LossValue:
-    """Mean negative log softmax probability of the correct class,
-    computed max-shifted for stability. Gradients w.r.t. W and each
-    feature vector."""
-    W = np.asarray(W, dtype=np.float64)
-    zs = np.atleast_2d(np.asarray(zs, dtype=np.float64))
+def _labeled_batch(W, zs, ys):
+    """The labels of a softmax batch as intp, checked against the features
+    ``zs`` and the classifier ``W``."""
     ys = np.asarray(ys, dtype=np.intp).ravel()
     n = zs.shape[0]
     if n == 0 or len(ys) == 0:
@@ -139,14 +201,41 @@ def softmax_loss(W, zs, ys) -> LossValue:
         raise ValueError(f"batch shapes {zs.shape}, {ys.shape} incompatible with W {W.shape}")
     if ys.min() < 0 or ys.max() >= W.shape[0]:
         raise ValueError("label out of range")
-    logits = zs @ W.T
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    value = -logp[np.arange(n), ys].mean()
-    G = np.exp(logp)
-    G[np.arange(n), ys] -= 1.0
+    return ys
+
+
+def _softmax(W, zs, ys, dz, dW, buf) -> float:
+    """The softmax kernel on checked inputs: returns the mean loss and
+    writes the feature gradient G @ W into ``dz`` and the classifier
+    gradient G.T @ zs into ``dW``. ``buf`` is flat scratch of at least
+    n * (2 * classes + 1) floats."""
+    n, classes = len(zs), len(W)
+    shifted, e = buf[: 2 * n * classes].reshape(2, n, classes)
+    col = buf[2 * n * classes : (2 * classes + 1) * n].reshape(n, 1)
+    np.matmul(zs, W.T, out=shifted)
+    shifted -= np.maximum.reduce(shifted, axis=1, keepdims=True, out=col)
+    np.log(np.add.reduce(np.exp(shifted, out=e), axis=1, keepdims=True, out=col), out=col)
+    logp = np.subtract(shifted, col, out=shifted)
+    picked = (np.arange(n), ys)
+    value = -(np.add.reduce(logp[picked]) / n)
+    G = np.exp(logp, out=logp)
+    G[picked] -= 1.0
     G /= n
-    return LossValue(float(value), {"W": G.T @ zs, "z": G @ W})
+    np.matmul(G, W, out=dz)
+    np.matmul(G.T, zs, out=dW)
+    return float(value)
+
+
+def softmax_loss(W, zs, ys) -> LossValue:
+    """Mean negative log softmax probability of the correct class,
+    computed max-shifted for stability. Gradients w.r.t. W and each
+    feature vector."""
+    W = np.asarray(W, dtype=np.float64)
+    zs = np.atleast_2d(np.asarray(zs, dtype=np.float64))
+    ys = _labeled_batch(W, zs, ys)
+    dz, dW = np.empty(zs.shape), np.empty(W.shape)
+    value = _softmax(W, zs, ys, dz, dW, np.empty(len(zs) * (2 * len(W) + 1)))
+    return LossValue(value, {"W": dW, "z": dz})
 
 
 def has_tuples(batch) -> bool:
@@ -162,25 +251,13 @@ def unsupervised_loss(pairs, triplets, lam_prime: float, margins: Margins) -> Lo
     ``pairs`` is (za, zb, p) and ``triplets`` is (zl, zm, zn, p); either
     may be None or empty, but not both.
     """
-    have_pairs, have_triplets = has_tuples(pairs), has_tuples(triplets)
-    if not have_pairs and not have_triplets:
+    pairs, triplets = (t if has_tuples(t) else None for t in (pairs, triplets))
+    if pairs is None and triplets is None:
         raise ValueError("need at least one of pairs/triplets")
-    value = 0.0
-    grads, terms = {}, {"slow": 0.0, "steady": 0.0}
-    if have_pairs:
-        r2 = pair_loss(*pairs, margins)
-        value += r2.value
-        terms["slow"] = r2.value
-        grads["pair_a"] = r2.grads["a"]
-        grads["pair_b"] = r2.grads["b"]
-    if have_triplets:
-        r3 = triplet_loss(*triplets, margins)
-        value += lam_prime * r3.value
-        terms["steady"] = r3.value
-        grads["trip_l"] = lam_prime * r3.grads["l"]
-        grads["trip_m"] = lam_prime * r3.grads["m"]
-        grads["trip_n"] = lam_prime * r3.grads["n"]
-    return LossValue(value, grads, terms)
+    value, terms, grads = _coherence(pairs, triplets, lam_prime, margins)
+    names = (("pair_a", "pair_b") if pairs is not None else ()) + (
+        ("trip_l", "trip_m", "trip_n") if triplets is not None else ())
+    return LossValue(value, dict(zip(names, grads)), terms)
 
 
 class Workspace:
@@ -188,11 +265,13 @@ class Workspace:
     objective call that passes it as ``work``: the stacked batch X (``lead``
     labeled rows plus at most min(``table_rows``, ``members``) unique table
     rows), the forward tape with backward's scratch, dZ, the member block
-    (each member's feature row, then its gradient), a table-sized
-    row-position map, and the flat gradient (network parameters followed by
-    a ``classes`` x k classifier) with its ``split_model`` views. The
-    gradients an objective returns view these buffers, so the next call
-    with the same workspace overwrites them.
+    (each member's feature row, then its gradient), the contrastive
+    kernel's rows (at most members / 2 tuples), the softmax scratch for
+    ``lead`` rows and ``classes`` classes, a table-sized row-position map,
+    and the flat gradient (network parameters followed by a ``classes`` x k
+    classifier) with its ``split_model`` views. The gradients an objective
+    returns view these buffers, so the next call with the same workspace
+    overwrites them.
     """
 
     def __init__(self, spec: LayerSpec, lead: int, table_rows: int, members: int,
@@ -203,6 +282,8 @@ class Workspace:
         self.dZ = np.empty((rows, k))
         self.member = np.empty((members, k))
         self.member_at = np.empty((members, k), dtype=np.intp)
+        self.contrast = _ContrastScratch(members // 2, k)
+        self.soft = np.empty(lead * (2 * classes + 1))
         self.pos = np.zeros(table_rows, dtype=np.intp)  # all zero between calls
         self.cols = np.arange(k)
         self.flat = np.empty(spec.param_count + classes * k)
@@ -231,9 +312,9 @@ def _fused(ws: Workspace, params: NetworkParams, lead_x, pairs, triplets, lam: f
            lam_prime: float, margins: Margins):
     """The one forward pass behind both objectives, over ``lead_x`` (None:
     no lead rows) stacked on the unique table rows that the tuples' members
-    name. Returns (Z, tape, coherence LossValue, dZ), the arrays in ``ws``;
-    dZ holds lam times each member's feature gradient added onto its row,
-    zeros elsewhere."""
+    name. Returns (Z, tape, coherence value, terms, dZ), the arrays in
+    ``ws``; dZ holds lam times each member's feature gradient added onto
+    its row, zeros elsewhere."""
     lead = 0 if lead_x is None else len(lead_x)
     batches = [b for b in (pairs, triplets) if b is not None]
     if not batches:
@@ -242,7 +323,7 @@ def _fused(ws: Workspace, params: NetworkParams, lead_x, pairs, triplets, lam: f
         Z, tape = forward(params, lead_x, out=ws.tape)
         dZ = ws.dZ[:lead]
         dZ.fill(0.0)
-        return Z, tape, LossValue(0.0, {}, {"slow": 0.0, "steady": 0.0}), dZ
+        return Z, tape, 0.0, {"slow": 0.0, "steady": 0.0}, dZ
     # every member's table row: pair column j, then k, then triplet l, m, n
     members = np.concatenate([idx.T.ravel() for _, idx, _ in batches])
     # the sorted unique rows, and the X row of each member, from the position map
@@ -259,23 +340,15 @@ def _fused(ws: Workspace, params: NetworkParams, lead_x, pairs, triplets, lam: f
     np.take(batches[0][0], rows, axis=0, out=X[lead:], mode="clip")
     Z, tape = forward(params, X, out=ws.tape)
     block = np.take(Z, at, axis=0, out=ws.member[: len(members)], mode="clip")
-    feats, start = [], 0
-    for b in (pairs, triplets):
-        size = 0 if b is None else b[1].size
-        feats.append((*block[start : start + size].reshape(b[1].shape[1], len(b[1]), -1), b[2])
-                     if size else None)
-        start += size
-    co = unsupervised_loss(*feats, lam_prime, margins)
-    # co.grads holds one gradient per member, lam_prime applied, in the order of members;
-    # they replace the features in the block. np.add.at over flat element indices takes
-    # numpy's fast path, row indices do not
-    np.concatenate(list(co.grads.values()), out=block)
-    block *= lam
+    labels = [_NO_LABELS if b is None else b[2] for b in (pairs, triplets)]
+    value, terms = _contrastive(ws.contrast, block, *labels, lam, lam_prime, margins)
+    # the block now holds each member's gradient; np.add.at over flat element
+    # indices takes numpy's fast path, row indices do not
     flat_at = np.add(at[:, None] * Z.shape[1], ws.cols, out=ws.member_at[: len(members)])
     dZ = ws.dZ[: len(X)]
     dZ.fill(0.0)
     np.add.at(dZ.ravel(), flat_at.ravel(), block.ravel())
-    return Z, tape, co, dZ
+    return Z, tape, value, terms, dZ
 
 
 def coherence_objective(pairs, triplets, params: NetworkParams, lam_prime: float,
@@ -288,8 +361,8 @@ def coherence_objective(pairs, triplets, params: NetworkParams, lam_prime: float
     and the gradient; None sizes one for this call."""
     pairs, triplets = _tuples(pairs, triplets, lam_prime)
     ws = Workspace.fitting(params.layer_spec(), 0, pairs, triplets) if work is None else work
-    _, tape, co, dZ = _fused(ws, params, None, pairs, triplets, 1.0, lam_prime, margins)
-    return LossValue(co.value, {"theta": backward(params, tape, dZ, ws.dtheta.flat)}, co.terms)
+    _, tape, value, terms, dZ = _fused(ws, params, None, pairs, triplets, 1.0, lam_prime, margins)
+    return LossValue(value, {"theta": backward(params, tape, dZ, ws.dtheta.flat)}, terms)
 
 
 def total_objective(batch_x, batch_y, pairs, triplets, params: NetworkParams, W, lam: float,
@@ -310,10 +383,10 @@ def total_objective(batch_x, batch_y, pairs, triplets, params: NetworkParams, W,
     lead = len(batch_x)
     ws = (Workspace.fitting(params.layer_spec(), lead, pairs, triplets, len(W))
           if work is None else work)
-    Z, tape, co, dZ = _fused(ws, params, batch_x, pairs, triplets, lam, lam_prime, margins)
-    sup = softmax_loss(W, Z[:lead], batch_y)
-    dZ[:lead] = sup.grads["z"]
+    Z, tape, value, terms, dZ = _fused(ws, params, batch_x, pairs, triplets, lam, lam_prime,
+                                       margins)
+    zs = Z[:lead]
+    sup = _softmax(W, zs, _labeled_batch(W, zs, batch_y), dZ[:lead], ws.dW, ws.soft)
     backward(params, tape, dZ, ws.dtheta.flat)
-    ws.dW[...] = sup.grads["W"]
-    return LossValue(sup.value + lam * co.value, {"theta": ws.dtheta, "W": ws.dW, "flat": ws.flat},
-                     {"sup": sup.value, **co.terms})
+    return LossValue(sup + lam * value, {"theta": ws.dtheta, "W": ws.dW, "flat": ws.flat},
+                     {"sup": sup, **terms})

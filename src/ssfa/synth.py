@@ -37,8 +37,8 @@ class SynthConfig:
             raise ValueError("clip_len must be >= 5")
         if not 2 <= self.shapes <= len(SHAPE_NAMES):
             raise ValueError(f"shapes must be in [2, {len(SHAPE_NAMES)}]")
-        if self.num_clips < 1:
-            raise ValueError("num_clips must be >= 1")
+        if self.num_clips < 0:
+            raise ValueError("num_clips must be >= 0")
         if self.motion_mode not in ("steady", "jerky"):
             raise ValueError(f"unknown motion_mode {self.motion_mode!r}")
         if self.noise_sigma < 0:
@@ -101,7 +101,10 @@ def gen_unlabeled(cfg: SynthConfig) -> UnlabeledSet:
     With integer velocities, start positions are integer cells, so steady
     clips are exact circular shifts frame to frame. frame_period is 1.0,
     so a temporal window in seconds equals the same number of frames.
+    A config with num_clips = 0 (labeled images only) is a ValueError.
     """
+    if cfg.num_clips < 1:
+        raise ValueError("gen_unlabeled needs num_clips >= 1")
     integer_grid = _integer_velocities(cfg)
     clips = []
     for i in range(cfg.num_clips):

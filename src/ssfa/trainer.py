@@ -184,31 +184,33 @@ def stratified_split(labels, val_fraction: float, rng):
 
 class _TupleStream:
     """Batches of resolved tuples, reshuffling the deck each time it runs
-    out. A batch is resolved tuples too: (frames, idx rows, labels)."""
+    out. A batch is resolved tuples too: (frames, idx rows, labels). Each
+    deck's idx rows and labels are gathered once, when it is drawn, so a
+    batch inside one deck is a slice of them."""
 
     def __init__(self, resolved, batch: int, rng):
         self.frames, self.idx, self.p = resolved
         self.n = len(self.p)
         self.batch = min(batch, self.n)
         self.rng = rng
-        self._deck = rng.permutation(self.n)
+        self._shuffle()
+
+    def _shuffle(self):
+        deck = self.rng.permutation(self.n)
+        self._idx, self._p = self.idx[deck], self.p[deck]
         self._pos = 0
 
     def take(self):
-        out = []
-        need = self.batch
-        while need > 0:
-            avail = len(self._deck) - self._pos
-            if avail == 0:
-                self._deck = self.rng.permutation(self.n)
-                self._pos = 0
-                continue
-            grab = min(need, avail)
-            out.append(self._deck[self._pos : self._pos + grab])
-            self._pos += grab
-            need -= grab
-        sel = np.concatenate(out)
-        return self.frames, self.idx[sel], self.p[sel]
+        start, stop = self._pos, self._pos + self.batch
+        if stop <= self.n:
+            self._pos = stop
+            return self.frames, self._idx[start:stop], self._p[start:stop]
+        # the deck's tail, then the head of the next deck
+        tail_idx, tail_p = self._idx[start:], self._p[start:]
+        self._shuffle()
+        self._pos = stop - self.n
+        return (self.frames, np.concatenate((tail_idx, self._idx[: self._pos])),
+                np.concatenate((tail_p, self._p[: self._pos])))
 
 
 def _one_table(pairs, triplets):

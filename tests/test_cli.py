@@ -40,6 +40,25 @@ def test_synth_writes_manifests_and_config_echo(pipeline):
     assert "seed = 9" in echo and "clips = 8" in echo
 
 
+def test_synth_zero_clips_writes_labeled_only(tmp_path):
+    # SynthConfig rejected 0 clips before the labeled-only branch was reached
+    out = tmp_path / "d"
+    run_ok(["synth", "--out", str(out), "--clips", "0", "--labeled-per-class", "5"])
+    assert (out / "labeled.txt").is_file()
+    assert not (out / "unlabeled.txt").exists()
+
+
+@pytest.mark.parametrize("counts", [("8", "-2"), ("-1", "5"), ("0", "0")])
+def test_synth_negative_or_no_counts_exit_3(tmp_path, capsys, counts):
+    # --labeled-per-class -2 exited 0 with no labeled set written
+    out = tmp_path / "d"
+    code = main(["synth", "--out", str(out), "--clips", counts[0],
+                 "--labeled-per-class", counts[1]])
+    assert code == 3
+    assert "--clips" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_required_flag_exits_2():
     with pytest.raises(SystemExit) as e:
         main(["synth", "--clips", "4"])  # no --out
@@ -160,6 +179,18 @@ def test_eval_seqcomp_non_finite_window_exits_3(pipeline, tmp_path, capsys, valu
     assert "must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("queries", ["0", "-5"])
+def test_eval_seqcomp_fewer_than_one_query_exits_3(pipeline, tmp_path, capsys, queries):
+    # --queries -5 exited 0 after dropping 5 random candidates
+    _, data, _, run = pipeline
+    code = main(["eval-seqcomp", "--checkpoint", str(run / "checkpoint.ckpt"),
+                 "--unlabeled", str(data / "unlabeled.txt"), "--queries", queries,
+                 "--out", str(tmp_path / "e")])
+    assert code == 3
+    assert "max_queries must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "e").exists()
+
+
 def test_eval_missing_checkpoint_exits_3(pipeline):
     base, data, _, _ = pipeline
     code = main(["eval-cls", "--checkpoint", str(base / "nope.ckpt"),
@@ -169,6 +200,16 @@ def test_eval_missing_checkpoint_exits_3(pipeline):
 
 def test_gradcheck_cli_passes():
     assert main(["gradcheck", "--points", "3", "--seed", "0"]) == 0
+
+
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_gradcheck_fewer_than_one_point_exits_3(tmp_path, capsys, points):
+    # --points 0 printed "pass" on every row and exited 0
+    code = main(["gradcheck", "--points", points, "--out", str(tmp_path / "g")])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert "points must be >= 1" in captured.err and "pass" not in captured.out
+    assert not (tmp_path / "g").exists()
 
 
 def test_train_cv_writes_search_log(pipeline, tmp_path):

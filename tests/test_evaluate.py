@@ -98,6 +98,15 @@ def test_make_queries_rejects_non_finite_window_and_clamps_a_huge_one():
     assert make_queries(u, 1e300, 10**9, seed=1) == make_queries(u, 12.0, 10**9, seed=1)
 
 
+@pytest.mark.parametrize("max_queries", [0, -5])
+def test_make_queries_rejects_fewer_than_one_query(max_queries):
+    # -5 sliced the permutation to perm[:-5], silently dropping 5 candidates;
+    # 0 failed later, in np.stack
+    u = clip_corpus([12, 9])
+    with pytest.raises(ValueError, match="max_queries must be >= 1"):
+        make_queries(u, 2.0, max_queries, seed=1)
+
+
 def test_query_pair_validation():
     QueryPair("c", 0, 2, 4)
     with pytest.raises(ValueError):

@@ -48,6 +48,13 @@ def test_run_gradcheck_passes_and_reports():
     assert text.count("pass") == 4
 
 
+@pytest.mark.parametrize("points", [0, -3])
+def test_run_gradcheck_rejects_fewer_than_one_point(points):
+    # with no points every row read max error 0.0 and passed
+    with pytest.raises(ValueError, match="points must be >= 1"):
+        run_gradcheck(seed=0, points=points)
+
+
 class _Replay:
     """Stands in for the generator: replays given normal() and integers()
     draws in order."""

@@ -270,6 +270,135 @@ def test_losses_are_nonnegative():
 
 
 # ---------------------------------------------------------------------------
+# the stacked kernels against the per-term code they replaced
+
+
+def _ref_distance_rows(a, b, metric):
+    diff = a - b
+    if metric == "l2":
+        d = np.sqrt(np.sum(diff * diff, axis=-1))
+        safe = np.where(d > 0.0, d, 1.0)
+        unit = diff / safe[..., None]
+        unit[d == 0.0] = 0.0
+    else:
+        d = np.sum(np.abs(diff), axis=-1)
+        unit = np.sign(diff)
+    return d, unit
+
+
+def _ref_contrastive_rows(a, b, p, delta, metric):
+    d, unit = _ref_distance_rows(a, b, metric)
+    pos = p.astype(bool)
+    hinge = delta - d
+    active = (~pos) & (hinge > 0.0)
+    values = np.where(pos, d, np.where(active, hinge, 0.0))
+    coeff = np.where(pos, 1.0, np.where(active, -1.0, 0.0))
+    return values, coeff[..., None] * unit
+
+
+def _ref_pair_loss(za, zb, p, margins):
+    values, da = _ref_contrastive_rows(za, zb, p, margins.delta_pair, margins.metric)
+    ga = da / len(p)
+    return LossValue(float(values.mean()), {"a": ga, "b": -ga})
+
+
+def _ref_triplet_loss(zl, zm, zn, p, margins):
+    values, du = _ref_contrastive_rows(zl - zm, zm - zn, p, margins.delta_triplet,
+                                       margins.metric)
+    du = du / len(p)
+    dv = -du
+    return LossValue(float(values.mean()), {"l": du, "m": dv - du, "n": -dv})
+
+
+def _ref_unsupervised_loss(pairs, triplets, lam_prime, margins):
+    value, grads, terms = 0.0, {}, {"slow": 0.0, "steady": 0.0}
+    if pairs is not None:
+        r2 = _ref_pair_loss(*pairs, margins)
+        value += r2.value
+        terms["slow"] = r2.value
+        grads["pair_a"], grads["pair_b"] = r2.grads["a"], r2.grads["b"]
+    if triplets is not None:
+        r3 = _ref_triplet_loss(*triplets, margins)
+        value += lam_prime * r3.value
+        terms["steady"] = r3.value
+        for k in "lmn":
+            grads[f"trip_{k}"] = lam_prime * r3.grads[k]
+    return LossValue(value, grads, terms)
+
+
+def _kinked_batch(rng, members, delta, labels):
+    """Six tuples of width 4 whose contrast rows are: coincident (d == 0),
+    nonzero with squares that underflow, exactly at the margin ``delta``,
+    then random at three scales. ``labels`` "mixed" makes the margin row a
+    negative."""
+    zs = rng.normal(size=(members, 6, 4)) * np.array([1, 1, 1, 0.05, 0.4, 3.0])[:, None]
+    zs[:, 0] = zs[0, 0]
+    zs[:, 1:3] = 0.0
+    zs[0, 1] = 1e-170 * rng.normal(size=4)
+    zs[-1, 2, 0] = delta  # contrast -delta * e0 for a pair, +delta * e0 for a triplet
+    p = {"mixed": np.array([1, 0, 0, 1, 0, 0]), "pos": np.ones(6, dtype=int),
+         "neg": np.zeros(6, dtype=int)}[labels]
+    return (*zs, p)
+
+
+def _same_bits(got: LossValue, ref: LossValue):
+    assert np.float64(got.value).tobytes() == np.float64(ref.value).tobytes()
+    assert got.terms == ref.terms
+    assert list(got.grads) == list(ref.grads)
+    for k, g in ref.grads.items():
+        assert got.grads[k].tobytes() == g.tobytes(), k
+
+
+@pytest.mark.parametrize("labels", ["mixed", "pos", "neg"])
+@pytest.mark.parametrize("metric", ["l2", "l1"])
+def test_contrastive_kernel_keeps_the_bits_of_the_per_term_code(metric, labels):
+    from ssfa.losses import _ContrastScratch, _contrastive
+
+    rng = np.random.default_rng(12)
+    margins = Margins(delta_pair=1.0, delta_triplet=1.5, metric=metric)
+    pairs = _kinked_batch(rng, 2, margins.delta_pair, labels)
+    triplets = _kinked_batch(rng, 3, margins.delta_triplet, labels)
+    d = _ref_distance_rows(pairs[0], pairs[1], metric)[0]
+    if metric == "l2":
+        assert d[0] == 0.0 and d[1] == 0.0 and pairs[0][1].any()  # the underflowing row
+    assert d[2] == margins.delta_pair
+
+    _same_bits(pair_loss(*pairs, margins), _ref_pair_loss(*pairs, margins))
+    _same_bits(triplet_loss(*triplets, margins), _ref_triplet_loss(*triplets, margins))
+    for pb, tb, lam_prime in ((pairs, triplets, 0.7), (pairs, triplets, 0.0),
+                              (pairs, None, 0.7), (None, triplets, 0.3)):
+        ref = _ref_unsupervised_loss(pb, tb, lam_prime, margins)
+        _same_bits(unsupervised_loss(pb, tb, lam_prime, margins), ref)
+        # the training step's call: lam-scaled gradients written over the member block
+        block = np.concatenate([z for b in (pb, tb) if b is not None for z in b[:-1]])
+        no_labels = np.zeros(0, dtype=int)
+        value, terms = _contrastive(_ContrastScratch(12, 4), block,
+                                    no_labels if pb is None else pb[-1],
+                                    no_labels if tb is None else tb[-1], 3.0, lam_prime, margins)
+        expect = np.concatenate(list(ref.grads.values()))
+        expect *= 3.0
+        assert block.tobytes() == expect.tobytes()
+        assert (value, terms) == (ref.value, ref.terms)
+
+
+def test_softmax_kernel_keeps_the_bits_of_the_unbuffered_code():
+    rng = np.random.default_rng(13)
+    for scale in (1.0, 1e3):
+        W, zs = rng.normal(size=(5, 4)) * scale, rng.normal(size=(7, 4))
+        ys = rng.integers(0, 5, 7)
+        logits = zs @ W.T
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        G = np.exp(logp)
+        G[np.arange(7), ys] -= 1.0
+        G /= 7
+        lv = softmax_loss(W, zs, ys)
+        assert lv.value == float(-logp[np.arange(7), ys].mean())
+        assert lv.grads["W"].tobytes() == (G.T @ zs).tobytes()
+        assert lv.grads["z"].tobytes() == (G @ W).tobytes()
+
+
+# ---------------------------------------------------------------------------
 # objectives through the network
 
 def _setup_objective(seed):

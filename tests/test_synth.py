@@ -48,6 +48,15 @@ def test_config_invariants():
         SynthConfig(motion_mode="spin")
 
 
+def test_zero_clips_config_is_labeled_only():
+    cfg = SynthConfig(num_clips=0)
+    assert len(gen_labeled(cfg, 2)) == 2 * cfg.shapes
+    with pytest.raises(ValueError, match="num_clips >= 1"):
+        gen_unlabeled(cfg)
+    with pytest.raises(ValueError, match="num_clips must be >= 0"):
+        SynthConfig(num_clips=-1)
+
+
 def test_render_patterns_are_bounded_and_distinct():
     imgs = [render_shape(i, 16, 8.0, 8.0) for i in range(len(SHAPE_NAMES))]
     for img in imgs:

@@ -141,6 +141,30 @@ def test_train_config_rejects_non_finite_values(field, value):
 # ---------------------------------------------------------------------------
 # splits and resolution
 
+@pytest.mark.parametrize("batch", [1, 3, 7, 5, 9])
+def test_tuple_stream_batches_follow_the_deck_permutations(batch):
+    # a batch takes the next rows of the current deck and, at its end, draws
+    # the next permutation only when more rows are needed
+    from ssfa.trainer import _TupleStream
+
+    idx = np.arange(21).reshape(7, 3) * 10
+    p = np.arange(7) % 2
+    stream = _TupleStream((None, idx, p), batch, np.random.default_rng(4))
+    rng, deck, pos = np.random.default_rng(4), None, 7
+    for _ in range(12):
+        sel = []
+        while len(sel) < min(batch, 7):
+            if pos == 7:
+                deck, pos = rng.permutation(7), 0
+            sel.append(deck[pos])
+            pos += 1
+        frames, got_idx, got_p = stream.take()
+        assert frames is None
+        np.testing.assert_array_equal(got_idx, idx[sel])
+        np.testing.assert_array_equal(got_p, p[sel])
+    assert stream.rng.bit_generator.state == rng.bit_generator.state
+
+
 def test_stratified_split_is_per_class():
     labels = np.array([0] * 10 + [1] * 5)
     tr, va = stratified_split(labels, 0.2, np.random.default_rng(0))
