@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import Margins, pair_loss, softmax_loss, total_objective, triplet_loss
+from .losses import Margins, Workspace, pair_loss, softmax_loss, total_objective, triplet_loss
 from .network import LayerSpec, forward, init_classifier, init_glorot, split_model
 
 H = 1e-5
@@ -165,16 +165,18 @@ def check_total(rng, points: int = 100, margins: Margins = None, corrupt=None) -
             ):
                 break
 
+        work = Workspace.fitting(spec, len(bx), pb, tb, len(W))
+
         def loss(vec):
             theta, W_ = split_model(spec, vec)
-            return total_objective(bx, by, pb, tb, theta, W_, lam, lam_prime, margins)
+            return total_objective(bx, by, pb, tb, theta, W_, lam, lam_prime, margins, work=work)
 
         vec = np.concatenate((params.flat, W.ravel()))
-        grads = loss(vec).grads
+        flat = loss(vec).grads["flat"].copy()  # the FD calls reuse the workspace
         if corrupt is not None:
-            bad = corrupt(grads)
-            grads = {"flat": np.concatenate((bad["theta"].flat, bad["W"].ravel()))}
-        return (lambda v: loss(v).value), {"flat": vec}, grads
+            bad = corrupt(dict(zip(("theta", "W"), split_model(spec, flat))))
+            flat = np.concatenate((bad["theta"].flat, bad["W"].ravel()))
+        return (lambda v: loss(v).value), {"flat": vec}, {"flat": flat}
 
     return _max_fd_error(rng, points, draw)
 

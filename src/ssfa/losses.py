@@ -15,9 +15,10 @@ the margin is 0, and sign(0) = 0 for l1.
 
 Both contrastive terms run through one private kernel over stacked contrast
 rows, and both softmax callers through one buffered softmax kernel: the
-public losses wrap them for feature batches, and the objectives run them on
-a :class:`Workspace`'s buffers, so the finite-difference audit of the public
-losses checks the code that training runs.
+public losses wrap them for feature batches, and the one objective runs
+them on a :class:`Workspace`'s buffers, so the finite-difference audit of
+the public losses checks the code that training runs. The coherence
+objective is that objective with no labeled rows.
 """
 
 from __future__ import annotations
@@ -55,8 +56,9 @@ class LossValue:
       pair_loss         "a", "b"              (per-row gradients)
       triplet_loss      "l", "m", "n"
       unsupervised_loss "pair_a", "pair_b", "trip_l", "trip_m", "trip_n"
-      coherence_objective "theta" (NetworkParams, from one fused backward)
-      total_objective   "theta" (NetworkParams), "W", "flat" (theta then W)
+      total_objective   "theta" (NetworkParams), "W", "flat" (theta then W),
+                        views of one vector from one fused backward
+      coherence_objective the same, with a 0 x k "W" and "flat" = theta.flat
     ``terms`` carries the sub-loss values ("sup", "slow", "steady") where
     applicable.
     """
@@ -310,7 +312,7 @@ def _tuples(pairs, triplets, lam_prime: float):
 
 def _fused(ws: Workspace, params: NetworkParams, lead_x, pairs, triplets, lam: float,
            lam_prime: float, margins: Margins):
-    """The one forward pass behind both objectives, over ``lead_x`` (None:
+    """The one forward pass of :func:`total_objective`, over ``lead_x`` (None:
     no lead rows) stacked on the unique table rows that the tuples' members
     name. Returns (Z, tape, coherence value, terms, dZ), the arrays in
     ``ws``; dZ holds lam times each member's feature gradient added onto
@@ -353,16 +355,14 @@ def _fused(ws: Workspace, params: NetworkParams, lead_x, pairs, triplets, lam: f
 
 def coherence_objective(pairs, triplets, params: NetworkParams, lam_prime: float,
                         margins: Margins, *, work: Workspace = None) -> LossValue:
-    """Unsupervised coherence loss through the network: the fused pass with
-    no labeled rows, over resolved (frames, idx, p) tuples on one frame
-    table. ``grads["theta"]`` is w.r.t. the one shared parameter set. The
-    triplet side is skipped entirely when lam_prime is 0. ``work`` (a
-    :class:`Workspace` with room for the batches) holds the pass's arrays
-    and the gradient; None sizes one for this call."""
-    pairs, triplets = _tuples(pairs, triplets, lam_prime)
-    ws = Workspace.fitting(params.layer_spec(), 0, pairs, triplets) if work is None else work
-    _, tape, value, terms, dZ = _fused(ws, params, None, pairs, triplets, 1.0, lam_prime, margins)
-    return LossValue(value, {"theta": backward(params, tape, dZ, ws.dtheta.flat)}, terms)
+    """Unsupervised coherence loss through the network: the joint objective
+    with no labeled rows, a 0 x k classifier and lam = 1, over resolved
+    (frames, idx, p) tuples on one frame table, so ``terms`` holds "slow"
+    and "steady" and ``grads["flat"]`` is theta.flat. The triplet side is
+    skipped entirely when lam_prime is 0."""
+    return total_objective(None, None, pairs, triplets, params,
+                           np.empty((0, params.layer_spec().out_dim)), 1.0, lam_prime, margins,
+                           work=work)
 
 
 def total_objective(batch_x, batch_y, pairs, triplets, params: NetworkParams, W, lam: float,
@@ -374,19 +374,24 @@ def total_objective(batch_x, batch_y, pairs, triplets, params: NetworkParams, W,
     + lam * lam_prime * grad(steady); the classifier gradient comes from
     the supervised term only. Both live in one vector ``grads["flat"]``
     (theta.flat followed by W, row-major) that ``grads["theta"]`` and
-    ``grads["W"]`` view. With lam = 0 the tuple inputs are ignored.
+    ``grads["W"]`` view. With lam = 0 the tuple inputs are ignored; with
+    ``batch_x`` None there is no supervised term: ``terms`` has no "sup"
+    and the classifier gradient is zero.
     ``work`` (a :class:`Workspace` with room for the batch and W's rows)
     holds the pass's arrays and the gradient; None sizes one for this call.
     """
     W = np.asarray(W, dtype=np.float64)
     pairs, triplets = _tuples(pairs, triplets, lam_prime) if lam != 0.0 else (None, None)
-    lead = len(batch_x)
+    lead = 0 if batch_x is None else len(batch_x)
     ws = (Workspace.fitting(params.layer_spec(), lead, pairs, triplets, len(W))
           if work is None else work)
     Z, tape, value, terms, dZ = _fused(ws, params, batch_x, pairs, triplets, lam, lam_prime,
                                        margins)
-    zs = Z[:lead]
-    sup = _softmax(W, zs, _labeled_batch(W, zs, batch_y), dZ[:lead], ws.dW, ws.soft)
+    if batch_x is None:
+        ws.dW.fill(0.0)
+    else:
+        zs = Z[:lead]
+        sup = _softmax(W, zs, _labeled_batch(W, zs, batch_y), dZ[:lead], ws.dW, ws.soft)
+        value, terms = sup + lam * value, {"sup": sup, **terms}
     backward(params, tape, dZ, ws.dtheta.flat)
-    return LossValue(sup + lam * value, {"theta": ws.dtheta, "W": ws.dW, "flat": ws.flat},
-                     {"sup": sup, **terms})
+    return LossValue(value, {"theta": ws.dtheta, "W": ws.dW, "flat": ws.flat}, terms)

@@ -9,7 +9,7 @@ on batches of flattened images, one sample per row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -104,8 +104,8 @@ class NetworkParams:
 class ActivationTape:
     """Intermediates of one forward pass, consumed by backward(): the input
     rows, each layer's pre-activations and outputs (the last layer's output
-    is its pre-activation array), and optional per-hidden-layer scratch for
-    backward's deltas and ReLU masks (empty lists: backward allocates them).
+    is its pre-activation array), and per-hidden-layer scratch for
+    backward's deltas and ReLU masks.
 
     ``buffers`` makes a tape of empty arrays that ``forward(..., out=)``
     fills, so a caller that repeats passes of at most the same row count
@@ -114,8 +114,8 @@ class ActivationTape:
     x: np.ndarray
     pre: list
     post: list
-    delta: list = field(default_factory=list)
-    mask: list = field(default_factory=list)
+    delta: list
+    mask: list
 
     @classmethod
     def buffers(cls, spec: "LayerSpec", rows: int) -> "ActivationTape":
@@ -160,28 +160,24 @@ def forward(params: NetworkParams, X, out: ActivationTape = None):
     (Z, tape): the (n, k) features and the activation tape for backward().
     Any other input shape is a ValueError.
 
-    ``out`` (from ``ActivationTape.buffers`` for at least n rows) receives
-    the activations in the first n rows of its arrays; the returned tape
-    and Z view them, with the first n rows of its backward scratch, and the
-    next pass into ``out`` overwrites them. None allocates the activations
-    and no scratch."""
+    The activations go into the first n rows of the arrays of ``out`` (from
+    ``ActivationTape.buffers`` for at least n rows; None: a tape sized for
+    this batch), and the returned tape and Z view them, with the first n
+    rows of its backward scratch; the next pass into ``out`` overwrites
+    them."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != params.weights[0].shape[1]:
         raise ValueError(f"input shape {X.shape} != (rows, {params.weights[0].shape[1]})")
     n = len(X)
-    tape = (ActivationTape(X, [], []) if out is None else
-            ActivationTape(X, [], [], [a[:n] for a in out.delta], [a[:n] for a in out.mask]))
+    if out is None:
+        out = ActivationTape.buffers(params.layer_spec(), n)
+    tape = ActivationTape(X, [a[:n] for a in out.pre], [a[:n] for a in out.post],
+                          [a[:n] for a in out.delta], [a[:n] for a in out.mask])
     h = X
-    last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        a = np.matmul(h, w.T, out=None if out is None else out.pre[i][:n])
+        a = np.matmul(h, w.T, out=tape.pre[i])
         a += b
-        if i < last:
-            h = np.maximum(a, 0.0, out=None if out is None else out.post[i][:n])
-        else:
-            h = a
-        tape.pre.append(a)
-        tape.post.append(h)
+        h = np.maximum(a, 0.0, out=tape.post[i]) if i < len(tape.delta) else a
     return h, tape
 
 
@@ -191,9 +187,8 @@ def backward(params: NetworkParams, tape: ActivationTape, dZ, out=None) -> Netwo
     Returns the parameter gradient, written into the flat vector ``out`` (a
     fresh one when None). The pass stops after layer 0's parameter gradient:
     the gradient w.r.t. the input is never formed. The hidden layers' deltas
-    and ReLU masks go into the tape's scratch arrays when it has them, so
-    with ``out`` and a tape from ``forward(..., out=)`` nothing is
-    allocated; ``dZ`` and the tape's activations are only read. The ReLU
+    and ReLU masks go into the tape's scratch arrays, so with ``out`` nothing
+    is allocated; ``dZ`` and the tape's activations are only read. The ReLU
     subgradient at exactly zero pre-activation is zero.
     """
     delta = np.asarray(dZ, dtype=np.float64)
@@ -206,9 +201,8 @@ def backward(params: NetworkParams, tape: ActivationTape, dZ, out=None) -> Netwo
         np.matmul(delta.T, inp, out=grad.weights[i])
         delta.sum(axis=0, out=grad.biases[i])
         if i > 0:
-            delta = np.matmul(delta, params.weights[i],
-                              out=tape.delta[i - 1] if tape.delta else None)
-            delta *= np.greater(tape.pre[i - 1], 0.0, out=tape.mask[i - 1] if tape.mask else None)
+            delta = np.matmul(delta, params.weights[i], out=tape.delta[i - 1])
+            delta *= np.greater(tape.pre[i - 1], 0.0, out=tape.mask[i - 1])
     return grad
 
 

@@ -6,11 +6,13 @@ a triplet batch of index rows into one corpus frame table. The objective
 embeds the labeled rows and the unique table rows in one forward pass and
 returns one flat gradient from one backward pass, for a single in-place
 update of the flat parameter vector (network parameters followed by the
-classifier). A run sizes the objective's buffers (a losses.Workspace) and
-the lookahead vector once, before its first step, and every step reuses
-them; the parameters a run returns are copies. An epoch is one full pass
-over the labeled training split; tuple streams cycle independently with
-their own reshuffling. Training is bit-reproducible for a fixed config.
+classifier). Supervised and unsupervised runs share one step loop: it
+sizes the objective's buffers (a losses.Workspace), the velocity and the
+lookahead vector once, before the first step, and every step reuses them;
+an unsupervised step is a joint step with no labeled batch, no classifier
+and lam = 1. The parameters a run returns are copies. An epoch is one full
+pass over the labeled training split; tuple streams cycle independently
+with their own reshuffling. Training is bit-reproducible for a fixed config.
 """
 
 from __future__ import annotations
@@ -22,14 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import LabeledSet, UnlabeledSet, prep_stack, write_atomic
-from .losses import (
-    Margins,
-    Workspace,
-    coherence_objective,
-    has_tuples,
-    softmax_loss,
-    total_objective,
-)
+from .losses import Margins, Workspace, has_tuples, softmax_loss, total_objective
 from .network import LayerSpec, NetworkParams, forward, init_classifier, init_glorot, split_model
 
 
@@ -213,20 +208,11 @@ class _TupleStream:
                 np.concatenate((tail_p, self._p[: self._pos])))
 
 
-def _one_table(pairs, triplets):
-    """``pairs`` and ``triplets`` over one frame table, as the fused
-    objective needs: two different tables are stacked here, once, and the
-    triplet rows offset past the pair table's."""
-    if pairs[0] is triplets[0]:
-        return pairs, triplets
-    frames = np.concatenate((pairs[0], triplets[0]))
-    return (frames, *pairs[1:]), (frames, triplets[1] + len(pairs[0]), triplets[2])
-
-
 def _tuple_streams(pairs, triplets, cfg: TrainConfig, seeds):
     """(pair stream, triplet stream), each None when it has no tuples or
     batch size to draw with. The triplet term is off when lam_prime is 0.
-    The two streams draw from one frame table."""
+    Two streams must draw from one frame table: different tables are a
+    ValueError."""
 
     def stream(resolved, batch, seed):
         return _TupleStream(resolved, batch, np.random.default_rng(seed))
@@ -234,18 +220,10 @@ def _tuple_streams(pairs, triplets, cfg: TrainConfig, seeds):
     trip_batch = cfg.batch_triplets if cfg.lam_prime > 0 else 0
     use_pairs = has_tuples(pairs) and cfg.batch_pairs > 0
     use_trips = has_tuples(triplets) and trip_batch > 0
-    if use_pairs and use_trips:
-        pairs, triplets = _one_table(pairs, triplets)
+    if use_pairs and use_trips and pairs[0] is not triplets[0]:
+        raise ValueError("pairs and triplets must index one frame table")
     return (stream(pairs, cfg.batch_pairs, seeds[0]) if use_pairs else None,
             stream(triplets, trip_batch, seeds[1]) if use_trips else None)
-
-
-def _workspace(layer_spec: LayerSpec, lead: int, streams, classes: int = 0) -> Workspace:
-    """One run's objective workspace: room for ``lead`` labeled rows plus
-    the tuple members of one step of ``streams``."""
-    live = [s for s in streams if s is not None]
-    return Workspace(layer_spec, lead, len(live[0].frames) if live else 0,
-                     sum(s.batch * s.idx.shape[1] for s in live), classes)
 
 
 def _check_terms(terms: dict) -> None:
@@ -254,32 +232,40 @@ def _check_terms(terms: dict) -> None:
             raise OptimizerError(f"non-finite loss term {name}")
 
 
-def _run_steps(theta, velocity, look, batches, streams, objective, cfg: TrainConfig):
-    """The training-step loop: one in-place Nesterov step of ``theta`` and
-    ``velocity`` per labeled batch (None when there is no supervised term),
-    each with fresh tuple batches. ``objective(batch, pairs, triplets)``
-    evaluates at the lookahead buffer ``look``, which its parameter views
-    share, and returns (LossValue, flat gradient). Returns the mean loss
-    terms."""
-    pair_stream, trip_stream = streams
-    sums = {"sup": 0.0, "slow": 0.0, "steady": 0.0}
-    steps = 0
-    for batch in batches:
-        pb = pair_stream.take() if pair_stream is not None else None
-        tb = trip_stream.take() if trip_stream is not None else None
-        step_terms = {}
+def _stepper(theta, layer_spec: LayerSpec, lead: int, streams, cfg: TrainConfig):
+    """The one training-step loop of ``theta``, the flat vector of network
+    parameters followed by the row-major classifier (none when theta holds
+    the parameters alone). It sizes the velocity, the lookahead vector and
+    the objective's workspace (``lead`` labeled rows plus the tuple members
+    of one step of ``streams``) once, and returns ``steps(batches)``: one
+    in-place Nesterov step of ``total_objective`` per labeled batch (x, y),
+    or (None, None) for no supervised term, each with fresh tuple batches.
+    ``steps`` returns the mean loss terms."""
+    velocity, look = np.zeros_like(theta), np.empty_like(theta)
+    look_net, look_W = split_model(layer_spec, look)  # the objective evaluates here
+    live = [s for s in streams if s is not None]
+    work = Workspace(layer_spec, lead, len(live[0].frames) if live else 0,
+                     sum(s.batch * s.idx.shape[1] for s in live), len(look_W))
 
-        def grad_fn(_look):
-            lv, grad = objective(batch, pb, tb)
-            _check_terms(lv.terms)
-            step_terms.update(lv.terms)
-            return grad
+    def steps(batches):
+        sums = {"sup": 0.0, "slow": 0.0, "steady": 0.0}
+        for count, (bx, by) in enumerate(batches, 1):
+            pb, tb = (None if s is None else s.take() for s in streams)
+            step_terms = {}
 
-        nesterov_step(theta, velocity, look, grad_fn, cfg.lr, cfg.momentum)
-        for k in sums:
-            sums[k] += step_terms.get(k, 0.0)
-        steps += 1
-    return {k: v / steps for k, v in sums.items()}
+            def grad_fn(_look):
+                lv = total_objective(bx, by, pb, tb, look_net, look_W, cfg.lam, cfg.lam_prime,
+                                     cfg.margins, work=work)
+                _check_terms(lv.terms)
+                step_terms.update(lv.terms)
+                return lv.grads["flat"]
+
+            nesterov_step(theta, velocity, look, grad_fn, cfg.lr, cfg.momentum)
+            for k in sums:
+                sums[k] += step_terms.get(k, 0.0)
+        return {k: v / count for k, v in sums.items()}
+
+    return steps
 
 
 def train(labeled: LabeledSet, pairs, triplets, layer_spec: LayerSpec, cfg: TrainConfig):
@@ -287,8 +273,7 @@ def train(labeled: LabeledSet, pairs, triplets, layer_spec: LayerSpec, cfg: Trai
 
     ``pairs``/``triplets`` are resolved tuples from
     :func:`resolve_pairs` / :func:`resolve_triplets` (or None when
-    lam == 0); tuples on two different frame tables are stacked onto one,
-    once, before the first step. The returned parameters are a copy of the
+    lam == 0), on one frame table. The returned parameters are a copy of the
     ones from the epoch with the lowest validation classification loss, not
     the final ones. lam > 0 with no tuple batch to draw (batch sizes of 0,
     or only triplets with lam_prime = 0) is a ConfigError.
@@ -317,15 +302,9 @@ def train(labeled: LabeledSet, pairs, triplets, layer_spec: LayerSpec, cfg: Trai
             raise ConfigError("lam > 0 but nothing to optimize: check batch sizes and lam_prime")
 
     theta = np.concatenate([params.flat, W.ravel()])  # the split_model layout
-    velocity, look, best_theta = np.zeros_like(theta), np.empty_like(theta), np.empty_like(theta)
+    best_theta = np.empty_like(theta)
     net, Wc = split_model(layer_spec, theta)  # views: they follow the in-place steps
-    look_net, look_W = split_model(layer_spec, look)
-    work = _workspace(layer_spec, min(cfg.batch_labeled, len(yt)), streams, len(W))
-
-    def objective(batch, pb, tb):
-        lv = total_objective(*batch, pb, tb, look_net, look_W, cfg.lam, cfg.lam_prime,
-                             cfg.margins, work=work)
-        return lv, lv.grads["flat"]
+    steps = _stepper(theta, layer_spec, min(cfg.batch_labeled, len(yt)), streams, cfg)
 
     history = []
     best_val, best_epoch, stale = np.inf, -1, 0
@@ -333,8 +312,7 @@ def train(labeled: LabeledSet, pairs, triplets, layer_spec: LayerSpec, cfg: Trai
     for epoch in range(1, cfg.max_epochs + 1):
         order = rng_shuffle.permutation(len(yt))
         sels = (order[i : i + cfg.batch_labeled] for i in range(0, len(order), cfg.batch_labeled))
-        batches = ((Xt[sel], yt[sel]) for sel in sels)
-        means = _run_steps(theta, velocity, look, batches, streams, objective, cfg)
+        means = steps((Xt[sel], yt[sel]) for sel in sels)
 
         zv, _ = forward(net, Xv)
         val_loss = softmax_loss(Wc, zv, yv).value
@@ -358,7 +336,8 @@ def train(labeled: LabeledSet, pairs, triplets, layer_spec: LayerSpec, cfg: Trai
 
 def train_unsupervised(pairs, triplets, layer_spec: LayerSpec, cfg: TrainConfig,
                        passes: int = 3):
-    """Optimize the coherence loss alone (no supervised term, no classifier).
+    """Optimize the coherence loss alone (no supervised term, no classifier):
+    the joint objective's steps with lam = 1, whatever ``cfg.lam`` is.
 
     One pass cycles once through the pair set (or the triplet set when no
     pairs are given). Returns (initial params, [params after each pass],
@@ -373,26 +352,16 @@ def train_unsupervised(pairs, triplets, layer_spec: LayerSpec, cfg: TrainConfig,
     seeds = np.random.SeedSequence(cfg.seed).spawn(3)
     params = init_glorot(layer_spec, seeds[0])
     streams = _tuple_streams(pairs, triplets, cfg, seeds[1:3])
-    if streams[0] is not None:
-        steps_per_pass = math.ceil(len(pairs[-1]) / cfg.batch_pairs)
-    elif streams[1] is not None:
-        steps_per_pass = math.ceil(len(triplets[-1]) / cfg.batch_triplets)
-    else:
+    live = [s for s in streams if s is not None]
+    if not live:
         raise ConfigError("nothing to optimize: check batch sizes and lam_prime")
+    steps_per_pass = math.ceil(live[0].n / live[0].batch)
 
     theta = params.flat.copy()  # init stays as drawn
-    velocity, look = np.zeros_like(theta), np.empty_like(theta)
-    look_net = NetworkParams.from_flat(layer_spec, look)
-    work = _workspace(layer_spec, 0, streams)
-
-    def objective(batch, pb, tb):
-        lv = coherence_objective(pb, tb, look_net, cfg.lam_prime, cfg.margins, work=work)
-        return lv, lv.grads["theta"].flat
-
+    steps = _stepper(theta, layer_spec, 0, streams, replace(cfg, lam=1.0))
     snapshots, rows = [], []
     for pass_i in range(1, passes + 1):
-        batches = itertools.repeat(None, steps_per_pass)
-        means = _run_steps(theta, velocity, look, batches, streams, objective, cfg)
+        means = steps(itertools.repeat((None, None), steps_per_pass))
         snapshots.append(NetworkParams.from_flat(layer_spec, theta.copy()))
         rows.append((pass_i, means["slow"], means["steady"]))
     return params, snapshots, rows

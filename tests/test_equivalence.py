@@ -41,7 +41,6 @@ from ssfa.network import (
 from ssfa.synth import SynthConfig, gen_labeled, gen_unlabeled
 from ssfa.trainer import (
     TrainConfig,
-    _one_table,
     resolve_pairs,
     resolve_triplets,
     stratified_split,
@@ -341,28 +340,18 @@ def test_one_forward_and_one_backward_per_objective(data, monkeypatch):
     assert calls == {"forward": 2, "backward": 2}
 
 
-def test_tuples_on_different_tables_match_a_shared_table(data):
+def test_tuples_on_different_tables_are_refused(data):
+    # the triplets on a copy of the shared table: training and the
+    # objective refuse two tables rather than stack them
     labeled, pairs, triplets = data
-    # the triplets on a row-permuted copy of the table: training stacks the
-    # two tables once and must offset the triplet rows into the second
-    perm = np.random.default_rng(0).permutation(len(triplets[0]))
-    split = pairs, (triplets[0][perm], np.argsort(perm)[triplets[1]], triplets[2])
+    split = pairs, (triplets[0].copy(), *triplets[1:])
     cfg = TrainConfig(lr=0.02, lam=3.0, lam_prime=0.3, batch_labeled=4, batch_pairs=17,
                       batch_triplets=13, max_epochs=2, patience=2, seed=1)
-    params, W, hist = train(labeled, pairs, triplets, SPEC, cfg)
-    s_params, s_W, s_hist = train(labeled, *split, SPEC, cfg)
-    assert s_hist.best_epoch == hist.best_epoch
-    _assert_rows_close([tuple(vars(e).values()) for e in s_hist.epochs],
-                       [tuple(vars(e).values()) for e in hist.epochs])
-    _assert_close(_blocks(s_params) + [s_W], _blocks(params) + [W], RUN_RTOL)
-    # one objective on the stacked table against the shared one
-    pb, tb = _one_table(_draw(split[0], 40, 5), _draw(split[1], 30, 6))
-    assert pb[0] is tb[0] and len(pb[0]) == 2 * len(pairs[0])
+    with pytest.raises(ValueError, match="one frame table"):
+        train(labeled, *split, SPEC, cfg)
+    with pytest.raises(ValueError, match="one frame table"):
+        train_unsupervised(*split, SPEC, cfg, passes=1)
     net, W0 = _model(6)
     bx, by = prep_stack(labeled.images[:4]), np.array(labeled.labels[:4])
-    lv = total_objective(bx, by, pb, tb, net, W0, 2.0, 0.5, Margins())
-    shared = total_objective(bx, by, _draw(pairs, 40, 5), _draw(triplets, 30, 6), net, W0,
-                             2.0, 0.5, Margins())
-    _assert_close([lv.grads["flat"]], [shared.grads["flat"]], GRAD_RTOL)
     with pytest.raises(ValueError, match="one frame table"):
         total_objective(bx, by, *split, net, W0, 2.0, 0.5, Margins())

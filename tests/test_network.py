@@ -6,6 +6,7 @@ import pytest
 from ssfa.data import Frame, LabeledSet
 from ssfa.evaluate import linear_accuracy
 from ssfa.network import (
+    ActivationTape,
     LayerSpec,
     NetworkParams,
     backward,
@@ -177,6 +178,24 @@ def test_backward_without_input_grad_is_bit_identical(sizes, rows, use_out):
     assert grad.flat.tobytes() == full.tobytes()
     if use_out:
         assert grad.flat is out
+
+
+@pytest.mark.parametrize("sizes", [(5, 4, 3), (64, 9, 7, 5)])
+def test_forward_into_an_oversized_tape_is_bit_identical(sizes):
+    # forward's default tape is sized for the batch; a buffer tape with spare
+    # rows gives the same features, activations and gradients
+    rng = np.random.default_rng(sum(sizes))
+    spec = LayerSpec(sizes)
+    params = init_glorot(spec, 5)
+    x = rng.normal(size=(6, spec.in_dim))
+    dz = rng.normal(size=(6, spec.out_dim))
+    z, tape = forward(params, x)
+    z_buf, tape_buf = forward(params, x, out=ActivationTape.buffers(spec, 11))
+    assert z.tobytes() == z_buf.tobytes()
+    for a, b in zip(tape.pre + tape.post, tape_buf.pre + tape_buf.post):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    grad = backward(params, tape, dz)
+    assert grad.flat.tobytes() == backward(params, tape_buf, dz).flat.tobytes()
 
 
 def test_dead_relu_blocks_gradient():

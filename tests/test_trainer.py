@@ -358,6 +358,17 @@ def test_train_unsupervised_deterministic():
     assert s1[-1].weights[0].tobytes() == s2[-1].weights[0].tobytes()
 
 
+def test_train_unsupervised_ignores_lam():
+    # an unsupervised step is the joint step at lam = 1, whatever cfg.lam is
+    _, pairs, triplets = small_data(seed=9)
+    runs = [train_unsupervised(pairs, triplets, SPEC,
+                               TrainConfig(lr=0.01, lam=lam, lam_prime=0.5, seed=4), passes=2)
+            for lam in (0.0, 5.0)]
+    (_, s0, r0), (_, s5, r5) = runs
+    assert [s.flat.tobytes() for s in s0] == [s.flat.tobytes() for s in s5]
+    assert r0 == r5
+
+
 # ---------------------------------------------------------------------------
 # greedy staged search
 
