@@ -20,7 +20,6 @@ from .data import (
     UnlabeledSet,
     load_manifest,
     load_pgm,
-    preprocess,
     prep_stack,
     save_pgm,
     write_labeled,

@@ -42,13 +42,16 @@ def _apply_threads(threads) -> None:
 
 
 def _parse_config_file(path: Path) -> dict:
+    from .data import _significant_lines
+
     if not path.is_file():
         raise CliConfigError(f"config file not found: {path}")
+    try:
+        lines = _significant_lines(path)
+    except UnicodeDecodeError as e:
+        raise CliConfigError(f"{path}: not {e.encoding} text: {e.reason}") from None
     out = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in lines:
         if "=" not in line:
             raise CliConfigError(f"{path}: line {lineno}: expected key = value")
         key, value = line.split("=", 1)
@@ -107,8 +110,19 @@ def _hidden_sizes(text: str):
         raise CliConfigError(f"bad hidden layer list {text!r}") from None
 
 
+def _load_manifest(path, flag: str, labeled: bool):
+    """The dataset at ``path``; a CliConfigError unless its kind is the one ``flag`` needs."""
+    from .data import LabeledSet, load_manifest
+
+    ds = load_manifest(path)
+    if isinstance(ds, LabeledSet) != labeled:
+        raise CliConfigError(f"{flag} {path} is not {'a' if labeled else 'an un'}labeled manifest")
+    return ds
+
+
 # ---------------------------------------------------------------------------
-# Subcommand implementations (imports deferred until after thread pinning)
+# Subcommand implementations. Their imports are deferred past thread pinning,
+# but that matters only once importing the package no longer loads numpy.
 
 def cmd_synth(args) -> int:
     from . import data, synth
@@ -156,11 +170,9 @@ def cmd_fixtures(args) -> int:
 
 
 def cmd_mine(args) -> int:
-    from . import data, mining
+    from . import mining
 
-    u = data.load_manifest(args.data)
-    if not isinstance(u, data.UnlabeledSet):
-        raise CliConfigError(f"{args.data} is a labeled manifest; mining needs clips")
+    u = _load_manifest(args.data, "--data", labeled=False)
     cfg = mining.MiningConfig(
         T_seconds=args.T,
         pair_neg_ratio=args.pair_neg_ratio,
@@ -217,11 +229,9 @@ def _train_config(args, losses, trainer):
 
 
 def cmd_train(args) -> int:
-    from . import data, losses, mining, network, trainer
+    from . import losses, mining, network, trainer
 
-    labeled = data.load_manifest(args.labeled)
-    if not isinstance(labeled, data.LabeledSet):
-        raise CliConfigError(f"{args.labeled} is not a labeled manifest")
+    labeled = _load_manifest(args.labeled, "--labeled", labeled=True)
     if len(labeled) == 0:
         raise trainer.ConfigError(f"{args.labeled}: labeled set is empty")
     cfg = _train_config(args, losses, trainer)
@@ -230,7 +240,7 @@ def cmd_train(args) -> int:
     if cfg.lam > 0:
         if not args.unlabeled or not args.pairs:
             raise CliConfigError("this method needs --unlabeled and --pairs")
-        u = data.load_manifest(args.unlabeled)
+        u = _load_manifest(args.unlabeled, "--unlabeled", labeled=False)
         pair_samples, trip_from_pairs = mining.load_tuples(args.pairs)
         trip_samples = list(trip_from_pairs)
         if args.triplets:
@@ -270,12 +280,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval_seqcomp(args) -> int:
-    from . import data, evaluate, network
+    from . import evaluate, network
 
     params, _ = network.load_checkpoint(args.checkpoint)
-    u = data.load_manifest(args.unlabeled)
-    if not isinstance(u, data.UnlabeledSet):
-        raise CliConfigError(f"{args.unlabeled} is not an unlabeled manifest")
+    u = _load_manifest(args.unlabeled, "--unlabeled", labeled=False)
     queries = evaluate.make_queries(u, args.T, args.queries, args.seed)
     pool = evaluate.build_pool(queries, u, args.pool_n, args.seed + 1)
     ranks = evaluate.seqcomp_ranks(queries, pool, params)
@@ -300,12 +308,10 @@ def cmd_eval_seqcomp(args) -> int:
 
 
 def cmd_eval_cls(args) -> int:
-    from . import data, evaluate, network
+    from . import evaluate, network
 
     params, W = network.load_checkpoint(args.checkpoint)
-    test = data.load_manifest(args.test)
-    if not isinstance(test, data.LabeledSet):
-        raise CliConfigError(f"{args.test} is not a labeled manifest")
+    test = _load_manifest(args.test, "--test", labeled=True)
     acc = evaluate.linear_accuracy(params, W, test)
     out = Path(args.out)
     _echo_config(args, out)
@@ -318,14 +324,11 @@ def cmd_eval_cls(args) -> int:
 
 
 def cmd_eval_knn(args) -> int:
-    from . import data, evaluate, network
+    from . import evaluate, network
 
     params, _ = network.load_checkpoint(args.checkpoint)
-    train_set = data.load_manifest(args.train)
-    test_set = data.load_manifest(args.test)
-    for name, ds in (("--train", train_set), ("--test", test_set)):
-        if not isinstance(ds, data.LabeledSet):
-            raise CliConfigError(f"{name} manifest is not labeled")
+    train_set = _load_manifest(args.train, "--train", labeled=True)
+    test_set = _load_manifest(args.test, "--test", labeled=True)
     acc = evaluate.knn_accuracy(params, train_set, test_set, k=args.k)
     out = Path(args.out)
     _echo_config(args, out)
@@ -481,18 +484,11 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # runtime/computation failures
-        from . import data, mining, trainer
+        from . import mining, trainer
 
-        known = (
-            mining.MiningError,
-            trainer.OptimizerError,
-            trainer.SearchError,
-            trainer.ConfigError,
-            data.ManifestError,
-            data.PgmFormatError,
-            OSError,
-            ValueError,
-        )
+        # ValueError covers the config, manifest and PGM errors
+        known = (mining.MiningError, trainer.OptimizerError, trainer.SearchError, OSError,
+                 ValueError, MemoryError)
         if isinstance(e, known):
             print(f"error: {e}", file=sys.stderr)
             return 3

@@ -1,13 +1,14 @@
 """Frames, clips, labeled/unlabeled datasets, preprocessing and on-disk formats.
 
 Images are grayscale, stored as flat float64 arrays in row-major order.
-Raw pixel values live in [0, 1]; after :func:`preprocess` they are
+Raw pixel values live in [0, 1]; after :func:`prep_stack` they are
 unbounded (zero mean, unit variance per image).
 """
 
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -17,6 +18,8 @@ import numpy as np
 STD_FLOOR = 1e-8
 
 _WHITESPACE = b" \t\r\n\v\f"
+# a '#' that starts a token comments out the rest of its line
+_COMMENT = re.compile(rb"(?<![^ \t\r\n\v\f])#[^\r\n]*")
 
 
 class PgmFormatError(ValueError):
@@ -132,19 +135,11 @@ class UnlabeledSet:
         return X
 
 
-def preprocess(frame: Frame) -> Frame:
-    """Per-image standardization: subtract the mean, divide by the
-    population standard deviation (floored at ``STD_FLOOR``).
-
-    Constant frames map to all zeros.
-    """
-    p = frame.pixels
-    centered = p - p.mean()
-    return Frame(frame.width, frame.height, centered / max(p.std(), STD_FLOOR))
-
-
 def prep_stack(frames) -> np.ndarray:
-    """Preprocess and flatten a sequence of same-sized frames into an (n, w*h) array."""
+    """Standardize and flatten a sequence of same-sized frames into an
+    (n, w*h) array: each row minus its mean, divided by its population
+    standard deviation floored at ``STD_FLOOR``, so a constant frame maps
+    to zeros."""
     X = np.stack([f.pixels for f in frames])
     mu = X.mean(axis=1, keepdims=True)
     sd = np.maximum(X.std(axis=1, keepdims=True), STD_FLOOR)
@@ -234,16 +229,16 @@ def load_pgm(path) -> Frame:
             raise OSError(f"{path}: truncated P5 payload ({len(payload)} of {need} bytes)")
         arr = np.frombuffer(payload, dtype=">u2" if wide else np.uint8).astype(np.float64)
     else:
-        vals = np.empty(count, dtype=np.float64)
-        for i in range(count):
-            tok, pos = _next_token(data, pos)
-            if tok is None:
-                raise OSError(f"{path}: truncated P2 payload ({i} of {count} samples)")
+        # counted before any array is built: a header larger than the file sizes none
+        vals = []
+        for tok in _COMMENT.sub(b"", data[pos:]).split()[:count]:
             try:
-                vals[i] = int(tok)
+                vals.append(int(tok))
             except ValueError:
                 raise PgmFormatError(f"{path}: bad P2 sample {tok!r}") from None
-        arr = vals
+        if len(vals) < count:
+            raise OSError(f"{path}: truncated P2 payload ({len(vals)} of {count} samples)")
+        arr = np.array(vals, dtype=np.float64)
     if arr.size and arr.max() > maxval:
         raise PgmFormatError(f"{path}: sample value exceeds maxval {maxval}")
     return Frame(width, height, arr / maxval)
@@ -264,9 +259,10 @@ def save_pgm(frame: Frame, path) -> None:
 # Labeled:   header `classes<TAB>C`, then one `image_path<TAB>label` per line.
 # Paths are relative to the manifest's directory; lines starting '#' ignored.
 
-def _significant_lines(path: Path):
+def _significant_lines(path):
+    """(line number, stripped line) of each line of ``path`` that is not blank or a '#' comment."""
     out = []
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

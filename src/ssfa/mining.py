@@ -21,11 +21,10 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .data import UnlabeledSet, write_atomic
+from .data import UnlabeledSet, _significant_lines, write_atomic
 
 log = logging.getLogger(__name__)
 
@@ -249,10 +248,7 @@ def save_tuples(path, samples, cfg: MiningConfig) -> None:
 def load_tuples(path):
     """Read a tuple file; returns (pairs, triplets)."""
     pairs, triplets = [], []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _significant_lines(path):
         tok = line.split()
         if tok[0] == "PAIR" and len(tok) == 5:
             pairs.append(PairSample(tok[1], int(tok[2]), int(tok[3]), int(tok[4])))

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import LabeledSet, UnlabeledSet, prep_stack, write_atomic
-from .losses import Margins, Workspace, has_tuples, softmax_loss, total_objective
+from .losses import Margins, Workspace, _tuples, softmax_loss, total_objective
 from .network import LayerSpec, NetworkParams, forward, init_classifier, init_glorot, split_model
 
 
@@ -209,21 +209,13 @@ class _TupleStream:
 
 
 def _tuple_streams(pairs, triplets, cfg: TrainConfig, seeds):
-    """(pair stream, triplet stream), each None when it has no tuples or
-    batch size to draw with. The triplet term is off when lam_prime is 0.
-    Two streams must draw from one frame table: different tables are a
-    ValueError."""
-
-    def stream(resolved, batch, seed):
-        return _TupleStream(resolved, batch, np.random.default_rng(seed))
-
-    trip_batch = cfg.batch_triplets if cfg.lam_prime > 0 else 0
-    use_pairs = has_tuples(pairs) and cfg.batch_pairs > 0
-    use_trips = has_tuples(triplets) and trip_batch > 0
-    if use_pairs and use_trips and pairs[0] is not triplets[0]:
-        raise ValueError("pairs and triplets must index one frame table")
-    return (stream(pairs, cfg.batch_pairs, seeds[0]) if use_pairs else None,
-            stream(triplets, trip_batch, seeds[1]) if use_trips else None)
+    """(pair stream, triplet stream) over the sides that the objective's
+    ``_tuples`` keeps, each None when its side is dropped or its batch size
+    is 0."""
+    sides = _tuples(pairs, triplets, cfg.lam_prime)
+    return tuple(None if b is None or batch == 0
+                 else _TupleStream(b, batch, np.random.default_rng(seed))
+                 for b, batch, seed in zip(sides, (cfg.batch_pairs, cfg.batch_triplets), seeds))
 
 
 def _check_terms(terms: dict) -> None:
@@ -241,9 +233,12 @@ def _stepper(theta, layer_spec: LayerSpec, lead: int, streams, cfg: TrainConfig)
     in-place Nesterov step of ``total_objective`` per labeled batch (x, y),
     or (None, None) for no supervised term, each with fresh tuple batches.
     ``steps`` returns the mean loss terms."""
+    live = [s for s in streams if s is not None]
+    if live and live[0].frames.shape[1] != layer_spec.in_dim:
+        raise ConfigError(f"frame table dim {live[0].frames.shape[1]} != network input dim "
+                          f"{layer_spec.in_dim}")
     velocity, look = np.zeros_like(theta), np.empty_like(theta)
     look_net, look_W = split_model(layer_spec, look)  # the objective evaluates here
-    live = [s for s in streams if s is not None]
     work = Workspace(layer_spec, lead, len(live[0].frames) if live else 0,
                      sum(s.batch * s.idx.shape[1] for s in live), len(look_W))
 
@@ -275,13 +270,11 @@ def train(labeled: LabeledSet, pairs, triplets, layer_spec: LayerSpec, cfg: Trai
     :func:`resolve_pairs` / :func:`resolve_triplets` (or None when
     lam == 0), on one frame table. The returned parameters are a copy of the
     ones from the epoch with the lowest validation classification loss, not
-    the final ones. lam > 0 with no tuple batch to draw (batch sizes of 0,
-    or only triplets with lam_prime = 0) is a ConfigError.
+    the final ones. lam > 0 with no tuple batch to draw (no tuples, batch
+    sizes of 0, or only triplets with lam_prime = 0) is a ConfigError.
     """
     if len(labeled) == 0:
         raise ConfigError("labeled set is empty")
-    if cfg.lam > 0 and not has_tuples(pairs) and not has_tuples(triplets):
-        raise ConfigError("lam > 0 requires mined pairs and/or triplets")
 
     seeds = np.random.SeedSequence(cfg.seed).spawn(6)
     params = init_glorot(layer_spec, seeds[0])
@@ -299,7 +292,7 @@ def train(labeled: LabeledSet, pairs, triplets, layer_spec: LayerSpec, cfg: Trai
     if cfg.lam > 0:
         streams = _tuple_streams(pairs, triplets, cfg, seeds[4:6])
         if streams == (None, None):
-            raise ConfigError("lam > 0 but nothing to optimize: check batch sizes and lam_prime")
+            raise ConfigError("lam > 0 but nothing to optimize: check tuples, batch sizes, lam_prime")
 
     theta = np.concatenate([params.flat, W.ravel()])  # the split_model layout
     best_theta = np.empty_like(theta)
@@ -344,8 +337,6 @@ def train_unsupervised(pairs, triplets, layer_spec: LayerSpec, cfg: TrainConfig,
     per-pass (slow, steady) mean loss rows); each is its own copy, which
     later passes do not touch.
     """
-    if not has_tuples(pairs) and not has_tuples(triplets):
-        raise ConfigError("unsupervised training needs mined pairs and/or triplets")
     if passes < 1:
         raise ConfigError("passes must be >= 1")
 
@@ -354,7 +345,7 @@ def train_unsupervised(pairs, triplets, layer_spec: LayerSpec, cfg: TrainConfig,
     streams = _tuple_streams(pairs, triplets, cfg, seeds[1:3])
     live = [s for s in streams if s is not None]
     if not live:
-        raise ConfigError("nothing to optimize: check batch sizes and lam_prime")
+        raise ConfigError("nothing to optimize: check tuples, batch sizes and lam_prime")
     steps_per_pass = math.ceil(live[0].n / live[0].batch)
 
     theta = params.flat.copy()  # init stays as drawn

@@ -1,10 +1,14 @@
 import argparse
+import contextlib
 import json
 import os
+import sys
 
 import pytest
 
-from ssfa.cli import CliConfigError, _apply_config, _build_parser, main
+from ssfa.cli import CliConfigError, _apply_config, _build_parser, _parse_config_file, main
+from ssfa.data import ManifestError, load_manifest
+from ssfa.mining import PairSample, load_tuples
 
 
 def run_ok(argv):
@@ -418,3 +422,91 @@ def test_tuple_naming_unknown_clip_or_frame_exits_3(pipeline, tmp_path, capsys):
                      "--epochs", "1", "--out", str(tmp_path / "run")])
         assert code == 3, line
         assert line.split()[1] in capsys.readouterr().err
+
+
+@contextlib.contextmanager
+def _address_space_cap(extra=2**31):
+    """Cap this process's address space at its current size plus ``extra``,
+    so that an oversized allocation fails on hosts that overcommit memory."""
+    if not sys.platform.startswith("linux"):
+        yield
+        return
+    import resource
+
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    with open("/proc/self/statm") as f:
+        size = int(f.read().split()[0]) * resource.getpagesize()
+    cap = size + extra if hard == resource.RLIM_INFINITY else min(size + extra, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+def _argv_for(case, data, run, tmp_path):
+    labeled, unlabeled = str(data / "labeled.txt"), str(data / "unlabeled.txt")
+    ckpt, out = str(run / "checkpoint.ckpt"), str(tmp_path / "out")
+    if case == "train_unlabeled_is_labeled":
+        pairs = tmp_path / "pairs.txt"
+        pairs.write_text("PAIR c 1 0 1\n")
+        return ["train", "--labeled", labeled, "--unlabeled", labeled, "--pairs", str(pairs),
+                "--out", out]
+    if case == "mine_huge_p2_header":
+        (tmp_path / "huge.pgm").write_bytes(b"P2 100000 100000 9 1")  # 20 bytes
+        (tmp_path / "clips.txt").write_text("c\t1.0\thuge.pgm\n")
+        return ["mine", "--data", str(tmp_path / "clips.txt"), "--out", out]
+    if case == "synth_grid_too_large":
+        return ["synth", "--out", out, "--grid", "100000", "--clips", "1", "--clip-len", "5"]
+    if case == "config_not_utf8":
+        (tmp_path / "c.cfg").write_bytes(b"\xff\xfeclips = 2\n")
+        return ["synth", "--config", str(tmp_path / "c.cfg"), "--out", out]
+    return {
+        "mine_data_is_labeled": ["mine", "--data", labeled, "--out", out],
+        "seqcomp_unlabeled_is_labeled": ["eval-seqcomp", "--checkpoint", ckpt,
+                                         "--unlabeled", labeled, "--out", out],
+        "cls_test_is_unlabeled": ["eval-cls", "--checkpoint", ckpt, "--test", unlabeled,
+                                  "--out", out],
+        "knn_train_is_unlabeled": ["eval-knn", "--checkpoint", ckpt, "--train", unlabeled,
+                                   "--test", labeled, "--out", out],
+    }[case]
+
+
+@pytest.mark.parametrize("case, code", [
+    ("train_unlabeled_is_labeled", 2),
+    ("mine_huge_p2_header", 3),
+    ("synth_grid_too_large", 3),
+    ("config_not_utf8", 2),
+    ("mine_data_is_labeled", 2),
+    ("seqcomp_unlabeled_is_labeled", 2),
+    ("cls_test_is_unlabeled", 2),
+    ("knn_train_is_unlabeled", 2),
+])
+def test_bad_input_exits_2_or_3_without_traceback(pipeline, tmp_path, capsys, case, code):
+    # every bad input is a usage error (2) or a runtime error (3), reported
+    # in one line
+    _, data, _, run = pipeline
+    argv = _argv_for(case, data, run, tmp_path)
+    with _address_space_cap():
+        assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_line_readers_skip_the_same_lines(tmp_path, capsys):
+    # one CRLF file: blank, indented comment, whitespace-only, then a line
+    # that no reader accepts; each reader reports it as line 4
+    text = b"\r\n  \t# indented comment\r\n \t \r\nnot a record\r\n"
+    path = tmp_path / "lines.txt"
+    path.write_bytes(text)
+    with pytest.raises(ManifestError, match=r"line 4: expected 3 tab-separated fields"):
+        load_manifest(path)
+    with pytest.raises(ValueError, match=r"line 4: bad tuple line 'not a record'"):
+        load_tuples(path)
+    assert main(["synth", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "line 4: expected key = value" in capsys.readouterr().err
+    # with the record made valid for each, every reader sees exactly it
+    path.write_bytes(text.replace(b"not a record", b"PAIR c 1 0 1"))
+    assert load_tuples(path) == ([PairSample("c", 1, 0, 1)], [])
+    path.write_bytes(text.replace(b"not a record", b"clips = 2"))
+    assert _parse_config_file(path) == {"clips": "2"}

@@ -11,7 +11,6 @@ from ssfa.data import (
     load_manifest,
     load_pgm,
     prep_stack,
-    preprocess,
     save_pgm,
     write_labeled,
     write_unlabeled,
@@ -77,6 +76,40 @@ def test_load_pgm_p2_and_comments(tmp_path):
     np.testing.assert_allclose(f.pixels, [0.0, 1.0])
 
 
+def test_load_pgm_p2_comment_rule_and_errors(tmp_path):
+    # a '#' that starts a token comments out the rest of its line; one
+    # inside a token is part of the sample
+    p = tmp_path / "t.pgm"
+    p.write_bytes(b"P2 3 1 9\r\n1 #2\r\n\t#x 3\n2\v9 junk past the raster")
+    np.testing.assert_allclose(load_pgm(p).pixels, [1 / 9, 2 / 9, 1.0])
+    p.write_bytes(b"P2 2 1 9\n1 2#x\n")
+    with pytest.raises(PgmFormatError, match=r"bad P2 sample b'2#x'"):
+        load_pgm(p)
+    p.write_bytes(b"P2 2 2 9\n1 #c 2\n3\n")
+    with pytest.raises(OSError, match=r"truncated P2 payload \(2 of 4 samples\)"):
+        load_pgm(p)
+
+
+# a 20-byte P2 file whose header claims 10^10 samples
+HUGE_P2_HEADER = b"P2 100000 100000 9 1"
+
+
+def test_load_pgm_p2_header_larger_than_file_allocates_nothing(tmp_path):
+    import tracemalloc
+
+    p = tmp_path / "huge.pgm"
+    p.write_bytes(HUGE_P2_HEADER)
+    assert len(HUGE_P2_HEADER) == 20
+    tracemalloc.start()
+    try:
+        with pytest.raises(OSError, match=r"truncated P2 payload \(1 of 10000000000 samples\)"):
+            load_pgm(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+
+
 def test_load_pgm_16bit(tmp_path):
     p = tmp_path / "t.pgm"
     p.write_bytes(b"P5\n1 1\n65535\n" + (30000).to_bytes(2, "big"))
@@ -124,24 +157,28 @@ def test_pgm_round_trip_quantization_bound(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# preprocess
+# per-image standardization
+
+def _standardize(f):
+    return prep_stack([f])[0]
+
 
 def test_preprocess_constant_frame_is_zero():
     f = Frame(2, 2, np.full(4, 0.5))
-    np.testing.assert_array_equal(preprocess(f).pixels, np.zeros(4))
+    np.testing.assert_array_equal(_standardize(f), np.zeros(4))
 
 
 def test_preprocess_two_pixel_frame():
     # mean 0.5, population std 0.5 -> (-1, +1)
     f = Frame(2, 1, [0.0, 1.0])
-    np.testing.assert_allclose(preprocess(f).pixels, [-1.0, 1.0])
+    np.testing.assert_allclose(_standardize(f), [-1.0, 1.0])
 
 
 def test_preprocess_zero_mean_unit_std():
     rng = np.random.default_rng(1)
     for _ in range(20):
         f = Frame(4, 4, rng.uniform(0, 1, 16))
-        out = preprocess(f).pixels
+        out = _standardize(f)
         assert abs(out.mean()) < 1e-12
         assert abs(out.std() - 1.0) < 1e-9
 
@@ -150,17 +187,18 @@ def test_preprocess_idempotent():
     rng = np.random.default_rng(2)
     for _ in range(20):
         f = Frame(4, 4, rng.uniform(0, 1, 16))
-        once = preprocess(f)
-        twice = preprocess(once)
-        assert np.max(np.abs(twice.pixels - once.pixels)) < 1e-9
+        once = _standardize(f)
+        twice = _standardize(Frame(4, 4, once))
+        assert np.max(np.abs(twice - once)) < 1e-9
 
 
 def test_prep_stack_matches_preprocess():
+    # a stacked batch standardizes each row as it would alone
     rng = np.random.default_rng(3)
     frames = [Frame(3, 3, rng.uniform(0, 1, 9)) for _ in range(5)]
     X = prep_stack(frames)
     for i, f in enumerate(frames):
-        np.testing.assert_allclose(X[i], preprocess(f).pixels, atol=1e-15)
+        np.testing.assert_allclose(X[i], _standardize(f), atol=1e-15)
 
 
 # ---------------------------------------------------------------------------

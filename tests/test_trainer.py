@@ -314,6 +314,35 @@ def test_train_regularized_without_a_tuple_batch_is_config_error(case):
         train(labeled, pairs, triplets, SPEC, cfg)
 
 
+def test_train_rejects_a_frame_table_of_another_width():
+    # 8x8 clips under a 256-input net used to fail inside the first step
+    _, pairs, triplets = small_data()
+    labeled = gen_labeled(SynthConfig(grid=16, seed=3), 5)
+    cfg = TrainConfig(lr=0.01, lam=0.5, lam_prime=0.5, max_epochs=2, patience=2)
+    with pytest.raises(ConfigError, match="frame table dim 64 != network input dim 256"):
+        train(labeled, pairs, triplets, LayerSpec((256, 10, 8)), cfg)
+
+
+def test_train_unsupervised_rejects_a_frame_table_of_another_width():
+    _, pairs, triplets = small_data()
+    cfg = TrainConfig(lr=0.01, lam=1.0, lam_prime=0.5)
+    with pytest.raises(ConfigError, match="frame table dim 64 != network input dim 256"):
+        train_unsupervised(pairs, triplets, LayerSpec((256, 10, 8)), cfg, passes=1)
+
+
+def test_two_tables_are_refused_even_when_one_side_draws_nothing():
+    # the side rule is the objective's: both sides hold tuples, so their
+    # tables must agree whatever the batch sizes
+    labeled, pairs, triplets = small_data()
+    split = (triplets[0].copy(), *triplets[1:])
+    cfg = TrainConfig(lr=0.01, lam=0.5, lam_prime=0.5, batch_pairs=0, max_epochs=2,
+                      patience=2)
+    with pytest.raises(ValueError, match="one frame table"):
+        train(labeled, pairs, split, SPEC, cfg)
+    with pytest.raises(ValueError, match="one frame table"):
+        train_unsupervised(pairs, split, SPEC, cfg, passes=1)
+
+
 def test_train_history_csv_format(tmp_path):
     labeled, _, _ = small_data()
     cfg = TrainConfig(lr=0.05, lam=0.0, max_epochs=3, patience=3, seed=0)
