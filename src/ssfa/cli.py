@@ -48,8 +48,8 @@ def _parse_config_file(path: Path) -> dict:
         raise CliConfigError(f"config file not found: {path}")
     try:
         lines = _significant_lines(path)
-    except UnicodeDecodeError as e:
-        raise CliConfigError(f"{path}: not {e.encoding} text: {e.reason}") from None
+    except ValueError as e:  # not text
+        raise CliConfigError(str(e)) from None
     out = {}
     for lineno, line in lines:
         if "=" not in line:
@@ -141,15 +141,15 @@ def cmd_synth(args) -> int:
         noise_sigma=args.noise,
         seed=args.seed,
     )
+    # generated before anything is written: a failed generation writes nothing
+    clips = synth.gen_unlabeled(cfg) if args.clips > 0 else None
+    labeled = synth.gen_labeled(cfg, args.labeled_per_class) if args.labeled_per_class > 0 else None
     out = Path(args.out)
     _echo_config(args, out)
-    if args.clips > 0:
-        manifest = data.write_unlabeled(synth.gen_unlabeled(cfg), out)
-        print(f"wrote {args.clips} clips -> {manifest}")
-    if args.labeled_per_class > 0:
-        labeled = synth.gen_labeled(cfg, args.labeled_per_class)
-        manifest = data.write_labeled(labeled, out, "labeled.txt")
-        print(f"wrote {len(labeled)} labeled images -> {manifest}")
+    if clips is not None:
+        print(f"wrote {args.clips} clips -> {data.write_unlabeled(clips, out)}")
+    if labeled is not None:
+        print(f"wrote {len(labeled)} labeled images -> {data.write_labeled(labeled, out)}")
     return 0
 
 
@@ -164,7 +164,7 @@ def cmd_fixtures(args) -> int:
         if isinstance(ds, data.UnlabeledSet):
             manifest = data.write_unlabeled(ds, sub)
         else:
-            manifest = data.write_labeled(ds, sub, "labeled.txt")
+            manifest = data.write_labeled(ds, sub)
         print(f"{name}: {manifest}")
     return 0
 

@@ -17,9 +17,13 @@ import numpy as np
 
 STD_FLOOR = 1e-8
 
-_WHITESPACE = b" \t\r\n\v\f"
-# a '#' that starts a token comments out the rest of its line
-_COMMENT = re.compile(rb"(?<![^ \t\r\n\v\f])#[^\r\n]*")
+UNLABELED_MANIFEST = "unlabeled.txt"
+LABELED_MANIFEST = "labeled.txt"
+
+# one PGM token after any whitespace and comments: a '#' that starts a token
+# comments out the rest of its line. The token is empty only at end of data.
+# In a bytes pattern \s is the six ASCII whitespace bytes " \t\n\r\f\v".
+_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*(\S*)")
 
 
 class PgmFormatError(ValueError):
@@ -176,36 +180,18 @@ def write_atomic(path, content) -> None:
 # ---------------------------------------------------------------------------
 # PGM input/output (P5 binary preferred; P2 ASCII accepted on read)
 
-def _next_token(data: bytes, pos: int):
-    """Next whitespace-delimited token, skipping '#' comments. None at EOF."""
-    n = len(data)
-    while pos < n:
-        c = data[pos]
-        if c == 0x23:  # '#'
-            while pos < n and data[pos] not in b"\r\n":
-                pos += 1
-        elif c in _WHITESPACE:
-            pos += 1
-        else:
-            break
-    if pos >= n:
-        return None, pos
-    start = pos
-    while pos < n and data[pos] not in _WHITESPACE:
-        pos += 1
-    return data[start:pos], pos
-
-
 def load_pgm(path) -> Frame:
     """Read a binary (P5) or ASCII (P2) portable graymap, scaling pixels to [0, 1]."""
     data = Path(path).read_bytes()
-    magic, pos = _next_token(data, 0)
+    m = _TOKEN.match(data)
+    magic, pos = m[1] or None, m.end()
     if magic not in (b"P2", b"P5"):
         raise PgmFormatError(f"{path}: unsupported magic {magic!r}")
     header = []
     for name in ("width", "height", "maxval"):
-        tok, pos = _next_token(data, pos)
-        if tok is None:
+        m = _TOKEN.match(data, pos)
+        tok, pos = m[1], m.end()
+        if not tok:
             raise PgmFormatError(f"{path}: header ends before {name}")
         try:
             header.append(int(tok))
@@ -219,7 +205,7 @@ def load_pgm(path) -> Frame:
 
     count = width * height
     if magic == b"P5":
-        if pos >= len(data) or data[pos] not in _WHITESPACE:
+        if not data[pos : pos + 1].isspace():
             raise PgmFormatError(f"{path}: missing whitespace after maxval")
         pos += 1
         wide = maxval > 255
@@ -231,7 +217,7 @@ def load_pgm(path) -> Frame:
     else:
         # counted before any array is built: a header larger than the file sizes none
         vals = []
-        for tok in _COMMENT.sub(b"", data[pos:]).split()[:count]:
+        for tok in [t for t in _TOKEN.findall(data, pos) if t][:count]:
             try:
                 vals.append(int(tok))
             except ValueError:
@@ -260,9 +246,14 @@ def save_pgm(frame: Frame, path) -> None:
 # Paths are relative to the manifest's directory; lines starting '#' ignored.
 
 def _significant_lines(path):
-    """(line number, stripped line) of each line of ``path`` that is not blank or a '#' comment."""
+    """(line number, stripped line) of each line of ``path`` that is not blank
+    or a '#' comment. A file that is not text is a ValueError naming ``path``."""
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: not {e.encoding} text: {e.reason}") from None
     out = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -347,8 +338,8 @@ def _load_labeled(path: Path, lines) -> LabeledSet:
     return LabeledSet(tuple(images), tuple(labels), num_classes)
 
 
-def write_unlabeled(u: UnlabeledSet, out_dir, manifest_name="unlabeled.txt") -> Path:
-    """Save every frame as PGM under ``out_dir/frames/<clip_id>/`` and write a manifest."""
+def write_unlabeled(u: UnlabeledSet, out_dir) -> Path:
+    """Save frames as PGM under ``out_dir/frames/<clip_id>/`` and write ``unlabeled.txt``."""
     out = Path(out_dir)
     lines = []
     for clip in u.clips:
@@ -360,21 +351,20 @@ def write_unlabeled(u: UnlabeledSet, out_dir, manifest_name="unlabeled.txt") -> 
             save_pgm(frame, out / rel)
             rels.append(rel)
         lines.append(f"{clip.clip_id}\t{clip.frame_period!r}\t{','.join(rels)}")
-    manifest = out / manifest_name
+    manifest = out / UNLABELED_MANIFEST
     write_atomic(manifest, "\n".join(lines) + "\n")
     return manifest
 
 
-def write_labeled(s: LabeledSet, out_dir, manifest_name="labeled.txt", image_dir=None) -> Path:
-    """Save images as PGM and write a labeled manifest with a classes header."""
+def write_labeled(s: LabeledSet, out_dir) -> Path:
+    """Save images as PGM under ``out_dir/labeled/`` and write the manifest ``labeled.txt``."""
     out = Path(out_dir)
-    subdir = image_dir if image_dir is not None else Path(manifest_name).stem
-    (out / subdir).mkdir(parents=True, exist_ok=True)
+    (out / "labeled").mkdir(parents=True, exist_ok=True)
     lines = [f"classes\t{s.num_classes}"]
     for i, (img, label) in enumerate(zip(s.images, s.labels)):
-        rel = f"{subdir}/{i:05d}.pgm"
+        rel = f"labeled/{i:05d}.pgm"
         save_pgm(img, out / rel)
         lines.append(f"{rel}\t{label}")
-    manifest = out / manifest_name
+    manifest = out / LABELED_MANIFEST
     write_atomic(manifest, "\n".join(lines) + "\n")
     return manifest

@@ -134,23 +134,17 @@ def build_pool(queries, u: UnlabeledSet, n_per_video: int, seed: int) -> Candida
     if n_per_video < 0:
         raise ValueError("n_per_video must be >= 0")
     clips = u.clip_map()
-    keys, seen = [], set()
-
-    def add(cid, t):
-        if (cid, t) not in seen:
-            seen.add((cid, t))
-            keys.append((cid, t))
-
+    keys = {}  # (clip id, frame) in insertion order; a repeat keeps its first place
     for q in queries:
         if q.clip_id not in clips:
             raise ValueError(f"query references unknown clip {q.clip_id!r}")
         for t in (q.t1, q.t2, q.t3):
-            add(q.clip_id, t)
+            keys[q.clip_id, t] = None
     rng = np.random.default_rng(seed)
     for cid in sorted({q.clip_id for q in queries}):
         n_frames = len(clips[cid].frames)
         for t in rng.permutation(n_frames)[: min(n_per_video, n_frames)]:
-            add(cid, int(t))
+            keys[cid, int(t)] = None
     frames = tuple(clips[cid].frames[t] for cid, t in keys)
     return CandidatePool(frames, tuple(keys))
 

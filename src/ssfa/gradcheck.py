@@ -4,7 +4,7 @@ Central differences with h = 1e-5 in double precision; the error measure
 is max over coordinates of |analytic - numeric| / max(1, |numeric|).
 Random tuples are resampled until every distance is more than 1e-3 away
 from 0 and, for negatives, from the hinge margin, where the loss is
-non-differentiable.
+non-differentiable; under the l1 metric, every contrast coordinate too.
 Direct loss gradients are held to 1e-6; gradients composed through the
 network to 1e-4.
 """
@@ -55,9 +55,12 @@ def _contrast(zs) -> np.ndarray:
 
 def _smooth(contrast: np.ndarray, p: np.ndarray, delta: float, metric: str) -> bool:
     """True when every distance is more than HINGE_GAP from 0 and, for
-    negatives (p == 0), from the margin ``delta``."""
+    negatives (p == 0), from the margin ``delta``; under l1, whose distance
+    has a kink wherever a coordinate is 0, also every contrast coordinate."""
     if metric == "l2":
         d = np.linalg.norm(contrast, axis=1)
+    elif np.any(np.abs(contrast) <= HINGE_GAP):
+        return False
     else:
         d = np.sum(np.abs(contrast), axis=1)
     return bool(np.all(np.abs(d[p == 0] - delta) > HINGE_GAP) and np.all(d > HINGE_GAP))

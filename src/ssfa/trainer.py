@@ -396,30 +396,23 @@ def greedy_cv(labeled: LabeledSet, pairs, triplets, layer_spec: LayerSpec,
             return float("inf")
         return min(e.val_loss for e in hist.epochs)
 
-    def run_stage(name, candidates, make_cfg):
+    stages = (
+        ("lr", lambda c, v: replace(c, lr=v)),
+        ("lam", lambda c, v: replace(c, lam=v)),
+        ("lam_prime", lambda c, v: replace(c, lam_prime=v)),
+        ("delta_triplet", lambda c, v: replace(c, margins=replace(c.margins, delta_triplet=v))),
+    )
+    cfg = replace(base, lam=0.0, lam_prime=0.0)
+    for name, setter in stages:
         best_val, best_cand = float("inf"), None
-        for cand in sorted(candidates):
-            s = score(make_cfg(cand))
+        for cand in sorted(getattr(grids, name)):
+            s = score(setter(cfg, cand))
             log.append({"stage": name, "candidate": float(cand), "val_loss": s})
             if s < best_val:
                 best_val, best_cand = s, cand
         if best_cand is None or not np.isfinite(best_val):
             raise SearchError(f"stage {name}: all candidates diverged")
-        return best_cand
-
-    cfg = replace(base, lam=0.0, lam_prime=0.0)
-    lr = run_stage("lr", grids.lr, lambda v: replace(cfg, lr=v))
-    cfg = replace(cfg, lr=lr)
-    lam = run_stage("lam", grids.lam, lambda v: replace(cfg, lam=v))
-    cfg = replace(cfg, lam=lam)
-    lam_prime = run_stage("lam_prime", grids.lam_prime, lambda v: replace(cfg, lam_prime=v))
-    cfg = replace(cfg, lam_prime=lam_prime)
-    delta = run_stage(
-        "delta_triplet",
-        grids.delta_triplet,
-        lambda v: replace(cfg, margins=replace(cfg.margins, delta_triplet=v)),
-    )
-    cfg = replace(cfg, margins=replace(cfg.margins, delta_triplet=delta))
+        cfg = setter(cfg, best_cand)
     return cfg, log
 
 

@@ -66,8 +66,7 @@ def _tuples(path, seed):
 
 def _manifest(path, seed):
     frames = tuple(Frame(2, 2, np.full(4, 0.1 * k)) for k in range(20 + seed))
-    write_labeled(LabeledSet(frames, tuple(k % 2 for k in range(len(frames))), 2),
-                  path.parent, path.name)
+    write_labeled(LabeledSet(frames, tuple(k % 2 for k in range(len(frames))), 2), path.parent)
 
 
 def _report_json(path, seed):

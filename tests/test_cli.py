@@ -458,9 +458,15 @@ def _argv_for(case, data, run, tmp_path):
         return ["mine", "--data", str(tmp_path / "clips.txt"), "--out", out]
     if case == "synth_grid_too_large":
         return ["synth", "--out", out, "--grid", "100000", "--clips", "1", "--clip-len", "5"]
+    not_text = tmp_path / "not_text.txt"
+    not_text.write_bytes(b"\xff\xfeclips = 2\n")
     if case == "config_not_utf8":
-        (tmp_path / "c.cfg").write_bytes(b"\xff\xfeclips = 2\n")
-        return ["synth", "--config", str(tmp_path / "c.cfg"), "--out", out]
+        return ["synth", "--config", str(not_text), "--out", out]
+    if case == "manifest_not_utf8":
+        return ["mine", "--data", str(not_text), "--out", out]
+    if case == "pairs_not_utf8":
+        return ["train", "--labeled", labeled, "--unlabeled", unlabeled, "--pairs", str(not_text),
+                "--out", out]
     return {
         "mine_data_is_labeled": ["mine", "--data", labeled, "--out", out],
         "seqcomp_unlabeled_is_labeled": ["eval-seqcomp", "--checkpoint", ckpt,
@@ -477,6 +483,8 @@ def _argv_for(case, data, run, tmp_path):
     ("mine_huge_p2_header", 3),
     ("synth_grid_too_large", 3),
     ("config_not_utf8", 2),
+    ("manifest_not_utf8", 3),
+    ("pairs_not_utf8", 3),
     ("mine_data_is_labeled", 2),
     ("seqcomp_unlabeled_is_labeled", 2),
     ("cls_test_is_unlabeled", 2),
@@ -484,13 +492,16 @@ def _argv_for(case, data, run, tmp_path):
 ])
 def test_bad_input_exits_2_or_3_without_traceback(pipeline, tmp_path, capsys, case, code):
     # every bad input is a usage error (2) or a runtime error (3), reported
-    # in one line
+    # in one line, and a failed run writes no output directory
     _, data, _, run = pipeline
     argv = _argv_for(case, data, run, tmp_path)
     with _address_space_cap():
         assert main(argv) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+    if case.endswith("_not_utf8"):
+        assert f"{tmp_path / 'not_text.txt'}: not utf-8 text: invalid start byte" in err
 
 
 def test_line_readers_skip_the_same_lines(tmp_path, capsys):

@@ -1,3 +1,6 @@
+import random
+import re
+
 import numpy as np
 import pytest
 
@@ -108,6 +111,129 @@ def test_load_pgm_p2_header_larger_than_file_allocates_nothing(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 2**20, peak
+
+
+# The PGM reader before its header and raster shared one tokenizer: a
+# hand-written header scan and a comment-stripping split of the raster. The
+# fuzz test below holds load_pgm to it.
+_REF_WHITESPACE = b" \t\r\n\v\f"
+_REF_COMMENT = re.compile(rb"(?<![^ \t\r\n\v\f])#[^\r\n]*")
+
+
+def _ref_next_token(data, pos):
+    n = len(data)
+    while pos < n:
+        c = data[pos]
+        if c == 0x23:  # '#'
+            while pos < n and data[pos] not in b"\r\n":
+                pos += 1
+        elif c in _REF_WHITESPACE:
+            pos += 1
+        else:
+            break
+    if pos >= n:
+        return None, pos
+    start = pos
+    while pos < n and data[pos] not in _REF_WHITESPACE:
+        pos += 1
+    return data[start:pos], pos
+
+
+def _ref_load_pgm(path):
+    data = path.read_bytes()
+    magic, pos = _ref_next_token(data, 0)
+    if magic not in (b"P2", b"P5"):
+        raise PgmFormatError(f"{path}: unsupported magic {magic!r}")
+    header = []
+    for name in ("width", "height", "maxval"):
+        tok, pos = _ref_next_token(data, pos)
+        if tok is None:
+            raise PgmFormatError(f"{path}: header ends before {name}")
+        try:
+            header.append(int(tok))
+        except ValueError:
+            raise PgmFormatError(f"{path}: bad {name} token {tok!r}") from None
+    width, height, maxval = header
+    if width < 1 or height < 1:
+        raise PgmFormatError(f"{path}: bad dimensions {width}x{height}")
+    if not 0 < maxval <= 65535:
+        raise PgmFormatError(f"{path}: maxval {maxval} out of range (0, 65535]")
+    count = width * height
+    if magic == b"P5":
+        if pos >= len(data) or data[pos] not in _REF_WHITESPACE:
+            raise PgmFormatError(f"{path}: missing whitespace after maxval")
+        pos += 1
+        wide = maxval > 255
+        need = count * (2 if wide else 1)
+        payload = data[pos : pos + need]
+        if len(payload) < need:
+            raise OSError(f"{path}: truncated P5 payload ({len(payload)} of {need} bytes)")
+        arr = np.frombuffer(payload, dtype=">u2" if wide else np.uint8).astype(np.float64)
+    else:
+        vals = []
+        for tok in _REF_COMMENT.sub(b"", data[pos:]).split()[:count]:
+            try:
+                vals.append(int(tok))
+            except ValueError:
+                raise PgmFormatError(f"{path}: bad P2 sample {tok!r}") from None
+        if len(vals) < count:
+            raise OSError(f"{path}: truncated P2 payload ({len(vals)} of {count} samples)")
+        arr = np.array(vals, dtype=np.float64)
+    if arr.size and arr.max() > maxval:
+        raise PgmFormatError(f"{path}: sample value exceeds maxval {maxval}")
+    return Frame(width, height, arr / maxval)
+
+
+def _fuzz_pgm(rng):
+    """Short PGM-like bytes: a magic and three header tokens, then a P2
+    or P5 raster, joined by runs of the six whitespace bytes and '#'
+    comments. Each part is usually well formed, so most cases reach the
+    raster; some are cut short."""
+
+    def either(good, bad):
+        return rng.choice(good if rng.random() < 0.9 else bad)
+
+    def sep():
+        parts = [rng.choice(_REF_WHITESPACE)] if rng.random() < 0.9 else []
+        for _ in range(rng.randrange(3)):
+            if rng.random() < 0.4:
+                text = bytes(rng.choices(b"ab9 #\t", k=rng.randrange(4)))
+                parts.append(ord("#"))
+                parts.extend(text + rng.choice([b"\n", b"\r", b"\r\n", b"\n", b""]))
+            else:
+                parts.append(rng.choice(_REF_WHITESPACE))
+        return bytes(parts)
+
+    magic = either([b"P2", b"P5"], [b"P6", b"p2", b"P", b""])
+    header = [either([b"1", b"2", b"3", b"02"], [b"0", b"x", b"1#"]) for _ in range(2)]
+    header.append(either([b"255", b"255", b"9", b"256"], [b"0", b"65536", b"7a"]))
+    if (magic == b"P5") == (rng.random() < 0.9):
+        raster = sep() + rng.randbytes(rng.randrange(20))
+    else:
+        samples = [either([b"0", b"1", b"7", b"12"], [b"300", b"a", b"3#"])
+                   for _ in range(rng.randrange(12))]
+        raster = b"".join(sep() + t for t in samples) + sep()
+    data = magic + b"".join(sep() + t for t in header) + raster
+    return data[: rng.randrange(len(data) + 1)] if rng.random() < 0.2 else data
+
+
+def test_load_pgm_reads_like_the_reference_reader(tmp_path):
+    rng = random.Random(2024)
+    p = tmp_path / "f.pgm"
+    read = 0
+    for _ in range(3000):
+        data = _fuzz_pgm(rng)
+        p.write_bytes(data)
+        results = []
+        for reader in (load_pgm, _ref_load_pgm):
+            try:
+                f = reader(p)
+                results.append((f.width, f.height, f.pixels.tolist()))
+            except (ValueError, OSError) as e:
+                results.append((type(e), str(e)))
+        assert results[0] == results[1], data
+        read += isinstance(results[0][0], int)
+    assert read >= 400, read  # 422 of the 3000 cases read a frame
 
 
 def test_load_pgm_16bit(tmp_path):

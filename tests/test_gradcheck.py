@@ -3,6 +3,8 @@ import pytest
 
 from ssfa.gradcheck import (
     HINGE_GAP,
+    TOL_COMPOSED,
+    TOL_DIRECT,
     _sample_tuples,
     central_diff,
     check_pair,
@@ -86,11 +88,21 @@ def test_sampler_rejects_batches_near_a_kink(members, metric):
         (members_at(HINGE_GAP / 2), [1]),  # positive at distance 0
         (members_at(delta + 0.5), [0]),
     ]
+    if metric == "l1":  # a coordinate at l1's kink, the distance far from 0 and the margin
+        draws.insert(2, ([[HINGE_GAP / 2, 0.5]] + [[0.0, 0.0]] * (members - 1), [0]))
     rng = _Replay([z for zs, _ in draws for z in zs], [p for _, p in draws])
     *zs, p = _sample_tuples(rng, members, 1, 2, margins)
     assert len(zs) == members
-    np.testing.assert_array_equal(zs[0], [draws[2][0][0]])
+    np.testing.assert_array_equal(zs[0], [draws[-1][0][0]])
     np.testing.assert_array_equal(p, [0])
+
+
+def test_l1_gradients_match_finite_differences():
+    rng = np.random.default_rng(0)
+    margins = Margins(metric="l1")
+    assert check_pair(rng, 50, margins) <= TOL_DIRECT
+    assert check_triplet(rng, 50, margins) <= TOL_DIRECT
+    assert check_total(rng, 10, margins) <= TOL_COMPOSED
 
 
 def test_injected_sign_flip_is_detected():
