@@ -16,6 +16,8 @@ from pathlib import Path
 import numpy as np
 
 STD_FLOOR = 1e-8
+# prep_stack standardizes this many bytes of rows at a time (at least one row)
+PREP_BLOCK_BYTES = 1 << 20
 
 UNLABELED_MANIFEST = "unlabeled.txt"
 LABELED_MANIFEST = "labeled.txt"
@@ -143,12 +145,20 @@ def prep_stack(frames) -> np.ndarray:
     """Standardize and flatten a sequence of same-sized frames into an
     (n, w*h) array: each row minus its mean, divided by its population
     standard deviation floored at ``STD_FLOOR``, so a constant frame maps
-    to zeros."""
+    to zeros.
+
+    The stacked array is the only full-size one: it is standardized in
+    place, ``PREP_BLOCK_BYTES`` of rows at a time (at least one row), so the
+    temporaries of the std are one block. Every operation is per row, so
+    the result is bit-identical to standardizing the whole array at once."""
     X = np.stack([f.pixels for f in frames])
-    mu = X.mean(axis=1, keepdims=True)
-    sd = np.maximum(X.std(axis=1, keepdims=True), STD_FLOOR)
-    X -= mu
-    X /= sd
+    rows = max(1, PREP_BLOCK_BYTES // X[0].nbytes)
+    for start in range(0, len(X), rows):
+        B = X[start:start + rows]
+        mu = B.mean(axis=1, keepdims=True)
+        sd = np.maximum(B.std(axis=1, keepdims=True), STD_FLOOR)
+        B -= mu
+        B /= sd
     return X
 
 

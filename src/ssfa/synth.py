@@ -41,8 +41,8 @@ class SynthConfig:
             raise ValueError("num_clips must be >= 0")
         if self.motion_mode not in ("steady", "jerky"):
             raise ValueError(f"unknown motion_mode {self.motion_mode!r}")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+        if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if not self.velocity_set:
             raise ValueError("velocity_set must be nonempty")
         object.__setattr__(

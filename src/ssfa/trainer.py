@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import LabeledSet, UnlabeledSet, prep_stack, write_atomic
-from .losses import Margins, Workspace, _tuples, softmax_loss, total_objective
+from .losses import Margins, Workspace, _tuples, has_tuples, softmax_loss, total_objective
 from .network import LayerSpec, NetworkParams, forward, init_classifier, init_glorot, split_model
 
 
@@ -382,7 +382,9 @@ def greedy_cv(labeled: LabeledSet, pairs, triplets, layer_spec: LayerSpec,
     """Staged greedy search: (1) lr with no regularization, (2) lam with
     lam_prime = 0, (3) lam_prime, (4) triplet margin. Each stage keeps the
     candidate with the lowest best-epoch validation classification loss;
-    ties go to the smaller value. Returns (best config, log rows).
+    ties go to the smaller value. When neither pairs nor triplets hold a
+    tuple, only stage (1) runs and lam = lam_prime = 0. Returns (best
+    config, log rows).
     """
     grids = grids or SearchGrids()
     base = base or TrainConfig(lr=0.01)
@@ -402,6 +404,8 @@ def greedy_cv(labeled: LabeledSet, pairs, triplets, layer_spec: LayerSpec,
         ("lam_prime", lambda c, v: replace(c, lam_prime=v)),
         ("delta_triplet", lambda c, v: replace(c, margins=replace(c.margins, delta_triplet=v))),
     )
+    if not (has_tuples(pairs) or has_tuples(triplets)):
+        stages = stages[:1]
     cfg = replace(base, lam=0.0, lam_prime=0.0)
     for name, setter in stages:
         best_val, best_cand = float("inf"), None

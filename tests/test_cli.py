@@ -63,6 +63,16 @@ def test_synth_negative_or_no_counts_exit_3(tmp_path, capsys, counts):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_synth_non_finite_noise_exits_3(tmp_path, capsys, value):
+    # --noise nan wrote noise-free frames and --noise inf frames of 0s and 1s
+    out = tmp_path / "d"
+    code = main(["synth", "--out", str(out), "--clips", "2", "--noise", value])
+    assert code == 3
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_required_flag_exits_2():
     with pytest.raises(SystemExit) as e:
         main(["synth", "--clips", "4"])  # no --out
@@ -232,6 +242,18 @@ def test_train_cv_writes_search_log(pipeline, tmp_path):
     assert log[0] == "stage,candidate,val_loss"
     stages = {line.split(",")[0] for line in log[1:]}
     assert stages == {"lr", "lam", "lam_prime", "delta_triplet"}
+    assert (out / "checkpoint.ckpt").is_file()
+
+
+def test_train_unreg_cv_searches_lr_only(pipeline, tmp_path):
+    # with no tuples the lam stage trained "nothing to optimize" and exited 3
+    _, data, _, _ = pipeline
+    out = tmp_path / "cv"
+    run_ok(["train", "--labeled", str(data / "labeled.txt"), "--method", "unreg", "--cv",
+            "--epochs", "2", "--patience", "2", "--seed", "1", "--out", str(out)])
+    log = (out / "search_log.csv").read_text().splitlines()
+    assert log[0] == "stage,candidate,val_loss"
+    assert {line.split(",")[0] for line in log[1:]} == {"lr"}
     assert (out / "checkpoint.ckpt").is_file()
 
 

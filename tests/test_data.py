@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from ssfa.data import (
+    PREP_BLOCK_BYTES,
+    STD_FLOOR,
     Clip,
     Frame,
     LabeledSet,
@@ -325,6 +327,52 @@ def test_prep_stack_matches_preprocess():
     X = prep_stack(frames)
     for i, f in enumerate(frames):
         np.testing.assert_allclose(X[i], _standardize(f), atol=1e-15)
+
+
+def _prep_stack_one_shot(frames):
+    # the whole-array standardization that the blocked prep_stack replaces
+    X = np.stack([f.pixels for f in frames])
+    mu = X.mean(axis=1, keepdims=True)
+    sd = np.maximum(X.std(axis=1, keepdims=True), STD_FLOOR)
+    X -= mu
+    X /= sd
+    return X
+
+
+SMALL_BLOCK = 1 << 13  # 1024 float64 pixels: keeps the stacks of narrow frames small
+
+
+@pytest.mark.parametrize("width", [1, 25, 256, 1024, 1025])
+def test_prep_stack_blocks_are_bit_identical(monkeypatch, width):
+    # row counts around the block edges; a block of 1024- or 1025-pixel
+    # frames is one row, and a 1025-pixel row is wider than the block
+    monkeypatch.setattr("ssfa.data.PREP_BLOCK_BYTES", SMALL_BLOCK)
+    rng = np.random.default_rng(width)
+    block = max(1, SMALL_BLOCK // (8 * width))
+    for n in (1, max(1, block - 1), block, block + 1, 3 * block + 7):
+        px = rng.uniform(0, 1, (n, width))
+        px[n // 2] = 0.25                                  # constant
+        px[-1] = 0.5 + 1e-10 * rng.standard_normal(width)  # std below STD_FLOOR
+        frames = [Frame(width, 1, row) for row in px]
+        assert prep_stack(frames).tobytes() == _prep_stack_one_shot(frames).tobytes(), n
+
+
+def test_prep_stack_holds_one_full_size_array():
+    # the one-shot std allocated a second array the size of the result
+    import tracemalloc
+
+    frames = [Frame(64, 64, row) for row in np.random.default_rng(5).uniform(0, 1, (256, 4096))]
+    tracemalloc.start()
+    try:
+        X = prep_stack(frames)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert X.nbytes >= 8 << 20
+    # on top of the block, numpy's broadcast ops (the std's and the in-place
+    # subtract's) take a ufunc buffer of np.getbufsize() float64s, 64 KiB
+    assert peak <= X.nbytes + PREP_BLOCK_BYTES + (128 << 10)
+    assert X.tobytes() == _prep_stack_one_shot(frames).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -432,6 +432,16 @@ def test_greedy_cv_ties_break_to_smaller_value():
     assert len(set(vals)) == 1
 
 
+def test_greedy_cv_without_tuples_searches_lr_only():
+    # the lam stage used to train with lam > 0 and nothing to optimize
+    labeled, _, _ = small_data()
+    base = TrainConfig(lr=0.01, lam=0.5, lam_prime=0.5, max_epochs=2, patience=2, seed=0)
+    grids = SearchGrids(lr=(0.1, 0.01), lam=(0.1,), lam_prime=(0.1,), delta_triplet=(1.0,))
+    cfg, log = greedy_cv(labeled, None, None, SPEC, grids=grids, base=base)
+    assert cfg.lam == 0.0 and cfg.lam_prime == 0.0 and cfg.lr in grids.lr
+    assert [(r["stage"], r["candidate"]) for r in log] == [("lr", 0.01), ("lr", 0.1)]
+
+
 def test_greedy_cv_diverging_stage_raises():
     # linear net (no ReLU stall) with an absurd lr overflows to non-finite
     labeled, pairs, triplets = small_data()
