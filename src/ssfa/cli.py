@@ -228,31 +228,37 @@ def _train_config(args, losses, trainer):
     )
 
 
+def _train_tuples(args, cfg):
+    """The resolved (pairs, triplets) of ``train``'s tuple files (either None
+    when not used). The samples die with this call, so none is alive while
+    training runs."""
+    from . import mining, trainer
+
+    if not args.unlabeled or not args.pairs:
+        raise CliConfigError("this method needs --unlabeled and --pairs")
+    u = _load_manifest(args.unlabeled, "--unlabeled", labeled=False)
+    pair_samples, trip_samples = mining.load_tuples(args.pairs)
+    if args.triplets:
+        more_pairs, more = mining.load_tuples(args.triplets)
+        pair_samples += more_pairs
+        trip_samples += more
+    pairs = trainer.resolve_pairs(u, pair_samples) if pair_samples else None
+    if cfg.lam_prime <= 0:
+        return pairs, None
+    if not trip_samples:
+        raise CliConfigError("method ssfa needs triplet tuples (--triplets)")
+    return pairs, trainer.resolve_triplets(u, trip_samples)
+
+
 def cmd_train(args) -> int:
-    from . import losses, mining, network, trainer
+    from . import losses, network, trainer
 
     labeled = _load_manifest(args.labeled, "--labeled", labeled=True)
     if len(labeled) == 0:
         raise trainer.ConfigError(f"{args.labeled}: labeled set is empty")
     cfg = _train_config(args, losses, trainer)
 
-    pairs = triplets = None
-    if cfg.lam > 0:
-        if not args.unlabeled or not args.pairs:
-            raise CliConfigError("this method needs --unlabeled and --pairs")
-        u = _load_manifest(args.unlabeled, "--unlabeled", labeled=False)
-        pair_samples, trip_from_pairs = mining.load_tuples(args.pairs)
-        trip_samples = list(trip_from_pairs)
-        if args.triplets:
-            more_pairs, more = mining.load_tuples(args.triplets)
-            pair_samples.extend(more_pairs)
-            trip_samples.extend(more)
-        if pair_samples:
-            pairs = trainer.resolve_pairs(u, pair_samples)
-        if cfg.lam_prime > 0:
-            if not trip_samples:
-                raise CliConfigError("method ssfa needs triplet tuples (--triplets)")
-            triplets = trainer.resolve_triplets(u, trip_samples)
+    pairs, triplets = _train_tuples(args, cfg) if cfg.lam > 0 else (None, None)
 
     in_dim = labeled.images[0].width * labeled.images[0].height
     spec = network.LayerSpec((in_dim,) + _hidden_sizes(args.hidden) + (args.dim,))

@@ -27,6 +27,10 @@ LABELED_MANIFEST = "labeled.txt"
 # In a bytes pattern \s is the six ASCII whitespace bytes " \t\n\r\f\v".
 _TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*(\S*)")
 
+# _significant_lines splits a file's lines this many characters (through the
+# next "\n") at a time, so no list of every line is built
+LINE_BLOCK_CHARS = 1 << 14
+
 
 class PgmFormatError(ValueError):
     """Malformed PGM header or payload."""
@@ -257,18 +261,29 @@ def save_pgm(frame: Frame, path) -> None:
 
 def _significant_lines(path):
     """(line number, stripped line) of each line of ``path`` that is not blank
-    or a '#' comment. A file that is not text is a ValueError naming ``path``."""
+    or a '#' comment, numbered as :meth:`str.splitlines` cuts the text and
+    yielded one at a time. The file is read and decoded at call time, so a
+    file that is not text is a ValueError naming ``path`` from the call."""
     try:
         text = Path(path).read_text()
     except UnicodeDecodeError as e:
         raise ValueError(f"{path}: not {e.encoding} text: {e.reason}") from None
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        out.append((lineno, line))
-    return out
+    return _numbered_lines(text)
+
+
+def _numbered_lines(text):
+    """:func:`_significant_lines` of ``text``, split into lines one block at
+    a time. A block ends just after a "\n", which ends a line wherever it
+    stands, so the blocks' lines are the text's lines."""
+    lineno = start = 0
+    while start < len(text):
+        end = text.find("\n", start + LINE_BLOCK_CHARS) + 1 or len(text)
+        for raw in text[start:end].splitlines():
+            lineno += 1
+            line = raw.strip()
+            if line and not line.startswith("#"):
+                yield lineno, line
+        start = end
 
 
 def load_manifest(path):
@@ -277,7 +292,7 @@ def load_manifest(path):
     A leading `classes<TAB>C` header marks a labeled manifest.
     """
     path = Path(path)
-    lines = _significant_lines(path)
+    lines = list(_significant_lines(path))
     if not lines:
         raise ManifestError(f"{path}: empty manifest")
     if lines[0][1].split("\t")[0] == "classes":

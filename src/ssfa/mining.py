@@ -10,10 +10,10 @@ Selection never builds the candidate rows. Each clip's candidates are
 counted in closed form per group (a pair's k, a triplet's l, a negative
 triplet's (l, m)); one permutation over the positives and one over the
 negatives pick the kept indices, and only those are decoded. Mining thus
-holds 8 bytes per candidate, the larger permutation, plus the kept rows,
-and draws the same tuples, in the same order, as permuting the stacked
-rows of :func:`pair_candidates` / :func:`triplet_candidates` would: tuple
-files are unchanged by the decode.
+holds 4 bytes per candidate (:func:`_kept`), the larger permutation, plus
+the kept rows, and draws the same tuples, in the same order, as permuting
+the stacked rows of :func:`pair_candidates` / :func:`triplet_candidates`
+would: tuple files are unchanged by the decode.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ class MiningError(RuntimeError):
     """No usable tuple candidates in the corpus."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PairSample:
     """Frame pair (j, k), j later than k, with coherence label p."""
 
@@ -49,7 +49,7 @@ class PairSample:
             raise ValueError(f"label must be 0 or 1, got {self.p}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TripletSample:
     """Frame triplet l < m < n with coherence label p."""
 
@@ -172,11 +172,22 @@ def _stack(parts):
     return np.concatenate(clip), np.concatenate(base), np.concatenate(count), step[0]
 
 
+def _kept(rng, total: int, n: int):
+    """The first ``n`` entries of ``rng.permutation(total)``, drawn by
+    shuffling an int32 ``arange`` (int64 from 2**31): the shuffle depends
+    only on ``total``, so the order and the generator state afterwards
+    equal those of ``rng.permutation``, at half its memory. Only the kept
+    head outlives the call."""
+    perm = np.arange(total, dtype=np.int32 if total < 2 ** 31 else np.int64)
+    rng.shuffle(perm)
+    return perm[:n].copy()
+
+
 def _mine(u: UnlabeledSet, cfg: MiningConfig, groups, kind: str, cap, ratio, seed, sample):
     """``cap`` tuples at 1:``ratio`` drawn by two permutations over the
     candidates of every clip, positives first. The candidates are never
     built: ``groups`` describes each clip's in closed form, and only the
-    kept indices are decoded. Memory is the larger permutation, 8 bytes
+    kept indices are decoded. Memory is the larger permutation, 4 bytes
     per candidate, plus the kept rows; the samples equal those of
     enumerating every candidate, clip after clip, in
     :func:`pair_candidates` / :func:`triplet_candidates` order."""
@@ -200,8 +211,8 @@ def _mine(u: UnlabeledSet, cfg: MiningConfig, groups, kind: str, cap, ratio, see
     n_pos = min(n_pos_all, int(cap / (1.0 + ratio)))
     n_neg = min(n_neg_all, int(n_pos * ratio))
     rng = np.random.default_rng(seed)
-    pos = _decode(pos, rng.permutation(n_pos_all)[:n_pos])
-    neg = _decode(neg, rng.permutation(n_neg_all)[:n_neg])
+    pos = _decode(pos, _kept(rng, n_pos_all, n_pos))
+    neg = _decode(neg, _kept(rng, n_neg_all, n_neg))
     ids = [clip.clip_id for clip in u.clips]
     return [sample(ids[c], *t, 1) for c, *t in pos.tolist()] + [
         sample(ids[c], *t, 0) for c, *t in neg.tolist()
@@ -246,16 +257,22 @@ def save_tuples(path, samples, cfg: MiningConfig) -> None:
 
 
 def load_tuples(path):
-    """Read a tuple file; returns (pairs, triplets)."""
+    """Read a tuple file; returns (pairs, triplets). The samples of one clip
+    share one clip-id string. A bad line is a ValueError naming ``path``
+    and the line."""
     pairs, triplets = [], []
+    clip_ids = {}
     for lineno, line in _significant_lines(path):
         tok = line.split()
-        if tok[0] == "PAIR" and len(tok) == 5:
-            pairs.append(PairSample(tok[1], int(tok[2]), int(tok[3]), int(tok[4])))
-        elif tok[0] == "TRIP" and len(tok) == 6:
-            triplets.append(
-                TripletSample(tok[1], int(tok[2]), int(tok[3]), int(tok[4]), int(tok[5]))
-            )
-        else:
-            raise ValueError(f"{path}: line {lineno}: bad tuple line {line!r}")
+        try:
+            if tok[0] == "PAIR" and len(tok) == 5:
+                pairs.append(PairSample(clip_ids.setdefault(tok[1], tok[1]),
+                                        int(tok[2]), int(tok[3]), int(tok[4])))
+            elif tok[0] == "TRIP" and len(tok) == 6:
+                triplets.append(TripletSample(clip_ids.setdefault(tok[1], tok[1]),
+                                              int(tok[2]), int(tok[3]), int(tok[4]), int(tok[5])))
+            else:
+                raise ValueError(f"bad tuple line {line!r}")
+        except ValueError as e:
+            raise ValueError(f"{path}: line {lineno}: {e}") from None
     return pairs, triplets

@@ -131,19 +131,26 @@ def _resolve(u: UnlabeledSet, samples, members):
     """(frames, idx, p): ``frames`` is ``u.table``, every frame of ``u``
     preprocessed, clip after clip, and the same object for every call on
     ``u``; row i of ``idx`` holds the ``frames`` rows of sample i's
-    ``members``; ``p`` holds the labels. A sample naming an unknown clip or
-    a frame past its clip's end raises ValueError."""
-    starts = itertools.accumulate((len(c.frames) for c in u.clips), initial=0)
-    spans = {c.clip_id: (start, len(c.frames)) for c, start in zip(u.clips, starts)}
-    rows = []
-    for s in samples:
-        if s.clip_id not in spans:
+    ``members``; ``p`` holds the labels. The first sample naming an unknown
+    clip or a frame past its clip's end raises ValueError."""
+    n = len(samples)
+    clip_of = {c.clip_id: i for i, c in enumerate(u.clips)}
+    # an unknown clip indexes the trailing 0-frame entry, so every frame it
+    # names is past its end; a frame beyond intp is past every clip's end
+    clip = np.fromiter((clip_of.get(s.clip_id, -1) for s in samples), np.intp, n)
+    length = np.array([len(c.frames) for c in u.clips] + [0], dtype=np.intp)
+    top = np.iinfo(np.intp).max
+    idx = np.empty((n, len(members)), dtype=np.intp)
+    for col, m in enumerate(members):
+        idx[:, col] = np.fromiter((min(getattr(s, m), top) for s in samples), np.intp, n)
+    bad = idx.max(axis=1, initial=0) >= length[clip]
+    if bad.any():
+        i = int(bad.argmax())
+        s = samples[i]
+        if clip[i] < 0:
             raise ValueError(f"tuple {s} names unknown clip {s.clip_id!r}")
-        start, n = spans[s.clip_id]
-        if max(getattr(s, m) for m in members) >= n:
-            raise ValueError(f"tuple {s} names a frame past the end of its {n}-frame clip")
-        rows.append([start + getattr(s, m) for m in members])
-    idx = np.array(rows, dtype=np.intp).reshape(len(rows), len(members))
+        raise ValueError(f"tuple {s} names a frame past the end of its {length[clip[i]]}-frame clip")
+    idx += (np.cumsum(length) - length)[clip, None]
     return u.table, idx, np.array([s.p for s in samples])
 
 

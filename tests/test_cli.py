@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import gc
 import json
 import os
 import sys
@@ -8,7 +9,7 @@ import pytest
 
 from ssfa.cli import CliConfigError, _apply_config, _build_parser, _parse_config_file, main
 from ssfa.data import ManifestError, load_manifest
-from ssfa.mining import PairSample, load_tuples
+from ssfa.mining import PairSample, TripletSample, load_tuples
 
 
 def run_ok(argv):
@@ -444,6 +445,50 @@ def test_tuple_naming_unknown_clip_or_frame_exits_3(pipeline, tmp_path, capsys):
                      "--epochs", "1", "--out", str(tmp_path / "run")])
         assert code == 3, line
         assert line.split()[1] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, message", [
+    ("PAIR {clip} x 1 1", "invalid literal for int() with base 10: 'x'"),
+    ("PAIR {clip} 1 5 1", "pair needs j > k >= 0, got (1, 5)"),
+    ("TRIP {clip} 1 2 3 7", "label must be 0 or 1, got 7"),
+])
+def test_tuple_value_error_names_file_and_line(pipeline, tmp_path, capsys, line, message):
+    _, data, _, _ = pipeline
+    clip_id = (data / "unlabeled.txt").read_text().split("\t", 1)[0]
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text(f"# mined temporal tuples\nPAIR {clip_id} 1 0 1\n{line.format(clip=clip_id)}\n")
+    code = main(["train", "--labeled", str(data / "labeled.txt"),
+                 "--unlabeled", str(data / "unlabeled.txt"), "--pairs", str(pairs),
+                 "--method", "sfa2", "--epochs", "1", "--out", str(tmp_path / "run")])
+    assert code == 3
+    assert capsys.readouterr().err == f"error: {pairs}: line 3: {message}\n"
+
+
+def test_no_tuple_sample_alive_while_training(pipeline, tmp_path, monkeypatch):
+    # train resolves its tuple files into index arrays; the samples they
+    # were read into are gone before trainer.train runs
+    from ssfa import trainer
+
+    base, data, mined, _ = pipeline
+
+    def live_samples():
+        gc.collect()
+        return {id(o) for o in gc.get_objects() if isinstance(o, (PairSample, TripletSample))}
+
+    before, seen = live_samples(), []
+    train = trainer.train
+
+    def spy(*args, **kwargs):
+        seen.append(len(live_samples() - before))
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "train", spy)
+    run_ok(["train", "--labeled", str(data / "labeled.txt"),
+            "--unlabeled", str(data / "unlabeled.txt"),
+            "--pairs", str(mined / "pairs.txt"), "--triplets", str(mined / "triplets.txt"),
+            "--method", "ssfa", "--lambda", "0.5", "--lambda2", "0.5",
+            "--epochs", "1", "--seed", "2", "--out", str(tmp_path / "run")])
+    assert seen == [0]
 
 
 @contextlib.contextmanager

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ssfa.data import (
+    LINE_BLOCK_CHARS,
     PREP_BLOCK_BYTES,
     STD_FLOOR,
     Clip,
@@ -13,6 +14,7 @@ from ssfa.data import (
     ManifestError,
     PgmFormatError,
     UnlabeledSet,
+    _significant_lines,
     load_manifest,
     load_pgm,
     prep_stack,
@@ -454,3 +456,28 @@ def test_writers_round_trip(tmp_path):
     manifest = write_labeled(s, tmp_path / "out2")
     s2 = load_manifest(manifest)
     assert s2.labels == s.labels and s2.num_classes == 2
+
+
+@pytest.mark.parametrize("block", [1, 2, 5, LINE_BLOCK_CHARS])
+def test_significant_lines_cut_and_number_as_splitlines(tmp_path, monkeypatch, block):
+    # the block-wise line reader keeps str.splitlines' cuts (every line
+    # break it knows) and numbering, wherever the blocks end; the file is
+    # read through universal newlines
+    monkeypatch.setattr("ssfa.data.LINE_BLOCK_CHARS", block)
+    pieces = ["a", "b c", " ", "\t", "#", "\n", "\r", "\r\n", "\v", "\f",
+              "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028", "\u2029"]
+    rnd = random.Random(3)
+    path = tmp_path / "lines.txt"
+    for _ in range(500):
+        text = "".join(rnd.choice(pieces) for _ in range(rnd.randrange(16)))
+        path.write_bytes(text.encode())
+        lines = enumerate(path.read_text().splitlines(), start=1)
+        want = [(n, s.strip()) for n, s in lines if s.strip() and not s.strip().startswith("#")]
+        assert list(_significant_lines(path)) == want, repr(text)
+
+
+def test_significant_lines_rejects_non_text_at_call(tmp_path):
+    path = tmp_path / "bin.txt"
+    path.write_bytes(b"ok\n\xff\n")
+    with pytest.raises(ValueError, match="not utf-8 text"):
+        _significant_lines(path)  # before any line is drawn

@@ -1,6 +1,8 @@
+import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -229,6 +231,25 @@ def test_tuple_file_round_trip(tmp_path):
     assert p2 == pairs and t2 == trips
 
 
+def test_load_tuples_peak_per_tuple(tmp_path):
+    # slotted samples, one clip-id string per clip and a line-at-a-time
+    # reader: a long_clips-shaped pair file peaks below 150 B per tuple
+    n = 10000
+    path = tmp_path / "pairs.txt"
+    samples = [PairSample(f"clip{i % 2:04d}", i % 497 + 1 + i % 3, i % 497, i % 2) for i in range(n)]
+    save_tuples(path, samples, MiningConfig(T_seconds=4.0))
+    del samples
+    load_tuples(path)  # warm up the code path
+    tracemalloc.start()
+    try:
+        pairs, triplets = load_tuples(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(pairs) == n and not triplets
+    assert peak < 150 * n, peak / n
+
+
 # ---------------------------------------------------------------------------
 # the closed-form group tables and their decode
 
@@ -276,7 +297,7 @@ def materialized_mine(u, cfg, candidates, cap, ratio, seed):
 
 
 def as_rows(samples):
-    return [tuple(vars(s).values()) for s in samples]
+    return [dataclasses.astuple(s) for s in samples]
 
 
 @pytest.mark.parametrize("ratio", [0.0, 1.0, 3.0])
@@ -304,25 +325,28 @@ def test_huge_window_reaches_no_negative_error():
 
 
 _MINING_PEAK = """
-import resource
 from ssfa.data import Clip, Frame, UnlabeledSet
 from ssfa.mining import MiningConfig, mine_pairs, mine_triplets
 cfg = MiningConfig(T_seconds=2.0, max_pairs=10000, max_triplets=10000)
 small = UnlabeledSet([Clip("w", [Frame(1, 1, [0.0])] * 40, 1.0)])
 mine_pairs(small, cfg), mine_triplets(small, cfg)  # warm up the code paths
 u = UnlabeledSet([Clip("c", [Frame(1, 1, [0.0])] * 3000, 1.0)])
-with open("/proc/self/statm") as f:  # resident pages now, not the high-water mark
-    before = int(f.read().split()[1]) * resource.getpagesize()
+def status_kib(field):
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) for line in f if line.startswith(field + ":"))
+before = status_kib("VmRSS")  # resident now, not the high-water mark
 kept = len(mine_pairs(u, cfg)) + len(mine_triplets(u, cfg))
-print(kept, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 - before)
+# VmHWM is this process's own peak; ru_maxrss also holds the peak of the
+# process that spawned it (Linux carries it over exec)
+print(kept, (status_kib("VmHWM") - before) * 1024)
 """
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in kB on Linux")
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 def test_mining_peak_is_one_permutation_of_the_candidates():
     # one 3000-frame clip at a 2-frame window: the largest candidate set,
-    # 8.97M triplet negatives, is drawn by one 8-byte-per-candidate
-    # permutation; building the candidate rows would take several times it
+    # 8.97M triplet negatives, is drawn by one 4-byte-per-candidate
+    # permutation; building the candidate rows would take many times it
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -334,4 +358,4 @@ def test_mining_peak_is_one_permutation_of_the_candidates():
     # number per g1 in {1, 2}
     largest = sum((3000 - g1 - 4) * (3000 - g1 - 3) // 2 for g1 in (1, 2))
     print(f"mining peak grew {grown / 2**20:.1f} MB for {largest} candidates")
-    assert grown < 8 * largest + 16 * 2**20, (grown, largest)
+    assert grown < 4 * largest + 16 * 2**20, (grown, largest)

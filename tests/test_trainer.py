@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ssfa.data import prep_stack
+from ssfa.data import Clip, Frame, UnlabeledSet, prep_stack
 from ssfa.losses import softmax_loss
 from ssfa.mining import MiningConfig, PairSample, TripletSample, mine_pairs, mine_triplets
 from ssfa.network import LayerSpec, forward, init_glorot
@@ -230,6 +230,30 @@ def test_resolve_rejects_unknown_clip_and_frame_past_clip_end():
     # the last frame of the first clip resolves; one further would be the next clip's first
     frames, idx, _ = resolve_triplets(u, [TripletSample(clip_id, 0, 6, 11, 1)])
     assert idx.tolist() == [[0, 6, 11]] and frames.shape[0] == 24
+
+
+def test_resolve_error_texts_name_the_first_offender():
+    # clips of 7 and 12 frames: the text names the offender's own clip length
+    clips = [Clip(f"c{i}", [Frame(1, 1, [t / n]) for t in range(n)], 1.0)
+             for i, n in enumerate((7, 12))]
+    u = UnlabeledSet(clips)
+    ok, past = PairSample("c1", 11, 0, 1), PairSample("c0", 7, 2, 0)
+    unknown = PairSample("nosuch", 1, 0, 1)
+    past_text = f"tuple {past} names a frame past the end of its 7-frame clip"
+    unknown_text = f"tuple {unknown} names unknown clip 'nosuch'"
+    for samples, text in (([ok, past, unknown], past_text), ([ok, unknown, past], unknown_text),
+                          ([past], past_text), ([unknown], unknown_text)):
+        with pytest.raises(ValueError) as err:
+            resolve_pairs(u, samples)
+        assert str(err.value) == text
+    trip = TripletSample("c1", 2, 7, 12, 1)
+    with pytest.raises(ValueError) as err:
+        resolve_triplets(u, [TripletSample("c1", 2, 7, 11, 0), trip, TripletSample("x", 0, 1, 2, 1)])
+    assert str(err.value) == f"tuple {trip} names a frame past the end of its 12-frame clip"
+    # a frame index beyond any machine integer is past the end too
+    huge = PairSample("c1", 10 ** 30, 0, 1)
+    with pytest.raises(ValueError, match="past the end of its 12-frame clip"):
+        resolve_pairs(u, [huge])
 
 
 # ---------------------------------------------------------------------------
