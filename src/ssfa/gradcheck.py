@@ -24,19 +24,19 @@ TOL_COMPOSED = 1e-4
 HINGE_GAP = 1e-3
 
 
-def central_diff(f, x: np.ndarray, h: float = H) -> np.ndarray:
-    """Central finite differences of a scalar function over every entry of x."""
+def central_diff(f, x: np.ndarray) -> np.ndarray:
+    """Central finite differences (step H) of a scalar function over every entry of x."""
     g = np.zeros_like(x, dtype=np.float64)
     flat = x.reshape(-1)
     out = g.reshape(-1)
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + h
+        flat[i] = orig + H
         f_plus = f(x)
-        flat[i] = orig - h
+        flat[i] = orig - H
         f_minus = f(x)
         flat[i] = orig
-        out[i] = (f_plus - f_minus) / (2.0 * h)
+        out[i] = (f_plus - f_minus) / (2.0 * H)
     return g
 
 
@@ -137,9 +137,9 @@ def check_total(rng, points: int = 100, margins: Margins = None, corrupt=None) -
     are resolved: one table of the stacked member rows, indexed by an
     ``arange``.
 
-    Sampled configurations are rejected when any hidden pre-activation or
-    contrastive distance sits within the perturbation reach of a kink
-    (ReLU corner or hinge margin), where the loss is non-differentiable.
+    Sampled configurations are rejected when any hidden pre-activation (formed
+    here with forward's ops) or contrastive distance sits within the reach of
+    a kink (ReLU corner or hinge margin), where the loss is non-differentiable.
     """
     margins = margins or Margins()
     spec = LayerSpec((6, 5, 4))
@@ -161,8 +161,10 @@ def check_total(rng, points: int = 100, margins: Margins = None, corrupt=None) -
             trip_p = rng.integers(0, 2, 3)
             table = np.vstack(pair_x + trip_x)
             pb, tb = (table, idx[:, :2], pair_p), (table, idx[:, 2:], trip_p)
-            Z, tape = forward(params, np.vstack([bx, table]))
-            if np.min(np.abs(tape.pre[0])) > HINGE_GAP and all(
+            X = np.vstack([bx, table])
+            Z, _ = forward(params, X)
+            pre = X @ params.weights[0].T + params.biases[0]  # forward's layer-0 ops
+            if np.min(np.abs(pre)) > HINGE_GAP and all(
                 _smooth(_contrast(Z[3 + batch[1].T]), batch[2], delta, margins.metric)
                 for batch, delta in ((pb, margins.delta_pair), (tb, margins.delta_triplet))
             ):

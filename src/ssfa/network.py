@@ -3,7 +3,9 @@ the bias-free linear classifier.
 
 The network is a chain of affine layers with ReLU after every layer except
 the last (identity output). Everything is float64; forward and backward work
-on batches of flattened images, one sample per row.
+on batches of flattened images, one sample per row. The parameters are one
+flat vector that ``NetworkParams(spec, flat)`` views per layer, and a
+forward pass keeps one output array per layer on its tape.
 """
 
 from __future__ import annotations
@@ -48,37 +50,13 @@ class LayerSpec:
 
 
 class NetworkParams:
-    """Per-layer weight matrices (fan_out x fan_in) and bias vectors.
-
-    All parameters live in one contiguous float64 vector ``flat``, layer by
-    layer, weight matrix (row-major) then bias vector; ``weights`` and
-    ``biases`` are views into it. This is the checkpoint body order.
+    """Per-layer weight matrices (fan_out x fan_in) and bias vectors that
+    view one float64 vector ``flat`` of length ``spec.param_count`` (no
+    copy; writes go through): layer by layer, the weight matrix (row-major)
+    then the bias vector. This is the checkpoint body order.
     """
 
-    def __init__(self, weights, biases):
-        weights = [np.asarray(w, dtype=np.float64) for w in weights]
-        biases = [np.asarray(b, dtype=np.float64) for b in biases]
-        if len(weights) != len(biases) or not weights:
-            raise ValueError("weights and biases must be nonempty and aligned")
-        for i, (w, b) in enumerate(zip(weights, biases)):
-            if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
-                raise ValueError(f"layer {i}: weight {w.shape} / bias {b.shape} mismatch")
-            if i > 0 and w.shape[1] != weights[i - 1].shape[0]:
-                raise ValueError(
-                    f"layer {i}: fan_in {w.shape[1]} != previous fan_out {weights[i - 1].shape[0]}"
-                )
-        spec = LayerSpec((weights[0].shape[1],) + tuple(w.shape[0] for w in weights))
-        flat = np.concatenate([a.ravel() for wb in zip(weights, biases) for a in wb])
-        self._bind(spec, flat)
-
-    @classmethod
-    def from_flat(cls, spec: LayerSpec, flat: np.ndarray) -> "NetworkParams":
-        """Parameters that view ``flat`` (no copy); writes go through."""
-        obj = cls.__new__(cls)
-        obj._bind(spec, flat)
-        return obj
-
-    def _bind(self, spec: LayerSpec, flat: np.ndarray) -> None:
+    def __init__(self, spec: LayerSpec, flat: np.ndarray):
         if flat.dtype != np.float64 or flat.shape != (spec.param_count,):
             raise ValueError(
                 f"flat parameters {flat.dtype}{flat.shape} != float64 ({spec.param_count},)"
@@ -97,33 +75,31 @@ class NetworkParams:
         return self._spec
 
     def copy(self) -> "NetworkParams":
-        return NetworkParams.from_flat(self._spec, self.flat.copy())
+        return NetworkParams(self._spec, self.flat.copy())
 
 
 @dataclass
 class ActivationTape:
     """Intermediates of one forward pass, consumed by backward(): the input
-    rows, each layer's pre-activations and outputs (the last layer's output
-    is its pre-activation array), and per-hidden-layer scratch for
-    backward's deltas and ReLU masks.
+    rows, each layer's output (``post[i]``: ReLU applied on hidden layers;
+    the last is the features), and per-hidden-layer scratch for backward's
+    deltas and ReLU masks.
 
     ``buffers`` makes a tape of empty arrays that ``forward(..., out=)``
     fills, so a caller that repeats passes of at most the same row count
     allocates nothing per pass."""
 
     x: np.ndarray
-    pre: list
     post: list
     delta: list
     mask: list
 
     @classmethod
     def buffers(cls, spec: "LayerSpec", rows: int) -> "ActivationTape":
-        """Arrays for up to ``rows`` rows of every layer, with backward's
+        """One array for up to ``rows`` rows of every layer, with backward's
         delta and mask scratch; ``x`` stays None."""
-        widths, hidden = spec.sizes[1:], spec.sizes[1:-1]
-        pre = [np.empty((rows, w)) for w in widths]
-        return cls(None, pre, [np.empty((rows, w)) for w in hidden] + pre[-1:],
+        hidden = spec.sizes[1:-1]
+        return cls(None, [np.empty((rows, w)) for w in spec.sizes[1:]],
                    [np.empty((rows, w)) for w in hidden],
                    [np.empty((rows, w), dtype=bool) for w in hidden])
 
@@ -136,18 +112,17 @@ def glorot_uniform(rng, fan_out: int, fan_in: int) -> np.ndarray:
 def init_glorot(spec: LayerSpec, seed) -> NetworkParams:
     """Glorot-uniform weights (bound sqrt(6/(fan_in+fan_out))), zero biases."""
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(spec.sizes[:-1], spec.sizes[1:]):
-        weights.append(glorot_uniform(rng, fan_out, fan_in))
-        biases.append(np.zeros(fan_out))
-    return NetworkParams(weights, biases)
+    params = NetworkParams(spec, np.zeros(spec.param_count))
+    for w in params.weights:
+        w[...] = glorot_uniform(rng, *w.shape)
+    return params
 
 
 def split_model(spec: LayerSpec, vec: np.ndarray):
     """Views (params, W) of one vector holding params.flat followed by the
     row-major classifier W: the checkpoint body and optimizer layout."""
     n_params = spec.param_count
-    return NetworkParams.from_flat(spec, vec[:n_params]), vec[n_params:].reshape(-1, spec.out_dim)
+    return NetworkParams(spec, vec[:n_params]), vec[n_params:].reshape(-1, spec.out_dim)
 
 
 def init_classifier(num_classes: int, dim: int, seed) -> np.ndarray:
@@ -171,13 +146,14 @@ def forward(params: NetworkParams, X, out: ActivationTape = None):
     n = len(X)
     if out is None:
         out = ActivationTape.buffers(params.layer_spec(), n)
-    tape = ActivationTape(X, [a[:n] for a in out.pre], [a[:n] for a in out.post],
-                          [a[:n] for a in out.delta], [a[:n] for a in out.mask])
+    tape = ActivationTape(X, [a[:n] for a in out.post], [a[:n] for a in out.delta],
+                          [a[:n] for a in out.mask])
     h = X
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        a = np.matmul(h, w.T, out=tape.pre[i])
-        a += b
-        h = np.maximum(a, 0.0, out=tape.post[i]) if i < len(tape.delta) else a
+        h = np.matmul(h, w.T, out=tape.post[i])
+        h += b
+        if i < len(tape.delta):
+            np.maximum(h, 0.0, out=h)
     return h, tape
 
 
@@ -189,20 +165,20 @@ def backward(params: NetworkParams, tape: ActivationTape, dZ, out=None) -> Netwo
     the gradient w.r.t. the input is never formed. The hidden layers' deltas
     and ReLU masks go into the tape's scratch arrays, so with ``out`` nothing
     is allocated; ``dZ`` and the tape's activations are only read. The ReLU
-    subgradient at exactly zero pre-activation is zero.
+    mask is ``post > 0``, so the subgradient at exactly zero is zero.
     """
     delta = np.asarray(dZ, dtype=np.float64)
     if delta.shape != tape.post[-1].shape:
         raise ValueError(f"dZ shape {delta.shape} != output shape {tape.post[-1].shape}")
     spec = params.layer_spec()
-    grad = NetworkParams.from_flat(spec, np.empty(spec.param_count) if out is None else out)
+    grad = NetworkParams(spec, np.empty(spec.param_count) if out is None else out)
     for i in reversed(range(len(params.weights))):
         inp = tape.x if i == 0 else tape.post[i - 1]
         np.matmul(delta.T, inp, out=grad.weights[i])
         delta.sum(axis=0, out=grad.biases[i])
         if i > 0:
             delta = np.matmul(delta, params.weights[i], out=tape.delta[i - 1])
-            delta *= np.greater(tape.pre[i - 1], 0.0, out=tape.mask[i - 1])
+            delta *= np.greater(tape.post[i - 1], 0.0, out=tape.mask[i - 1])
     return grad
 
 
@@ -242,9 +218,9 @@ def load_checkpoint(path):
     if l1.decode("ascii", "replace") != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: bad checkpoint magic {l1!r}")
     t2, t3 = l2.split(), l3.split()
-    if not t2 or t2[0] != b"layers" or len(t2) < 3:
+    if t2[:1] != [b"layers"] or len(t2) < 3 or not all(t.isdigit() and int(t) > 0 for t in t2[1:]):
         raise ValueError(f"{path}: bad layers line {l2!r}")
-    if len(t3) != 2 or t3[0] != b"classes":
+    if len(t3) != 2 or t3[0] != b"classes" or not t3[1].isdigit():
         raise ValueError(f"{path}: bad classes line {l3!r}")
     spec = LayerSpec(tuple(int(t) for t in t2[1:]))
     num_classes = int(t3[1])

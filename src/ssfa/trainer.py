@@ -131,7 +131,7 @@ def _resolve(u: UnlabeledSet, samples, members):
     """(frames, idx, p): ``frames`` is ``u.table``, every frame of ``u``
     preprocessed, clip after clip, and the same object for every call on
     ``u``; row i of ``idx`` holds the ``frames`` rows of sample i's
-    ``members``; ``p`` holds the labels. The first sample naming an unknown
+    ``members``; ``p`` the int64 labels. The first sample naming an unknown
     clip or a frame past its clip's end raises ValueError."""
     n = len(samples)
     clip_of = {c.clip_id: i for i, c in enumerate(u.clips)}
@@ -151,7 +151,7 @@ def _resolve(u: UnlabeledSet, samples, members):
             raise ValueError(f"tuple {s} names unknown clip {s.clip_id!r}")
         raise ValueError(f"tuple {s} names a frame past the end of its {length[clip[i]]}-frame clip")
     idx += (np.cumsum(length) - length)[clip, None]
-    return u.table, idx, np.array([s.p for s in samples])
+    return u.table, idx, np.fromiter((s.p for s in samples), np.int64, n)
 
 
 def resolve_pairs(u: UnlabeledSet, samples):
@@ -360,7 +360,7 @@ def train_unsupervised(pairs, triplets, layer_spec: LayerSpec, cfg: TrainConfig,
     snapshots, rows = [], []
     for pass_i in range(1, passes + 1):
         means = steps(itertools.repeat((None, None), steps_per_pass))
-        snapshots.append(NetworkParams.from_flat(layer_spec, theta.copy()))
+        snapshots.append(NetworkParams(layer_spec, theta.copy()))
         rows.append((pass_i, means["slow"], means["steady"]))
     return params, snapshots, rows
 

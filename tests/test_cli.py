@@ -213,6 +213,22 @@ def test_eval_missing_checkpoint_exits_3(pipeline):
     assert code == 3
 
 
+@pytest.mark.parametrize("kind, line", [("layers", b"layers 2 x"), ("layers", b"layers 2 0"),
+                                        ("classes", b"classes q"), ("classes", b"classes -1")])
+def test_eval_cls_bad_checkpoint_header_names_file_and_line(pipeline, tmp_path, capsys, kind, line):
+    # these lines raised messages that named neither the file nor the line
+    _, data, _, run = pipeline
+    head = (run / "checkpoint.ckpt").read_bytes().split(b"\n", 3)
+    head[1 if kind == "layers" else 2] = line
+    ckpt = tmp_path / "bad.ckpt"
+    ckpt.write_bytes(b"\n".join(head))
+    code = main(["eval-cls", "--checkpoint", str(ckpt), "--test", str(data / "labeled.txt"),
+                 "--out", str(tmp_path / "e")])
+    assert code == 3
+    assert f"{ckpt}: bad {kind} line {line!r}" in capsys.readouterr().err
+    assert not (tmp_path / "e").exists()
+
+
 def test_gradcheck_cli_passes():
     assert main(["gradcheck", "--points", "3", "--seed", "0"]) == 0
 

@@ -75,7 +75,9 @@ def _blocks(params):
 
 
 def _net(arrays, n_layers):
-    return NetworkParams(arrays[0 : 2 * n_layers : 2], arrays[1 : 2 * n_layers : 2])
+    weights = arrays[0 : 2 * n_layers : 2]
+    spec = LayerSpec((weights[0].shape[1],) + tuple(len(w) for w in weights))
+    return NetworkParams(spec, np.concatenate([a.ravel() for a in arrays[: 2 * n_layers]]))
 
 
 def _accumulate(dst, src, scale):

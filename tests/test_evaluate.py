@@ -34,7 +34,7 @@ def clip_corpus(lengths, width=3, height=2, seed=0):
 
 def identity_net(dim):
     # single affine layer, identity weights: z = x (no ReLU on output)
-    return NetworkParams([np.eye(dim)], [np.zeros(dim)])
+    return NetworkParams(LayerSpec((dim, dim)), np.concatenate([np.eye(dim).ravel(), np.zeros(dim)]))
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,13 @@ from ssfa.network import (
 )
 
 
+def _params(weights, biases):
+    """NetworkParams holding the given per-layer weights and biases."""
+    spec = LayerSpec((np.shape(weights[0])[1],) + tuple(len(w) for w in weights))
+    blocks = [np.ravel(a) for wb in zip(weights, biases) for a in wb]
+    return NetworkParams(spec, np.concatenate(blocks, dtype=np.float64))
+
+
 def test_layer_spec_validation():
     LayerSpec((4, 3))
     with pytest.raises(ValueError):
@@ -46,14 +53,14 @@ def test_glorot_deterministic_per_seed():
 
 
 def test_forward_zero_params_is_zero_map():
-    params = NetworkParams([np.zeros((3, 4)), np.zeros((2, 3))], [np.zeros(3), np.zeros(2)])
+    params = _params([np.zeros((3, 4)), np.zeros((2, 3))], [np.zeros(3), np.zeros(2)])
     z, _ = forward(params, np.ones((1, 4)))
     np.testing.assert_array_equal(z, np.zeros((1, 2)))
 
 
 def test_forward_relu_cases_on_chain_of_ones():
     # 1 -> 1 -> 1 net, weights 1, biases 0: hidden ReLU clips negatives
-    params = NetworkParams([np.ones((1, 1)), np.ones((1, 1))], [np.zeros(1), np.zeros(1)])
+    params = _params([np.ones((1, 1)), np.ones((1, 1))], [np.zeros(1), np.zeros(1)])
     z_neg, _ = forward(params, np.array([[-2.0]]))
     z_pos, _ = forward(params, np.array([[3.0]]))
     assert z_neg[0, 0] == 0.0
@@ -145,14 +152,16 @@ def test_backward_matches_finite_differences():
 
 def _backward_with_dx(params, tape, dz):
     """Reference: the full backward pass, which also forms the input
-    gradient; returns (flat parameter gradient, dx)."""
+    gradient and masks with hidden pre-activations it recomputes from the
+    params; returns (flat parameter gradient, dx)."""
     grads, delta = [], dz
+    inputs = [tape.x] + tape.post[:-1]
     for i in reversed(range(len(params.weights))):
-        inp = tape.x if i == 0 else tape.post[i - 1]
-        grads[:0] = [delta.T @ inp, delta.sum(axis=0)]
+        grads[:0] = [delta.T @ inputs[i], delta.sum(axis=0)]
         delta = delta @ params.weights[i]
         if i > 0:
-            delta = delta * (tape.pre[i - 1] > 0.0)
+            pre = inputs[i - 1] @ params.weights[i - 1].T + params.biases[i - 1]
+            delta = delta * (pre > 0.0)
     return np.concatenate([g.ravel() for g in grads]), delta
 
 
@@ -192,7 +201,7 @@ def test_forward_into_an_oversized_tape_is_bit_identical(sizes):
     z, tape = forward(params, x)
     z_buf, tape_buf = forward(params, x, out=ActivationTape.buffers(spec, 11))
     assert z.tobytes() == z_buf.tobytes()
-    for a, b in zip(tape.pre + tape.post, tape_buf.pre + tape_buf.post):
+    for a, b in zip(tape.post, tape_buf.post):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
     grad = backward(params, tape, dz)
     assert grad.flat.tobytes() == backward(params, tape_buf, dz).flat.tobytes()
@@ -200,32 +209,32 @@ def test_forward_into_an_oversized_tape_is_bit_identical(sizes):
 
 def test_dead_relu_blocks_gradient():
     # single hidden unit forced negative: no gradient reaches its weights
-    params = NetworkParams(
-        [np.array([[1.0]]), np.array([[1.0]])],
-        [np.array([-10.0]), np.array([0.0])],
-    )
+    params = _params([[[1.0]], [[1.0]]], [[-10.0], [0.0]])
     _, tape = forward(params, np.array([[1.0]]))
     grads = backward(params, tape, np.array([[1.0]]))
     assert grads.weights[0][0, 0] == 0.0
 
 
 def test_relu_subgradient_zero_at_exact_zero():
-    # pre-activation exactly 0 at the hidden unit
-    params = NetworkParams(
-        [np.array([[1.0]]), np.array([[1.0]])],
-        [np.array([-1.0]), np.array([0.0])],
-    )
-    _, tape = forward(params, np.array([[1.0]]))
-    assert tape.pre[0][0, 0] == 0.0
-    grads = backward(params, tape, np.array([[1.0]]))
-    assert grads.weights[0][0, 0] == 0.0
+    # hidden pre-activation x * w + b exactly 0: 1 * 1 - 1, and 0 * -1 + -0.0
+    # (-0.0 in exact arithmetic; the BLAS sum may round it to +0.0). No
+    # gradient reaches the hidden unit's weight or bias.
+    for x, w, b in ((1.0, 1.0, -1.0), (0.0, -1.0, -0.0)):
+        params = _params([[[w]], [[1.0]]], [[b], [0.0]])
+        _, tape = forward(params, np.array([[x]]))
+        assert tape.post[0][0, 0] == 0.0
+        grads = backward(params, tape, np.array([[1.0]]))
+        assert grads.weights[0][0, 0] == 0.0 and grads.biases[0][0] == 0.0
+    # a hidden output of exactly -0.0 masks like +0.0
+    tape.post[0][0, 0] = -0.0
+    assert backward(params, tape, np.array([[1.0]])).biases[0][0] == 0.0
 
 
 def classify(W, z):
     """Per-class hit rates of linear_accuracy for an embedding fixed at z:
     1.0 at the predicted class, 0.0 elsewhere."""
     # one layer with zero weights maps every image to its bias, z
-    net = NetworkParams([np.zeros((len(z), 1))], [z])
+    net = _params([np.zeros((len(z), 1))], [z])
     image = Frame(1, 1, [0.0])
     return [linear_accuracy(net, W, LabeledSet([image], [c], len(W))) for c in range(len(W))]
 
@@ -271,16 +280,18 @@ def test_checkpoint_body_is_flat_params_then_classifier(tmp_path):
 def test_params_are_views_of_one_flat_vector():
     weights = [np.arange(12.0).reshape(3, 4), np.arange(6.0).reshape(2, 3) + 20]
     biases = [np.array([-1.0, -2.0, -3.0]), np.array([-4.0, -5.0])]
-    params = NetworkParams(weights, biases)
-    expect = np.concatenate([weights[0].ravel(), biases[0], weights[1].ravel(), biases[1]])
-    assert params.flat.tobytes() == expect.tobytes()
+    flat = np.concatenate([weights[0].ravel(), biases[0], weights[1].ravel(), biases[1]])
+    params = NetworkParams(LayerSpec((4, 3, 2)), flat)
+    assert params.flat is flat
     assert params.flat.size == params.layer_spec().param_count
-    for arr in params.weights + params.biases:
-        assert np.shares_memory(arr, params.flat)
+    for got, want in zip(params.weights + params.biases, weights + biases):
+        assert got.tobytes() == want.tobytes() and got.shape == want.shape
+        assert np.shares_memory(got, params.flat)
     params.flat[:] = 0.0
     assert not any(a.any() for a in params.weights + params.biases)
-    with pytest.raises(ValueError):
-        NetworkParams.from_flat(LayerSpec((4, 3)), np.zeros(14))
+    for bad in (np.zeros(14), np.zeros(15, dtype=np.float32)):
+        with pytest.raises(ValueError):
+            NetworkParams(LayerSpec((4, 3)), bad)
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
@@ -294,3 +305,53 @@ def test_checkpoint_rejects_garbage(tmp_path):
     (tmp_path / "trunc.ckpt").write_bytes(body[:-8])
     with pytest.raises(ValueError, match="truncated"):
         load_checkpoint(tmp_path / "trunc.ckpt")
+
+
+@pytest.mark.parametrize("kind, line", [
+    ("layers", b"layers 2 x"),
+    ("layers", b"layers 2 0"),
+    ("layers", b"layers 2"),
+    ("layers", b"layers -2 2"),
+    ("layers", b"sizes 2 2"),
+    ("classes", b"classes q"),
+    ("classes", b"classes -1"),
+    ("classes", b"classes"),
+    ("classes", b"classes 1 1"),
+])
+def test_checkpoint_bad_header_value_names_file_and_line(tmp_path, kind, line):
+    # "layers 2 x" raised a bare int() error, "layers 2 0" a LayerSpec
+    # error, "classes -1" a flat-parameter size error
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(p, init_glorot(LayerSpec((2, 2)), 0), np.zeros((1, 2)))
+    head = p.read_bytes().split(b"\n", 3)
+    head[1 if kind == "layers" else 2] = line
+    p.write_bytes(b"\n".join(head))
+    with pytest.raises(ValueError) as err:
+        load_checkpoint(p)
+    assert str(err.value) == f"{p}: bad {kind} line {line!r}"
+
+
+def test_checkpoint_with_no_classes_round_trips(tmp_path):
+    p = tmp_path / "m.ckpt"
+    params = init_glorot(LayerSpec((3, 2)), 0)
+    save_checkpoint(p, params, np.zeros((0, 2)))
+    params2, W2 = load_checkpoint(p)
+    assert W2.shape == (0, 2) and params2.flat.tobytes() == params.flat.tobytes()
+
+
+@pytest.mark.parametrize("sizes", [(5, 3), (5, 4, 3), (64, 9, 7, 5)])
+def test_tape_buffers_hold_one_array_per_layer(sizes):
+    # each layer's output is its only activation array: no separate
+    # pre-activation copy, and nothing aliased
+    spec = LayerSpec(sizes)
+    tape = ActivationTape.buffers(spec, 6)
+    hidden = list(sizes[1:-1])
+    assert tape.x is None
+    assert list(vars(tape)) == ["x", "post", "delta", "mask"]
+    assert [a.shape for a in tape.post] == [(6, w) for w in sizes[1:]]
+    assert [a.shape for a in tape.delta] == [a.shape for a in tape.mask] == [(6, w) for w in hidden]
+    assert all(a.dtype == np.float64 for a in tape.post + tape.delta)
+    assert all(a.dtype == bool for a in tape.mask)
+    arrays = tape.post + tape.delta + tape.mask
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1:])
+    assert sum(a.nbytes for a in arrays) == 6 * (8 * sum(sizes[1:]) + 9 * sum(hidden))

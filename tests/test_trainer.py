@@ -218,6 +218,17 @@ def test_resolve_shares_one_table_per_corpus(monkeypatch):
     assert not pairs[0].flags.writeable
 
 
+def test_resolve_labels_are_int64_even_for_no_samples():
+    # resolving no samples gave float64 labels, any other call int64
+    u = gen_unlabeled(SynthConfig(grid=8, clip_len=12, num_clips=2, seed=1))
+    clip_id = u.clips[0].clip_id
+    for resolve, samples in ((resolve_pairs, [PairSample(clip_id, 3, 0, 1)]),
+                             (resolve_triplets, [TripletSample(clip_id, 0, 6, 11, 0)])):
+        for s in ([], samples):
+            _, idx, p = resolve(u, s)
+            assert p.dtype == np.int64 and p.shape == (len(s),) and idx.shape[0] == len(s)
+
+
 def test_resolve_rejects_unknown_clip_and_frame_past_clip_end():
     u = gen_unlabeled(SynthConfig(grid=8, clip_len=12, num_clips=2, seed=1))
     clip_id = u.clips[0].clip_id
