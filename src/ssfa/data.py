@@ -82,8 +82,8 @@ class Clip:
             raise ValueError(f"bad clip_id {self.clip_id!r}")
         if not self.frames:
             raise ValueError(f"clip {self.clip_id!r} has no frames")
-        if not self.frame_period > 0:
-            raise ValueError(f"frame_period must be > 0, got {self.frame_period}")
+        if not (np.isfinite(self.frame_period) and self.frame_period > 0):
+            raise ValueError(f"frame_period must be finite and > 0, got {self.frame_period}")
         w, h = self.frames[0].width, self.frames[0].height
         for t, f in enumerate(self.frames):
             if f.width != w or f.height != h:
@@ -191,6 +191,12 @@ def write_atomic(path, content) -> None:
         raise
 
 
+def _decimal(tok) -> bool:
+    """True when ``tok`` (str or bytes) is ASCII digits only: the one form of
+    an integer field read from text (no sign, "_" or non-ASCII digit)."""
+    return tok.isascii() and tok.isdigit()
+
+
 # ---------------------------------------------------------------------------
 # PGM input/output (P5 binary preferred; P2 ASCII accepted on read)
 
@@ -207,10 +213,9 @@ def load_pgm(path) -> Frame:
         tok, pos = m[1], m.end()
         if not tok:
             raise PgmFormatError(f"{path}: header ends before {name}")
-        try:
-            header.append(int(tok))
-        except ValueError:
-            raise PgmFormatError(f"{path}: bad {name} token {tok!r}") from None
+        if not _decimal(tok):
+            raise PgmFormatError(f"{path}: bad {name} token {tok!r}")
+        header.append(int(tok))
     width, height, maxval = header
     if width < 1 or height < 1:
         raise PgmFormatError(f"{path}: bad dimensions {width}x{height}")
@@ -232,10 +237,9 @@ def load_pgm(path) -> Frame:
         # counted before any array is built: a header larger than the file sizes none
         vals = []
         for tok in [t for t in _TOKEN.findall(data, pos) if t][:count]:
-            try:
-                vals.append(int(tok))
-            except ValueError:
-                raise PgmFormatError(f"{path}: bad P2 sample {tok!r}") from None
+            if not _decimal(tok):
+                raise PgmFormatError(f"{path}: bad P2 sample {tok!r}")
+            vals.append(int(tok))
         if len(vals) < count:
             raise OSError(f"{path}: truncated P2 payload ({len(vals)} of {count} samples)")
         arr = np.array(vals, dtype=np.float64)
@@ -340,20 +344,18 @@ def _load_labeled(path: Path, lines) -> LabeledSet:
     head = lines[0][1].split("\t")
     if len(head) != 2:
         raise ManifestError(f"{path}: bad classes header {lines[0][1]!r}")
-    try:
-        num_classes = int(head[1])
-    except ValueError:
-        raise ManifestError(f"{path}: bad class count {head[1]!r}") from None
+    if not _decimal(head[1]):
+        raise ManifestError(f"{path}: bad class count {head[1]!r}")
+    num_classes = int(head[1])
     images, labels = [], []
     for lineno, line in lines[1:]:
         parts = line.split("\t")
         if len(parts) != 2:
             raise ManifestError(f"{path}: line {lineno}: expected 2 tab-separated fields")
         rel, label_s = parts
-        try:
-            label = int(label_s)
-        except ValueError:
-            raise ManifestError(f"{path}: line {lineno}: bad label {label_s!r}") from None
+        if not _decimal(label_s):
+            raise ManifestError(f"{path}: line {lineno}: bad label {label_s!r}")
+        label = int(label_s)
         if not 0 <= label < num_classes:
             raise ManifestError(
                 f"{path}: line {lineno}: label {label} out of range [0, {num_classes})"

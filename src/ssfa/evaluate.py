@@ -72,17 +72,14 @@ class EvalReport:
     accuracy: dict = field(default_factory=dict)
     config: dict = field(default_factory=dict)
 
-    def to_json(self) -> str:
+    def save_json(self, path) -> None:
         payload = {
             "eta": self.eta,
             "ranks": list(self.ranks) if self.ranks is not None else None,
             "accuracy": self.accuracy,
             "config": self.config,
         }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-    def save_json(self, path) -> None:
-        write_atomic(path, self.to_json())
+        write_atomic(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
     def save_ranks_csv(self, path) -> None:
         lines = ["query,rank"]
@@ -156,21 +153,18 @@ def rank_of_truth(z_pool: np.ndarray, gt_index: int, z_tilde: np.ndarray) -> int
     return 1 + int(np.sum(d < d[gt_index]))
 
 
-def _query_rank(pool: CandidatePool, z_pool: np.ndarray, query: QueryPair) -> int:
-    i1 = pool.index_of(query.clip_id, query.t1)
-    i2 = pool.index_of(query.clip_id, query.t2)
-    gt = pool.index_of(query.clip_id, query.t3)
-    if gt is None:
-        raise ValueError(f"ground truth {(query.clip_id, query.t3)} not in pool")
-    if i1 is None or i2 is None:
-        raise ValueError(f"query frames of {query} not in pool")
-    return rank_of_truth(z_pool, gt, extrapolate(z_pool[i1], z_pool[i2]))
-
-
 def seqcomp_ranks(queries, pool: CandidatePool, params: NetworkParams):
     """Ranks for many queries, embedding the pool once."""
     z_pool = embed(params, pool.frames)
-    return [_query_rank(pool, z_pool, q) for q in queries]
+    ranks = []
+    for q in queries:
+        i1, i2, gt = (pool.index_of(q.clip_id, t) for t in (q.t1, q.t2, q.t3))
+        if gt is None:
+            raise ValueError(f"ground truth {(q.clip_id, q.t3)} not in pool")
+        if i1 is None or i2 is None:
+            raise ValueError(f"query frames of {q} not in pool")
+        ranks.append(rank_of_truth(z_pool, gt, extrapolate(z_pool[i1], z_pool[i2])))
+    return ranks
 
 
 def eta(ranks, pool_size: int) -> float:
@@ -194,12 +188,11 @@ def linear_accuracy(params: NetworkParams, W, test: LabeledSet) -> float:
 
 
 def knn_accuracy(params: NetworkParams, train: LabeledSet, test: LabeledSet,
-                 k: int = 5, exclude_self: bool = False) -> float:
+                 k: int = 5) -> float:
     """Majority vote among the k nearest training features (Euclidean).
 
     Vote ties go to the class of the nearest neighbor among the tied
-    classes. With exclude_self=True, training item i is hidden from test
-    item i (for evaluating a set against itself).
+    classes. A test image that is also in ``train`` is its own neighbor.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -215,10 +208,6 @@ def knn_accuracy(params: NetworkParams, train: LabeledSet, test: LabeledSet,
         + np.sum(zt * zt, axis=1)[None, :]
         - 2.0 * zq @ zt.T
     )
-    if exclude_self:
-        if len(train) != len(test):
-            raise ValueError("exclude_self requires aligned train/test sets")
-        np.fill_diagonal(d2, np.inf)
     nbr = yt[np.argsort(d2, axis=1, kind="stable")[:, :k]]
     # votes per (query, class), then each neighbor's class's votes: the
     # vote is the first neighbor whose class has the most votes

@@ -170,7 +170,7 @@ def check_total(rng, points: int = 100, margins: Margins = None, corrupt=None) -
             ):
                 break
 
-        work = Workspace.fitting(spec, len(bx), pb, tb, len(W))
+        work = Workspace(spec, len(bx), pb, tb, len(W))
 
         def loss(vec):
             theta, W_ = split_model(spec, vec)

@@ -263,21 +263,22 @@ def unsupervised_loss(pairs, triplets, lam_prime: float, margins: Margins) -> Lo
 
 
 class Workspace:
-    """The buffers of the fused pass, sized once and reused by every
-    objective call that passes it as ``work``: the stacked batch X (``lead``
-    labeled rows plus at most min(``table_rows``, ``members``) unique table
-    rows), the forward tape with backward's scratch, dZ, the member block
-    (each member's feature row, then its gradient), the contrastive
-    kernel's rows (at most members / 2 tuples), the softmax scratch for
-    ``lead`` rows and ``classes`` classes, a table-sized row-position map,
-    and the flat gradient (network parameters followed by a ``classes`` x k
-    classifier) with its ``split_model`` views. The gradients an objective
-    returns view these buffers, so the next call with the same workspace
-    overwrites them.
+    """The buffers of one fused pass, reused by every objective call that
+    passes it as ``work``. They are sized for ``lead`` labeled rows,
+    ``classes`` classes and the largest ``pairs`` and ``triplets`` batches
+    (None, or a frame table and idx rows first): the stacked batch X, the
+    forward tape with backward's scratch, dZ, the member block (each idx
+    entry's feature row, then its gradient), the contrastive kernel's rows,
+    the softmax scratch, a table-sized row-position map, and the flat
+    gradient (network parameters, then a ``classes`` x k classifier) with
+    its ``split_model`` views. The gradients an objective returns view these
+    buffers, so the next call with the same workspace overwrites them.
     """
 
-    def __init__(self, spec: LayerSpec, lead: int, table_rows: int, members: int,
-                 classes: int = 0):
+    def __init__(self, spec: LayerSpec, lead: int, pairs, triplets, classes: int = 0):
+        batches = [b for b in (pairs, triplets) if b is not None]
+        table_rows = len(batches[0][0]) if batches else 0
+        members = sum(b[1].size for b in batches)
         rows, k = lead + min(table_rows, members), spec.out_dim
         self.X = np.empty((rows, spec.in_dim))
         self.tape = ActivationTape.buffers(spec, rows)
@@ -290,13 +291,6 @@ class Workspace:
         self.cols = np.arange(k)
         self.flat = np.empty(spec.param_count + classes * k)
         self.dtheta, self.dW = split_model(spec, self.flat)
-
-    @classmethod
-    def fitting(cls, spec: LayerSpec, lead: int, pairs, triplets, classes: int = 0):
-        """A workspace sized for exactly these (``_tuples``-checked) batches."""
-        batches = [b for b in (pairs, triplets) if b is not None]
-        return cls(spec, lead, len(batches[0][0]) if batches else 0,
-                   sum(b[1].size for b in batches), classes)
 
 
 def _tuples(pairs, triplets, lam_prime: float):
@@ -383,8 +377,7 @@ def total_objective(batch_x, batch_y, pairs, triplets, params: NetworkParams, W,
     W = np.asarray(W, dtype=np.float64)
     pairs, triplets = _tuples(pairs, triplets, lam_prime) if lam != 0.0 else (None, None)
     lead = 0 if batch_x is None else len(batch_x)
-    ws = (Workspace.fitting(params.layer_spec(), lead, pairs, triplets, len(W))
-          if work is None else work)
+    ws = Workspace(params.layer_spec(), lead, pairs, triplets, len(W)) if work is None else work
     Z, tape, value, terms, dZ = _fused(ws, params, batch_x, pairs, triplets, lam, lam_prime,
                                        margins)
     if batch_x is None:

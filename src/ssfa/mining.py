@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import UnlabeledSet, _significant_lines, write_atomic
+from .data import UnlabeledSet, _decimal, _significant_lines, write_atomic
 
 log = logging.getLogger(__name__)
 
@@ -273,6 +273,10 @@ def load_tuples(path):
                                               int(tok[2]), int(tok[3]), int(tok[4]), int(tok[5])))
             else:
                 raise ValueError(f"bad tuple line {line!r}")
+            # int() also reads a sign, "_" and non-ASCII digits
+            if not _decimal("".join(tok[2:])):
+                bad = next(t for t in tok[2:] if not _decimal(t))
+                raise ValueError(f"invalid literal for int() with base 10: {bad!r}")
         except ValueError as e:
             raise ValueError(f"{path}: line {lineno}: {e}") from None
     return pairs, triplets

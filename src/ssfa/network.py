@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import write_atomic
+from .data import _decimal, write_atomic
 
 CHECKPOINT_MAGIC = "SSFA-CKPT v1"
 
@@ -57,10 +57,10 @@ class NetworkParams:
     """
 
     def __init__(self, spec: LayerSpec, flat: np.ndarray):
-        if flat.dtype != np.float64 or flat.shape != (spec.param_count,):
-            raise ValueError(
-                f"flat parameters {flat.dtype}{flat.shape} != float64 ({spec.param_count},)"
-            )
+        if not (isinstance(flat, np.ndarray) and flat.dtype == np.float64
+                and flat.shape == (spec.param_count,)):
+            got = f"{flat.dtype}{flat.shape}" if isinstance(flat, np.ndarray) else type(flat).__name__
+            raise ValueError(f"flat parameters {got} != float64 ({spec.param_count},)")
         self._spec = spec
         self.flat = flat
         self.weights, self.biases = [], []
@@ -73,9 +73,6 @@ class NetworkParams:
 
     def layer_spec(self) -> LayerSpec:
         return self._spec
-
-    def copy(self) -> "NetworkParams":
-        return NetworkParams(self._spec, self.flat.copy())
 
 
 @dataclass
@@ -218,9 +215,9 @@ def load_checkpoint(path):
     if l1.decode("ascii", "replace") != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: bad checkpoint magic {l1!r}")
     t2, t3 = l2.split(), l3.split()
-    if t2[:1] != [b"layers"] or len(t2) < 3 or not all(t.isdigit() and int(t) > 0 for t in t2[1:]):
+    if t2[:1] != [b"layers"] or len(t2) < 3 or not all(_decimal(t) and int(t) > 0 for t in t2[1:]):
         raise ValueError(f"{path}: bad layers line {l2!r}")
-    if len(t3) != 2 or t3[0] != b"classes" or not t3[1].isdigit():
+    if len(t3) != 2 or t3[0] != b"classes" or not _decimal(t3[1]):
         raise ValueError(f"{path}: bad classes line {l3!r}")
     spec = LayerSpec(tuple(int(t) for t in t2[1:]))
     num_classes = int(t3[1])

@@ -21,6 +21,8 @@ _LABELED_STREAM = 0x4C41424C
 
 @dataclass(frozen=True)
 class SynthConfig:
+    """Generator settings; ``velocity_set`` steps are whole cells per frame."""
+
     grid: int = 16
     clip_len: int = 20
     num_clips: int = 8
@@ -45,9 +47,10 @@ class SynthConfig:
             raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if not self.velocity_set:
             raise ValueError("velocity_set must be nonempty")
-        object.__setattr__(
-            self, "velocity_set", tuple((float(vx), float(vy)) for vx, vy in self.velocity_set)
-        )
+        vel = tuple((float(vx), float(vy)) for vx, vy in self.velocity_set)
+        if not all(v.is_integer() for pair in vel for v in pair):
+            raise ValueError(f"velocity_set must hold whole cells, got {self.velocity_set}")
+        object.__setattr__(self, "velocity_set", vel)
 
 
 def _toroidal_offsets(coords: np.ndarray, center: float, grid: int) -> np.ndarray:
@@ -80,10 +83,6 @@ def render_shape(shape_idx: int, grid: int, cx: float, cy: float) -> np.ndarray:
     return np.exp(-((rho - grid / 4.0) ** 2) / (2.0 * s * s))
 
 
-def _integer_velocities(cfg: SynthConfig) -> bool:
-    return all(vx == int(vx) and vy == int(vy) for vx, vy in cfg.velocity_set)
-
-
 def _make_frame(cfg: SynthConfig, shape_idx: int, cx: float, cy: float,
                 crng: Xorshift64Star) -> Frame:
     img = render_shape(shape_idx, cfg.grid, cx, cy)
@@ -98,22 +97,18 @@ def gen_unlabeled(cfg: SynthConfig) -> UnlabeledSet:
 
     Shape classes cycle round-robin over clips. Steady mode holds one
     velocity for the whole clip; jerky mode resamples it every step.
-    With integer velocities, start positions are integer cells, so steady
-    clips are exact circular shifts frame to frame. frame_period is 1.0,
+    Start positions and velocities are whole cells, so steady clips are
+    exact circular shifts frame to frame. frame_period is 1.0,
     so a temporal window in seconds equals the same number of frames.
     A config with num_clips = 0 (labeled images only) is a ValueError.
     """
     if cfg.num_clips < 1:
         raise ValueError("gen_unlabeled needs num_clips >= 1")
-    integer_grid = _integer_velocities(cfg)
     clips = []
     for i in range(cfg.num_clips):
         crng = Xorshift64Star(derive_seed(cfg.seed, i))
         shape_idx = i % cfg.shapes
-        if integer_grid:
-            x, y = float(crng.randint(cfg.grid)), float(crng.randint(cfg.grid))
-        else:
-            x, y = crng.uniform() * cfg.grid, crng.uniform() * cfg.grid
+        x, y = float(crng.randint(cfg.grid)), float(crng.randint(cfg.grid))
         vx, vy = crng.choice(cfg.velocity_set)
         frames = []
         for _ in range(cfg.clip_len):

@@ -218,17 +218,14 @@ class _TupleStream:
 def _tuple_streams(pairs, triplets, cfg: TrainConfig, seeds):
     """(pair stream, triplet stream) over the sides that the objective's
     ``_tuples`` keeps, each None when its side is dropped or its batch size
-    is 0."""
+    is 0. Both None is a ConfigError: there is nothing to optimize."""
     sides = _tuples(pairs, triplets, cfg.lam_prime)
-    return tuple(None if b is None or batch == 0
-                 else _TupleStream(b, batch, np.random.default_rng(seed))
-                 for b, batch, seed in zip(sides, (cfg.batch_pairs, cfg.batch_triplets), seeds))
-
-
-def _check_terms(terms: dict) -> None:
-    for name, v in terms.items():
-        if not np.isfinite(v):
-            raise OptimizerError(f"non-finite loss term {name}")
+    streams = tuple(None if b is None or batch == 0
+                    else _TupleStream(b, batch, np.random.default_rng(seed))
+                    for b, batch, seed in zip(sides, (cfg.batch_pairs, cfg.batch_triplets), seeds))
+    if streams == (None, None):
+        raise ConfigError("nothing to optimize: check tuples, batch sizes and lam_prime")
+    return streams
 
 
 def _stepper(theta, layer_spec: LayerSpec, lead: int, streams, cfg: TrainConfig):
@@ -246,8 +243,8 @@ def _stepper(theta, layer_spec: LayerSpec, lead: int, streams, cfg: TrainConfig)
                           f"{layer_spec.in_dim}")
     velocity, look = np.zeros_like(theta), np.empty_like(theta)
     look_net, look_W = split_model(layer_spec, look)  # the objective evaluates here
-    work = Workspace(layer_spec, lead, len(live[0].frames) if live else 0,
-                     sum(s.batch * s.idx.shape[1] for s in live), len(look_W))
+    batches = (None if s is None else (s.frames, s.idx[: s.batch]) for s in streams)
+    work = Workspace(layer_spec, lead, *batches, len(look_W))
 
     def steps(batches):
         sums = {"sup": 0.0, "slow": 0.0, "steady": 0.0}
@@ -258,7 +255,9 @@ def _stepper(theta, layer_spec: LayerSpec, lead: int, streams, cfg: TrainConfig)
             def grad_fn(_look):
                 lv = total_objective(bx, by, pb, tb, look_net, look_W, cfg.lam, cfg.lam_prime,
                                      cfg.margins, work=work)
-                _check_terms(lv.terms)
+                for name, v in lv.terms.items():
+                    if not np.isfinite(v):
+                        raise OptimizerError(f"non-finite loss term {name}")
                 step_terms.update(lv.terms)
                 return lv.grads["flat"]
 
@@ -295,11 +294,7 @@ def train(labeled: LabeledSet, pairs, triplets, layer_spec: LayerSpec, cfg: Trai
     Xt, yt, Xv, yv = X[tr_idx], y[tr_idx], X[va_idx], y[va_idx]
 
     rng_shuffle = np.random.default_rng(seeds[3])
-    streams = (None, None)
-    if cfg.lam > 0:
-        streams = _tuple_streams(pairs, triplets, cfg, seeds[4:6])
-        if streams == (None, None):
-            raise ConfigError("lam > 0 but nothing to optimize: check tuples, batch sizes, lam_prime")
+    streams = _tuple_streams(pairs, triplets, cfg, seeds[4:6]) if cfg.lam > 0 else (None, None)
 
     theta = np.concatenate([params.flat, W.ravel()])  # the split_model layout
     best_theta = np.empty_like(theta)
@@ -350,10 +345,8 @@ def train_unsupervised(pairs, triplets, layer_spec: LayerSpec, cfg: TrainConfig,
     seeds = np.random.SeedSequence(cfg.seed).spawn(3)
     params = init_glorot(layer_spec, seeds[0])
     streams = _tuple_streams(pairs, triplets, cfg, seeds[1:3])
-    live = [s for s in streams if s is not None]
-    if not live:
-        raise ConfigError("nothing to optimize: check tuples, batch sizes and lam_prime")
-    steps_per_pass = math.ceil(live[0].n / live[0].batch)
+    first = streams[0] or streams[1]
+    steps_per_pass = math.ceil(first.n / first.batch)
 
     theta = params.flat.copy()  # init stays as drawn
     steps = _stepper(theta, layer_spec, 0, streams, replace(cfg, lam=1.0))

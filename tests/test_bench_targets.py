@@ -1,13 +1,16 @@
-"""Every public function the benchmark's traced run wraps must exist.
+"""The benchmark must run against the library as it is.
 
-The traced run (``bench/layers.py``) rebinds functions by name; a refactor
-that drops or renames one would otherwise fail only inside a traced
-benchmark run.
+The traced run (``bench/layers.py``) rebinds functions by name, and the
+workloads (``bench/workloads.py``) call the library with fixed names and
+options; a refactor that drops or renames one would otherwise fail only
+inside a benchmark run, as a failed operation.
 """
 
+import contextlib
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from ssfa.network import LayerSpec, backward, forward, init_glorot
 
@@ -51,3 +54,21 @@ def test_network_count_callbacks_read_real_results(monkeypatch):
     layers._backward(tr, args, {}, backward(*args))
     macs = 5 * 4 + 4 * 3
     assert tr.counters == {"network.forward_rows": 6, "network.flop": 2 * 6 * macs + 4 * 6 * macs}
+
+
+@pytest.mark.parametrize("workload", ["desk", "wide", "long_clips"])
+def test_tiny_workload_has_no_failed_operation(workload, monkeypatch, tmp_path):
+    # each workload in-process at its smallest size, as a worker runs it
+    # untraced; long_clips rebinds trainer.train to time it, so pin it
+    from ssfa import trainer
+
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.setattr(trainer, "train", trainer.train)
+    import workloads
+
+    rep = workloads.Rep(workloads.clock())
+    args = (tmp_path / "long_clips",) if workload == "long_clips" else ()
+    with contextlib.suppress(workloads.StageFailed):
+        getattr(workloads, workload)(rep, 7, "tiny", *args)
+    assert rep.ops.failed == {}
+    assert rep.ops.attempted > 0 and rep.wall_s is not None

@@ -49,6 +49,18 @@ def test_clip_rejects_mixed_dims_and_bad_period():
         Clip("bad id", [a], 1.0)
 
 
+@pytest.mark.parametrize("period", ["inf", "1e999", "-inf"])
+def test_manifest_frame_period_must_be_finite(tmp_path, period):
+    # an infinite period used to load, and mining then dropped the clip
+    # with only a warning
+    paths = _mini_clip_files(tmp_path)
+    m = tmp_path / "u.txt"
+    m.write_text(f"clipA\t1.0\t{paths[0]}\n# c\nclipB\t{period}\t{paths[1]}\n")
+    message = f"{m}: line 3: frame_period must be finite and > 0, got {float(period)}"
+    with pytest.raises(ManifestError, match=re.escape(message)):
+        load_manifest(m)
+
+
 def test_labeled_set_bounds():
     img = Frame(1, 1, [0.5])
     LabeledSet([img, img], [0, 1], 2)
@@ -435,6 +447,38 @@ def test_labeled_manifest_label_out_of_range(tmp_path):
     m = tmp_path / "s.txt"
     m.write_text("classes\t2\n" + f"{paths[0]}\t2\n")
     with pytest.raises(ManifestError, match="out of range"):
+        load_manifest(m)
+
+
+@pytest.mark.parametrize("raw, message", [
+    (b"P2 1 1 255\n-5\n", "bad P2 sample b'-5'"),
+    (b"P2 2 1 255\n1 1_0\n", "bad P2 sample b'1_0'"),
+    (b"P2 1 1 255\n+7\n", "bad P2 sample b'+7'"),
+    (b"P5 +2 1 255\n\0\0", "bad width token b'+2'"),
+    (b"P5 2 1 2_55\n\0\0", "bad maxval token b'2_55'"),
+], ids=["p2_minus", "p2_underscore", "p2_plus", "width_plus", "maxval_underscore"])
+def test_pgm_integer_fields_are_ascii_decimal(tmp_path, raw, message):
+    # int() read a sign and "_": -5 loaded as a negative pixel, 1_0 as 10
+    p = tmp_path / "f.pgm"
+    p.write_bytes(raw)
+    with pytest.raises(PgmFormatError, match=re.escape(f"{p}: {message}")):
+        load_pgm(p)
+
+
+@pytest.mark.parametrize("head, label, message", [
+    ("1_0", "0", "bad class count '1_0'"),
+    ("+4", "0", "bad class count '+4'"),
+    ("4", "+1", "line 2: bad label '+1'"),
+    ("4", "\u0663", "line 2: bad label '\u0663'"),
+    ("4", " 1", "line 2: bad label ' 1'"),
+], ids=["count_underscore", "count_plus", "label_plus", "label_arabic_indic", "label_blank"])
+def test_labeled_manifest_integers_are_ascii_decimal(tmp_path, head, label, message):
+    # int() read "1_0" as 10 classes and the labels "+1", Arabic-Indic
+    # three and " 1" as 1, 3 and 1
+    paths = _mini_clip_files(tmp_path)
+    m = tmp_path / "s.txt"
+    m.write_text(f"classes\t{head}\n{paths[0]}\t{label}\n", encoding="utf-8")
+    with pytest.raises(ManifestError, match=re.escape(f"{m}: {message}")):
         load_manifest(m)
 
 

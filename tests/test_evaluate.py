@@ -331,14 +331,12 @@ def test_knn_matches_brute_force_oracle():
         assert acc == float(np.mean(preds == np.array(test.labels)))
 
 
-def loop_vote(zt, yt, zq, k, exclude_self=False):
+def loop_vote(zt, yt, zq, k):
     """The per-query vote: majority among the k nearest (stable order),
     a tie going to the first neighbor whose class is among the tied."""
     preds = []
-    for i, q in enumerate(zq):
+    for q in zq:
         d = np.sum((zt - q) ** 2, axis=1)
-        if exclude_self:
-            d[i] = np.inf
         nbr = yt[np.argsort(d, kind="stable")[:k]]
         counts = np.bincount(nbr)
         tied = np.flatnonzero(counts == counts.max())
@@ -353,20 +351,17 @@ def test_knn_vote_matches_loop_oracle_on_tie_heavy_cases():
     rng = np.random.default_rng(14)
     params = identity_net(6)
     pool = [Frame(6, 1, rng.uniform(0, 1, 6)) for _ in range(4)]
-    for case in range(120):
+    for _ in range(120):
         classes = int(rng.integers(1, 5))
         n_train = int(rng.integers(1, 13))
         train = LabeledSet([pool[i] for i in rng.integers(0, 4, n_train)],
                            rng.integers(0, classes, n_train), classes)
-        exclude_self = case % 3 == 0 and n_train > 1
-        queries = ([pool[i] for i in rng.integers(0, 4, 7)] if not exclude_self
-                   else train.images)
+        queries = [pool[i] for i in rng.integers(0, 4, 7)]
         zt, zq = embed(params, train.images), embed(params, queries)
-        top = n_train - 1 if exclude_self else n_train
-        for k in sorted({1, top, int(rng.integers(1, top + 1))}):
-            preds = loop_vote(zt, np.array(train.labels), zq, k, exclude_self)
+        for k in sorted({1, n_train, int(rng.integers(1, n_train + 1))}):
+            preds = loop_vote(zt, np.array(train.labels), zq, k)
             test = LabeledSet(queries, preds, classes)
-            assert knn_accuracy(params, train, test, k=k, exclude_self=exclude_self) == 1.0
+            assert knn_accuracy(params, train, test, k=k) == 1.0
 
 
 def test_knn_identity_sets_k1_is_perfect():
@@ -374,16 +369,6 @@ def test_knn_identity_sets_k1_is_perfect():
     s = make_labeled(rng, 4, 3)
     params = identity_net(6)
     assert knn_accuracy(params, s, s, k=1) == 1.0
-
-
-def test_knn_exclude_self_changes_the_answer():
-    rng = np.random.default_rng(12)
-    s = make_labeled(rng, 6, 2, shift=0.3)
-    params = identity_net(6)
-    with_self = knn_accuracy(params, s, s, k=1)
-    without = knn_accuracy(params, s, s, k=1, exclude_self=True)
-    assert with_self == 1.0
-    assert without <= with_self
 
 
 def test_knn_relabeling_invariance():

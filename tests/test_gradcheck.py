@@ -16,6 +16,7 @@ from ssfa.gradcheck import (
     run_gradcheck,
 )
 from ssfa.losses import Margins
+from ssfa.network import NetworkParams
 
 
 def test_central_diff_on_quadratic():
@@ -107,7 +108,7 @@ def test_l1_gradients_match_finite_differences():
 
 def test_injected_sign_flip_is_detected():
     def flip_theta(grads):
-        theta = grads["theta"].copy()
+        theta = NetworkParams(grads["theta"].layer_spec(), grads["theta"].flat.copy())
         theta.weights[0][...] = -theta.weights[0]
         return {**grads, "theta": theta}
 

@@ -483,8 +483,8 @@ def test_reused_workspace_gives_the_bits_of_a_fresh_one():
     # step after a larger one must not read the larger one's leftover rows
     spec, params, W, bx, by, pairs, triplets = _setup_objective(11)
     rng = np.random.default_rng(11)
-    work = Workspace(spec, len(bx), len(pairs[0]), 5 * 2 + 5 * 3, len(W))
-    co_work = Workspace(spec, 0, len(pairs[0]), 5 * 2 + 5 * 3)
+    work = Workspace(spec, len(bx), pairs, triplets, len(W))
+    co_work = Workspace(spec, 0, pairs, triplets)
     for n_lead, n_tuples in ((4, 5), (2, 3), (4, 1), (1, 5)):
         pb = (pairs[0], pairs[1][:n_tuples], pairs[2][:n_tuples])
         tb = (triplets[0], rng.integers(0, 8, (n_tuples, 3)), triplets[2][:n_tuples])

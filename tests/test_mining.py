@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -229,6 +230,21 @@ def test_tuple_file_round_trip(tmp_path):
     save_tuples(tmp_path / "x.txt", pairs + trips, cfg)
     p2, t2 = load_tuples(tmp_path / "x.txt")
     assert p2 == pairs and t2 == trips
+
+
+@pytest.mark.parametrize("line, bad", [
+    ("PAIR c 1_0 5 1", "1_0"),
+    ("TRIP c \u0661 2 3 +1", "\u0661"),
+    ("TRIP c 1 2 3 +1", "+1"),
+    ("PAIR c 9 5 -0", "-0"),
+], ids=["underscore", "arabic_indic", "plus", "minus"])
+def test_tuple_file_integers_are_ascii_decimal(tmp_path, line, bad):
+    # int() read "1_0" as 10, "+1" as 1, Arabic-Indic one as 1 and "-0" as 0
+    path = tmp_path / "t.txt"
+    path.write_text(f"PAIR c 2 1 1\n{line}\n", encoding="utf-8")
+    message = f"{path}: line 2: invalid literal for int() with base 10: {bad!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_tuples(path)
 
 
 def test_load_tuples_peak_per_tuple(tmp_path):

@@ -294,6 +294,13 @@ def test_params_are_views_of_one_flat_vector():
             NetworkParams(LayerSpec((4, 3)), bad)
 
 
+@pytest.mark.parametrize("flat", [[0.0] * 15, (0.0,) * 15, None], ids=["list", "tuple", "none"])
+def test_params_reject_a_flat_that_is_not_an_ndarray(flat):
+    # a list used to raise AttributeError ('list' object has no attribute 'dtype')
+    with pytest.raises(ValueError, match=r"flat parameters \w+ != float64 \(15,\)"):
+        NetworkParams(LayerSpec((4, 3)), flat)
+
+
 def test_checkpoint_rejects_garbage(tmp_path):
     p = tmp_path / "bad.ckpt"
     p.write_bytes(b"NOPE\nlayers 2 2\nclasses 1\n" + bytes(8 * 8))

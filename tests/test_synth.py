@@ -166,10 +166,10 @@ def test_gen_labeled_deterministic():
         assert fa.pixels.tobytes() == fb.pixels.tobytes()
 
 
-def test_fractional_velocities_render_smoothly():
-    cfg = SynthConfig(num_clips=2, seed=8, velocity_set=((0.5, 0.25),))
-    u = gen_unlabeled(cfg)
-    clip = u.clips[0]
-    # frames differ but stay close for sub-pixel motion
-    d = np.abs(clip.frames[0].pixels - clip.frames[1].pixels)
-    assert 0 < d.max() < 0.5
+@pytest.mark.parametrize("vel", [(0.5, 0.25), (1, 0.5), (float("nan"), 0), (1, float("inf"))],
+                         ids=["half_cells", "fractional_y", "nan", "inf"])
+def test_velocity_set_must_hold_whole_cells(vel):
+    with pytest.raises(ValueError, match="whole cells"):
+        SynthConfig(velocity_set=((1, 0), vel))
+    # a whole cell given as a float is a cell
+    assert SynthConfig(velocity_set=((1.0, -2.0),)).velocity_set == ((1.0, -2.0),)
