@@ -41,6 +41,17 @@ def _apply_threads(threads) -> None:
             os.environ[var] = str(threads)
 
 
+def _integer(text: str) -> int:
+    """The one reader of integer flags, integer config values and --hidden
+    widths: an optional "-" then ASCII digits. "+3", "1_0", blanks and
+    non-ASCII digits, which int() takes, are an ArgumentTypeError."""
+    from .data import _decimal
+
+    if not _decimal(text[1:] if text.startswith("-") else text):
+        raise argparse.ArgumentTypeError(f"expected an integer in ASCII digits, got {text!r}")
+    return int(text)
+
+
 def _parse_config_file(path: Path) -> dict:
     from .data import _significant_lines
 
@@ -83,7 +94,7 @@ def _apply_config(parser: argparse.ArgumentParser, cfg: dict) -> None:
         else:
             try:
                 defaults[dest] = action.type(value)
-            except ValueError:
+            except (ValueError, argparse.ArgumentTypeError):
                 raise CliConfigError(f"config key {key!r}: bad value {value!r}") from None
         if action.choices is not None and defaults[dest] not in action.choices:
             raise CliConfigError(f"config key {key!r}: {value!r} is not one of {action.choices}")
@@ -105,9 +116,9 @@ def _echo_config(args, out_dir: Path) -> None:
 
 def _hidden_sizes(text: str):
     try:
-        return tuple(int(t) for t in text.split(",") if t.strip())
-    except ValueError:
-        raise CliConfigError(f"bad hidden layer list {text!r}") from None
+        return tuple(_integer(t.strip()) for t in text.split(",") if t.strip())
+    except argparse.ArgumentTypeError:
+        raise CliConfigError(f"--hidden: bad hidden layer list {text!r}") from None
 
 
 def _load_manifest(path, flag: str, labeled: bool):
@@ -373,22 +384,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="key = value config file; flags override it")
-        p.add_argument("--threads", type=int,
+        p.add_argument("--threads", type=_integer,
                        help="BLAS thread cap; overrides preset OMP/OPENBLAS/MKL_NUM_THREADS "
                             "(default: keep preset values, else 1 for bit-stable runs)")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_integer, default=0)
 
     p = sub.add_parser("synth", help="generate synthetic shape clips and labeled images")
     common(p)
     p.add_argument("--out", required=True)
     p.add_argument("--mode", choices=("steady", "jerky"), default="steady")
-    p.add_argument("--clips", type=int, default=8, help="unlabeled clips; 0 writes labeled "
+    p.add_argument("--clips", type=_integer, default=8, help="unlabeled clips; 0 writes labeled "
                    "images only")
-    p.add_argument("--clip-len", type=int, default=20)
-    p.add_argument("--grid", type=int, default=16)
-    p.add_argument("--shapes", type=int, default=4)
+    p.add_argument("--clip-len", type=_integer, default=20)
+    p.add_argument("--grid", type=_integer, default=16)
+    p.add_argument("--shapes", type=_integer, default=4)
     p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument("--labeled-per-class", type=int, default=0)
+    p.add_argument("--labeled-per-class", type=_integer, default=0)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("fixtures", help="write the canonical benchmark datasets")
@@ -403,8 +414,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=float, default=2.0, help="temporal window, seconds")
     p.add_argument("--pair-neg-ratio", type=float, default=3.0)
     p.add_argument("--triplet-neg-ratio", type=float, default=1.0)
-    p.add_argument("--max-pairs", type=int, default=10000)
-    p.add_argument("--max-triplets", type=int, default=10000)
+    p.add_argument("--max-pairs", type=_integer, default=10000)
+    p.add_argument("--max-triplets", type=_integer, default=10000)
     p.set_defaults(func=cmd_mine)
 
     p = sub.add_parser("train", help="train a feature map and classifier")
@@ -423,14 +434,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--momentum", type=float, default=0.9)
     p.add_argument("--delta-pair", type=float, default=1.0)
     p.add_argument("--delta-triplet", type=float, default=1.0)
-    p.add_argument("--batch-labeled", type=int, default=16)
-    p.add_argument("--batch-pairs", type=int, default=32)
-    p.add_argument("--batch-triplets", type=int, default=32)
-    p.add_argument("--epochs", type=int, default=150)
-    p.add_argument("--patience", type=int, default=15)
+    p.add_argument("--batch-labeled", type=_integer, default=16)
+    p.add_argument("--batch-pairs", type=_integer, default=32)
+    p.add_argument("--batch-triplets", type=_integer, default=32)
+    p.add_argument("--epochs", type=_integer, default=150)
+    p.add_argument("--patience", type=_integer, default=15)
     p.add_argument("--val-fraction", type=float, default=0.2)
     p.add_argument("--hidden", default="25", help="hidden widths, comma separated")
-    p.add_argument("--dim", type=int, default=25, help="feature dimension")
+    p.add_argument("--dim", type=_integer, default=25, help="feature dimension")
     p.add_argument("--cv", action="store_true", help="greedy staged hyperparameter search")
     p.set_defaults(func=cmd_train)
 
@@ -440,8 +451,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--unlabeled", required=True, help="held-out clips manifest")
     p.add_argument("--out", required=True)
     p.add_argument("--T", type=float, default=2.0)
-    p.add_argument("--queries", type=int, default=200)
-    p.add_argument("--pool-n", type=int, default=5,
+    p.add_argument("--queries", type=_integer, default=200)
+    p.add_argument("--pool-n", type=_integer, default=5,
                    help="random distractor frames per represented clip")
     p.set_defaults(func=cmd_eval_seqcomp)
 
@@ -458,12 +469,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", required=True, help="labeled manifest")
     p.add_argument("--test", required=True, help="labeled manifest")
     p.add_argument("--out", required=True)
-    p.add_argument("--k", type=int, default=5)
+    p.add_argument("--k", type=_integer, default=5)
     p.set_defaults(func=cmd_eval_knn)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of all loss gradients")
     common(p)
-    p.add_argument("--points", type=int, default=100)
+    p.add_argument("--points", type=_integer, default=100)
     p.add_argument("--out", help="optional report directory")
     p.set_defaults(func=cmd_gradcheck)
 

@@ -366,7 +366,15 @@ def _load_labeled(path: Path, lines) -> LabeledSet:
 
 
 def write_unlabeled(u: UnlabeledSet, out_dir) -> Path:
-    """Save frames as PGM under ``out_dir/frames/<clip_id>/`` and write ``unlabeled.txt``."""
+    """Save frames as PGM under ``out_dir/frames/<clip_id>/`` and write ``unlabeled.txt``.
+    A clip id that the manifest cannot read back is a ValueError before
+    anything is written: one holding the frame list separator ",", one
+    starting a comment line ("#"), and one that is not a directory name
+    (holding "/" or NUL, or "." or "..")."""
+    for clip in u.clips:
+        cid = clip.clip_id
+        if any(c in cid for c in ",/\0") or cid.startswith("#") or cid in (".", ".."):
+            raise ValueError(f"clip {cid!r}: id cannot name a manifest frame directory")
     out = Path(out_dir)
     lines = []
     for clip in u.clips:

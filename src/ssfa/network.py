@@ -80,7 +80,8 @@ class ActivationTape:
     """Intermediates of one forward pass, consumed by backward(): the input
     rows, each layer's output (``post[i]``: ReLU applied on hidden layers;
     the last is the features), and per-hidden-layer scratch for backward's
-    deltas and ReLU masks.
+    ReLU masks. backward() overwrites the hidden outputs with its deltas, so
+    a tape serves one backward; ``x`` and the features stay as they are.
 
     ``buffers`` makes a tape of empty arrays that ``forward(..., out=)``
     fills, so a caller that repeats passes of at most the same row count
@@ -88,17 +89,14 @@ class ActivationTape:
 
     x: np.ndarray
     post: list
-    delta: list
     mask: list
 
     @classmethod
     def buffers(cls, spec: "LayerSpec", rows: int) -> "ActivationTape":
         """One array for up to ``rows`` rows of every layer, with backward's
-        delta and mask scratch; ``x`` stays None."""
-        hidden = spec.sizes[1:-1]
+        mask scratch; ``x`` stays None."""
         return cls(None, [np.empty((rows, w)) for w in spec.sizes[1:]],
-                   [np.empty((rows, w)) for w in hidden],
-                   [np.empty((rows, w), dtype=bool) for w in hidden])
+                   [np.empty((rows, w), dtype=bool) for w in spec.sizes[1:-1]])
 
 
 def glorot_uniform(rng, fan_out: int, fan_in: int) -> np.ndarray:
@@ -135,7 +133,7 @@ def forward(params: NetworkParams, X, out: ActivationTape = None):
     The activations go into the first n rows of the arrays of ``out`` (from
     ``ActivationTape.buffers`` for at least n rows; None: a tape sized for
     this batch), and the returned tape and Z view them, with the first n
-    rows of its backward scratch; the next pass into ``out`` overwrites
+    rows of its mask scratch; the next pass into ``out`` overwrites
     them."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != params.weights[0].shape[1]:
@@ -143,13 +141,12 @@ def forward(params: NetworkParams, X, out: ActivationTape = None):
     n = len(X)
     if out is None:
         out = ActivationTape.buffers(params.layer_spec(), n)
-    tape = ActivationTape(X, [a[:n] for a in out.post], [a[:n] for a in out.delta],
-                          [a[:n] for a in out.mask])
+    tape = ActivationTape(X, [a[:n] for a in out.post], [a[:n] for a in out.mask])
     h = X
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         h = np.matmul(h, w.T, out=tape.post[i])
         h += b
-        if i < len(tape.delta):
+        if i < len(tape.mask):
             np.maximum(h, 0.0, out=h)
     return h, tape
 
@@ -159,10 +156,11 @@ def backward(params: NetworkParams, tape: ActivationTape, dZ, out=None) -> Netwo
 
     Returns the parameter gradient, written into the flat vector ``out`` (a
     fresh one when None). The pass stops after layer 0's parameter gradient:
-    the gradient w.r.t. the input is never formed. The hidden layers' deltas
-    and ReLU masks go into the tape's scratch arrays, so with ``out`` nothing
-    is allocated; ``dZ`` and the tape's activations are only read. The ReLU
-    mask is ``post > 0``, so the subgradient at exactly zero is zero.
+    the gradient w.r.t. the input is never formed. Once layer i has read
+    hidden output ``tape.post[i-1]``, its ReLU mask goes to the tape's
+    scratch and layer i-1's delta overwrites it: with ``out`` nothing is
+    allocated, a tape serves one call, and ``dZ``, ``x`` and Z are only
+    read. The mask is ``post > 0``: the subgradient at exactly 0 is 0.
     """
     delta = np.asarray(dZ, dtype=np.float64)
     if delta.shape != tape.post[-1].shape:
@@ -174,8 +172,9 @@ def backward(params: NetworkParams, tape: ActivationTape, dZ, out=None) -> Netwo
         np.matmul(delta.T, inp, out=grad.weights[i])
         delta.sum(axis=0, out=grad.biases[i])
         if i > 0:
-            delta = np.matmul(delta, params.weights[i], out=tape.delta[i - 1])
-            delta *= np.greater(tape.post[i - 1], 0.0, out=tape.mask[i - 1])
+            mask = np.greater(inp, 0.0, out=tape.mask[i - 1])
+            delta = np.matmul(delta, params.weights[i], out=inp)
+            delta *= mask
     return grad
 
 

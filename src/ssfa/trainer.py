@@ -10,9 +10,10 @@ classifier). Supervised and unsupervised runs share one step loop: it
 sizes the objective's buffers (a losses.Workspace), the velocity and the
 lookahead vector once, before the first step, and every step reuses them;
 an unsupervised step is a joint step with no labeled batch, no classifier
-and lam = 1. The parameters a run returns are copies. An epoch is one full
-pass over the labeled training split; tuple streams cycle independently
-with their own reshuffling. Training is bit-reproducible for a fixed config.
+and lam = 1. No later step touches the parameters a run returns. An epoch
+is one full pass over the labeled training split; tuple streams cycle
+independently with their own reshuffling. Training is bit-reproducible
+for a fixed config.
 """
 
 from __future__ import annotations
@@ -283,20 +284,19 @@ def train(labeled: LabeledSet, pairs, triplets, layer_spec: LayerSpec, cfg: Trai
         raise ConfigError("labeled set is empty")
 
     seeds = np.random.SeedSequence(cfg.seed).spawn(6)
-    params = init_glorot(layer_spec, seeds[0])
-    W = init_classifier(labeled.num_classes, layer_spec.out_dim, seeds[1])
-
     X = prep_stack(labeled.images)
     y = np.array(labeled.labels)
     if X.shape[1] != layer_spec.in_dim:
         raise ConfigError(f"image dim {X.shape[1]} != network input dim {layer_spec.in_dim}")
     tr_idx, va_idx = stratified_split(y, cfg.val_fraction, np.random.default_rng(seeds[2]))
-    Xt, yt, Xv, yv = X[tr_idx], y[tr_idx], X[va_idx], y[va_idx]
+    yt, Xv, yv = y[tr_idx], X[va_idx], y[va_idx]
 
     rng_shuffle = np.random.default_rng(seeds[3])
     streams = _tuple_streams(pairs, triplets, cfg, seeds[4:6]) if cfg.lam > 0 else (None, None)
 
-    theta = np.concatenate([params.flat, W.ravel()])  # the split_model layout
+    # the split_model layout; no init copy outlives the concatenation
+    theta = np.concatenate([init_glorot(layer_spec, seeds[0]).flat, init_classifier(
+        labeled.num_classes, layer_spec.out_dim, seeds[1]).ravel()])
     best_theta = np.empty_like(theta)
     net, Wc = split_model(layer_spec, theta)  # views: they follow the in-place steps
     steps = _stepper(theta, layer_spec, min(cfg.batch_labeled, len(yt)), streams, cfg)
@@ -307,7 +307,7 @@ def train(labeled: LabeledSet, pairs, triplets, layer_spec: LayerSpec, cfg: Trai
     for epoch in range(1, cfg.max_epochs + 1):
         order = rng_shuffle.permutation(len(yt))
         sels = (order[i : i + cfg.batch_labeled] for i in range(0, len(order), cfg.batch_labeled))
-        means = steps((Xt[sel], yt[sel]) for sel in sels)
+        means = steps((X[tr_idx[sel]], yt[sel]) for sel in sels)
 
         zv, _ = forward(net, Xv)
         val_loss = softmax_loss(Wc, zv, yv).value
@@ -336,8 +336,8 @@ def train_unsupervised(pairs, triplets, layer_spec: LayerSpec, cfg: TrainConfig,
 
     One pass cycles once through the pair set (or the triplet set when no
     pairs are given). Returns (initial params, [params after each pass],
-    per-pass (slow, steady) mean loss rows); each is its own copy, which
-    later passes do not touch.
+    per-pass (slow, steady) mean loss rows), which later passes do not
+    touch: the last snapshot is the trained vector itself, the rest copies.
     """
     if passes < 1:
         raise ConfigError("passes must be >= 1")
@@ -353,7 +353,7 @@ def train_unsupervised(pairs, triplets, layer_spec: LayerSpec, cfg: TrainConfig,
     snapshots, rows = [], []
     for pass_i in range(1, passes + 1):
         means = steps(itertools.repeat((None, None), steps_per_pass))
-        snapshots.append(NetworkParams(layer_spec, theta.copy()))
+        snapshots.append(NetworkParams(layer_spec, theta if pass_i == passes else theta.copy()))
         rows.append((pass_i, means["slow"], means["steady"]))
     return params, snapshots, rows
 

@@ -439,6 +439,40 @@ def test_abbreviated_config_and_threads_flags_are_honored(monkeypatch, tmp_path)
     assert [os.environ[v] for v in BLAS_VARS] == ["3", "3", "3"]
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("train", "epochs", "1_0"),
+    ("train", "batch-pairs", "+3"),
+    ("train", "hidden", "2_5"),
+    ("eval-knn", "k", "\u0663"),
+], ids=["epochs_underscore", "batch_pairs_plus", "hidden_underscore", "k_arabic_indic"])
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_integer_flags_and_config_values_are_ascii_decimal(pipeline, tmp_path, capsys, command,
+                                                           key, value, via):
+    # int() took these: 10 epochs, a pair batch of 3, a 25-unit hidden layer
+    # and k = 3; each is now exit 2 with the flag or key named, before any output
+    _, data, _, run = pipeline
+    labeled, out = str(data / "labeled.txt"), str(tmp_path / "out")
+    argv = {
+        "train": ["train", "--labeled", labeled, "--method", "unreg", "--out", out]
+                 + (["--epochs", "1"] if key != "epochs" else []),
+        "eval-knn": ["eval-knn", "--checkpoint", str(run / "checkpoint.ckpt"),
+                     "--train", labeled, "--test", labeled, "--out", out],
+    }[command]
+    if via == "flag":
+        argv += [f"--{key}", value]
+    else:
+        (tmp_path / "c.txt").write_text(f"{key} = {value}\n", encoding="utf-8")
+        argv += ["--config", str(tmp_path / "c.txt")]
+    try:
+        code = main(argv)
+    except SystemExit as e:  # argparse rejects a bad flag value itself
+        code = e.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert key in err and repr(value) in err, err
+    assert not (tmp_path / "out").exists()
+
+
 def test_header_only_labeled_manifest_exits_3(tmp_path, capsys):
     labeled = tmp_path / "labeled.txt"
     labeled.write_text("classes\t2\n")

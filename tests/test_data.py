@@ -482,6 +482,22 @@ def test_labeled_manifest_integers_are_ascii_decimal(tmp_path, head, label, mess
         load_manifest(m)
 
 
+@pytest.mark.parametrize("bad_id", ["a,b", "../esc", "..", ".", "#a", "a\0b"])
+def test_write_unlabeled_refuses_ids_it_cannot_read_back(tmp_path, bad_id):
+    # "," split the id on reload (missing frame file 'frames/a'), "/" or a
+    # dot directory put the frames outside frames/<clip_id>/ ("../esc" wrote
+    # out/esc/), "#a" made a comment line that reloads without the clip,
+    # and NUL failed in mkdir after the clips before it were written; the
+    # good clip first shows that nothing is written
+    frames = [Frame(2, 1, [0.0, 1.0])]
+    u = UnlabeledSet([Clip("ok_1", frames, 0.5), Clip(bad_id, frames, 0.5)])
+    with pytest.raises(ValueError, match=re.escape(f"clip {bad_id!r}")):
+        write_unlabeled(u, tmp_path / "out")
+    assert list(tmp_path.iterdir()) == []
+    u = UnlabeledSet([Clip("a.b-c_1", frames, 0.5)])
+    assert load_manifest(write_unlabeled(u, tmp_path / "out")).clips[0].clip_id == "a.b-c_1"
+
+
 def test_writers_round_trip(tmp_path):
     rng = np.random.default_rng(5)
     clips = [

@@ -171,6 +171,7 @@ def _backward_with_dx(params, tape, dz):
 def test_backward_without_input_grad_is_bit_identical(sizes, rows, use_out):
     # backward stops after layer 0's parameter gradient; a full pass that
     # also forms dx gives the same bits. rows=None: one image, as x[None].
+    # backward consumes the tape's hidden outputs, so the reference is first.
     rng = np.random.default_rng(sum(sizes) + (rows or 0))
     spec = LayerSpec(sizes)
     params = init_glorot(spec, 3)
@@ -181,8 +182,8 @@ def test_backward_without_input_grad_is_bit_identical(sizes, rows, use_out):
     z, tape = forward(params, x)
     dz = rng.normal(size=z.shape)
     out = np.full(spec.param_count, np.nan) if use_out else None
-    grad = backward(params, tape, dz, out)
     full, dx = _backward_with_dx(params, tape, dz)
+    grad = backward(params, tape, dz, out)
     assert dx.shape == x.shape
     assert grad.flat.tobytes() == full.tobytes()
     if use_out:
@@ -205,6 +206,31 @@ def test_forward_into_an_oversized_tape_is_bit_identical(sizes):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
     grad = backward(params, tape, dz)
     assert grad.flat.tobytes() == backward(params, tape_buf, dz).flat.tobytes()
+
+
+@pytest.mark.parametrize("sizes", [(5, 3), (5, 4, 3), (64, 9, 7, 5)])
+def test_backward_consumes_only_the_hidden_rows_of_its_pass(sizes):
+    # backward overwrites the n hidden output rows of a buffer tape with its
+    # deltas; the input, Z and the rows past n stay, and the step loop's
+    # pattern, a fresh forward into the same buffers then backward, gives
+    # the gradient of a one-shot tape every time
+    rng = np.random.default_rng(sum(sizes))
+    spec = LayerSpec(sizes)
+    buf = ActivationTape.buffers(spec, 9)
+    for a in buf.post + buf.mask:
+        a[...] = rng.normal(size=a.shape) > 0 if a.dtype == bool else rng.normal(size=a.shape)
+    spare = [a[6:].copy() for a in buf.post + buf.mask]
+    for step in range(3):
+        params = init_glorot(spec, step)
+        x = rng.normal(size=(6, spec.in_dim))
+        dz = rng.normal(size=(6, spec.out_dim))
+        z, tape = forward(params, x, out=buf)
+        x_was, z_was = x.copy(), z.copy()
+        grad = backward(params, tape, dz)
+        assert tape.x is x and x.tobytes() == x_was.tobytes()
+        assert tape.post[-1].tobytes() == z.tobytes() == z_was.tobytes()
+        assert all(a[6:].tobytes() == b.tobytes() for a, b in zip(buf.post + buf.mask, spare))
+        assert grad.flat.tobytes() == backward(params, forward(params, x)[1], dz).flat.tobytes()
 
 
 def test_dead_relu_blocks_gradient():
@@ -349,16 +375,16 @@ def test_checkpoint_with_no_classes_round_trips(tmp_path):
 @pytest.mark.parametrize("sizes", [(5, 3), (5, 4, 3), (64, 9, 7, 5)])
 def test_tape_buffers_hold_one_array_per_layer(sizes):
     # each layer's output is its only activation array: no separate
-    # pre-activation copy, and nothing aliased
+    # pre-activation copy, no delta scratch, and nothing aliased
     spec = LayerSpec(sizes)
     tape = ActivationTape.buffers(spec, 6)
     hidden = list(sizes[1:-1])
     assert tape.x is None
-    assert list(vars(tape)) == ["x", "post", "delta", "mask"]
+    assert list(vars(tape)) == ["x", "post", "mask"]
     assert [a.shape for a in tape.post] == [(6, w) for w in sizes[1:]]
-    assert [a.shape for a in tape.delta] == [a.shape for a in tape.mask] == [(6, w) for w in hidden]
-    assert all(a.dtype == np.float64 for a in tape.post + tape.delta)
+    assert [a.shape for a in tape.mask] == [(6, w) for w in hidden]
+    assert all(a.dtype == np.float64 for a in tape.post)
     assert all(a.dtype == bool for a in tape.mask)
-    arrays = tape.post + tape.delta + tape.mask
+    arrays = tape.post + tape.mask
     assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1:])
-    assert sum(a.nbytes for a in arrays) == 6 * (8 * sum(sizes[1:]) + 9 * sum(hidden))
+    assert sum(a.nbytes for a in arrays) == 6 * (8 * sum(sizes[1:]) + sum(hidden))

@@ -526,3 +526,74 @@ def test_training_step_allocates_less_than_one_parameter_vector(monkeypatch):
     bound = 8 * (spec.param_count + W.size)
     assert len(growth) >= 2
     assert max(growth[1:]) < bound, (growth, bound)
+
+
+def _wide_set():
+    """The 1024 -> 256 -> 64 set-up of the allocation test above, with 40
+    labeled images per class, so that a second labeled stack outweighs the
+    bounds' slack: (spec, labeled, pairs, triplets, cfg)."""
+    spec = LayerSpec((1024, 256, 64))
+    u = gen_unlabeled(SynthConfig(grid=32, clip_len=16, num_clips=4, seed=1))
+    labeled = gen_labeled(SynthConfig(grid=32, seed=51), 40)
+    mc = MiningConfig(T_seconds=2.0, seed=0, max_pairs=200, max_triplets=200)
+    pairs = resolve_pairs(u, mine_pairs(u, mc))
+    triplets = resolve_triplets(u, mine_triplets(u, mc))
+    cfg = TrainConfig(lr=0.01, lam=1.0, lam_prime=0.5, batch_labeled=8, batch_pairs=32,
+                      batch_triplets=32, max_epochs=1, patience=1, seed=0)
+    return spec, labeled, pairs, triplets, cfg
+
+
+def _owned_bytes(obj) -> int:
+    """Bytes of the arrays that ``obj`` (an array, a list or an object's
+    attributes, recursively) owns; views count nothing."""
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes if obj.base is None else 0
+    if isinstance(obj, list):
+        return sum(map(_owned_bytes, obj))
+    return sum(map(_owned_bytes, vars(obj).values())) if hasattr(obj, "__dict__") else 0
+
+
+def _traced_peak(monkeypatch, run):
+    """(tracemalloc peak of ``run()``, the bytes of the one Workspace it
+    builds, its flat gradient excluded). An untraced run goes first, so the
+    modules that numpy imports on first use are not in the peak."""
+    import tracemalloc
+
+    from ssfa import trainer
+
+    run()
+    built, real = [], trainer.Workspace
+    monkeypatch.setattr(trainer, "Workspace", lambda *a: built.append(real(*a)) or built[-1])
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (work,) = built
+    return peak, _owned_bytes(work) - work.flat.nbytes
+
+
+def test_training_run_peak_holds_no_init_copy_or_second_labeled_stack(monkeypatch):
+    # at its peak train holds the workspace, the labeled stack (X, plus the
+    # small validation rows) and five theta-sized vectors: theta, the best
+    # copy, the velocity, the lookahead and the gradient. A drawn init kept
+    # alive, or a second stack of the training rows, would exceed the bound.
+    spec, labeled, pairs, triplets, cfg = _wide_set()
+    theta = 8 * (spec.param_count + labeled.num_classes * spec.out_dim)
+    peak, work = _traced_peak(monkeypatch, lambda: train(labeled, pairs, triplets, spec, cfg))
+    bound = work + 8 * len(labeled) * spec.in_dim + 5.5 * theta
+    assert peak < bound, (peak, bound)
+
+
+def test_unsupervised_run_peak_holds_no_copy_of_the_last_snapshot(monkeypatch):
+    # at its peak train_unsupervised holds the workspace and six theta-sized
+    # vectors: the init, theta, the velocity, the lookahead, the gradient and
+    # the first pass's snapshot. The last snapshot is theta itself; a copy of
+    # it taken while the workspace is alive would exceed the bound.
+    spec, _, pairs, triplets, cfg = _wide_set()
+    theta = 8 * spec.param_count
+    peak, work = _traced_peak(
+        monkeypatch, lambda: train_unsupervised(pairs, triplets, spec, cfg, passes=2))
+    bound = work + 6.5 * theta
+    assert peak < bound, (peak, bound)
