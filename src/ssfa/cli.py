@@ -114,6 +114,18 @@ def _echo_config(args, out_dir: Path) -> None:
     write_atomic(out_dir / "run_config.txt", "\n".join(lines) + "\n")
 
 
+def _creatable_out(text: str) -> Path:
+    """``--out`` as a Path, checked before any work: it must be a directory
+    or not exist yet, and its nearest existing ancestor a writable
+    directory."""
+    out = probe = Path(text)
+    while not probe.exists():
+        probe = probe.parent
+    if not probe.is_dir() or not os.access(probe, os.W_OK | os.X_OK):
+        raise CliConfigError(f"--out: cannot create directory {text}")
+    return out
+
+
 def _hidden_sizes(text: str):
     try:
         return tuple(_integer(t.strip()) for t in text.split(",") if t.strip())
@@ -264,6 +276,7 @@ def _train_tuples(args, cfg):
 def cmd_train(args) -> int:
     from . import losses, network, trainer
 
+    hidden, out = _hidden_sizes(args.hidden), _creatable_out(args.out)
     labeled = _load_manifest(args.labeled, "--labeled", labeled=True)
     if len(labeled) == 0:
         raise trainer.ConfigError(f"{args.labeled}: labeled set is empty")
@@ -272,18 +285,19 @@ def cmd_train(args) -> int:
     pairs, triplets = _train_tuples(args, cfg) if cfg.lam > 0 else (None, None)
 
     in_dim = labeled.images[0].width * labeled.images[0].height
-    spec = network.LayerSpec((in_dim,) + _hidden_sizes(args.hidden) + (args.dim,))
+    spec = network.LayerSpec((in_dim,) + hidden + (args.dim,))
 
-    out = Path(args.out)
-    _echo_config(args, out)
     if args.cv:
         cfg, log = trainer.greedy_cv(labeled, pairs, triplets, spec, base=cfg)
-        trainer.write_search_log(log, out / "search_log.csv")
         print(
             f"greedy search: lr={cfg.lr} lam={cfg.lam} lam_prime={cfg.lam_prime} "
             f"delta_triplet={cfg.margins.delta_triplet}"
         )
     params, W, history = trainer.train(labeled, pairs, triplets, spec, cfg)
+    # written once training has succeeded: a failed run leaves no --out behind
+    _echo_config(args, out)
+    if args.cv:
+        trainer.write_search_log(log, out / "search_log.csv")
     network.save_checkpoint(out / "checkpoint.ckpt", params, W)
     history.to_csv(out / "history.csv")
     last = history.epochs[-1]

@@ -177,7 +177,7 @@ def check_total(rng, points: int = 100, margins: Margins = None, corrupt=None) -
             return total_objective(bx, by, pb, tb, theta, W_, lam, lam_prime, margins, work=work)
 
         vec = np.concatenate((params.flat, W.ravel()))
-        flat = loss(vec).grads["flat"].copy()  # the FD calls reuse the workspace
+        flat = loss(vec).grads["flat"]
         if corrupt is not None:
             bad = corrupt(dict(zip(("theta", "W"), split_model(spec, flat))))
             flat = np.concatenate((bad["theta"].flat, bad["W"].ravel()))

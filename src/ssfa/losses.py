@@ -269,10 +269,9 @@ class Workspace:
     (None, or a frame table and idx rows first): the stacked batch X, the
     forward tape with backward's scratch, dZ, the member block (each idx
     entry's feature row, then its gradient), the contrastive kernel's rows,
-    the softmax scratch, a table-sized row-position map, and the flat
-    gradient (network parameters, then a ``classes`` x k classifier) with
-    its ``split_model`` views. The gradients an objective returns view these
-    buffers, so the next call with the same workspace overwrites them.
+    the softmax scratch and a table-sized row-position map. The next call
+    with the same workspace overwrites them. The gradient is not among
+    them: it goes into the objective's ``out``.
     """
 
     def __init__(self, spec: LayerSpec, lead: int, pairs, triplets, classes: int = 0):
@@ -289,8 +288,6 @@ class Workspace:
         self.soft = np.empty(lead * (2 * classes + 1))
         self.pos = np.zeros(table_rows, dtype=np.intp)  # all zero between calls
         self.cols = np.arange(k)
-        self.flat = np.empty(spec.param_count + classes * k)
-        self.dtheta, self.dW = split_model(spec, self.flat)
 
 
 def _tuples(pairs, triplets, lam_prime: float):
@@ -360,7 +357,8 @@ def coherence_objective(pairs, triplets, params: NetworkParams, lam_prime: float
 
 
 def total_objective(batch_x, batch_y, pairs, triplets, params: NetworkParams, W, lam: float,
-                    lam_prime: float, margins: Margins, *, work: Workspace = None) -> LossValue:
+                    lam_prime: float, margins: Margins, *, work: Workspace = None,
+                    out: np.ndarray = None) -> LossValue:
     """Joint objective: supervised softmax loss on the labeled batch plus
     lam times the coherence loss, in one fused forward and backward pass.
 
@@ -372,19 +370,22 @@ def total_objective(batch_x, batch_y, pairs, triplets, params: NetworkParams, W,
     ``batch_x`` None there is no supervised term: ``terms`` has no "sup"
     and the classifier gradient is zero.
     ``work`` (a :class:`Workspace` with room for the batch and W's rows)
-    holds the pass's arrays and the gradient; None sizes one for this call.
+    holds the pass's arrays; None sizes one for this call. ``out`` (None: a
+    fresh vector) takes the gradient; ``params`` and ``W`` may view it.
     """
     W = np.asarray(W, dtype=np.float64)
     pairs, triplets = _tuples(pairs, triplets, lam_prime) if lam != 0.0 else (None, None)
-    lead = 0 if batch_x is None else len(batch_x)
-    ws = Workspace(params.layer_spec(), lead, pairs, triplets, len(W)) if work is None else work
+    lead, spec = 0 if batch_x is None else len(batch_x), params.layer_spec()
+    ws = Workspace(spec, lead, pairs, triplets, len(W)) if work is None else work
+    flat = np.empty(spec.param_count + W.size) if out is None else out
+    dtheta, dW = split_model(spec, flat)
     Z, tape, value, terms, dZ = _fused(ws, params, batch_x, pairs, triplets, lam, lam_prime,
                                        margins)
     if batch_x is None:
-        ws.dW.fill(0.0)
+        dW.fill(0.0)
     else:
         zs = Z[:lead]
-        sup = _softmax(W, zs, _labeled_batch(W, zs, batch_y), dZ[:lead], ws.dW, ws.soft)
+        sup = _softmax(W, zs, _labeled_batch(W, zs, batch_y), dZ[:lead], dW, ws.soft)
         value, terms = sup + lam * value, {"sup": sup, **terms}
-    backward(params, tape, dZ, ws.dtheta.flat)
-    return LossValue(value, {"theta": ws.dtheta, "W": ws.dW, "flat": ws.flat}, terms)
+    backward(params, tape, dZ, dtheta.flat)
+    return LossValue(value, {"theta": dtheta, "W": dW, "flat": flat}, terms)

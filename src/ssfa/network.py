@@ -155,12 +155,12 @@ def backward(params: NetworkParams, tape: ActivationTape, dZ, out=None) -> Netwo
     """Backpropagate a feature-space gradient through the tape.
 
     Returns the parameter gradient, written into the flat vector ``out`` (a
-    fresh one when None). The pass stops after layer 0's parameter gradient:
-    the gradient w.r.t. the input is never formed. Once layer i has read
-    hidden output ``tape.post[i-1]``, its ReLU mask goes to the tape's
-    scratch and layer i-1's delta overwrites it: with ``out`` nothing is
-    allocated, a tape serves one call, and ``dZ``, ``x`` and Z are only
-    read. The mask is ``post > 0``: the subgradient at exactly 0 is 0.
+    fresh one when None). Each weight matrix W_i with i >= 1 is read from a
+    copy, so ``out`` may be ``params.flat``. The input's gradient is never
+    formed. Once layer i has read hidden output ``tape.post[i-1]``, its
+    ReLU mask goes to the tape's scratch and layer i-1's delta overwrites
+    it: a tape serves one call, and ``dZ``, ``x`` and Z are only read. The
+    ReLU mask is ``post > 0``: the subgradient at exactly 0 is 0.
     """
     delta = np.asarray(dZ, dtype=np.float64)
     if delta.shape != tape.post[-1].shape:
@@ -169,11 +169,12 @@ def backward(params: NetworkParams, tape: ActivationTape, dZ, out=None) -> Netwo
     grad = NetworkParams(spec, np.empty(spec.param_count) if out is None else out)
     for i in reversed(range(len(params.weights))):
         inp = tape.x if i == 0 else tape.post[i - 1]
+        w = params.weights[i].copy() if i > 0 else None  # out may overwrite W_i
         np.matmul(delta.T, inp, out=grad.weights[i])
         delta.sum(axis=0, out=grad.biases[i])
         if i > 0:
             mask = np.greater(inp, 0.0, out=tape.mask[i - 1])
-            delta = np.matmul(delta, params.weights[i], out=inp)
+            delta = np.matmul(delta, w, out=inp)
             delta *= mask
     return grad
 

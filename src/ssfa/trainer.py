@@ -8,12 +8,12 @@ returns one flat gradient from one backward pass, for a single in-place
 update of the flat parameter vector (network parameters followed by the
 classifier). Supervised and unsupervised runs share one step loop: it
 sizes the objective's buffers (a losses.Workspace), the velocity and the
-lookahead vector once, before the first step, and every step reuses them;
-an unsupervised step is a joint step with no labeled batch, no classifier
-and lam = 1. No later step touches the parameters a run returns. An epoch
-is one full pass over the labeled training split; tuple streams cycle
-independently with their own reshuffling. Training is bit-reproducible
-for a fixed config.
+lookahead vector once, and every step reuses them, writing its gradient
+over the lookahead. An unsupervised step is a joint step with no labeled
+batch, no classifier and lam = 1. No later step touches the parameters a
+run returns. An epoch is one full pass over the labeled training split;
+tuple streams cycle independently with their own reshuffling. Training
+is bit-reproducible for a fixed config.
 """
 
 from __future__ import annotations
@@ -104,8 +104,8 @@ def nesterov_step(theta, velocity, look, grad_fn, lr: float, momentum: float) ->
     place: v <- momentum*v - lr*grad(theta + momentum*v);  theta <- theta + v.
 
     ``look`` is a buffer of theta's shape: theta + momentum*v is written
-    into it and ``grad_fn(look)`` returns the gradient vector there; the
-    step then reuses ``look`` as scratch. ``theta`` and ``velocity`` are
+    into it, ``grad_fn(look)`` returns the gradient (possibly in ``look``),
+    and the step reuses ``look`` as scratch. ``theta`` and ``velocity`` are
     updated in place with the same operations, in the same order, as
     ``velocity = momentum*velocity - lr*grad; theta = theta + velocity``.
     A non-finite gradient raises OptimizerError and leaves both unchanged.
@@ -255,7 +255,7 @@ def _stepper(theta, layer_spec: LayerSpec, lead: int, streams, cfg: TrainConfig)
 
             def grad_fn(_look):
                 lv = total_objective(bx, by, pb, tb, look_net, look_W, cfg.lam, cfg.lam_prime,
-                                     cfg.margins, work=work)
+                                     cfg.margins, work=work, out=look)
                 for name, v in lv.terms.items():
                     if not np.isfinite(v):
                         raise OptimizerError(f"non-finite loss term {name}")
@@ -337,25 +337,26 @@ def train_unsupervised(pairs, triplets, layer_spec: LayerSpec, cfg: TrainConfig,
     One pass cycles once through the pair set (or the triplet set when no
     pairs are given). Returns (initial params, [params after each pass],
     per-pass (slow, steady) mean loss rows), which later passes do not
-    touch: the last snapshot is the trained vector itself, the rest copies.
+    touch: the last snapshot is the trained vector itself, the rest copies;
+    the init is drawn again, with the same bits, after the last pass.
     """
     if passes < 1:
         raise ConfigError("passes must be >= 1")
 
     seeds = np.random.SeedSequence(cfg.seed).spawn(3)
-    params = init_glorot(layer_spec, seeds[0])
     streams = _tuple_streams(pairs, triplets, cfg, seeds[1:3])
     first = streams[0] or streams[1]
     steps_per_pass = math.ceil(first.n / first.batch)
 
-    theta = params.flat.copy()  # init stays as drawn
+    theta = init_glorot(layer_spec, seeds[0]).flat
     steps = _stepper(theta, layer_spec, 0, streams, replace(cfg, lam=1.0))
     snapshots, rows = [], []
     for pass_i in range(1, passes + 1):
         means = steps(itertools.repeat((None, None), steps_per_pass))
         snapshots.append(NetworkParams(layer_spec, theta if pass_i == passes else theta.copy()))
         rows.append((pass_i, means["slow"], means["steady"]))
-    return params, snapshots, rows
+    del steps  # frees the velocity, the lookahead and the workspace before the redraw
+    return init_glorot(layer_spec, seeds[0]), snapshots, rows
 
 
 # ---------------------------------------------------------------------------

@@ -56,19 +56,43 @@ def test_network_count_callbacks_read_real_results(monkeypatch):
     assert tr.counters == {"network.forward_rows": 6, "network.flop": 2 * 6 * macs + 4 * 6 * macs}
 
 
-@pytest.mark.parametrize("workload", ["desk", "wide", "long_clips"])
-def test_tiny_workload_has_no_failed_operation(workload, monkeypatch, tmp_path):
-    # each workload in-process at its smallest size, as a worker runs it
-    # untraced; long_clips rebinds trainer.train to time it, so pin it
+def _tiny_run(workload, work, traced):
+    """The workload in-process at its smallest size, as a worker runs it:
+    with ``traced``, under a tracer installed over the package."""
+    import layers
+    import workloads
+    from tracer import Tracer
+
+    tracer = Tracer() if traced else None
+    if tracer is not None:
+        layers.install(tracer)
+    rep = workloads.Rep(workloads.clock(), tracer)
+    args = (work,) if workload == "long_clips" else ()
+    try:
+        with contextlib.suppress(workloads.StageFailed):
+            getattr(workloads, workload)(rep, 7, "tiny", *args)
+    finally:
+        if tracer is not None:
+            tracer.uninstall()
+    assert rep.ops.failed == {}
+    assert rep.ops.attempted > 0 and rep.wall_s is not None
+    return rep
+
+
+@pytest.mark.parametrize("workload, traced", [
+    ("desk", False), ("wide", False), ("long_clips", False),
+    ("desk", True), ("wide", True), ("long_clips", True),
+], ids=["desk", "wide", "long_clips", "desk-traced", "wide-traced", "long_clips-traced"])
+def test_tiny_workload_has_no_failed_operation(workload, traced, monkeypatch, tmp_path):
+    # each workload untraced, and traced with the same quality numbers, so a
+    # wrapped function that drops a keyword or an aliasing out= fails here;
+    # long_clips rebinds trainer.train to time it, so pin it
     from ssfa import trainer
 
     monkeypatch.syspath_prepend(str(BENCH))
     monkeypatch.setattr(trainer, "train", trainer.train)
-    import workloads
-
-    rep = workloads.Rep(workloads.clock())
-    args = (tmp_path / "long_clips",) if workload == "long_clips" else ()
-    with contextlib.suppress(workloads.StageFailed):
-        getattr(workloads, workload)(rep, 7, "tiny", *args)
-    assert rep.ops.failed == {}
-    assert rep.ops.attempted > 0 and rep.wall_s is not None
+    # one work directory: the output tree names its paths
+    rep = _tiny_run(workload, tmp_path / "long_clips", False)
+    if traced:
+        rep_traced = _tiny_run(workload, tmp_path / "long_clips", True)
+        assert rep_traced.quality == rep.quality and rep_traced.digest == rep.digest

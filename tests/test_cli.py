@@ -5,6 +5,7 @@ import json
 import os
 import sys
 
+import numpy as np
 import pytest
 
 from ssfa.cli import CliConfigError, _apply_config, _build_parser, _parse_config_file, main
@@ -147,6 +148,42 @@ def test_train_ssfa_requires_tuples(pipeline):
     code = main(["train", "--labeled", str(data / "labeled.txt"), "--method", "ssfa",
                  "--epochs", "3", "--out", str(base / "fail")])
     assert code == 2
+
+
+def test_train_checks_hidden_before_reading_any_file(tmp_path, capsys):
+    # a bad --hidden used to surface only after the manifest was read, so a
+    # missing manifest hid it behind exit 3
+    out = tmp_path / "o"
+    code = main(["train", "--labeled", str(tmp_path / "missing.txt"), "--hidden", "2_5",
+                 "--out", str(out)])
+    assert code == 2
+    assert "--hidden: bad hidden layer list '2_5'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_failed_train_leaves_no_out_behind(pipeline, tmp_path, capsys):
+    # the config echo was written before training, so a diverged run left
+    # run_config.txt behind as if it had produced a model
+    _, data, _, _ = pipeline
+    out = tmp_path / "run"
+    with np.errstate(all="ignore"):
+        code = main(["train", "--labeled", str(data / "labeled.txt"), "--method", "unreg",
+                     "--lr", "1e300", "--epochs", "3", "--out", str(out)])
+    assert code == 3
+    assert "non-finite loss term validation" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_rejects_an_out_it_cannot_create_before_reading_any_file(tmp_path, capsys):
+    # --out is created only after training, so a file in its way must be
+    # found before the data is read, not after a long run
+    blocker = tmp_path / "file"
+    blocker.write_text("x")
+    for out in (blocker, blocker / "run"):
+        code = main(["train", "--labeled", str(tmp_path / "missing.txt"), "--out", str(out)])
+        assert code == 2
+        assert f"--out: cannot create directory {out}" in capsys.readouterr().err
+    assert blocker.read_text() == "x"
 
 
 def test_train_sfa2_without_pair_batch_exits_3(pipeline):

@@ -14,7 +14,7 @@ from ssfa.losses import (
     triplet_loss,
     unsupervised_loss,
 )
-from ssfa.network import LayerSpec, init_classifier, init_glorot
+from ssfa.network import LayerSpec, init_classifier, init_glorot, split_model
 
 M = Margins()
 
@@ -489,8 +489,9 @@ def test_reused_workspace_gives_the_bits_of_a_fresh_one():
         pb = (pairs[0], pairs[1][:n_tuples], pairs[2][:n_tuples])
         tb = (triplets[0], rng.integers(0, 8, (n_tuples, 3)), triplets[2][:n_tuples])
         args = (bx[:n_lead], by[:n_lead], pb, tb, params, W, 0.7, 0.3, M)
-        fresh, reused = total_objective(*args), total_objective(*args, work=work)
-        assert reused.grads["flat"] is work.flat
+        out = np.empty(spec.param_count + W.size)
+        fresh, reused = total_objective(*args), total_objective(*args, work=work, out=out)
+        assert reused.grads["flat"] is out
         assert not work.pos.any()  # the row-position map is clear between calls
         assert reused.grads["flat"].tobytes() == fresh.grads["flat"].tobytes()
         assert (reused.value, reused.terms) == (fresh.value, fresh.terms)
@@ -498,6 +499,25 @@ def test_reused_workspace_gives_the_bits_of_a_fresh_one():
         reused = coherence_objective(pb, tb, params, 0.3, M, work=co_work)
         assert reused.grads["theta"].flat.tobytes() == fresh.grads["theta"].flat.tobytes()
         assert (reused.value, reused.terms) == (fresh.value, fresh.terms)
+
+
+@pytest.mark.parametrize("supervised", [True, False])
+def test_total_objective_into_the_vector_of_its_parameters_keeps_the_bits(supervised):
+    # the step loop passes the lookahead vector as out=, with the parameters
+    # and the classifier as its views: the gradient overwrites the point it
+    # was taken at and must equal a fresh call's
+    spec, params, W, bx, by, pairs, triplets = _setup_objective(12)
+    if not supervised:
+        bx, by, W = None, None, np.empty((0, spec.out_dim))
+    args = (bx, by, pairs, triplets)
+    fresh = total_objective(*args, params, W, 0.7, 0.3, M)
+    v = np.concatenate([params.flat, W.ravel()])
+    at_params, at_W = split_model(spec, v)
+    lv = total_objective(*args, at_params, at_W, 0.7, 0.3, M, out=v)
+    assert lv.grads["flat"] is v
+    assert lv.grads["theta"].flat.base is v and lv.grads["W"].base is v
+    assert v.tobytes() == fresh.grads["flat"].tobytes()
+    assert (lv.value, lv.terms) == (fresh.value, fresh.terms)
 
 
 def test_coherence_objective_requires_tuples():

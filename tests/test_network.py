@@ -190,6 +190,22 @@ def test_backward_without_input_grad_is_bit_identical(sizes, rows, use_out):
         assert grad.flat is out
 
 
+@pytest.mark.parametrize("sizes", [(5, 3), (5, 4, 3), (64, 9, 7, 5)])
+def test_backward_into_its_own_parameters_gives_the_bits_of_a_fresh_vector(sizes):
+    # the step loop writes the gradient over the point it was taken at:
+    # backward must read each layer's weights before it writes their gradient
+    rng = np.random.default_rng(sum(sizes) + 1)
+    spec = LayerSpec(sizes)
+    params = NetworkParams(spec, rng.normal(size=spec.param_count))
+    x = rng.normal(size=(6, spec.in_dim))
+    dz = rng.normal(size=(6, spec.out_dim))
+    fresh = backward(params, forward(params, x)[1], dz)
+    _, tape = forward(params, x)
+    grad = backward(params, tape, dz, out=params.flat)
+    assert grad.flat is params.flat
+    assert params.flat.tobytes() == fresh.flat.tobytes()
+
+
 @pytest.mark.parametrize("sizes", [(5, 4, 3), (64, 9, 7, 5)])
 def test_forward_into_an_oversized_tape_is_bit_identical(sizes):
     # forward's default tape is sized for the batch; a buffer tape with spare

@@ -127,6 +127,29 @@ def test_nesterov_steps_on_a_finite_gradient_whose_norm_overflows():
     assert velocity.tolist() == [-1.0] * 4 and theta.tolist() == [-1.0] * 4
 
 
+def test_nesterov_gradient_written_over_the_lookahead_keeps_the_bits():
+    # the step loop's gradient overwrites the lookahead point it was taken
+    # at and is returned as that vector: the step is still the formula's
+    rng = np.random.default_rng(4)
+    theta, velocity = rng.normal(size=50), rng.normal(size=50)
+    lr, mu = 0.03, 0.9
+    t0, v0 = theta.copy(), velocity.copy()
+    look = np.empty_like(theta)
+    nesterov_step(theta, velocity, look, lambda x: np.sin(x, out=x), lr, mu)
+    g = np.sin(t0 + mu * v0)
+    assert velocity.tobytes() == (mu * v0 - lr * g).tobytes()
+    assert theta.tobytes() == (t0 + (mu * v0 - lr * g)).tobytes()
+
+    def non_finite(x):
+        x[7] = np.nan
+        return x
+
+    t1, v1 = theta.copy(), velocity.copy()
+    with pytest.raises(OptimizerError, match="non-finite gradient in 1 of 50"):
+        nesterov_step(theta, velocity, look, non_finite, lr, mu)
+    assert theta.tobytes() == t1.tobytes() and velocity.tobytes() == v1.tobytes()
+
+
 @pytest.mark.parametrize("field, value", [
     ("lr", np.nan), ("lr", np.inf), ("lam", np.nan), ("lam", np.inf),
     ("lam_prime", np.nan), ("lam_prime", np.inf),
@@ -555,45 +578,53 @@ def _owned_bytes(obj) -> int:
 
 def _traced_peak(monkeypatch, run):
     """(tracemalloc peak of ``run()``, the bytes of the one Workspace it
-    builds, its flat gradient excluded). An untraced run goes first, so the
-    modules that numpy imports on first use are not in the peak."""
+    builds). An untraced run goes first, so the modules that numpy imports
+    on first use are not in the peak. The workspace must hold less than one
+    parameter vector: the gradient goes into the step loop's lookahead
+    vector, and a workspace that held it would hide one from the bounds."""
     import tracemalloc
 
     from ssfa import trainer
 
     run()
     built, real = [], trainer.Workspace
-    monkeypatch.setattr(trainer, "Workspace", lambda *a: built.append(real(*a)) or built[-1])
+    monkeypatch.setattr(trainer, "Workspace",
+                        lambda *a, **k: built.append((a[0], real(*a, **k))) or built[-1][1])
     tracemalloc.start()
     try:
         run()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    (work,) = built
-    return peak, _owned_bytes(work) - work.flat.nbytes
+    ((spec, work),) = built
+    work = _owned_bytes(work)
+    assert work < 8 * spec.param_count, (work, spec.param_count)
+    return peak, work
 
 
 def test_training_run_peak_holds_no_init_copy_or_second_labeled_stack(monkeypatch):
     # at its peak train holds the workspace, the labeled stack (X, plus the
-    # small validation rows) and five theta-sized vectors: theta, the best
-    # copy, the velocity, the lookahead and the gradient. A drawn init kept
-    # alive, or a second stack of the training rows, would exceed the bound.
+    # small validation rows) and four theta-sized vectors: theta, the best
+    # copy, the velocity and the lookahead, which the gradient overwrites. A
+    # drawn init kept alive, a separate gradient vector or a second stack of
+    # the training rows would exceed the bound.
     spec, labeled, pairs, triplets, cfg = _wide_set()
     theta = 8 * (spec.param_count + labeled.num_classes * spec.out_dim)
     peak, work = _traced_peak(monkeypatch, lambda: train(labeled, pairs, triplets, spec, cfg))
-    bound = work + 8 * len(labeled) * spec.in_dim + 5.5 * theta
+    bound = work + 8 * len(labeled) * spec.in_dim + 4.5 * theta
     assert peak < bound, (peak, bound)
 
 
 def test_unsupervised_run_peak_holds_no_copy_of_the_last_snapshot(monkeypatch):
-    # at its peak train_unsupervised holds the workspace and six theta-sized
-    # vectors: the init, theta, the velocity, the lookahead, the gradient and
-    # the first pass's snapshot. The last snapshot is theta itself; a copy of
-    # it taken while the workspace is alive would exceed the bound.
+    # at its peak train_unsupervised holds the workspace and four theta-sized
+    # vectors: theta, the velocity, the lookahead (which the gradient
+    # overwrites) and the first pass's snapshot. The last snapshot is theta
+    # itself and the init is redrawn once the step loop's buffers are gone;
+    # an init kept through training, a separate gradient vector or a copy of
+    # the last snapshot would exceed the bound.
     spec, _, pairs, triplets, cfg = _wide_set()
     theta = 8 * spec.param_count
     peak, work = _traced_peak(
         monkeypatch, lambda: train_unsupervised(pairs, triplets, spec, cfg, passes=2))
-    bound = work + 6.5 * theta
+    bound = work + 4.5 * theta
     assert peak < bound, (peak, bound)
