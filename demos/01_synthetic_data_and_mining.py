@@ -18,13 +18,11 @@ print(f"{len(clips.clips)} clips, {cfg.clip_len} frames each, period {clips.clip
 
 # steady motion means each frame is an exact circular shift of the previous
 c0 = clips.clips[0]
-shift_exact = np.array_equal(
-    np.sort(c0.frames[0].pixels), np.sort(c0.frames[1].pixels)
-)
+shift_exact = np.array_equal(np.sort(c0.frames[0], axis=None), np.sort(c0.frames[1], axis=None))
 print(f"frame t+1 is a pixel permutation of frame t: {shift_exact}")
 
-# text rendering of one frame
-img = c0.frames[0].grid()
+# text rendering of one frame: c0.frames is one (frames, height, width) array
+img = c0.frames[0]
 chars = " .:-=+*#%@"
 for row in img[::2]:
     print("".join(chars[int(v * (len(chars) - 1))] for v in row[::1]))

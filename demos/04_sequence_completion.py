@@ -30,20 +30,18 @@ print("trained steadiness-regularized model")
 queries = ssfa.make_queries(eval_clips, T_seconds=2.0, max_queries=12, seed=3)
 pool = ssfa.build_pool(queries, eval_clips, n_per_video=5, seed=4)
 z_pool = ssfa.embed(params, pool.frames)
+ranks = ssfa.seqcomp_ranks(queries, pool, params)
 
 print(f"\n{len(queries)} queries against a pool of {len(pool)} candidates:")
-for q in queries:
+for q, rank in zip(queries, ranks):
     i1 = pool.index_of(q.clip_id, q.t1)
     i2 = pool.index_of(q.clip_id, q.t2)
-    gt = pool.index_of(q.clip_id, q.t3)
     z_tilde = ssfa.extrapolate(z_pool[i1], z_pool[i2])
     d = np.linalg.norm(z_pool - z_tilde, axis=1)
     order = np.argsort(d, kind="stable")
-    rank = ssfa.evaluate.rank_of_truth(z_pool, gt, z_tilde)
     top = ", ".join(f"{pool.provenance[i][0]}[{pool.provenance[i][1]}]" for i in order[:3])
     print(
         f"  {q.clip_id}[{q.t1},{q.t2}] -> truth [{q.t3}] ranked {rank:2d}; top-3: {top}"
     )
 
-ranks = ssfa.seqcomp_ranks(queries, pool, params)
 print(f"\nmean percentile rank eta = {ssfa.eta(ranks, len(pool)):.2f} (chance = 50)")

@@ -13,7 +13,6 @@ accuracy and k-nearest-neighbor accuracy.
 
 from .data import (
     Clip,
-    Frame,
     LabeledSet,
     ManifestError,
     PgmFormatError,

@@ -52,6 +52,17 @@ def _integer(text: str) -> int:
     return int(text)
 
 
+def _real(text: str) -> float:
+    """The one reader of float flags and float config values, in the form of
+    a manifest's frame period (``data._REAL``): "1_0", blanks and non-ASCII
+    digits, which float() takes, are an ArgumentTypeError."""
+    from .data import _REAL
+
+    if not _REAL.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"expected a real number in ASCII, got {text!r}")
+    return float(text)
+
+
 def _parse_config_file(path: Path) -> dict:
     from .data import _significant_lines
 
@@ -278,14 +289,11 @@ def cmd_train(args) -> int:
 
     hidden, out = _hidden_sizes(args.hidden), _creatable_out(args.out)
     labeled = _load_manifest(args.labeled, "--labeled", labeled=True)
-    if len(labeled) == 0:
-        raise trainer.ConfigError(f"{args.labeled}: labeled set is empty")
     cfg = _train_config(args, losses, trainer)
 
     pairs, triplets = _train_tuples(args, cfg) if cfg.lam > 0 else (None, None)
 
-    in_dim = labeled.images[0].width * labeled.images[0].height
-    spec = network.LayerSpec((in_dim,) + hidden + (args.dim,))
+    spec = network.LayerSpec((labeled.images[0].size,) + hidden + (args.dim,))
 
     if args.cv:
         cfg, log = trainer.greedy_cv(labeled, pairs, triplets, spec, base=cfg)
@@ -412,7 +420,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clip-len", type=_integer, default=20)
     p.add_argument("--grid", type=_integer, default=16)
     p.add_argument("--shapes", type=_integer, default=4)
-    p.add_argument("--noise", type=float, default=0.0)
+    p.add_argument("--noise", type=_real, default=0.0)
     p.add_argument("--labeled-per-class", type=_integer, default=0)
     p.set_defaults(func=cmd_synth)
 
@@ -425,9 +433,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--data", required=True, help="unlabeled manifest")
     p.add_argument("--out", required=True)
-    p.add_argument("--T", type=float, default=2.0, help="temporal window, seconds")
-    p.add_argument("--pair-neg-ratio", type=float, default=3.0)
-    p.add_argument("--triplet-neg-ratio", type=float, default=1.0)
+    p.add_argument("--T", type=_real, default=2.0, help="temporal window, seconds")
+    p.add_argument("--pair-neg-ratio", type=_real, default=3.0)
+    p.add_argument("--triplet-neg-ratio", type=_real, default=1.0)
     p.add_argument("--max-pairs", type=_integer, default=10000)
     p.add_argument("--max-triplets", type=_integer, default=10000)
     p.set_defaults(func=cmd_mine)
@@ -440,20 +448,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", help="mined pair tuple file")
     p.add_argument("--triplets", help="mined triplet tuple file")
     p.add_argument("--method", choices=_METHODS, default="ssfa")
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0,
+    p.add_argument("--lambda", dest="lam", type=_real, default=1.0,
                    help="coherence regularization weight")
-    p.add_argument("--lambda2", dest="lam2", type=float, default=1.0,
+    p.add_argument("--lambda2", dest="lam2", type=_real, default=1.0,
                    help="steadiness weight inside the coherence loss")
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--delta-pair", type=float, default=1.0)
-    p.add_argument("--delta-triplet", type=float, default=1.0)
+    p.add_argument("--lr", type=_real, default=0.01)
+    p.add_argument("--momentum", type=_real, default=0.9)
+    p.add_argument("--delta-pair", type=_real, default=1.0)
+    p.add_argument("--delta-triplet", type=_real, default=1.0)
     p.add_argument("--batch-labeled", type=_integer, default=16)
     p.add_argument("--batch-pairs", type=_integer, default=32)
     p.add_argument("--batch-triplets", type=_integer, default=32)
     p.add_argument("--epochs", type=_integer, default=150)
     p.add_argument("--patience", type=_integer, default=15)
-    p.add_argument("--val-fraction", type=float, default=0.2)
+    p.add_argument("--val-fraction", type=_real, default=0.2)
     p.add_argument("--hidden", default="25", help="hidden widths, comma separated")
     p.add_argument("--dim", type=_integer, default=25, help="feature dimension")
     p.add_argument("--cv", action="store_true", help="greedy staged hyperparameter search")
@@ -464,7 +472,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--unlabeled", required=True, help="held-out clips manifest")
     p.add_argument("--out", required=True)
-    p.add_argument("--T", type=float, default=2.0)
+    p.add_argument("--T", type=_real, default=2.0)
     p.add_argument("--queries", type=_integer, default=200)
     p.add_argument("--pool-n", type=_integer, default=5,
                    help="random distractor frames per represented clip")

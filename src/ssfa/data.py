@@ -1,8 +1,9 @@
-"""Frames, clips, labeled/unlabeled datasets, preprocessing and on-disk formats.
+"""Clips, labeled/unlabeled datasets, preprocessing and on-disk formats.
 
-Images are grayscale, stored as flat float64 arrays in row-major order.
-Raw pixel values live in [0, 1]; after :func:`prep_stack` they are
-unbounded (zero mean, unit variance per image).
+An image is a grayscale (height, width) float64 array, and an image set
+(a clip's frames, a labeled set's images) is one (n, height, width)
+array. Raw pixel values live in [0, 1]; after :func:`prep_stack` each
+image is one flat row, unbounded (zero mean, unit variance per image).
 """
 
 from __future__ import annotations
@@ -40,68 +41,51 @@ class ManifestError(ValueError):
     """Malformed or unresolvable dataset manifest."""
 
 
-@dataclass(frozen=True, eq=False)
-class Frame:
-    """A single grayscale image: ``pixels`` has length ``width * height``."""
-
-    width: int
-    height: int
-    pixels: np.ndarray
-
-    def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ValueError(f"frame dimensions must be >= 1, got {self.width}x{self.height}")
-        px = np.array(self.pixels, dtype=np.float64).ravel()
-        if px.size != self.width * self.height:
-            raise ValueError(
-                f"pixel count {px.size} does not match {self.width}x{self.height}"
-            )
-        px.flags.writeable = False
-        object.__setattr__(self, "pixels", px)
-
-    def grid(self) -> np.ndarray:
-        """Pixels reshaped to (height, width)."""
-        return self.pixels.reshape(self.height, self.width)
+def _image_stack(images) -> np.ndarray:
+    """``images`` (an array, viewed, or a sequence of same-sized images,
+    stacked) as a read-only (n, height, width) float64 array. Any other
+    shape, or an image with no pixels, is a ValueError."""
+    arr = np.asarray(images, dtype=np.float64).view()
+    if arr.ndim != 3 or 0 in arr.shape[1:]:
+        raise ValueError(f"expected an (n, height, width) image stack, got shape {arr.shape}")
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
 class Clip:
     """An ordered frame sequence with a fixed frame period in seconds.
 
-    ``clip_id`` must contain no whitespace (it is used as a token in
-    text serialization formats).
+    ``frames`` is one read-only (n, height, width) array (see
+    :func:`_image_stack`). ``clip_id`` must contain no whitespace (it is
+    used as a token in text serialization formats).
     """
 
     clip_id: str
-    frames: tuple
+    frames: np.ndarray
     frame_period: float
 
     def __post_init__(self):
-        object.__setattr__(self, "frames", tuple(self.frames))
+        object.__setattr__(self, "frames", _image_stack(self.frames))
         if not self.clip_id or any(c.isspace() for c in self.clip_id):
             raise ValueError(f"bad clip_id {self.clip_id!r}")
-        if not self.frames:
+        if not len(self.frames):
             raise ValueError(f"clip {self.clip_id!r} has no frames")
         if not (np.isfinite(self.frame_period) and self.frame_period > 0):
             raise ValueError(f"frame_period must be finite and > 0, got {self.frame_period}")
-        w, h = self.frames[0].width, self.frames[0].height
-        for t, f in enumerate(self.frames):
-            if f.width != w or f.height != h:
-                raise ValueError(
-                    f"clip {self.clip_id!r}: frame {t} is {f.width}x{f.height}, expected {w}x{h}"
-                )
 
 
 @dataclass(frozen=True, eq=False)
 class LabeledSet:
-    """Images with integer class labels in [0, num_classes)."""
+    """Images with integer class labels in [0, num_classes). ``images`` is
+    one read-only (n, height, width) array, as :attr:`Clip.frames` is."""
 
-    images: tuple
+    images: np.ndarray
     labels: tuple
     num_classes: int
 
     def __post_init__(self):
-        object.__setattr__(self, "images", tuple(self.images))
+        object.__setattr__(self, "images", _image_stack(self.images))
         object.__setattr__(self, "labels", tuple(int(y) for y in self.labels))
         if len(self.images) != len(self.labels):
             raise ValueError(
@@ -145,17 +129,18 @@ class UnlabeledSet:
         return X
 
 
-def prep_stack(frames) -> np.ndarray:
-    """Standardize and flatten a sequence of same-sized frames into an
-    (n, w*h) array: each row minus its mean, divided by its population
-    standard deviation floored at ``STD_FLOOR``, so a constant frame maps
-    to zeros.
+def prep_stack(images) -> np.ndarray:
+    """Standardize and flatten same-sized images (an (n, h, w) array, or a
+    sequence of (h, w) arrays) into a new (n, h*w) array: each row minus
+    its mean, divided by its population standard deviation floored at
+    ``STD_FLOOR``, so a constant image maps to zeros.
 
     The stacked array is the only full-size one: it is standardized in
     place, ``PREP_BLOCK_BYTES`` of rows at a time (at least one row), so the
     temporaries of the std are one block. Every operation is per row, so
     the result is bit-identical to standardizing the whole array at once."""
-    X = np.stack([f.pixels for f in frames])
+    X = np.array(images, dtype=np.float64)
+    X = X.reshape(len(X), -1)
     rows = max(1, PREP_BLOCK_BYTES // X[0].nbytes)
     for start in range(0, len(X), rows):
         B = X[start:start + rows]
@@ -197,11 +182,19 @@ def _decimal(tok) -> bool:
     return tok.isascii() and tok.isdigit()
 
 
+# the one form of a real field read from text: float()'s ASCII forms (sign,
+# digits, point, exponent, inf and nan), without the "_", blanks and
+# non-ASCII digits that float() also takes
+_REAL = re.compile(r"[+-]?(?:inf(?:inity)?|nan|(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[+-]?[0-9]+)?)",
+                   re.ASCII | re.IGNORECASE)
+
+
 # ---------------------------------------------------------------------------
 # PGM input/output (P5 binary preferred; P2 ASCII accepted on read)
 
-def load_pgm(path) -> Frame:
-    """Read a binary (P5) or ASCII (P2) portable graymap, scaling pixels to [0, 1]."""
+def load_pgm(path) -> np.ndarray:
+    """Read a binary (P5) or ASCII (P2) portable graymap as a (height, width)
+    array, scaling pixels to [0, 1]."""
     data = Path(path).read_bytes()
     m = _TOKEN.match(data)
     magic, pos = m[1] or None, m.end()
@@ -245,14 +238,15 @@ def load_pgm(path) -> Frame:
         arr = np.array(vals, dtype=np.float64)
     if arr.size and arr.max() > maxval:
         raise PgmFormatError(f"{path}: sample value exceeds maxval {maxval}")
-    return Frame(width, height, arr / maxval)
+    return (arr / maxval).reshape(height, width)
 
 
-def save_pgm(frame: Frame, path) -> None:
-    """Write a binary P5 graymap, maxval 255; pixels are clamped to [0, 1]
-    and quantized by round(p * 255)."""
-    q = np.rint(np.clip(frame.pixels, 0.0, 1.0) * 255.0).astype(np.uint8)
-    header = f"P5\n{frame.width} {frame.height}\n255\n".encode("ascii")
+def save_pgm(image: np.ndarray, path) -> None:
+    """Write a (height, width) image as a binary P5 graymap, maxval 255;
+    pixels are clamped to [0, 1] and quantized by round(p * 255)."""
+    height, width = np.shape(image)
+    q = np.rint(np.clip(image, 0.0, 1.0) * 255.0).astype(np.uint8)
+    header = f"P5\n{width} {height}\n255\n".encode("ascii")
     write_atomic(path, header + q.tobytes())
 
 
@@ -304,15 +298,25 @@ def load_manifest(path):
     return _load_unlabeled(path, lines)
 
 
-def _resolve_frame(base: Path, rel: str, lineno: int, manifest: Path) -> Frame:
-    target = base / rel
-    if not target.is_file():
-        raise ManifestError(f"{manifest}: line {lineno}: missing frame file {rel!r}")
-    return load_pgm(target)
+def _load_images(manifest: Path, entries) -> np.ndarray:
+    """The PGMs of ``entries`` (at least one (line number, path relative to
+    ``manifest``) pair) as one (n, height, width) array. A missing file, or
+    one of another size than the first, is a ManifestError naming its line."""
+    for i, (lineno, rel) in enumerate(entries):
+        target = manifest.parent / rel
+        if not target.is_file():
+            raise ManifestError(f"{manifest}: line {lineno}: missing frame file {rel!r}")
+        img = load_pgm(target)
+        if i == 0:
+            images = np.empty((len(entries),) + img.shape)
+        if img.shape != images.shape[1:]:
+            raise ManifestError(f"{manifest}: line {lineno}: {rel!r} is {img.shape[1]}x"
+                                f"{img.shape[0]}, expected {images.shape[2]}x{images.shape[1]}")
+        images[i] = img
+    return images
 
 
 def _load_unlabeled(path: Path, lines) -> UnlabeledSet:
-    base = path.parent
     clips = []
     seen = set()
     for lineno, line in lines:
@@ -323,15 +327,10 @@ def _load_unlabeled(path: Path, lines) -> UnlabeledSet:
         if clip_id in seen:
             raise ManifestError(f"{path}: line {lineno}: duplicate clip_id {clip_id!r}")
         seen.add(clip_id)
-        try:
-            period = float(period_s)
-        except ValueError:
-            raise ManifestError(
-                f"{path}: line {lineno}: bad frame_period {period_s!r}"
-            ) from None
-        frames = [
-            _resolve_frame(base, rel, lineno, path) for rel in path_list.split(",")
-        ]
+        if not _REAL.fullmatch(period_s):
+            raise ManifestError(f"{path}: line {lineno}: bad frame_period {period_s!r}")
+        period = float(period_s)
+        frames = _load_images(path, [(lineno, rel) for rel in path_list.split(",")])
         try:
             clips.append(Clip(clip_id, frames, period))
         except ValueError as e:
@@ -340,14 +339,13 @@ def _load_unlabeled(path: Path, lines) -> UnlabeledSet:
 
 
 def _load_labeled(path: Path, lines) -> LabeledSet:
-    base = path.parent
     head = lines[0][1].split("\t")
     if len(head) != 2:
         raise ManifestError(f"{path}: bad classes header {lines[0][1]!r}")
     if not _decimal(head[1]):
         raise ManifestError(f"{path}: bad class count {head[1]!r}")
     num_classes = int(head[1])
-    images, labels = [], []
+    entries, labels = [], []
     for lineno, line in lines[1:]:
         parts = line.split("\t")
         if len(parts) != 2:
@@ -360,9 +358,11 @@ def _load_labeled(path: Path, lines) -> LabeledSet:
             raise ManifestError(
                 f"{path}: line {lineno}: label {label} out of range [0, {num_classes})"
             )
-        images.append(_resolve_frame(base, rel, lineno, path))
+        entries.append((lineno, rel))
         labels.append(label)
-    return LabeledSet(tuple(images), tuple(labels), num_classes)
+    if not entries:
+        raise ManifestError(f"{path}: labeled set is empty")
+    return LabeledSet(_load_images(path, entries), tuple(labels), num_classes)
 
 
 def write_unlabeled(u: UnlabeledSet, out_dir) -> Path:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import LabeledSet, UnlabeledSet, prep_stack, write_atomic
+from .data import PREP_BLOCK_BYTES, LabeledSet, UnlabeledSet, prep_stack, write_atomic
 from .mining import clip_window, triplet_positives
 from .network import NetworkParams, forward
 
@@ -40,7 +40,8 @@ class QueryPair:
 
 @dataclass(frozen=True, eq=False)
 class CandidatePool:
-    """Pool frames with (clip_id, frame index) provenance."""
+    """Pool frames, each a (height, width) view of its corpus frame, with
+    (clip_id, frame index) provenance."""
 
     frames: tuple
     provenance: tuple
@@ -88,9 +89,10 @@ class EvalReport:
         write_atomic(path, "\n".join(lines) + "\n")
 
 
-def embed(params: NetworkParams, frames) -> np.ndarray:
-    """Preprocess, flatten and map frames to feature rows."""
-    z, _ = forward(params, prep_stack(frames))
+def embed(params: NetworkParams, images) -> np.ndarray:
+    """Preprocess, flatten and map images (see :func:`prep_stack`) to
+    feature rows."""
+    z, _ = forward(params, prep_stack(images))
     return z
 
 
@@ -146,25 +148,37 @@ def build_pool(queries, u: UnlabeledSet, n_per_video: int, seed: int) -> Candida
     return CandidatePool(frames, tuple(keys))
 
 
-def rank_of_truth(z_pool: np.ndarray, gt_index: int, z_tilde: np.ndarray) -> int:
-    """1 + the number of other candidates strictly closer to z_tilde than
-    the ground truth (optimistic ties)."""
-    d = np.linalg.norm(z_pool - z_tilde, axis=1)
-    return 1 + int(np.sum(d < d[gt_index]))
+def truth_ranks(z_pool: np.ndarray, z_tilde: np.ndarray, gt) -> np.ndarray:
+    """Per query i, 1 + the number of candidates strictly closer to
+    ``z_tilde[i]`` than the ground truth ``z_pool[gt[i]]`` (optimistic
+    ties). Distances take the arithmetic of ``np.linalg.norm(..., axis=-1)``
+    in chunks of queries whose differences fill one reused buffer of at
+    most ``PREP_BLOCK_BYTES`` (at least one query)."""
+    ranks = np.empty(len(gt), dtype=np.intp)
+    step = max(1, PREP_BLOCK_BYTES // max(1, z_pool.nbytes))
+    buf = np.empty((min(step, len(gt)),) + z_pool.shape)
+    for start in range(0, len(gt), step):
+        diff = buf[: min(step, len(gt) - start)]
+        q = slice(start, start + len(diff))
+        np.subtract(z_pool, z_tilde[q, None, :], out=diff)
+        d = np.sqrt(np.add.reduce(np.multiply(diff, diff, out=diff), axis=-1))
+        ranks[q] = 1 + np.count_nonzero(d < d[np.arange(len(d)), gt[q], None], axis=1)
+    return ranks
 
 
 def seqcomp_ranks(queries, pool: CandidatePool, params: NetworkParams):
     """Ranks for many queries, embedding the pool once."""
     z_pool = embed(params, pool.frames)
-    ranks = []
-    for q in queries:
+    idx = np.empty((len(queries), 3), dtype=np.intp)
+    for row, q in zip(idx, queries):
         i1, i2, gt = (pool.index_of(q.clip_id, t) for t in (q.t1, q.t2, q.t3))
         if gt is None:
             raise ValueError(f"ground truth {(q.clip_id, q.t3)} not in pool")
         if i1 is None or i2 is None:
             raise ValueError(f"query frames of {q} not in pool")
-        ranks.append(rank_of_truth(z_pool, gt, extrapolate(z_pool[i1], z_pool[i2])))
-    return ranks
+        row[:] = i1, i2, gt
+    z_tilde = extrapolate(z_pool[idx[:, 0]], z_pool[idx[:, 1]])
+    return truth_ranks(z_pool, z_tilde, idx[:, 2]).tolist()
 
 
 def eta(ranks, pool_size: int) -> float:

@@ -209,8 +209,9 @@ def _labeled_batch(W, zs, ys):
 def _softmax(W, zs, ys, dz, dW, buf) -> float:
     """The softmax kernel on checked inputs: returns the mean loss and
     writes the feature gradient G @ W into ``dz`` and the classifier
-    gradient G.T @ zs into ``dW``. ``buf`` is flat scratch of at least
-    n * (2 * classes + 1) floats."""
+    gradient G.T @ zs into ``dW``. With ``dz`` and ``dW`` None it returns
+    the loss alone and runs no gradient GEMM. ``buf`` is flat scratch of
+    at least n * (2 * classes + 1) floats."""
     n, classes = len(zs), len(W)
     shifted, e = buf[: 2 * n * classes].reshape(2, n, classes)
     col = buf[2 * n * classes : (2 * classes + 1) * n].reshape(n, 1)
@@ -220,6 +221,8 @@ def _softmax(W, zs, ys, dz, dW, buf) -> float:
     logp = np.subtract(shifted, col, out=shifted)
     picked = (np.arange(n), ys)
     value = -(np.add.reduce(logp[picked]) / n)
+    if dz is None:
+        return float(value)
     G = np.exp(logp, out=logp)
     G[picked] -= 1.0
     G /= n

@@ -1,6 +1,10 @@
 """Deterministic synthetic frame sequences: simple shapes translating on a
 toroidal grid, with steady (constant-velocity) or jerky (resampled-velocity)
 motion. Desk-scale stand-in for real video corpora.
+
+Each image set is rendered into one preallocated array: a clip draws its
+shape once and shifts it by whole cells, and a labeled class is one
+render over its array of centres.
 """
 
 from __future__ import annotations
@@ -8,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .data import Clip, Frame, LabeledSet, UnlabeledSet
+from .data import PREP_BLOCK_BYTES, Clip, LabeledSet, UnlabeledSet
 from .rng import Xorshift64Star, derive_seed
 
 SHAPE_NAMES = ("blob", "hbar", "vbar", "ring")
@@ -53,43 +58,71 @@ class SynthConfig:
         object.__setattr__(self, "velocity_set", vel)
 
 
-def _toroidal_offsets(coords: np.ndarray, center: float, grid: int) -> np.ndarray:
+def _toroidal_offsets(coords: np.ndarray, center, grid: int) -> np.ndarray:
     """Signed wraparound displacement in [-grid/2, grid/2)."""
     return (coords - center + grid / 2.0) % grid - grid / 2.0
 
 
-def render_shape(shape_idx: int, grid: int, cx: float, cy: float) -> np.ndarray:
+def render_shape(shape_idx: int, grid: int, cx, cy) -> np.ndarray:
     """Render one shape pattern centered at (cx, cy) on a (grid, grid)
-    toroidal canvas, values in [0, 1].
+    toroidal canvas, values in [0, 1]. Arrays of centres give an (n, grid,
+    grid) stack; every operation is element-wise (and in place on the
+    stack), so each image has the bits of rendering its centre alone.
 
     Patterns depend only on wraparound offsets from the center, so moving
     the center by an integer amount circularly shifts the image exactly.
     """
-    dr = _toroidal_offsets(np.arange(grid, dtype=np.float64), cy, grid)[:, None]
-    dc = _toroidal_offsets(np.arange(grid, dtype=np.float64), cx, grid)[None, :]
+    cells = np.arange(grid, dtype=np.float64)
+    dr = _toroidal_offsets(cells, np.asarray(cy, dtype=np.float64)[..., None], grid)[..., :, None]
+    dc = _toroidal_offsets(cells, np.asarray(cx, dtype=np.float64)[..., None], grid)[..., None, :]
     name = SHAPE_NAMES[shape_idx]
-    if name == "blob":
-        s = grid / 6.0
-        return np.exp(-(dr * dr + dc * dc) / (2.0 * s * s))
+    s = grid / (6.0 if name == "blob" else 12.0)
     if name == "hbar":
-        s = grid / 12.0
         return np.exp(-(dr * dr) / (2.0 * s * s)) * np.ones_like(dc)
     if name == "vbar":
-        s = grid / 12.0
         return np.ones_like(dr) * np.exp(-(dc * dc) / (2.0 * s * s))
-    # ring: Gaussian shell at radius grid/4
-    rho = np.sqrt(dr * dr + dc * dc)
-    s = grid / 12.0
-    return np.exp(-((rho - grid / 4.0) ** 2) / (2.0 * s * s))
+    img = np.add(dr * dr, dc * dc)
+    if name == "ring":  # Gaussian shell at radius grid/4
+        img = np.square(np.subtract(np.sqrt(img, out=img), grid / 4.0, out=img), out=img)
+    img = np.divide(np.negative(img, out=img), 2.0 * s * s, out=img)
+    return np.exp(img, out=img)
 
 
-def _make_frame(cfg: SynthConfig, shape_idx: int, cx: float, cy: float,
-                crng: Xorshift64Star) -> Frame:
-    img = render_shape(shape_idx, cfg.grid, cx, cy)
-    if cfg.noise_sigma > 0:
-        noise = np.array(crng.normals(cfg.grid * cfg.grid)).reshape(cfg.grid, cfg.grid)
-        img = np.clip(img + cfg.noise_sigma * noise, 0.0, 1.0)
-    return Frame(cfg.grid, cfg.grid, img.ravel())
+def _fill(out: np.ndarray, noise_sigma: float, render) -> None:
+    """Turn the noise draws in ``out`` (zeros when noise-free) into
+    clip(render(rows) + noise_sigma * noise, 0, 1), half of
+    ``PREP_BLOCK_BYTES`` of images at a time, so that a rendered block and
+    its offset columns stay within one block. Without noise that is the
+    render itself: it adds 0 to values in [0, 1]."""
+    rows = max(1, PREP_BLOCK_BYTES // (2 * out[0].nbytes))
+    for start in range(0, len(out), rows):
+        block = out[start:start + rows]
+        block *= noise_sigma
+        block += render(slice(start, start + rows))
+        np.clip(block, 0.0, 1.0, out=block)
+
+
+def _clip_frames(cfg: SynthConfig, shape_idx: int, crng: Xorshift64Star) -> np.ndarray:
+    """The (clip_len, grid, grid) frames of one clip: its shape rendered
+    once, at the origin, and shifted to each frame's whole cell. ``crng``
+    draws as a frame-by-frame render did: the start cell and velocity, then
+    per frame its noise and (jerky) the next velocity."""
+    g, n = cfg.grid, cfg.clip_len
+    x, y = float(crng.randint(g)), float(crng.randint(g))
+    vx, vy = crng.choice(cfg.velocity_set)
+    frames, at = np.zeros((n, g, g)), np.empty((n, 2), dtype=np.intp)
+    for t in range(n):
+        at[t] = y, x
+        if cfg.noise_sigma > 0:
+            frames[t] = np.reshape(crng.normals(g * g), (g, g))
+        if cfg.motion_mode == "jerky":
+            vx, vy = crng.choice(cfg.velocity_set)
+        x, y = x + vx, y + vy
+    # window (i, j) of the tiled render is the render shifted by (g - i, g - j)
+    windows = sliding_window_view(np.tile(render_shape(shape_idx, g, 0.0, 0.0), (2, 2)), (g, g))
+    i, j = (g - at % g).T
+    _fill(frames, cfg.noise_sigma, lambda rows: windows[i[rows], j[rows]])
+    return frames
 
 
 def gen_unlabeled(cfg: SynthConfig) -> UnlabeledSet:
@@ -104,24 +137,15 @@ def gen_unlabeled(cfg: SynthConfig) -> UnlabeledSet:
     """
     if cfg.num_clips < 1:
         raise ValueError("gen_unlabeled needs num_clips >= 1")
-    clips = []
-    for i in range(cfg.num_clips):
-        crng = Xorshift64Star(derive_seed(cfg.seed, i))
-        shape_idx = i % cfg.shapes
-        x, y = float(crng.randint(cfg.grid)), float(crng.randint(cfg.grid))
-        vx, vy = crng.choice(cfg.velocity_set)
-        frames = []
-        for _ in range(cfg.clip_len):
-            frames.append(_make_frame(cfg, shape_idx, x, y, crng))
-            if cfg.motion_mode == "jerky":
-                vx, vy = crng.choice(cfg.velocity_set)
-            x, y = x + vx, y + vy
-        clips.append(Clip(f"clip{i:04d}", frames, 1.0))
-    return UnlabeledSet(tuple(clips))
+    return UnlabeledSet(tuple(
+        Clip(f"clip{i:04d}", _clip_frames(cfg, i % cfg.shapes,
+                                          Xorshift64Star(derive_seed(cfg.seed, i))), 1.0)
+        for i in range(cfg.num_clips)))
 
 
 def gen_labeled(cfg: SynthConfig, per_class: int) -> LabeledSet:
-    """Single frames of each shape class at seeded random positions.
+    """Single frames of each shape class at seeded random positions, class
+    after class, each class rendered in one call from its centres.
 
     Positions are continuous (not snapped to cells), so sets generated
     from different seeds share no identical images.
@@ -129,13 +153,18 @@ def gen_labeled(cfg: SynthConfig, per_class: int) -> LabeledSet:
     if per_class < 1:
         raise ValueError("per_class must be >= 1")
     rng = Xorshift64Star(derive_seed(cfg.seed, _LABELED_STREAM))
-    images, labels = [], []
+    g = cfg.grid
+    images = np.zeros((cfg.shapes * per_class, g, g))
     for cls in range(cfg.shapes):
-        for _ in range(per_class):
-            cx, cy = rng.uniform() * cfg.grid, rng.uniform() * cfg.grid
-            images.append(_make_frame(cfg, cls, cx, cy, rng))
-            labels.append(cls)
-    return LabeledSet(tuple(images), tuple(labels), cfg.shapes)
+        out = images[cls * per_class:(cls + 1) * per_class]
+        centres = np.empty((per_class, 2))
+        for k in range(per_class):
+            centres[k] = rng.uniform() * g, rng.uniform() * g
+            if cfg.noise_sigma > 0:
+                out[k] = np.reshape(rng.normals(g * g), (g, g))
+        cx, cy = centres.T
+        _fill(out, cfg.noise_sigma, lambda rows: render_shape(cls, g, cx[rows], cy[rows]))
+    return LabeledSet(images, np.repeat(np.arange(cfg.shapes), per_class), cfg.shapes)
 
 
 # ---------------------------------------------------------------------------

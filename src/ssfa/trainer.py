@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import LabeledSet, UnlabeledSet, prep_stack, write_atomic
-from .losses import Margins, Workspace, _tuples, has_tuples, softmax_loss, total_objective
+from .losses import Margins, Workspace, _softmax, _tuples, has_tuples, total_objective
 from .network import LayerSpec, NetworkParams, forward, init_classifier, init_glorot, split_model
 
 
@@ -290,6 +290,7 @@ def train(labeled: LabeledSet, pairs, triplets, layer_spec: LayerSpec, cfg: Trai
         raise ConfigError(f"image dim {X.shape[1]} != network input dim {layer_spec.in_dim}")
     tr_idx, va_idx = stratified_split(y, cfg.val_fraction, np.random.default_rng(seeds[2]))
     yt, Xv, yv = y[tr_idx], X[va_idx], y[va_idx]
+    val_buf = np.empty(len(yv) * (2 * labeled.num_classes + 1))  # the softmax's scratch
 
     rng_shuffle = np.random.default_rng(seeds[3])
     streams = _tuple_streams(pairs, triplets, cfg, seeds[4:6]) if cfg.lam > 0 else (None, None)
@@ -310,7 +311,7 @@ def train(labeled: LabeledSet, pairs, triplets, layer_spec: LayerSpec, cfg: Trai
         means = steps((X[tr_idx[sel]], yt[sel]) for sel in sels)
 
         zv, _ = forward(net, Xv)
-        val_loss = softmax_loss(Wc, zv, yv).value
+        val_loss = _softmax(Wc, zv, yv, None, None, val_buf)  # the value alone
         val_acc = float(np.mean(np.argmax(zv @ Wc.T, axis=1) == yv))
         history.append(
             EpochStats(epoch, means["sup"], means["slow"], means["steady"], val_loss, val_acc)

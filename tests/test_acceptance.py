@@ -181,7 +181,7 @@ def test_criterion_4_seqcomp_oracle_and_null_model():
         d = np.linalg.norm(pool_z - z_tilde, axis=1)
         assert len(np.unique(d)) == len(d)  # distinct distances
         brute = int(np.argsort(d, kind="stable").tolist().index(gt)) + 1
-        matches += ssfa.evaluate.rank_of_truth(pool_z, gt, z_tilde) == brute
+        matches += ssfa.evaluate.truth_ranks(pool_z, z_tilde[None], [gt])[0] == brute
     # null model: random features over >= 1000 queries
     pool_size = 50
     ranks = []
@@ -189,7 +189,7 @@ def test_criterion_4_seqcomp_oracle_and_null_model():
         pool_z = rng.normal(size=(pool_size, 8))
         z1, z2 = rng.normal(size=(2, 8))
         gt = int(rng.integers(0, pool_size))
-        ranks.append(ssfa.evaluate.rank_of_truth(pool_z, gt, ssfa.extrapolate(z1, z2)))
+        ranks.append(ssfa.evaluate.truth_ranks(pool_z, ssfa.extrapolate(z1, z2)[None], [gt])[0])
     eta_null = ssfa.eta(ranks, pool_size)
     elapsed = time.time() - t0
     ok = matches == 100 and 45.0 <= eta_null <= 55.0 and elapsed < 60

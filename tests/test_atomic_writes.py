@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from ssfa.cli import _echo_config, main
-from ssfa.data import Frame, LabeledSet, save_pgm, write_atomic, write_labeled
+from ssfa.data import LabeledSet, save_pgm, write_atomic, write_labeled
 from ssfa.evaluate import EvalReport
 from ssfa.mining import MiningConfig, PairSample, save_tuples
 from ssfa.network import LayerSpec, init_classifier, init_glorot, save_checkpoint
@@ -65,7 +65,7 @@ def _tuples(path, seed):
 
 
 def _manifest(path, seed):
-    frames = tuple(Frame(2, 2, np.full(4, 0.1 * k)) for k in range(20 + seed))
+    frames = [np.full((2, 2), 0.1 * k) for k in range(20 + seed)]
     write_labeled(LabeledSet(frames, tuple(k % 2 for k in range(len(frames))), 2), path.parent)
 
 
@@ -92,7 +92,7 @@ def _run_config(path, seed):
 
 
 def _frame(path, seed):
-    save_pgm(Frame(8, 8, np.linspace(0.0, 1.0, 64) ** (seed + 1)), path)
+    save_pgm(np.linspace(0.0, 1.0, 64).reshape(8, 8) ** (seed + 1), path)
 
 
 WRITERS = {

@@ -8,7 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from ssfa.cli import CliConfigError, _apply_config, _build_parser, _parse_config_file, main
+from ssfa.cli import (CliConfigError, _apply_config, _build_parser, _parse_config_file, _real,
+                      main)
 from ssfa.data import ManifestError, load_manifest
 from ssfa.mining import PairSample, TripletSample, load_tuples
 
@@ -508,6 +509,51 @@ def test_integer_flags_and_config_values_are_ascii_decimal(pipeline, tmp_path, c
     err = capsys.readouterr().err
     assert key in err and repr(value) in err, err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("synth", "noise", "0_1"),
+    ("mine", "T", "\u0662"),
+    ("train", "lr", "1_0e-3"),
+    ("train", "lambda", "\u0661.\u0665"),
+    ("eval-seqcomp", "T", "\uff12"),
+], ids=["noise_underscore", "T_arabic_indic", "lr_underscore", "lambda_arabic_indic",
+        "T_fullwidth"])
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_float_flags_and_config_values_are_ascii(pipeline, tmp_path, capsys, command, key, value,
+                                                 via):
+    # float() took these: noise 0.1, T = 2, lr 0.01, lambda 1.5 and T = 2;
+    # each is now exit 2 with the flag or key named, before any output
+    _, data, _, run = pipeline
+    labeled, unlabeled = str(data / "labeled.txt"), str(data / "unlabeled.txt")
+    out = str(tmp_path / "out")
+    argv = {
+        "synth": ["synth", "--out", out, "--clips", "2"],
+        "mine": ["mine", "--data", unlabeled, "--out", out],
+        "train": ["train", "--labeled", labeled, "--method", "unreg", "--epochs", "1", "--out", out],
+        "eval-seqcomp": ["eval-seqcomp", "--checkpoint", str(run / "checkpoint.ckpt"),
+                         "--unlabeled", unlabeled, "--out", out],
+    }[command]
+    if via == "flag":
+        argv += [f"--{key}", value]
+    else:
+        (tmp_path / "c.txt").write_text(f"{key} = {value}\n", encoding="utf-8")
+        argv += ["--config", str(tmp_path / "c.txt")]
+    try:
+        code = main(argv)
+    except SystemExit as e:  # argparse rejects a bad flag value itself
+        code = e.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert key in err and repr(value) in err, err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text", ["1", "-2.5", "+.5", "7.", "1e-05", "2.5E+3", "inf", "-Infinity",
+                                  "1e999"])
+def test_real_reads_float_forms_in_ascii(text):
+    assert _real(text) == float(text)
+    assert np.isnan(_real("nan")) and np.isnan(_real("-NaN"))
 
 
 def test_header_only_labeled_manifest_exits_3(tmp_path, capsys):

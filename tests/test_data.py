@@ -9,7 +9,6 @@ from ssfa.data import (
     PREP_BLOCK_BYTES,
     STD_FLOOR,
     Clip,
-    Frame,
     LabeledSet,
     ManifestError,
     PgmFormatError,
@@ -24,23 +23,31 @@ from ssfa.data import (
 )
 
 
-def test_frame_validates_pixel_count():
-    Frame(2, 2, [0.0, 0.1, 0.2, 0.3])
-    with pytest.raises(ValueError):
-        Frame(2, 2, [0.0, 0.1, 0.2])
-    with pytest.raises(ValueError):
-        Frame(0, 2, [])
+def test_image_sets_validate_their_shape():
+    assert Clip("c", [[[0.0, 0.1], [0.2, 0.3]]], 1.0).frames.shape == (1, 2, 2)
+    for bad in ([0.0, 0.1], np.zeros((2, 2)), np.zeros((1, 0, 2)), np.zeros((1, 2, 2, 1))):
+        with pytest.raises(ValueError, match="image stack"):
+            Clip("c", bad, 1.0)
+        with pytest.raises(ValueError, match="image stack"):
+            LabeledSet(bad, [0] * len(bad), 1)
+    assert len(LabeledSet(np.zeros((0, 3, 2)), [], 2)) == 0
 
 
-def test_frame_pixels_are_read_only():
-    f = Frame(2, 1, [0.1, 0.2])
-    with pytest.raises(ValueError):
-        f.pixels[0] = 5.0
+def test_image_sets_are_read_only():
+    # views of the array they are given, so the caller's array stays writable
+    px = np.zeros((2, 1, 2))
+    clip, s = Clip("c", px, 1.0), LabeledSet(px, [0, 1], 2)
+    for arr in (clip.frames, s.images):
+        assert np.shares_memory(arr, px)
+        with pytest.raises(ValueError):
+            arr[0, 0, 0] = 5.0
+    px[0, 0, 0] = 0.5
+    assert clip.frames[0, 0, 0] == s.images[0, 0, 0] == 0.5
 
 
 def test_clip_rejects_mixed_dims_and_bad_period():
-    a = Frame(2, 2, np.zeros(4))
-    b = Frame(2, 1, np.zeros(2))
+    a = np.zeros((2, 2))
+    b = np.zeros((1, 2))
     with pytest.raises(ValueError):
         Clip("c", [a, b], 1.0)
     with pytest.raises(ValueError):
@@ -62,7 +69,7 @@ def test_manifest_frame_period_must_be_finite(tmp_path, period):
 
 
 def test_labeled_set_bounds():
-    img = Frame(1, 1, [0.5])
+    img = np.array([[0.5]])
     LabeledSet([img, img], [0, 1], 2)
     with pytest.raises(ValueError):
         LabeledSet([img], [2], 2)
@@ -71,7 +78,7 @@ def test_labeled_set_bounds():
 
 
 def test_unlabeled_set_unique_ids():
-    f = Frame(1, 1, [0.0])
+    f = np.zeros((1, 1))
     c = Clip("a", [f], 1.0)
     with pytest.raises(ValueError):
         UnlabeledSet([c, Clip("a", [f], 1.0)])
@@ -84,15 +91,15 @@ def test_load_pgm_p5_exact_values(tmp_path):
     p = tmp_path / "t.pgm"
     p.write_bytes(b"P5\n2 2\n255\n" + bytes([0, 255, 128, 64]))
     f = load_pgm(p)
-    assert (f.width, f.height) == (2, 2)
-    np.testing.assert_allclose(f.pixels, [0.0, 1.0, 128 / 255, 64 / 255])
+    assert f.shape == (2, 2)
+    np.testing.assert_allclose(f, [[0.0, 1.0], [128 / 255, 64 / 255]])
 
 
 def test_load_pgm_p2_and_comments(tmp_path):
     p = tmp_path / "t.pgm"
     p.write_text("P2\n# a comment\n2 1\n# another\n4\n0 4\n")
     f = load_pgm(p)
-    np.testing.assert_allclose(f.pixels, [0.0, 1.0])
+    np.testing.assert_allclose(f, [[0.0, 1.0]])
 
 
 def test_load_pgm_p2_comment_rule_and_errors(tmp_path):
@@ -100,7 +107,7 @@ def test_load_pgm_p2_comment_rule_and_errors(tmp_path):
     # inside a token is part of the sample
     p = tmp_path / "t.pgm"
     p.write_bytes(b"P2 3 1 9\r\n1 #2\r\n\t#x 3\n2\v9 junk past the raster")
-    np.testing.assert_allclose(load_pgm(p).pixels, [1 / 9, 2 / 9, 1.0])
+    np.testing.assert_allclose(load_pgm(p), [[1 / 9, 2 / 9, 1.0]])
     p.write_bytes(b"P2 2 1 9\n1 2#x\n")
     with pytest.raises(PgmFormatError, match=r"bad P2 sample b'2#x'"):
         load_pgm(p)
@@ -197,7 +204,7 @@ def _ref_load_pgm(path):
         arr = np.array(vals, dtype=np.float64)
     if arr.size and arr.max() > maxval:
         raise PgmFormatError(f"{path}: sample value exceeds maxval {maxval}")
-    return Frame(width, height, arr / maxval)
+    return (arr / maxval).reshape(height, width)
 
 
 def _fuzz_pgm(rng):
@@ -244,11 +251,11 @@ def test_load_pgm_reads_like_the_reference_reader(tmp_path):
         for reader in (load_pgm, _ref_load_pgm):
             try:
                 f = reader(p)
-                results.append((f.width, f.height, f.pixels.tolist()))
+                results.append((f.shape, f.tolist()))
             except (ValueError, OSError) as e:
                 results.append((type(e), str(e)))
         assert results[0] == results[1], data
-        read += isinstance(results[0][0], int)
+        read += isinstance(results[0][0], tuple)
     assert read >= 400, read  # 422 of the 3000 cases read a frame
 
 
@@ -256,7 +263,7 @@ def test_load_pgm_16bit(tmp_path):
     p = tmp_path / "t.pgm"
     p.write_bytes(b"P5\n1 1\n65535\n" + (30000).to_bytes(2, "big"))
     f = load_pgm(p)
-    np.testing.assert_allclose(f.pixels, [30000 / 65535])
+    np.testing.assert_allclose(f, [[30000 / 65535]])
 
 
 def test_load_pgm_unsupported_magic(tmp_path):
@@ -281,8 +288,8 @@ def test_load_pgm_malformed_header(tmp_path):
 
 
 def test_save_pgm_extreme_payloads(tmp_path):
-    zero = Frame(2, 2, np.zeros(4))
-    one = Frame(2, 2, np.ones(4))
+    zero = np.zeros((2, 2))
+    one = np.ones((2, 2))
     save_pgm(zero, tmp_path / "z.pgm")
     save_pgm(one, tmp_path / "o.pgm")
     assert (tmp_path / "z.pgm").read_bytes().endswith(b"\x00" * 4)
@@ -292,10 +299,11 @@ def test_save_pgm_extreme_payloads(tmp_path):
 def test_pgm_round_trip_quantization_bound(tmp_path):
     rng = np.random.default_rng(0)
     for i in range(30):
-        f = Frame(5, 4, rng.uniform(0, 1, size=20))
+        f = rng.uniform(0, 1, size=(4, 5))
         save_pgm(f, tmp_path / "r.pgm")
         g = load_pgm(tmp_path / "r.pgm")
-        assert np.max(np.abs(f.pixels - g.pixels)) <= 1 / 510 + 1e-12
+        assert g.shape == (4, 5)
+        assert np.max(np.abs(f - g)) <= 1 / 510 + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -306,20 +314,20 @@ def _standardize(f):
 
 
 def test_preprocess_constant_frame_is_zero():
-    f = Frame(2, 2, np.full(4, 0.5))
+    f = np.full((2, 2), 0.5)
     np.testing.assert_array_equal(_standardize(f), np.zeros(4))
 
 
 def test_preprocess_two_pixel_frame():
     # mean 0.5, population std 0.5 -> (-1, +1)
-    f = Frame(2, 1, [0.0, 1.0])
+    f = np.array([[0.0, 1.0]])
     np.testing.assert_allclose(_standardize(f), [-1.0, 1.0])
 
 
 def test_preprocess_zero_mean_unit_std():
     rng = np.random.default_rng(1)
     for _ in range(20):
-        f = Frame(4, 4, rng.uniform(0, 1, 16))
+        f = rng.uniform(0, 1, (4, 4))
         out = _standardize(f)
         assert abs(out.mean()) < 1e-12
         assert abs(out.std() - 1.0) < 1e-9
@@ -328,24 +336,26 @@ def test_preprocess_zero_mean_unit_std():
 def test_preprocess_idempotent():
     rng = np.random.default_rng(2)
     for _ in range(20):
-        f = Frame(4, 4, rng.uniform(0, 1, 16))
+        f = rng.uniform(0, 1, (4, 4))
         once = _standardize(f)
-        twice = _standardize(Frame(4, 4, once))
+        twice = _standardize(once.reshape(4, 4))
         assert np.max(np.abs(twice - once)) < 1e-9
 
 
 def test_prep_stack_matches_preprocess():
     # a stacked batch standardizes each row as it would alone
     rng = np.random.default_rng(3)
-    frames = [Frame(3, 3, rng.uniform(0, 1, 9)) for _ in range(5)]
+    frames = rng.uniform(0, 1, (5, 3, 3))
     X = prep_stack(frames)
     for i, f in enumerate(frames):
         np.testing.assert_allclose(X[i], _standardize(f), atol=1e-15)
+    assert X.tobytes() == prep_stack(list(frames)).tobytes()  # a sequence of images
+    assert not np.shares_memory(X, frames)
 
 
 def _prep_stack_one_shot(frames):
     # the whole-array standardization that the blocked prep_stack replaces
-    X = np.stack([f.pixels for f in frames])
+    X = frames.reshape(len(frames), -1).copy()
     mu = X.mean(axis=1, keepdims=True)
     sd = np.maximum(X.std(axis=1, keepdims=True), STD_FLOOR)
     X -= mu
@@ -367,7 +377,7 @@ def test_prep_stack_blocks_are_bit_identical(monkeypatch, width):
         px = rng.uniform(0, 1, (n, width))
         px[n // 2] = 0.25                                  # constant
         px[-1] = 0.5 + 1e-10 * rng.standard_normal(width)  # std below STD_FLOOR
-        frames = [Frame(width, 1, row) for row in px]
+        frames = px[:, None, :]
         assert prep_stack(frames).tobytes() == _prep_stack_one_shot(frames).tobytes(), n
 
 
@@ -375,7 +385,7 @@ def test_prep_stack_holds_one_full_size_array():
     # the one-shot std allocated a second array the size of the result
     import tracemalloc
 
-    frames = [Frame(64, 64, row) for row in np.random.default_rng(5).uniform(0, 1, (256, 4096))]
+    frames = np.random.default_rng(5).uniform(0, 1, (256, 64, 64))
     tracemalloc.start()
     try:
         X = prep_stack(frames)
@@ -396,7 +406,7 @@ def _mini_clip_files(tmp_path):
     rng = np.random.default_rng(4)
     paths = []
     for t in range(3):
-        f = Frame(2, 2, np.full(4, t / 3))  # distinguishable by value
+        f = np.full((2, 2), t / 3)  # distinguishable by value
         p = tmp_path / f"f{t}.pgm"
         save_pgm(f, p)
         paths.append(p.name)
@@ -413,8 +423,9 @@ def test_unlabeled_manifest_round_trip(tmp_path):
     assert clip.clip_id == "clipA" and clip.frame_period == 0.5
     assert len(clip.frames) == 3
     # frame order preserved exactly
+    assert clip.frames.shape == (3, 2, 2)
     for t, frame in enumerate(clip.frames):
-        assert abs(frame.pixels[0] - round(t / 3 * 255) / 255) < 1e-12
+        assert abs(frame[0, 0] - round(t / 3 * 255) / 255) < 1e-12
 
 
 def test_unlabeled_manifest_missing_file_names_it(tmp_path):
@@ -447,6 +458,45 @@ def test_labeled_manifest_label_out_of_range(tmp_path):
     m = tmp_path / "s.txt"
     m.write_text("classes\t2\n" + f"{paths[0]}\t2\n")
     with pytest.raises(ManifestError, match="out of range"):
+        load_manifest(m)
+
+
+def test_manifest_clip_frames_of_another_size_name_their_line(tmp_path):
+    # a clip is one array, so each frame must have the first frame's size
+    paths = _mini_clip_files(tmp_path)
+    save_pgm(np.zeros((3, 2)), tmp_path / "tall.pgm")
+    m = tmp_path / "u.txt"
+    m.write_text(f"clipA\t1.0\t{paths[0]}\n# c\nclipB\t1.0\t{paths[1]},tall.pgm\n")
+    with pytest.raises(ManifestError, match=re.escape(f"{m}: line 3: ") + ".* 2x3, expected 2x2"):
+        load_manifest(m)
+
+
+def test_labeled_manifest_images_of_another_size_name_their_line(tmp_path):
+    # a mixed-size labeled set used to load and fail when it was stacked
+    paths = _mini_clip_files(tmp_path)
+    save_pgm(np.zeros((3, 2)), tmp_path / "tall.pgm")
+    m = tmp_path / "s.txt"
+    m.write_text(f"classes\t2\n{paths[0]}\t0\n{paths[1]}\t1\ntall.pgm\t1\n")
+    with pytest.raises(ManifestError,
+                       match=re.escape(f"{m}: line 4: 'tall.pgm' is 2x3, expected 2x2")):
+        load_manifest(m)
+
+
+def test_header_only_labeled_manifest_is_a_manifest_error(tmp_path):
+    m = tmp_path / "s.txt"
+    m.write_text("classes\t2\n# no images\n")
+    with pytest.raises(ManifestError, match=re.escape(f"{m}: labeled set is empty")):
+        load_manifest(m)
+
+
+@pytest.mark.parametrize("period", ["1_0", "\u0661.\u0665", " 1.0", "0x1p0", "1.0f", ""],
+                         ids=["underscore", "arabic_indic", "blank", "hex", "suffix", "empty"])
+def test_manifest_frame_period_is_ascii(tmp_path, period):
+    # float() read "1_0" as 10.0 and Arabic-Indic "1.5" as 1.5
+    paths = _mini_clip_files(tmp_path)
+    m = tmp_path / "u.txt"
+    m.write_text(f"clipA\t1.0\t{paths[0]}\nclipB\t{period}\t{paths[1]}\n", encoding="utf-8")
+    with pytest.raises(ManifestError, match=re.escape(f"{m}: line 2: bad frame_period {period!r}")):
         load_manifest(m)
 
 
@@ -489,7 +539,7 @@ def test_write_unlabeled_refuses_ids_it_cannot_read_back(tmp_path, bad_id):
     # out/esc/), "#a" made a comment line that reloads without the clip,
     # and NUL failed in mkdir after the clips before it were written; the
     # good clip first shows that nothing is written
-    frames = [Frame(2, 1, [0.0, 1.0])]
+    frames = [[[0.0, 1.0]]]
     u = UnlabeledSet([Clip("ok_1", frames, 0.5), Clip(bad_id, frames, 0.5)])
     with pytest.raises(ValueError, match=re.escape(f"clip {bad_id!r}")):
         write_unlabeled(u, tmp_path / "out")
@@ -501,7 +551,7 @@ def test_write_unlabeled_refuses_ids_it_cannot_read_back(tmp_path, bad_id):
 def test_writers_round_trip(tmp_path):
     rng = np.random.default_rng(5)
     clips = [
-        Clip(f"c{i}", [Frame(3, 2, rng.uniform(0, 1, 6)) for _ in range(4)], 1.0)
+        Clip(f"c{i}", rng.uniform(0, 1, (4, 2, 3)), 1.0)
         for i in range(3)
     ]
     u = UnlabeledSet(clips)
@@ -509,13 +559,15 @@ def test_writers_round_trip(tmp_path):
     u2 = load_manifest(manifest)
     assert [c.clip_id for c in u2.clips] == [c.clip_id for c in u.clips]
     for c, c2 in zip(u.clips, u2.clips):
-        for f, f2 in zip(c.frames, c2.frames):
-            assert np.max(np.abs(f.pixels - f2.pixels)) <= 1 / 510 + 1e-12
+        assert c2.frames.shape == c.frames.shape
+        assert np.max(np.abs(c.frames - c2.frames)) <= 1 / 510 + 1e-12
 
     s = LabeledSet([clips[0].frames[0], clips[1].frames[1]], [0, 1], 2)
     manifest = write_labeled(s, tmp_path / "out2")
     s2 = load_manifest(manifest)
     assert s2.labels == s.labels and s2.num_classes == 2
+    assert s2.images.shape == (2, 2, 3)
+    assert np.max(np.abs(s.images - s2.images)) <= 1 / 510 + 1e-12
 
 
 @pytest.mark.parametrize("block", [1, 2, 5, LINE_BLOCK_CHARS])

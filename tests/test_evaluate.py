@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ssfa.data import Clip, Frame, LabeledSet, UnlabeledSet, prep_stack
+from ssfa.data import Clip, LabeledSet, UnlabeledSet, prep_stack
 from ssfa.evaluate import (
     CandidatePool,
     EvalReport,
@@ -15,8 +15,8 @@ from ssfa.evaluate import (
     knn_accuracy,
     linear_accuracy,
     make_queries,
-    rank_of_truth,
     seqcomp_ranks,
+    truth_ranks,
 )
 from ssfa.mining import window_frames
 from ssfa.network import LayerSpec, NetworkParams, init_glorot
@@ -27,8 +27,7 @@ def clip_corpus(lengths, width=3, height=2, seed=0):
     rng = np.random.default_rng(seed)
     clips = []
     for i, n in enumerate(lengths):
-        frames = [Frame(width, height, rng.uniform(0, 1, width * height)) for _ in range(n)]
-        clips.append(Clip(f"c{i}", frames, 1.0))
+        clips.append(Clip(f"c{i}", rng.uniform(0, 1, (n, height, width)), 1.0))
     return UnlabeledSet(clips)
 
 
@@ -148,19 +147,32 @@ def test_build_pool_unknown_clip():
 # ---------------------------------------------------------------------------
 # ranking
 
+def rank_of_truth(z_pool, gt_index, z_tilde):
+    # the one-query ranking that truth_ranks replaced: 1 + the number of
+    # other candidates strictly closer to z_tilde than the ground truth
+    d = np.linalg.norm(z_pool - z_tilde, axis=1)
+    return 1 + int(np.sum(d < d[gt_index]))
+
+
+def rank_one(z_pool, gt_index, z_tilde):
+    # truth_ranks for one query
+    (rank,) = truth_ranks(z_pool, np.asarray(z_tilde)[None], [gt_index])
+    return int(rank)
+
+
 def test_rank_of_truth_counts_strictly_closer():
     z_pool = np.array([[0.0], [1.0], [2.0], [3.0]])
     z_tilde = np.array([2.1])
-    assert rank_of_truth(z_pool, 2, z_tilde) == 1
-    assert rank_of_truth(z_pool, 3, z_tilde) == 2
-    assert rank_of_truth(z_pool, 0, z_tilde) == 4
+    assert rank_one(z_pool, 2, z_tilde) == 1
+    assert rank_one(z_pool, 3, z_tilde) == 2
+    assert rank_one(z_pool, 0, z_tilde) == 4
 
 
 def test_rank_of_truth_optimistic_on_ties():
     z_pool = np.array([[1.0], [1.0], [5.0]])
     # both candidates tie at distance 0: no strictly-closer candidate
-    assert rank_of_truth(z_pool, 0, np.array([1.0])) == 1
-    assert rank_of_truth(z_pool, 1, np.array([1.0])) == 1
+    assert rank_one(z_pool, 0, np.array([1.0])) == 1
+    assert rank_one(z_pool, 1, np.array([1.0])) == 1
 
 
 def test_rank_matches_brute_force_sort():
@@ -171,7 +183,7 @@ def test_rank_matches_brute_force_sort():
         gt = int(rng.integers(0, 20))
         d = np.linalg.norm(z_pool - z_tilde, axis=1)
         brute = int(np.argsort(d, kind="stable").tolist().index(gt)) + 1
-        assert rank_of_truth(z_pool, gt, z_tilde) == brute
+        assert rank_one(z_pool, gt, z_tilde) == brute
 
 
 def test_rank_rotation_invariance():
@@ -182,8 +194,8 @@ def test_rank_rotation_invariance():
         z1, z2 = rng.normal(size=(2, 5))
         gt = int(rng.integers(0, 30))
         zt = extrapolate(z1, z2)
-        r0 = rank_of_truth(z_pool, gt, zt)
-        r1 = rank_of_truth(z_pool @ Q.T, gt, extrapolate(z1 @ Q.T, z2 @ Q.T))
+        r0 = rank_one(z_pool, gt, zt)
+        r1 = rank_one(z_pool @ Q.T, gt, extrapolate(z1 @ Q.T, z2 @ Q.T))
         assert r0 == r1
 
 
@@ -201,7 +213,34 @@ def test_exact_collinear_features_rank_first():
         d = np.linalg.norm(z_pool - z_tilde, axis=1)
         assert d[2] == 0.0
         if np.sum(d == 0.0) == 1:  # unique minimizer
-            assert rank_of_truth(z_pool, 2, z_tilde) == 1
+            assert rank_one(z_pool, 2, z_tilde) == 1
+
+
+@pytest.mark.parametrize("block", [1, 512, 1 << 20])
+def test_truth_ranks_equal_the_one_query_oracle_with_exact_ties(monkeypatch, block):
+    # pools of few distinct rows, so distances tie exactly; query points on
+    # pool rows and between them; chunks of one query, of a few, and all
+    monkeypatch.setattr("ssfa.evaluate.PREP_BLOCK_BYTES", block)
+    rng = np.random.default_rng(8)
+    for _ in range(40):
+        distinct = rng.integers(-2, 3, (int(rng.integers(1, 5)), 3)).astype(float)
+        z_pool = distinct[rng.integers(0, len(distinct), int(rng.integers(1, 25)))]
+        n = int(rng.integers(1, 30))
+        z_tilde = np.where(rng.random((n, 1)) < 0.5, z_pool[rng.integers(0, len(z_pool), n)],
+                           rng.integers(-4, 5, (n, 3)) / 2.0)
+        gt = rng.integers(0, len(z_pool), n)
+        want = [rank_of_truth(z_pool, g, z) for g, z in zip(gt, z_tilde)]
+        assert truth_ranks(z_pool, z_tilde, gt).tolist() == want
+
+
+def test_pool_frames_are_views_of_the_corpus():
+    u = clip_corpus([12, 10], seed=3)
+    qs = make_queries(u, 2.0, 6, seed=1)
+    pool = build_pool(qs, u, 2, seed=2)
+    clips = u.clip_map()
+    for frame, (cid, t) in zip(pool.frames, pool.provenance, strict=True):
+        assert frame.base is not None and np.shares_memory(frame, clips[cid].frames)
+        assert frame.tobytes() == clips[cid].frames[t].tobytes()
 
 
 def test_seqcomp_rank_matches_independent_embedding_path():
@@ -267,7 +306,7 @@ def make_labeled(rng, n_per_class, classes, dim=6, shift=0.0):
         for _ in range(n_per_class):
             px = rng.uniform(0, 1, dim)
             px[c % dim] += shift  # class-dependent bump
-            images.append(Frame(dim, 1, np.clip(px, 0, 1)))
+            images.append(np.clip(px, 0, 1)[None, :])
             labels.append(c)
     return LabeledSet(images, labels, classes)
 
@@ -350,7 +389,7 @@ def test_knn_vote_matches_loop_oracle_on_tie_heavy_cases():
     # disagreement show as an accuracy below 1
     rng = np.random.default_rng(14)
     params = identity_net(6)
-    pool = [Frame(6, 1, rng.uniform(0, 1, 6)) for _ in range(4)]
+    pool = rng.uniform(0, 1, (4, 1, 6))
     for _ in range(120):
         classes = int(rng.integers(1, 5))
         n_train = int(rng.integers(1, 13))
@@ -394,11 +433,11 @@ def test_knn_vote_tie_goes_to_nearest_class():
     b = standardized([0.0, 1.0, 0.8, 0.0])
     q = standardized([0.9, 0.1, 0.0, 0.4])
     nearest_class = 0 if np.linalg.norm(a - q) < np.linalg.norm(b - q) else 1
-    train = LabeledSet([Frame(4, 1, a), Frame(4, 1, b)], [0, 1], 2)
+    train = LabeledSet([a[None], b[None]], [0, 1], 2)
     params = identity_net(4)
-    probe = LabeledSet([Frame(4, 1, q)], [nearest_class], 2)
+    probe = LabeledSet([q[None]], [nearest_class], 2)
     assert knn_accuracy(params, train, probe, k=2) == 1.0
-    probe_flip = LabeledSet([Frame(4, 1, q)], [1 - nearest_class], 2)
+    probe_flip = LabeledSet([q[None]], [1 - nearest_class], 2)
     assert knn_accuracy(params, train, probe_flip, k=2) == 0.0
 
 

@@ -7,6 +7,7 @@ from ssfa.losses import (
     LossValue,
     Margins,
     Workspace,
+    _softmax,
     coherence_objective,
     pair_loss,
     softmax_loss,
@@ -396,6 +397,16 @@ def test_softmax_kernel_keeps_the_bits_of_the_unbuffered_code():
         assert lv.value == float(-logp[np.arange(7), ys].mean())
         assert lv.grads["W"].tobytes() == (G.T @ zs).tobytes()
         assert lv.grads["z"].tobytes() == (G @ W).tobytes()
+
+
+def test_softmax_value_alone_has_the_bits_of_softmax_loss():
+    # validation's call: no gradient outputs, so no gradient GEMM
+    rng = np.random.default_rng(17)
+    for n, classes in ((1, 2), (9, 4), (40, 7)):
+        W, zs = rng.normal(size=(classes, 5)) * 30.0, rng.normal(size=(n, 5))
+        ys = rng.integers(0, classes, n)
+        buf = np.full(n * (2 * classes + 1), np.nan)
+        assert _softmax(W, zs, ys, None, None, buf) == softmax_loss(W, zs, ys).value
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ssfa.data import Clip, Frame, UnlabeledSet
+from ssfa.data import Clip, UnlabeledSet
 from ssfa.mining import (
     MiningConfig,
     MiningError,
@@ -31,7 +31,7 @@ from ssfa.mining import (
 def make_corpus(lengths, period=1.0):
     clips = []
     for i, n in enumerate(lengths):
-        frames = [Frame(2, 2, np.full(4, (t % 7) / 7)) for t in range(n)]
+        frames = [np.full((2, 2), (t % 7) / 7) for t in range(n)]
         clips.append(Clip(f"c{i}", frames, period))
     return UnlabeledSet(clips)
 
@@ -161,8 +161,8 @@ def test_mixed_frame_periods_use_per_clip_windows():
     # same T in seconds, different windows in frames
     u = UnlabeledSet(
         [
-            Clip("fast", [Frame(1, 1, [0.0]) for _ in range(12)], 0.5),
-            Clip("slow", [Frame(1, 1, [0.0]) for _ in range(12)], 2.0),
+            Clip("fast", np.zeros((12, 1, 1)), 0.5),
+            Clip("slow", np.zeros((12, 1, 1)), 2.0),
         ]
     )
     cfg = MiningConfig(T_seconds=2.0, max_pairs=10000, seed=0)
@@ -322,7 +322,7 @@ def test_mining_equals_materialized_selection(ratio, cap):
     # mixed lengths and frame periods; "c1" has a 0-frame window and "c3"
     # too few frames for a triplet, so they are skipped by one or both kinds
     lengths_periods = [(23, 1.0), (40, 4.0), (31, 0.5), (2, 1.0), (17, 0.7), (9, 1.0)]
-    u = UnlabeledSet([Clip(f"c{i}", [Frame(1, 1, [0.0])] * n, period)
+    u = UnlabeledSet([Clip(f"c{i}", np.zeros((n, 1, 1)), period)
                       for i, (n, period) in enumerate(lengths_periods)])
     for seed in (0, 5):
         cfg = MiningConfig(T_seconds=2.0, pair_neg_ratio=ratio, triplet_neg_ratio=ratio,
@@ -341,12 +341,13 @@ def test_huge_window_reaches_no_negative_error():
 
 
 _MINING_PEAK = """
-from ssfa.data import Clip, Frame, UnlabeledSet
+import numpy as np
+from ssfa.data import Clip, UnlabeledSet
 from ssfa.mining import MiningConfig, mine_pairs, mine_triplets
 cfg = MiningConfig(T_seconds=2.0, max_pairs=10000, max_triplets=10000)
-small = UnlabeledSet([Clip("w", [Frame(1, 1, [0.0])] * 40, 1.0)])
+small = UnlabeledSet([Clip("w", np.zeros((40, 1, 1)), 1.0)])
 mine_pairs(small, cfg), mine_triplets(small, cfg)  # warm up the code paths
-u = UnlabeledSet([Clip("c", [Frame(1, 1, [0.0])] * 3000, 1.0)])
+u = UnlabeledSet([Clip("c", np.zeros((3000, 1, 1)), 1.0)])
 def status_kib(field):
     with open("/proc/self/status") as f:
         return next(int(line.split()[1]) for line in f if line.startswith(field + ":"))

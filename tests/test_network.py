@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ssfa.data import Frame, LabeledSet
+from ssfa.data import LabeledSet
 from ssfa.evaluate import linear_accuracy
 from ssfa.network import (
     ActivationTape,
@@ -277,7 +277,7 @@ def classify(W, z):
     1.0 at the predicted class, 0.0 elsewhere."""
     # one layer with zero weights maps every image to its bias, z
     net = _params([np.zeros((len(z), 1))], [z])
-    image = Frame(1, 1, [0.0])
+    image = np.zeros((1, 1))
     return [linear_accuracy(net, W, LabeledSet([image], [c], len(W))) for c in range(len(W))]
 
 

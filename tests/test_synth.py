@@ -1,8 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from ssfa.data import PREP_BLOCK_BYTES
 from ssfa.rng import Xorshift64Star, derive_seed, splitmix64
-from ssfa.synth import SHAPE_NAMES, SynthConfig, gen_labeled, gen_unlabeled, render_shape
+from ssfa.synth import (
+    _LABELED_STREAM,
+    SHAPE_NAMES,
+    SynthConfig,
+    gen_labeled,
+    gen_unlabeled,
+    render_shape,
+)
 
 
 def test_rng_is_deterministic_and_uniform():
@@ -73,8 +83,8 @@ def test_steady_clip_is_exact_circular_shift():
         u = gen_unlabeled(cfg)
         for clip in u.clips:
             for t in range(len(clip.frames) - 1):
-                shifted = np.roll(clip.frames[t].grid(), amount, axis=axis)
-                assert np.array_equal(shifted, clip.frames[t + 1].grid())
+                shifted = np.roll(clip.frames[t], amount, axis=axis)
+                assert np.array_equal(shifted, clip.frames[t + 1])
 
 
 def test_pixel_step_is_fixed_permutation_for_steady_motion():
@@ -83,8 +93,8 @@ def test_pixel_step_is_fixed_permutation_for_steady_motion():
     clip = u.clips[0]
     # x_{t+1} rearranges x_t's pixels; sorted multisets match exactly
     for t in range(len(clip.frames) - 1):
-        a = np.sort(clip.frames[t].pixels)
-        b = np.sort(clip.frames[t + 1].pixels)
+        a = np.sort(clip.frames[t], axis=None)
+        b = np.sort(clip.frames[t + 1], axis=None)
         assert np.array_equal(a, b)
 
 
@@ -92,10 +102,9 @@ def test_gen_unlabeled_deterministic_and_seed_sensitive():
     cfg = SynthConfig(num_clips=3, seed=9)
     u1, u2 = gen_unlabeled(cfg), gen_unlabeled(cfg)
     for c1, c2 in zip(u1.clips, u2.clips):
-        for f1, f2 in zip(c1.frames, c2.frames):
-            assert f1.pixels.tobytes() == f2.pixels.tobytes()
+        assert c1.frames.tobytes() == c2.frames.tobytes()
     u3 = gen_unlabeled(SynthConfig(num_clips=3, seed=10))
-    assert u1.clips[0].frames[0].pixels.tobytes() != u3.clips[0].frames[0].pixels.tobytes()
+    assert u1.clips[0].frames[0].tobytes() != u3.clips[0].frames[0].tobytes()
 
 
 def test_gen_unlabeled_metadata():
@@ -104,8 +113,7 @@ def test_gen_unlabeled_metadata():
     assert len(u.clips) == 5
     for clip in u.clips:
         assert clip.frame_period == 1.0
-        assert len(clip.frames) == 7
-        assert clip.frames[0].width == cfg.grid
+        assert clip.frames.shape == (7, cfg.grid, cfg.grid)
 
 
 def _displacement(prev, nxt):
@@ -127,7 +135,7 @@ def test_jerky_motion_changes_direction_often():
         u = gen_unlabeled(cfg)
         for clip in u.clips:
             disps = [
-                _displacement(clip.frames[t].grid(), clip.frames[t + 1].grid())
+                _displacement(clip.frames[t], clip.frames[t + 1])
                 for t in range(len(clip.frames) - 1)
             ]
             changed += sum(d1 != d0 for d0, d1 in zip(disps, disps[1:]))
@@ -138,8 +146,8 @@ def test_jerky_motion_changes_direction_often():
 def test_noise_is_additive_and_clamped():
     quiet = gen_unlabeled(SynthConfig(num_clips=1, seed=5))
     noisy = gen_unlabeled(SynthConfig(num_clips=1, seed=5, noise_sigma=0.1))
-    a = quiet.clips[0].frames[0].pixels
-    b = noisy.clips[0].frames[0].pixels
+    a = quiet.clips[0].frames[0]
+    b = noisy.clips[0].frames[0]
     assert not np.array_equal(a, b)
     assert b.min() >= 0.0 and b.max() <= 1.0
 
@@ -154,16 +162,15 @@ def test_gen_labeled_balanced_classes():
 def test_gen_labeled_disjoint_across_seeds():
     a = gen_labeled(SynthConfig(seed=1), per_class=10)
     b = gen_labeled(SynthConfig(seed=2), per_class=10)
-    ha = {img.pixels.tobytes() for img in a.images}
-    hb = {img.pixels.tobytes() for img in b.images}
+    ha = {img.tobytes() for img in a.images}
+    hb = {img.tobytes() for img in b.images}
     assert not ha & hb
 
 
 def test_gen_labeled_deterministic():
     a = gen_labeled(SynthConfig(seed=3), per_class=4)
     b = gen_labeled(SynthConfig(seed=3), per_class=4)
-    for fa, fb in zip(a.images, b.images):
-        assert fa.pixels.tobytes() == fb.pixels.tobytes()
+    assert a.images.tobytes() == b.images.tobytes()
 
 
 @pytest.mark.parametrize("vel", [(0.5, 0.25), (1, 0.5), (float("nan"), 0), (1, float("inf"))],
@@ -173,3 +180,123 @@ def test_velocity_set_must_hold_whole_cells(vel):
         SynthConfig(velocity_set=((1, 0), vel))
     # a whole cell given as a float is a cell
     assert SynthConfig(velocity_set=((1.0, -2.0),)).velocity_set == ((1.0, -2.0),)
+
+
+# ---------------------------------------------------------------------------
+# The bulk renderer against the frame-by-frame one it replaced
+
+def _ref_render(shape_idx, grid, cx, cy):
+    # render_shape for one centre, as it was before it took arrays
+    def offsets(center):
+        return (np.arange(grid, dtype=np.float64) - center + grid / 2.0) % grid - grid / 2.0
+
+    dr, dc = offsets(cy)[:, None], offsets(cx)[None, :]
+    name = SHAPE_NAMES[shape_idx]
+    if name == "blob":
+        s = grid / 6.0
+        return np.exp(-(dr * dr + dc * dc) / (2.0 * s * s))
+    s = grid / 12.0
+    if name == "hbar":
+        return np.exp(-(dr * dr) / (2.0 * s * s)) * np.ones_like(dc)
+    if name == "vbar":
+        return np.ones_like(dr) * np.exp(-(dc * dc) / (2.0 * s * s))
+    rho = np.sqrt(dr * dr + dc * dc)
+    return np.exp(-((rho - grid / 4.0) ** 2) / (2.0 * s * s))
+
+
+def _ref_frame(cfg, shape_idx, cx, cy, rng):
+    img = _ref_render(shape_idx, cfg.grid, cx, cy)
+    if cfg.noise_sigma > 0:
+        noise = np.array(rng.normals(cfg.grid * cfg.grid)).reshape(cfg.grid, cfg.grid)
+        img = np.clip(img + cfg.noise_sigma * noise, 0.0, 1.0)
+    return img
+
+
+def _ref_clips(cfg):
+    clips = []
+    for i in range(cfg.num_clips):
+        rng = Xorshift64Star(derive_seed(cfg.seed, i))
+        x, y = float(rng.randint(cfg.grid)), float(rng.randint(cfg.grid))
+        vx, vy = rng.choice(cfg.velocity_set)
+        frames = []
+        for _ in range(cfg.clip_len):
+            frames.append(_ref_frame(cfg, i % cfg.shapes, x, y, rng))
+            if cfg.motion_mode == "jerky":
+                vx, vy = rng.choice(cfg.velocity_set)
+            x, y = x + vx, y + vy
+        clips.append(np.stack(frames))
+    return clips
+
+
+def _ref_labeled(cfg, per_class):
+    rng = Xorshift64Star(derive_seed(cfg.seed, _LABELED_STREAM))
+    images = []
+    for cls in range(cfg.shapes):
+        for _ in range(per_class):
+            cx, cy = rng.uniform() * cfg.grid, rng.uniform() * cfg.grid
+            images.append(_ref_frame(cfg, cls, cx, cy, rng))
+    return np.stack(images)
+
+
+@pytest.mark.parametrize("grid", [16, 32])
+@pytest.mark.parametrize("noise", [0.0, 0.1])
+@pytest.mark.parametrize("mode, velocities", [
+    ("steady", SynthConfig.velocity_set), ("jerky", SynthConfig.velocity_set),
+    ("jerky", ((17, -33), (-2, 5), (0, 0))),
+], ids=["steady", "jerky", "jerky_long_steps"])
+def test_bulk_render_has_the_bits_of_a_frame_by_frame_render(grid, noise, mode, velocities):
+    # all four shapes; the labeled centres are continuous
+    cfg = SynthConfig(grid=grid, clip_len=9, num_clips=5, motion_mode=mode, noise_sigma=noise,
+                      velocity_set=velocities, seed=grid + 7)
+    u = gen_unlabeled(cfg)
+    for clip, ref in zip(u.clips, _ref_clips(cfg), strict=True):
+        assert clip.frames.tobytes() == ref.tobytes(), clip.clip_id
+    s = gen_labeled(cfg, 3)
+    assert s.images.tobytes() == _ref_labeled(cfg, 3).tobytes()
+    assert s.labels == (0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3)
+
+
+def test_render_shape_of_centre_arrays_renders_each_centre():
+    rng = np.random.default_rng(0)
+    cx, cy = rng.uniform(-20, 20, (2, 6))
+    for shape in range(len(SHAPE_NAMES)):
+        stack = render_shape(shape, 11, cx, cy)
+        assert stack.shape == (6, 11, 11)
+        for k in range(6):
+            assert stack[k].tobytes() == _ref_render(shape, 11, cx[k], cy[k]).tobytes()
+            assert stack[k].tobytes() == render_shape(shape, 11, cx[k], cy[k]).tobytes()
+
+
+def _peak_over_output(make):
+    tracemalloc.start()
+    try:
+        result = make()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    arrays = [c.frames for c in result.clips] if hasattr(result, "clips") else [result.images]
+    output = sum(a.nbytes for a in arrays)
+    return peak - output, output
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gen_unlabeled(SynthConfig(grid=32, clip_len=400, num_clips=2)),
+    lambda: gen_labeled(SynthConfig(grid=32), 300),
+    lambda: gen_labeled(SynthConfig(grid=8), 3000),  # the widest offset columns per pixel
+], ids=["clips", "labeled", "labeled_grid_8"])
+def test_bulk_render_holds_its_output_plus_one_block(make):
+    # each shift and render runs half a block of rows at a time
+    over, output = _peak_over_output(make)
+    assert output > 2 * PREP_BLOCK_BYTES
+    assert over <= PREP_BLOCK_BYTES
+
+
+def test_noisy_bulk_render_holds_its_output_plus_one_block(monkeypatch):
+    # the noise is drawn into the output, and each block adds its render in
+    # place; a quarter-size block keeps the pure-Python normal draws few
+    block = PREP_BLOCK_BYTES // 4
+    monkeypatch.setattr("ssfa.synth.PREP_BLOCK_BYTES", block)
+    over, output = _peak_over_output(lambda: gen_unlabeled(
+        SynthConfig(grid=16, clip_len=260, num_clips=1, noise_sigma=0.1, motion_mode="jerky")))
+    assert output > 2 * block
+    assert over <= block

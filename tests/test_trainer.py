@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ssfa.data import Clip, Frame, UnlabeledSet, prep_stack
+from ssfa.data import Clip, UnlabeledSet, prep_stack
 from ssfa.losses import softmax_loss
 from ssfa.mining import MiningConfig, PairSample, TripletSample, mine_pairs, mine_triplets
 from ssfa.network import LayerSpec, forward, init_glorot
@@ -268,7 +268,7 @@ def test_resolve_rejects_unknown_clip_and_frame_past_clip_end():
 
 def test_resolve_error_texts_name_the_first_offender():
     # clips of 7 and 12 frames: the text names the offender's own clip length
-    clips = [Clip(f"c{i}", [Frame(1, 1, [t / n]) for t in range(n)], 1.0)
+    clips = [Clip(f"c{i}", (np.arange(n) / n).reshape(n, 1, 1), 1.0)
              for i, n in enumerate((7, 12))]
     u = UnlabeledSet(clips)
     ok, past = PairSample("c1", 11, 0, 1), PairSample("c0", 7, 2, 0)
