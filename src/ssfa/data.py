@@ -140,8 +140,8 @@ def prep_stack(images) -> np.ndarray:
     temporaries of the std are one block. Every operation is per row, so
     the result is bit-identical to standardizing the whole array at once."""
     X = np.array(images, dtype=np.float64)
-    X = X.reshape(len(X), -1)
-    rows = max(1, PREP_BLOCK_BYTES // X[0].nbytes)
+    X = X.reshape(len(X), int(np.prod(X.shape[1:])))  # (0, h*w) for no images
+    rows = max(1, PREP_BLOCK_BYTES // max(1, 8 * X.shape[1]))
     for start in range(0, len(X), rows):
         B = X[start:start + rows]
         mu = B.mean(axis=1, keepdims=True)

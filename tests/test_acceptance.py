@@ -234,6 +234,19 @@ def test_criterion_6_recognition_ordering(desk_results):
     )
 
 
+def test_desk_quality_numbers_are_pinned(desk_results):
+    # every number here is bit-reproducible at seed 7, so a change in the
+    # low-order bits of training or evaluation shows as a mismatch
+    r = desk_results
+    assert {m: r[m]["eta"] for m in ("unreg", "sfa2", "ssfa", "random")} == {
+        "unreg": 6.67431693989071, "sfa2": 3.8983606557377053,
+        "ssfa": 1.814207650273224, "random": 5.795628415300547,
+    }
+    assert {m: r[m]["acc"] for m in ("unreg", "sfa2", "ssfa")} == {
+        "unreg": 0.3265, "sfa2": 0.6285000000000001, "ssfa": 0.6975,
+    }
+
+
 # ---------------------------------------------------------------------------
 # 7. purely unsupervised kNN trend
 

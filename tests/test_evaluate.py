@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ssfa.data import Clip, LabeledSet, UnlabeledSet, prep_stack
+from ssfa.data import PREP_BLOCK_BYTES, Clip, LabeledSet, UnlabeledSet, prep_stack
 from ssfa.evaluate import (
     CandidatePool,
     EvalReport,
@@ -19,7 +19,7 @@ from ssfa.evaluate import (
     truth_ranks,
 )
 from ssfa.mining import window_frames
-from ssfa.network import LayerSpec, NetworkParams, init_glorot
+from ssfa.network import ActivationTape, LayerSpec, NetworkParams, forward, init_glorot
 from ssfa.synth import fixture_configs, gen_unlabeled
 
 
@@ -246,8 +246,6 @@ def test_pool_frames_are_views_of_the_corpus():
 def test_seqcomp_rank_matches_independent_embedding_path():
     # full path (pool lookups, embedding, extrapolation) against a
     # from-scratch computation over the same pool
-    from ssfa.network import forward
-
     u = clip_corpus([10, 8], seed=21)
     params = init_glorot(LayerSpec((6, 5, 4)), 13)
     qs = make_queries(u, 2.0, 8, seed=5)
@@ -295,6 +293,63 @@ def test_eta_definition_and_bounds():
         eta([0], 10)
     with pytest.raises(ValueError):
         eta([11], 10)
+
+
+# ---------------------------------------------------------------------------
+# embed
+
+@pytest.mark.parametrize("sizes", [(256, 25, 25), (1024, 256, 64), (256, 25, 16)])
+def test_embed_streams_the_bits_of_one_pass(sizes):
+    # row counts around the block edges and the quarter-block tail rule: a
+    # trailing GEMM block of few rows can take another BLAS kernel, whose
+    # low-order bits differ from those of one pass over all rows
+    side = int(sizes[0] ** 0.5)
+    params = init_glorot(LayerSpec(sizes), 3)
+    B = PREP_BLOCK_BYTES // (8 * sizes[0])
+    images = np.random.default_rng(sizes[-1]).uniform(0, 1, (2 * B + 17 + 2000, side, side))
+    for n in (1, B - 1, B, B + 1, B + B // 4 - 1, B + B // 4, 2 * B + 17, 2000):
+        want, _ = forward(params, prep_stack(images[:n]))
+        assert embed(params, images[:n]).tobytes() == want.tobytes(), n
+
+
+def test_embed_and_prep_stack_take_no_images():
+    params = init_glorot(LayerSpec((16, 5, 3)), 0)
+    empty = LabeledSet(np.zeros((0, 4, 4)), [], 2)
+    assert prep_stack(empty.images).shape == (0, 16)
+    z = embed(params, empty.images)
+    assert z.shape == (0, 3) and z.dtype == np.float64
+    assert embed(params, ()).shape == (0, 3)
+
+
+def test_evaluation_holds_one_block_at_a_time():
+    # a desk-sized kNN: 2000 test and 40 reference images of 16x16 at
+    # 256->25->25. One pass held every test image standardized (4.1 MB),
+    # its tape and whole-matrix distance temporaries.
+    import tracemalloc
+
+    spec = LayerSpec((256, 25, 25))
+    params = init_glorot(spec, 3)
+    rng = np.random.default_rng(9)
+    test = LabeledSet(rng.uniform(0, 1, (2000, 16, 16)), rng.integers(0, 4, 2000), 4)
+    train = LabeledSet(rng.uniform(0, 1, (40, 16, 16)), np.arange(40) % 4, 4)
+    rows = PREP_BLOCK_BYTES // (8 * 256)
+    tape = ActivationTape.buffers(spec, rows + rows // 4)  # the largest block's
+    # one standardized block of up to 1.25 blocks, prep_stack's std
+    # temporaries of one block, a tape, and numpy's 64 KiB ufunc buffer
+    held = 2.25 * PREP_BLOCK_BYTES + sum(a.nbytes for a in tape.post + tape.mask) + (128 << 10)
+    distances = 8 * len(test) * len(train)  # one block of distances: all of them here
+
+    def peak(f):
+        tracemalloc.start()
+        try:
+            f()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(lambda: embed(params, test.images)) <= 8 * 25 * len(test) + held
+    assert peak(lambda: knn_accuracy(params, train, test)) <= (
+        8 * 25 * (len(test) + len(train)) + held + distances)
 
 
 # ---------------------------------------------------------------------------
@@ -383,14 +438,16 @@ def loop_vote(zt, yt, zq, k):
     return np.array(preds)
 
 
-def test_knn_vote_matches_loop_oracle_on_tie_heavy_cases():
+def test_knn_vote_matches_loop_oracle_on_tie_heavy_cases(monkeypatch):
     # few distinct images and few classes: distance ties and vote ties are
     # common; labeling each query with the oracle's vote makes any
-    # disagreement show as an accuracy below 1
+    # disagreement show as an accuracy below 1. Distance blocks of one
+    # query, of a few, and of all of them.
     rng = np.random.default_rng(14)
     params = identity_net(6)
     pool = rng.uniform(0, 1, (4, 1, 6))
-    for _ in range(120):
+    for trial in range(120):
+        monkeypatch.setattr("ssfa.evaluate.PREP_BLOCK_BYTES", (8, 96, 1 << 20)[trial % 3])
         classes = int(rng.integers(1, 5))
         n_train = int(rng.integers(1, 13))
         train = LabeledSet([pool[i] for i in rng.integers(0, 4, n_train)],
