@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 STD_FLOOR = 1e-8
-# prep_stack standardizes this many bytes of rows at a time (at least one row)
+# bytes of rows per block of the memory-bounded passes (embed, synth's fill,
+# truth_ranks; prep_stack takes an eighth of it), at least one row
 PREP_BLOCK_BYTES = 1 << 20
 
 UNLABELED_MANIFEST = "unlabeled.txt"
@@ -136,12 +137,13 @@ def prep_stack(images) -> np.ndarray:
     ``STD_FLOOR``, so a constant image maps to zeros.
 
     The stacked array is the only full-size one: it is standardized in
-    place, ``PREP_BLOCK_BYTES`` of rows at a time (at least one row), so the
-    temporaries of the std are one block. Every operation is per row, so
-    the result is bit-identical to standardizing the whole array at once."""
+    place, an eighth of ``PREP_BLOCK_BYTES`` of rows at a time (at least one
+    row), so the temporaries of the std are an eighth of a block. Every
+    operation is per row, so the result is bit-identical to standardizing
+    the whole array at once."""
     X = np.array(images, dtype=np.float64)
     X = X.reshape(len(X), int(np.prod(X.shape[1:])))  # (0, h*w) for no images
-    rows = max(1, PREP_BLOCK_BYTES // max(1, 8 * X.shape[1]))
+    rows = max(1, PREP_BLOCK_BYTES // 8 // max(1, 8 * X.shape[1]))
     for start in range(0, len(X), rows):
         B = X[start:start + rows]
         mu = B.mean(axis=1, keepdims=True)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import PREP_BLOCK_BYTES, LabeledSet, UnlabeledSet, prep_stack, write_atomic
 from .mining import clip_window, triplet_positives
-from .network import ActivationTape, NetworkParams, forward
+from .network import NetworkParams, forward
 
 
 @dataclass(frozen=True)
@@ -94,18 +94,18 @@ def embed(params: NetworkParams, images) -> np.ndarray:
     (n, k) array of feature rows, (0, k) for no images.
 
     Blocks of ``PREP_BLOCK_BYTES`` of input rows (at least one row) are
-    standardized and forwarded one at a time into one reused tape. A tail
-    under a quarter block joins the last block, because a short trailing
-    GEMM block can take another BLAS kernel with other low-order bits; so
-    the features are those of one pass over the whole set."""
+    standardized and forwarded one at a time. A tail under a quarter block
+    joins the last block: a short trailing GEMM block can take another
+    BLAS kernel, with other low-order bits. With that rule the features
+    were bit-equal to one pass over the whole set at 256-25-25, 256-25-16
+    and 1024-256-64 on OpenBLAS 0.3.31 (scipy-openblas wheel, 2-core Xeon);
+    another BLAS build may pick its kernels at other row counts."""
     n = len(images)
     rows = max(1, PREP_BLOCK_BYTES // (8 * np.size(images[0]))) if n else 1
     edges = [0, *range(rows, n - max(1, rows // 4) + 1, rows), n] if n else [0]
-    spec = params.layer_spec()
-    tape = ActivationTape.buffers(spec, int(np.diff(edges).max(initial=0)))
-    z = np.empty((n, spec.out_dim))
+    z = np.empty((n, params.layer_spec().out_dim))
     for a, b in zip(edges, edges[1:]):
-        z[a:b] = forward(params, prep_stack(images[a:b]), out=tape)[0]
+        z[a:b] = forward(params, prep_stack(images[a:b]))[0]
     return z
 
 
@@ -220,10 +220,6 @@ def knn_accuracy(params: NetworkParams, train: LabeledSet, test: LabeledSet,
 
     Vote ties go to the class of the nearest neighbor among the tied
     classes. A test image that is also in ``train`` is its own neighbor.
-
-    Squared distances are ``(|q|^2 + |t|^2) - (2q)·t``, the products from
-    one GEMM; the sums and the stable argsort run a block of queries at a
-    time in one buffer of at most ``PREP_BLOCK_BYTES`` (at least one query).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -234,16 +230,12 @@ def knn_accuracy(params: NetworkParams, train: LabeledSet, test: LabeledSet,
     zt = embed(params, train.images)
     zq = embed(params, test.images)
     yt = np.array(train.labels)
-    G = 2.0 * zq @ zt.T
-    sq_q, sq_t = np.sum(zq * zq, axis=1), np.sum(zt * zt, axis=1)
-    step = max(1, PREP_BLOCK_BYTES // (8 * len(zt)))
-    buf = np.empty((min(step, len(zq)), len(zt)))
-    nbr = np.empty((len(zq), k), dtype=yt.dtype)
-    for start in range(0, len(zq), step):
-        q = slice(start, start + step)
-        d2 = np.add(sq_q[q, None], sq_t, out=buf[: len(G[q])])
-        d2 -= G[q]
-        nbr[q] = yt[np.argsort(d2, axis=1, kind="stable")[:, :k]]
+    d2 = (
+        np.sum(zq * zq, axis=1)[:, None]
+        + np.sum(zt * zt, axis=1)[None, :]
+        - 2.0 * zq @ zt.T
+    )
+    nbr = yt[np.argsort(d2, axis=1, kind="stable")[:, :k]]
     # votes per (query, class), then each neighbor's class's votes: the
     # vote is the first neighbor whose class has the most votes
     q, classes = np.arange(len(nbr))[:, None], int(yt.max()) + 1

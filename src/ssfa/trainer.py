@@ -26,8 +26,7 @@ import numpy as np
 
 from .data import LabeledSet, UnlabeledSet, prep_stack, write_atomic
 from .losses import Margins, Workspace, _softmax, _tuples, has_tuples, total_objective
-from .network import (ActivationTape, LayerSpec, NetworkParams, forward, init_classifier,
-                      init_glorot, split_model)
+from .network import LayerSpec, NetworkParams, forward, init_classifier, init_glorot, split_model
 
 
 class ConfigError(ValueError):
@@ -292,7 +291,6 @@ def train(labeled: LabeledSet, pairs, triplets, layer_spec: LayerSpec, cfg: Trai
     tr_idx, va_idx = stratified_split(y, cfg.val_fraction, np.random.default_rng(seeds[2]))
     yt, Xv, yv = y[tr_idx], X[va_idx], y[va_idx]
     val_buf = np.empty(len(yv) * (2 * labeled.num_classes + 1))  # the softmax's scratch
-    val_tape = ActivationTape.buffers(layer_spec, len(yv))
 
     rng_shuffle = np.random.default_rng(seeds[3])
     streams = _tuple_streams(pairs, triplets, cfg, seeds[4:6]) if cfg.lam > 0 else (None, None)
@@ -312,7 +310,7 @@ def train(labeled: LabeledSet, pairs, triplets, layer_spec: LayerSpec, cfg: Trai
         sels = (order[i : i + cfg.batch_labeled] for i in range(0, len(order), cfg.batch_labeled))
         means = steps((X[tr_idx[sel]], yt[sel]) for sel in sels)
 
-        zv, _ = forward(net, Xv, out=val_tape)
+        zv, _ = forward(net, Xv)
         val_loss = _softmax(Wc, zv, yv, None, None, val_buf)  # the value alone
         val_acc = float(np.mean(np.argmax(zv @ Wc.T, axis=1) == yv))
         history.append(

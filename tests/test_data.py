@@ -368,11 +368,12 @@ SMALL_BLOCK = 1 << 13  # 1024 float64 pixels: keeps the stacks of narrow frames 
 
 @pytest.mark.parametrize("width", [1, 25, 256, 1024, 1025])
 def test_prep_stack_blocks_are_bit_identical(monkeypatch, width):
-    # row counts around the block edges; a block of 1024- or 1025-pixel
-    # frames is one row, and a 1025-pixel row is wider than the block
+    # row counts around the block edges (an eighth of PREP_BLOCK_BYTES); a
+    # block of 128- or more-pixel frames is one row, and a 1025-pixel row is
+    # wider than the whole block
     monkeypatch.setattr("ssfa.data.PREP_BLOCK_BYTES", SMALL_BLOCK)
     rng = np.random.default_rng(width)
-    block = max(1, SMALL_BLOCK // (8 * width))
+    block = max(1, SMALL_BLOCK // 8 // (8 * width))
     for n in (1, max(1, block - 1), block, block + 1, 3 * block + 7):
         px = rng.uniform(0, 1, (n, width))
         px[n // 2] = 0.25                                  # constant
@@ -393,9 +394,10 @@ def test_prep_stack_holds_one_full_size_array():
     finally:
         tracemalloc.stop()
     assert X.nbytes >= 8 << 20
-    # on top of the block, numpy's broadcast ops (the std's and the in-place
-    # subtract's) take a ufunc buffer of np.getbufsize() float64s, 64 KiB
-    assert peak <= X.nbytes + PREP_BLOCK_BYTES + (128 << 10)
+    # on top of the std's temporaries (an eighth of a block), numpy's
+    # broadcast ops (the std's and the in-place subtract's) take a ufunc
+    # buffer of np.getbufsize() float64s, 64 KiB
+    assert peak <= X.nbytes + PREP_BLOCK_BYTES // 8 + (128 << 10)
     assert X.tobytes() == _prep_stack_one_shot(frames).tobytes()
 
 
