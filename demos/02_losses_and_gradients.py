@@ -32,8 +32,8 @@ print(f"bent triplet loss:      {bent.value:.5f} (= sqrt(2))")
 # soon as negatives exist: each negative pays the margin
 z = np.zeros((8, 4))
 p = np.array([1, 1, 1, 1, 0, 0, 0, 0])
-lu = ssfa.unsupervised_loss((z, z.copy(), p), None, 1.0, margins)
-print(f"\nconstant feature map, half negatives: L_u = {lu.value} (margin * neg fraction)")
+r2 = ssfa.pair_loss(z, z.copy(), p, margins)
+print(f"\nconstant feature map, half negatives: R2 = {r2.value} (margin * neg fraction)")
 
 # every gradient in the library matches central finite differences
 rows, ok = run_gradcheck(seed=0, points=20)

@@ -26,7 +26,6 @@ from .data import (
 )
 from .evaluate import (
     CandidatePool,
-    EvalReport,
     QueryPair,
     build_pool,
     embed,
@@ -46,7 +45,6 @@ from .losses import (
     softmax_loss,
     total_objective,
     triplet_loss,
-    unsupervised_loss,
 )
 from .mining import (
     MiningConfig,

@@ -7,7 +7,10 @@ writes byte-identical outputs; the effective configuration is echoed to
 `run_config.txt` in each output directory.
 
 A config file (plain `key = value` lines, '#' comments) may supply any
-flag's value; explicit flags always win. --threads sets the BLAS thread
+flag's value, keyed by the flag's name without its "--" (`lambda`,
+`pair-neg-ratio`); explicit flags always win. Every subcommand checks that
+it can create --out before any work, and writes it only after that work
+has succeeded. --threads sets the BLAS thread
 variables before the subcommand runs; importing the package has loaded
 numpy by then, so they reach this process's BLAS pool only when they were
 already set when it started.
@@ -16,6 +19,7 @@ already set when it started.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from pathlib import Path
@@ -81,21 +85,20 @@ def _parse_config_file(path: Path) -> dict:
     return out
 
 
-# config keys match flag names; a couple of flags use short dests
-_DEST_ALIASES = {"lambda": "lam", "lambda2": "lam2"}
-
 # accepted spellings for on/off flags (store_true) in a config file
 _BOOLEANS = {"true": True, "1": True, "false": False, "0": False}
 
 
 def _apply_config(parser: argparse.ArgumentParser, cfg: dict) -> None:
-    actions = {action.dest: action for action in parser._actions}
+    # a key is a flag's name without its "--"; --help and --config are no keys
+    actions = {opt[2:]: action for action in parser._actions
+               if action.dest not in ("help", "config") for opt in action.option_strings}
     defaults = {}
     for key, value in cfg.items():
-        dest = _DEST_ALIASES.get(key, key.replace("-", "_"))
-        action = actions.get(dest)
+        action = actions.get(key)
         if action is None:
             raise CliConfigError(f"config key {key!r} is not a flag of this subcommand")
+        dest = action.dest
         if isinstance(action, argparse._StoreTrueAction):
             if value not in _BOOLEANS:
                 raise CliConfigError(f"config key {key!r}: expected true/false/1/0, got {value!r}")
@@ -112,17 +115,28 @@ def _apply_config(parser: argparse.ArgumentParser, cfg: dict) -> None:
     parser.set_defaults(**defaults)
 
 
-def _echo_config(args, out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    skip = {"func", "config", "threads"}
-    lines = []
-    for key in sorted(vars(args)):
-        if key in skip:
-            continue
-        lines.append(f"{key} = {getattr(args, key)}")
+def _echo_config(args) -> Path:
+    """Create ``--out`` and echo the effective configuration into its
+    run_config.txt; returns ``--out`` as a Path."""
     from .data import write_atomic
 
-    write_atomic(out_dir / "run_config.txt", "\n".join(lines) + "\n")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    lines = [f"{key} = {value}" for key, value in sorted(vars(args).items())
+             if key not in ("func", "config", "threads")]
+    write_atomic(out / "run_config.txt", "\n".join(lines) + "\n")
+    return out
+
+
+def _write_report(args, name: str, config: dict, eta=None, ranks=None, accuracy=None) -> Path:
+    """Echo the config into ``--out``, then write there the JSON report
+    ``name`` with its four keys; returns ``--out`` as a Path."""
+    from .data import write_atomic
+
+    out = _echo_config(args)
+    report = {"eta": eta, "ranks": ranks, "accuracy": accuracy or {}, "config": config}
+    write_atomic(out / name, json.dumps(report, sort_keys=True, indent=2) + "\n")
+    return out
 
 
 def _creatable_out(text: str) -> Path:
@@ -178,8 +192,7 @@ def cmd_synth(args) -> int:
     # generated before anything is written: a failed generation writes nothing
     clips = synth.gen_unlabeled(cfg) if args.clips > 0 else None
     labeled = synth.gen_labeled(cfg, args.labeled_per_class) if args.labeled_per_class > 0 else None
-    out = Path(args.out)
-    _echo_config(args, out)
+    out = _echo_config(args)
     if clips is not None:
         print(f"wrote {args.clips} clips -> {data.write_unlabeled(clips, out)}")
     if labeled is not None:
@@ -190,16 +203,11 @@ def cmd_synth(args) -> int:
 def cmd_fixtures(args) -> int:
     from . import data, synth
 
-    out = Path(args.out)
-    _echo_config(args, out)
     sets = synth.build_fixtures(args.seed)
+    out = _echo_config(args)
     for name, ds in sorted(sets.items()):
-        sub = out / name
-        if isinstance(ds, data.UnlabeledSet):
-            manifest = data.write_unlabeled(ds, sub)
-        else:
-            manifest = data.write_labeled(ds, sub)
-        print(f"{name}: {manifest}")
+        write = data.write_unlabeled if isinstance(ds, data.UnlabeledSet) else data.write_labeled
+        print(f"{name}: {write(ds, out / name)}")
     return 0
 
 
@@ -215,10 +223,10 @@ def cmd_mine(args) -> int:
         max_triplets=args.max_triplets,
         seed=args.seed,
     )
-    out = Path(args.out)
-    _echo_config(args, out)
+    # mined before anything is written: a failed mining writes nothing
     pairs = mining.mine_pairs(u, cfg)
     triplets = mining.mine_triplets(u, cfg)
+    out = _echo_config(args)
     mining.save_tuples(out / "pairs.txt", pairs, cfg)
     mining.save_tuples(out / "triplets.txt", triplets, cfg)
     n_pos = sum(p.p for p in pairs)
@@ -287,7 +295,7 @@ def _train_tuples(args, cfg):
 def cmd_train(args) -> int:
     from . import losses, network, trainer
 
-    hidden, out = _hidden_sizes(args.hidden), _creatable_out(args.out)
+    hidden = _hidden_sizes(args.hidden)
     labeled = _load_manifest(args.labeled, "--labeled", labeled=True)
     cfg = _train_config(args, losses, trainer)
 
@@ -303,7 +311,7 @@ def cmd_train(args) -> int:
         )
     params, W, history = trainer.train(labeled, pairs, triplets, spec, cfg)
     # written once training has succeeded: a failed run leaves no --out behind
-    _echo_config(args, out)
+    out = _echo_config(args)
     if args.cv:
         trainer.write_search_log(log, out / "search_log.csv")
     network.save_checkpoint(out / "checkpoint.ckpt", params, W)
@@ -319,7 +327,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval_seqcomp(args) -> int:
-    from . import evaluate, network
+    from . import data, evaluate, network
 
     params, _ = network.load_checkpoint(args.checkpoint)
     u = _load_manifest(args.unlabeled, "--unlabeled", labeled=False)
@@ -327,21 +335,10 @@ def cmd_eval_seqcomp(args) -> int:
     pool = evaluate.build_pool(queries, u, args.pool_n, args.seed + 1)
     ranks = evaluate.seqcomp_ranks(queries, pool, params)
     value = evaluate.eta(ranks, len(pool))
-    out = Path(args.out)
-    _echo_config(args, out)
-    report = evaluate.EvalReport(
-        eta=value,
-        ranks=ranks,
-        config={
-            "T": args.T,
-            "queries": len(queries),
-            "pool_size": len(pool),
-            "pool_n": args.pool_n,
-            "seed": args.seed,
-        },
-    )
-    report.save_json(out / "seqcomp.json")
-    report.save_ranks_csv(out / "ranks.csv")
+    config = {"T": args.T, "queries": len(queries), "pool_size": len(pool),
+              "pool_n": args.pool_n, "seed": args.seed}
+    out = _write_report(args, "seqcomp.json", config, eta=value, ranks=ranks)
+    data.write_atomic(out / "ranks.csv", data._text_table("query,rank", enumerate(ranks)))
     print(f"eta = {value:.4f} over {len(queries)} queries, pool {len(pool)}")
     return 0
 
@@ -352,12 +349,7 @@ def cmd_eval_cls(args) -> int:
     params, W = network.load_checkpoint(args.checkpoint)
     test = _load_manifest(args.test, "--test", labeled=True)
     acc = evaluate.linear_accuracy(params, W, test)
-    out = Path(args.out)
-    _echo_config(args, out)
-    report = evaluate.EvalReport(
-        accuracy={"linear": acc}, config={"test_size": len(test)}
-    )
-    report.save_json(out / "classification.json")
+    _write_report(args, "classification.json", {"test_size": len(test)}, accuracy={"linear": acc})
     print(f"linear accuracy = {acc:.4f} on {len(test)} images")
     return 0
 
@@ -369,13 +361,8 @@ def cmd_eval_knn(args) -> int:
     train_set = _load_manifest(args.train, "--train", labeled=True)
     test_set = _load_manifest(args.test, "--test", labeled=True)
     acc = evaluate.knn_accuracy(params, train_set, test_set, k=args.k)
-    out = Path(args.out)
-    _echo_config(args, out)
-    report = evaluate.EvalReport(
-        accuracy={"knn": acc, "k": args.k},
-        config={"train_size": len(train_set), "test_size": len(test_set)},
-    )
-    report.save_json(out / "knn.json")
+    _write_report(args, "knn.json", {"train_size": len(train_set), "test_size": len(test_set)},
+                  accuracy={"knn": acc, "k": args.k})
     print(f"knn accuracy (k={args.k}) = {acc:.4f}")
     return 0
 
@@ -387,9 +374,7 @@ def cmd_gradcheck(args) -> int:
     text = gradcheck.format_report(rows)
     print(text, end="")
     if args.out:
-        out = Path(args.out)
-        _echo_config(args, out)
-        data.write_atomic(out / "gradcheck.csv", text)
+        data.write_atomic(_echo_config(args) / "gradcheck.csv", text)
     if not ok:
         print("gradient check FAILED", file=sys.stderr)
         return 3
@@ -518,6 +503,8 @@ def main(argv=None) -> int:
             _apply_config(subparsers.choices[args.command], _parse_config_file(Path(args.config)))
             args = top.parse_args(argv)
         _apply_threads(args.threads)
+        if args.out is not None:  # every subcommand's --out, checked before any work
+            _creatable_out(args.out)
         return args.func(args)
     except CliConfigError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -286,6 +286,15 @@ def _numbered_lines(text):
         start = end
 
 
+def _text_table(header: str, rows) -> str:
+    """The text of a table: the ``header`` line, then each row's fields
+    joined by commas, a float (a np.float64 too) written as
+    ``repr(float(v))`` and any other field as ``str(v)``."""
+    lines = [header] + [",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row)
+                        for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def load_manifest(path):
     """Load a manifest file, returning an UnlabeledSet or a LabeledSet.
 

@@ -10,13 +10,12 @@ the optimistic tie rule: only strictly smaller distances count.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .data import PREP_BLOCK_BYTES, LabeledSet, UnlabeledSet, prep_stack, write_atomic
+from .data import PREP_BLOCK_BYTES, LabeledSet, UnlabeledSet, prep_stack
 from .mining import clip_window, triplet_positives
 from .network import NetworkParams, forward
 
@@ -62,31 +61,6 @@ class CandidatePool:
 
     def index_of(self, clip_id: str, t: int):
         return self._index.get((clip_id, t))
-
-
-@dataclass
-class EvalReport:
-    """Evaluation results; serializes to JSON plus a per-query rank CSV."""
-
-    eta: float = None
-    ranks: list = None
-    accuracy: dict = field(default_factory=dict)
-    config: dict = field(default_factory=dict)
-
-    def save_json(self, path) -> None:
-        payload = {
-            "eta": self.eta,
-            "ranks": list(self.ranks) if self.ranks is not None else None,
-            "accuracy": self.accuracy,
-            "config": self.config,
-        }
-        write_atomic(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-    def save_ranks_csv(self, path) -> None:
-        lines = ["query,rank"]
-        for i, r in enumerate(self.ranks or []):
-            lines.append(f"{i},{r}")
-        write_atomic(path, "\n".join(lines) + "\n")
 
 
 def embed(params: NetworkParams, images) -> np.ndarray:

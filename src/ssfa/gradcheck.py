@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _text_table
 from .losses import Margins, Workspace, pair_loss, softmax_loss, total_objective, triplet_loss
 from .network import LayerSpec, forward, init_classifier, init_glorot, split_model
 
@@ -215,9 +216,6 @@ def run_gradcheck(seed: int = 0, points: int = 100, corrupt=None):
 
 
 def format_report(rows) -> str:
-    lines = ["loss,max_rel_error,tolerance,status"]
-    for r in rows:
-        lines.append(
-            f"{r.name},{r.max_rel_error!r},{r.tolerance!r},{'pass' if r.ok else 'FAIL'}"
-        )
-    return "\n".join(lines) + "\n"
+    return _text_table("loss,max_rel_error,tolerance,status",
+                       ((r.name, r.max_rel_error, r.tolerance, "pass" if r.ok else "FAIL")
+                        for r in rows))

@@ -55,7 +55,6 @@ class LossValue:
       softmax_loss      "W", "z"
       pair_loss         "a", "b"              (per-row gradients)
       triplet_loss      "l", "m", "n"
-      unsupervised_loss "pair_a", "pair_b", "trip_l", "trip_m", "trip_n"
       total_objective   "theta" (NetworkParams), "W", "flat" (theta then W),
                         views of one vector from one fused backward
       coherence_objective the same, with a 0 x k "W" and "flat" = theta.flat
@@ -152,44 +151,36 @@ def _contrastive(s: _ContrastScratch, block, p_pair, p_trip, lam: float, lam_pri
     return value, {"slow": slow, "steady": steady}
 
 
-def _feature_batch(zs, p, kind: str):
-    """A batch of feature tuples as float64 member rows plus labels,
-    checked: one row per label in every member, all of one shape."""
+def _tuple_loss(zs, p, margins: Margins):
+    """The kernel on one checked batch of feature tuples: ``zs`` the members
+    (a, b of pairs or l, m, n of triplets), one row per label in ``p``.
+    Returns (mean loss, member gradients as views of one block)."""
+    kind = "pair" if len(zs) == 2 else "triplet"
     zs = [np.atleast_2d(np.asarray(z, dtype=np.float64)) for z in zs]
     p = np.asarray(p)
     if len(p) == 0:
         raise ValueError(f"empty {kind} batch")
     if any(z.shape != zs[0].shape for z in zs) or zs[0].shape[0] != len(p):
         raise ValueError(f"{kind} batch shapes {[z.shape for z in zs]}, {p.shape} disagree")
-    return zs, p
-
-
-def _coherence(pairs, triplets, lam_prime: float, margins: Margins):
-    """The kernel on feature batches (pairs (za, zb, p) and triplets
-    (zl, zm, zn, p), either None): (value, terms, member gradients), the
-    gradients in member order as views of one block."""
-    sides = [None if t is None else _feature_batch(t[:-1], t[-1], kind)
-             for t, kind in ((pairs, "pair"), (triplets, "triplet"))]
-    feats = [z for side in sides if side is not None for z in side[0]]
-    labels = [_NO_LABELS if side is None else side[1] for side in sides]
-    block = np.concatenate(feats)
-    value, terms = _contrastive(_ContrastScratch(sum(map(len, labels)), block.shape[1]), block,
-                                *labels, 1.0, lam_prime, margins)
-    return value, terms, np.split(block, np.cumsum([len(z) for z in feats[:-1]]))
+    block = np.concatenate(zs)
+    labels = (p, _NO_LABELS) if kind == "pair" else (_NO_LABELS, p)
+    value, _ = _contrastive(_ContrastScratch(len(p), block.shape[1]), block, *labels, 1.0, 1.0,
+                            margins)
+    return value, np.split(block, len(zs))
 
 
 def pair_loss(za, zb, p, margins: Margins) -> LossValue:
     """Mean contrastive loss over a batch of feature pairs (slowness term)."""
-    _, terms, (ga, gb) = _coherence((za, zb, p), None, 1.0, margins)
-    return LossValue(terms["slow"], {"a": ga, "b": gb})
+    value, (ga, gb) = _tuple_loss((za, zb), p, margins)
+    return LossValue(value, {"a": ga, "b": gb})
 
 
 def triplet_loss(zl, zm, zn, p, margins: Margins) -> LossValue:
     """Mean contrastive loss over the two difference vectors of each
     triplet (steadiness term). Positive triplets are penalized toward
     zl - zm == zm - zn, i.e. collinear equally spaced features."""
-    _, terms, (gl, gm, gn) = _coherence(None, (zl, zm, zn, p), 1.0, margins)
-    return LossValue(terms["steady"], {"l": gl, "m": gm, "n": gn})
+    value, (gl, gm, gn) = _tuple_loss((zl, zm, zn), p, margins)
+    return LossValue(value, {"l": gl, "m": gm, "n": gn})
 
 
 def _labeled_batch(W, zs, ys):
@@ -247,22 +238,6 @@ def has_tuples(batch) -> bool:
     """True when ``batch`` (tuple arrays with the labels last, or None)
     holds at least one tuple."""
     return batch is not None and len(batch[-1]) > 0
-
-
-def unsupervised_loss(pairs, triplets, lam_prime: float, margins: Margins) -> LossValue:
-    """Combined coherence loss on feature vectors:
-    pair term + lam_prime * triplet term. A missing side contributes 0.
-
-    ``pairs`` is (za, zb, p) and ``triplets`` is (zl, zm, zn, p); either
-    may be None or empty, but not both.
-    """
-    pairs, triplets = (t if has_tuples(t) else None for t in (pairs, triplets))
-    if pairs is None and triplets is None:
-        raise ValueError("need at least one of pairs/triplets")
-    value, terms, grads = _coherence(pairs, triplets, lam_prime, margins)
-    names = (("pair_a", "pair_b") if pairs is not None else ()) + (
-        ("trip_l", "trip_m", "trip_n") if triplets is not None else ())
-    return LossValue(value, dict(zip(names, grads)), terms)
 
 
 class Workspace:

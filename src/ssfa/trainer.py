@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
 
-from .data import LabeledSet, UnlabeledSet, prep_stack, write_atomic
+from .data import LabeledSet, UnlabeledSet, _text_table, prep_stack, write_atomic
 from .losses import Margins, Workspace, _softmax, _tuples, has_tuples, total_objective
 from .network import LayerSpec, NetworkParams, forward, init_classifier, init_glorot, split_model
 
@@ -90,13 +90,8 @@ class TrainHistory:
     best_epoch: int
 
     def to_csv(self, path) -> None:
-        lines = ["epoch,loss_sup,loss_slow,loss_steady,val_loss,val_acc"]
-        for e in self.epochs:
-            lines.append(
-                f"{e.epoch},{float(e.loss_sup)!r},{float(e.loss_slow)!r},"
-                f"{float(e.loss_steady)!r},{float(e.val_loss)!r},{float(e.val_acc)!r}"
-            )
-        write_atomic(path, "\n".join(lines) + "\n")
+        write_atomic(path, _text_table("epoch,loss_sup,loss_slow,loss_steady,val_loss,val_acc",
+                                       map(astuple, self.epochs)))
 
 
 def nesterov_step(theta, velocity, look, grad_fn, lr: float, momentum: float) -> None:
@@ -423,7 +418,5 @@ def greedy_cv(labeled: LabeledSet, pairs, triplets, layer_spec: LayerSpec,
 
 
 def write_search_log(log, path) -> None:
-    lines = ["stage,candidate,val_loss"]
-    for row in log:
-        lines.append(f"{row['stage']},{row['candidate']!r},{row['val_loss']!r}")
-    write_atomic(path, "\n".join(lines) + "\n")
+    write_atomic(path, _text_table("stage,candidate,val_loss",
+                                   ((r["stage"], r["candidate"], r["val_loss"]) for r in log)))

@@ -115,17 +115,17 @@ def test_criterion_2_loss_identities():
     z = np.array([[0.3, -0.7, 2.0]])
     r2 = ssfa.pair_loss(z, z.copy(), np.ones(1), margins)
     coincident_zero = r2.value == 0.0
-    # constant feature map with negatives present: L_u >= delta * neg_fraction
+    # constant feature map with negatives present: R2 >= delta * neg_fraction
     zc = np.full((10, 4), 1.3)
     p = np.array([1, 1, 1, 1, 1, 1, 0, 0, 0, 0])
-    lu = ssfa.unsupervised_loss((zc, zc.copy(), p), None, 1.0, margins)
-    degenerate_penalized = lu.value >= margins.delta_pair * 0.4 and lu.value > 0.0
+    r2c = ssfa.pair_loss(zc, zc.copy(), p, margins)
+    degenerate_penalized = r2c.value >= margins.delta_pair * 0.4 and r2c.value > 0.0
     ok = collinear_zero and coincident_zero and degenerate_penalized
     report(
         2,
         "loss identities",
         ok,
-        f"collinear R3={r3.value}, coincident R2={r2.value}, constant-map L_u={lu.value}>=0.4",
+        f"collinear R3={r3.value}, coincident R2={r2.value}, constant-map R2={r2c.value}>=0.4",
     )
 
 

@@ -10,9 +10,8 @@ import os
 import numpy as np
 import pytest
 
-from ssfa.cli import _echo_config, main
-from ssfa.data import LabeledSet, save_pgm, write_atomic, write_labeled
-from ssfa.evaluate import EvalReport
+from ssfa.cli import _echo_config, _write_report, main
+from ssfa.data import LabeledSet, _text_table, save_pgm, write_atomic, write_labeled
 from ssfa.mining import MiningConfig, PairSample, save_tuples
 from ssfa.network import LayerSpec, init_classifier, init_glorot, save_checkpoint
 from ssfa.trainer import EpochStats, TrainHistory, write_search_log
@@ -70,11 +69,12 @@ def _manifest(path, seed):
 
 
 def _report_json(path, seed):
-    EvalReport(eta=0.5 + seed, ranks=list(range(50)), config={"seed": seed}).save_json(path)
+    _write_report(argparse.Namespace(out=str(path.parent)), path.name, {"seed": seed},
+                  eta=0.5 + seed, ranks=list(range(50)))
 
 
 def _ranks_csv(path, seed):
-    EvalReport(ranks=list(range(seed, 60))).save_ranks_csv(path)
+    write_atomic(path, _text_table("query,rank", enumerate(range(seed, 60))))
 
 
 def _history(path, seed):
@@ -88,7 +88,7 @@ def _search_log(path, seed):
 
 
 def _run_config(path, seed):
-    _echo_config(argparse.Namespace(seed=seed, out=str(path.parent), note="x" * 200), path.parent)
+    _echo_config(argparse.Namespace(seed=seed, out=str(path.parent), note="x" * 200))
 
 
 def _frame(path, seed):

@@ -104,6 +104,7 @@ def test_mine_window_too_large_exits_3(pipeline):
     code = main(["mine", "--data", str(data / "unlabeled.txt"), "--out", str(base / "x"),
                  "--T", "50", "--seed", "0"])
     assert code == 3
+    assert not (base / "x").exists()  # both sets are mined before --out is made
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -175,16 +176,25 @@ def test_failed_train_leaves_no_out_behind(pipeline, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_train_rejects_an_out_it_cannot_create_before_reading_any_file(tmp_path, capsys):
-    # --out is created only after training, so a file in its way must be
-    # found before the data is read, not after a long run
+@pytest.mark.parametrize("argv", [
+    ["synth", "--clips", "1", "--clip-len", "3"], ["fixtures"], ["mine", "--data", "missing.txt"],
+    ["train", "--labeled", "missing.txt"],
+    ["eval-seqcomp", "--checkpoint", "missing.ckpt", "--unlabeled", "missing.txt"],
+    ["eval-cls", "--checkpoint", "missing.ckpt", "--test", "missing.txt"],
+    ["eval-knn", "--checkpoint", "missing.ckpt", "--train", "missing.txt", "--test", "missing.txt"],
+    ["gradcheck", "--points", "1"],
+], ids=lambda argv: argv[0])
+def test_every_subcommand_rejects_an_out_it_cannot_create_before_any_work(tmp_path, capsys,
+                                                                          argv):
+    # a file in the way of --out must be found before the inputs are read or
+    # any work is done, not after a long run
     blocker = tmp_path / "file"
     blocker.write_text("x")
     for out in (blocker, blocker / "run"):
-        code = main(["train", "--labeled", str(tmp_path / "missing.txt"), "--out", str(out)])
-        assert code == 2
+        assert main(argv + ["--out", str(out)]) == 2
         assert f"--out: cannot create directory {out}" in capsys.readouterr().err
     assert blocker.read_text() == "x"
+    assert os.listdir(tmp_path) == ["file"]
 
 
 def test_train_sfa2_without_pair_batch_exits_3(pipeline):
@@ -328,13 +338,20 @@ def test_config_file_supplies_defaults_flags_override(pipeline, tmp_path):
     assert len(lines) == 1 + 4
 
 
-def test_config_file_unknown_key_exits_2(pipeline, tmp_path):
+def test_config_file_unknown_key_exits_2(pipeline, tmp_path, capsys):
     _, data, _, _ = pipeline
+    # a key is a flag's name: neither its dest (lam, pair_neg_ratio) nor
+    # --help or --config itself
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("warp_speed = 9\n")
-    code = main(["train", "--config", str(cfg), "--labeled", str(data / "labeled.txt"),
-                 "--method", "unreg", "--out", str(tmp_path / "o")])
-    assert code == 2
+    train = ["train", "--labeled", str(data / "labeled.txt"), "--method", "unreg"]
+    mine = ["mine", "--data", str(data / "unlabeled.txt")]
+    for argv, key in ((train, "warp_speed = 9"), (train, "help = x"),
+                      (train, "config = nowhere.txt"), (train, "lam = 0.5"),
+                      (mine, "pair_neg_ratio = 2")):
+        cfg.write_text(key + "\n")
+        assert main(argv + ["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "is not a flag of this subcommand" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 def test_fixtures_command_writes_bundle(tmp_path):

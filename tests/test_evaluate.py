@@ -1,12 +1,13 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from ssfa.data import PREP_BLOCK_BYTES, Clip, LabeledSet, UnlabeledSet, prep_stack
+from ssfa.cli import _write_report
+from ssfa.data import PREP_BLOCK_BYTES, Clip, LabeledSet, UnlabeledSet, _text_table, prep_stack
 from ssfa.evaluate import (
     CandidatePool,
-    EvalReport,
     QueryPair,
     build_pool,
     embed,
@@ -513,8 +514,9 @@ def test_knn_validates_args():
 # reports
 
 def test_eval_report_round_trip(tmp_path):
-    rep = EvalReport(eta=12.5, ranks=[1, 4, 2], accuracy={"linear": 0.75}, config={"k": 5})
-    rep.save_json(tmp_path / "r.json")
+    args = argparse.Namespace(out=str(tmp_path), seed=5)
+    assert _write_report(args, "r.json", {"k": 5}, eta=12.5, ranks=[1, 4, 2],
+                         accuracy={"linear": 0.75}) == tmp_path
     loaded = json.loads((tmp_path / "r.json").read_text())
     assert loaded == {
         "eta": 12.5,
@@ -522,5 +524,5 @@ def test_eval_report_round_trip(tmp_path):
         "accuracy": {"linear": 0.75},
         "config": {"k": 5},
     }
-    rep.save_ranks_csv(tmp_path / "r.csv")
-    assert (tmp_path / "r.csv").read_text() == "query,rank\n0,1\n1,4\n2,2\n"
+    assert (tmp_path / "run_config.txt").read_text() == f"out = {tmp_path}\nseed = 5\n"
+    assert _text_table("query,rank", enumerate([1, 4, 2])) == "query,rank\n0,1\n1,4\n2,2\n"

@@ -13,7 +13,6 @@ from ssfa.losses import (
     softmax_loss,
     total_objective,
     triplet_loss,
-    unsupervised_loss,
 )
 from ssfa.network import LayerSpec, init_classifier, init_glorot, split_model
 
@@ -205,48 +204,11 @@ def test_triplet_loss_translation_invariance_of_positives():
         assert abs(v0 - v1) < 1e-12
 
 
-# ---------------------------------------------------------------------------
-# combined losses
-
-def test_unsupervised_loss_weights_and_defaults():
-    rng = np.random.default_rng(4)
-    za, zb = rng.normal(size=(2, 6, 3))
-    p = rng.integers(0, 2, 6)
-    zl, zm, zn = rng.normal(size=(3, 4, 3))
-    q = rng.integers(0, 2, 4)
-    r2 = pair_loss(za, zb, p, M).value
-    r3 = triplet_loss(zl, zm, zn, q, M).value
-    lv = unsupervised_loss((za, zb, p), (zl, zm, zn, q), 0.5, M)
-    assert abs(lv.value - (r2 + 0.5 * r3)) < 1e-14
-    # lam_prime = 0 reduces to the pair term
-    lv0 = unsupervised_loss((za, zb, p), (zl, zm, zn, q), 0.0, M)
-    assert abs(lv0.value - r2) < 1e-15
-
-
-def test_unsupervised_loss_gradient_is_weighted_sum():
-    rng = np.random.default_rng(5)
-    za, zb = rng.normal(size=(2, 5, 3))
-    p = rng.integers(0, 2, 5)
-    zl, zm, zn = rng.normal(size=(3, 5, 3))
-    q = rng.integers(0, 2, 5)
-    lam_prime = 0.7
-    lv = unsupervised_loss((za, zb, p), (zl, zm, zn, q), lam_prime, M)
-    r2 = pair_loss(za, zb, p, M)
-    r3 = triplet_loss(zl, zm, zn, q, M)
-    np.testing.assert_array_equal(lv.grads["pair_a"], r2.grads["a"])
-    np.testing.assert_allclose(lv.grads["trip_l"], lam_prime * r3.grads["l"], atol=1e-15)
-
-
-def test_unsupervised_loss_requires_some_input():
-    with pytest.raises(ValueError):
-        unsupervised_loss(None, None, 1.0, M)
-
-
 def test_zero_feature_map_is_penalized():
     # degenerate constant embedding: positives free, each negative pays delta
     z = np.zeros((10, 4))
     p = np.array([1] * 6 + [0] * 4)
-    lv = unsupervised_loss((z, z.copy(), p), None, 1.0, Margins(delta_pair=1.0))
+    lv = pair_loss(z, z.copy(), p, Margins(delta_pair=1.0))
     assert lv.value >= 1.0 * (4 / 10)
     assert lv.value > 0.0
 
@@ -369,17 +331,18 @@ def test_contrastive_kernel_keeps_the_bits_of_the_per_term_code(metric, labels):
     for pb, tb, lam_prime in ((pairs, triplets, 0.7), (pairs, triplets, 0.0),
                               (pairs, None, 0.7), (None, triplets, 0.3)):
         ref = _ref_unsupervised_loss(pb, tb, lam_prime, margins)
-        _same_bits(unsupervised_loss(pb, tb, lam_prime, margins), ref)
         # the training step's call: lam-scaled gradients written over the member block
-        block = np.concatenate([z for b in (pb, tb) if b is not None for z in b[:-1]])
-        no_labels = np.zeros(0, dtype=int)
-        value, terms = _contrastive(_ContrastScratch(12, 4), block,
-                                    no_labels if pb is None else pb[-1],
-                                    no_labels if tb is None else tb[-1], 3.0, lam_prime, margins)
-        expect = np.concatenate(list(ref.grads.values()))
-        expect *= 3.0
-        assert block.tobytes() == expect.tobytes()
-        assert (value, terms) == (ref.value, ref.terms)
+        for lam in (1.0, 3.0):
+            block = np.concatenate([z for b in (pb, tb) if b is not None for z in b[:-1]])
+            no_labels = np.zeros(0, dtype=int)
+            value, terms = _contrastive(_ContrastScratch(12, 4), block,
+                                        no_labels if pb is None else pb[-1],
+                                        no_labels if tb is None else tb[-1], lam, lam_prime,
+                                        margins)
+            expect = np.concatenate(list(ref.grads.values()))
+            expect *= lam
+            assert block.tobytes() == expect.tobytes()
+            assert (value, terms) == (ref.value, ref.terms)
 
 
 def test_softmax_kernel_keeps_the_bits_of_the_unbuffered_code():
