@@ -139,16 +139,14 @@ def _write_report(args, name: str, config: dict, eta=None, ranks=None, accuracy=
     return out
 
 
-def _creatable_out(text: str) -> Path:
-    """``--out`` as a Path, checked before any work: it must be a directory
-    or not exist yet, and its nearest existing ancestor a writable
-    directory."""
-    out = probe = Path(text)
+def _creatable_out(text: str) -> None:
+    """Check ``--out`` before any work: it must be a directory or not exist
+    yet, and its nearest existing ancestor a writable directory."""
+    probe = Path(text)
     while not probe.exists():
         probe = probe.parent
     if not probe.is_dir() or not os.access(probe, os.W_OK | os.X_OK):
         raise CliConfigError(f"--out: cannot create directory {text}")
-    return out
 
 
 def _hidden_sizes(text: str):
