@@ -32,16 +32,21 @@ pool = ssfa.build_pool(queries, eval_clips, n_per_video=5, seed=4)
 z_pool = ssfa.embed(params, pool.frames)
 ranks = ssfa.seqcomp_ranks(queries, pool, params)
 
+
+def where(row):
+    """(clip id, frame number) of a corpus row."""
+    c = int(np.searchsorted(eval_clips.starts, row, "right")) - 1
+    return eval_clips.clips[c].clip_id, int(row - eval_clips.starts[c])
+
+
 print(f"\n{len(queries)} queries against a pool of {len(pool)} candidates:")
-for q, rank in zip(queries, ranks):
-    i1 = pool.index_of(q.clip_id, q.t1)
-    i2 = pool.index_of(q.clip_id, q.t2)
-    z_tilde = ssfa.extrapolate(z_pool[i1], z_pool[i2])
+position = {row: i for i, row in enumerate(pool.rows.tolist())}
+for (r1, r2, r3), rank in zip(queries.tolist(), ranks):
+    z_tilde = ssfa.extrapolate(z_pool[position[r1]], z_pool[position[r2]])
     d = np.linalg.norm(z_pool - z_tilde, axis=1)
     order = np.argsort(d, kind="stable")
-    top = ", ".join(f"{pool.provenance[i][0]}[{pool.provenance[i][1]}]" for i in order[:3])
-    print(
-        f"  {q.clip_id}[{q.t1},{q.t2}] -> truth [{q.t3}] ranked {rank:2d}; top-3: {top}"
-    )
+    top = ", ".join("{}[{}]".format(*where(pool.rows[i])) for i in order[:3])
+    (clip_id, t1), (_, t2), (_, t3) = where(r1), where(r2), where(r3)
+    print(f"  {clip_id}[{t1},{t2}] -> truth [{t3}] ranked {rank:2d}; top-3: {top}")
 
 print(f"\nmean percentile rank eta = {ssfa.eta(ranks, len(pool)):.2f} (chance = 50)")

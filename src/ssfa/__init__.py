@@ -26,7 +26,6 @@ from .data import (
 )
 from .evaluate import (
     CandidatePool,
-    QueryPair,
     build_pool,
     embed,
     eta,

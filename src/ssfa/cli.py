@@ -140,12 +140,12 @@ def _write_report(args, name: str, config: dict, eta=None, ranks=None, accuracy=
 
 
 def _creatable_out(text: str) -> None:
-    """Check ``--out`` before any work: it must be a directory or not exist
-    yet, and its nearest existing ancestor a writable directory."""
+    """Check ``--out`` before any work: it must be non-empty, a directory or
+    not exist yet, and its nearest existing ancestor a writable directory."""
     probe = Path(text)
     while not probe.exists():
         probe = probe.parent
-    if not probe.is_dir() or not os.access(probe, os.W_OK | os.X_OK):
+    if not text or not probe.is_dir() or not os.access(probe, os.W_OK | os.X_OK):
         raise CliConfigError(f"--out: cannot create directory {text}")
 
 
@@ -371,7 +371,7 @@ def cmd_gradcheck(args) -> int:
     rows, ok = gradcheck.run_gradcheck(seed=args.seed, points=args.points)
     text = gradcheck.format_report(rows)
     print(text, end="")
-    if args.out:
+    if args.out is not None:
         data.write_atomic(_echo_config(args) / "gradcheck.csv", text)
     if not ok:
         print("gradient check FAILED", file=sys.stderr)

@@ -42,6 +42,11 @@ class ManifestError(ValueError):
     """Malformed or unresolvable dataset manifest."""
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 def _image_stack(images) -> np.ndarray:
     """``images`` (an array, viewed, or a sequence of same-sized images,
     stacked) as a read-only (n, height, width) float64 array. Any other
@@ -49,8 +54,7 @@ def _image_stack(images) -> np.ndarray:
     arr = np.asarray(images, dtype=np.float64).view()
     if arr.ndim != 3 or 0 in arr.shape[1:]:
         raise ValueError(f"expected an (n, height, width) image stack, got shape {arr.shape}")
-    arr.flags.writeable = False
-    return arr
+    return _read_only(arr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,17 +121,18 @@ class UnlabeledSet:
             dupes = sorted({i for i in ids if ids.count(i) > 1})
             raise ValueError(f"duplicate clip ids: {dupes}")
 
-    def clip_map(self) -> dict:
-        return {c.clip_id: c for c in self.clips}
+    @cached_property
+    def starts(self) -> np.ndarray:
+        """The corpus rows: clip c's frame t is row ``starts[c] + t`` of :attr:`table`,
+        and ``starts[-1]`` is the frame count. Read-only intp, one per clip, plus one."""
+        return _read_only(np.cumsum([0] + [len(c.frames) for c in self.clips], dtype=np.intp))
 
     @cached_property
     def table(self) -> np.ndarray:
-        """Every frame preprocessed and flattened, clip after clip, one row
-        per frame. Built once per corpus and read-only, so every resolved
-        tuple set of this corpus shares it."""
-        X = prep_stack([f for clip in self.clips for f in clip.frames])
-        X.flags.writeable = False
-        return X
+        """Every frame preprocessed and flattened, one row per corpus row
+        (see :attr:`starts`). Built once per corpus and read-only, so every
+        resolved tuple set of this corpus shares it."""
+        return _read_only(prep_stack([f for clip in self.clips for f in clip.frames]))
 
 
 def prep_stack(images) -> np.ndarray:

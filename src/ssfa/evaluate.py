@@ -15,52 +15,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import PREP_BLOCK_BYTES, LabeledSet, UnlabeledSet, prep_stack
+from .data import PREP_BLOCK_BYTES, LabeledSet, UnlabeledSet, _read_only, prep_stack
 from .mining import clip_window, triplet_positives
 from .network import NetworkParams, forward
 
 
-@dataclass(frozen=True)
-class QueryPair:
-    """Observed frames (t1, t2) and the ground-truth completion t3 of an
-    evenly spaced in-sequence triplet."""
-
-    clip_id: str
-    t1: int
-    t2: int
-    t3: int
-
-    def __post_init__(self):
-        if not 0 <= self.t1 < self.t2 < self.t3:
-            raise ValueError(f"query indices must increase: {(self.t1, self.t2, self.t3)}")
-        if self.t2 - self.t1 != self.t3 - self.t2:
-            raise ValueError(f"query must be evenly spaced: {(self.t1, self.t2, self.t3)}")
-
-
 @dataclass(frozen=True, eq=False)
 class CandidatePool:
-    """Pool frames, each a (height, width) view of its corpus frame, with
-    (clip_id, frame index) provenance."""
+    """Pool frames, each a (height, width) view of its corpus frame, and
+    their distinct corpus rows (:attr:`UnlabeledSet.starts`), read-only intp."""
 
     frames: tuple
-    provenance: tuple
+    rows: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "frames", tuple(self.frames))
-        object.__setattr__(self, "provenance", tuple(self.provenance))
-        if len(self.frames) != len(self.provenance):
-            raise ValueError("frames and provenance misaligned")
-        if len(set(self.provenance)) != len(self.provenance):
-            raise ValueError("duplicate provenance entries in pool")
-        object.__setattr__(
-            self, "_index", {key: i for i, key in enumerate(self.provenance)}
-        )
+        object.__setattr__(self, "rows", _read_only(np.array(self.rows, np.intp).reshape(-1)))
+        rows = self.rows.tolist()
+        if not len(self.frames) == len(rows) == len(set(rows)) or min(rows, default=0) < 0:
+            raise ValueError("a pool needs one frame per distinct corpus row (>= 0)")
 
     def __len__(self):
         return len(self.frames)
-
-    def index_of(self, clip_id: str, t: int):
-        return self._index.get((clip_id, t))
 
 
 def embed(params: NetworkParams, images) -> np.ndarray:
@@ -94,45 +70,40 @@ def extrapolate(z1, z2) -> np.ndarray:
 
 def make_queries(u: UnlabeledSet, T_seconds: float, max_queries: int, seed: int):
     """Sample evenly spaced in-sequence triplets (spacing in [1, T_frames])
-    as completion queries, uniformly over the corpus, seeded."""
+    as completion queries, uniformly over the corpus, seeded: an (n, 3) intp
+    array of corpus rows (:attr:`UnlabeledSet.starts`), t1, t2 and truth t3."""
     if not (math.isfinite(T_seconds) and T_seconds > 0):
         raise ValueError(f"T_seconds must be finite and > 0, got {T_seconds}")
     if max_queries < 1:
         raise ValueError(f"max_queries must be >= 1, got {max_queries}")
-    clip_ids, rows = [], []
-    for clip in u.clips:
-        pos = triplet_positives(len(clip.frames), clip_window(T_seconds, clip))
-        # candidate order: by spacing, then first frame
-        rows.append(pos[np.lexsort((pos[:, 0], pos[:, 1] - pos[:, 0]))])
-        clip_ids += [clip.clip_id] * len(pos)
-    rows = np.concatenate(rows)
+    pos = (triplet_positives(len(c.frames), clip_window(T_seconds, c)) for c in u.clips)
+    # candidate order: by clip, then spacing, then first frame
+    rows = np.concatenate([start + p[np.lexsort((p[:, 0], p[:, 1] - p[:, 0]))]
+                           for start, p in zip(u.starts, pos)])
     if not len(rows):
         raise ValueError("no clip admits a completion query for this window")
-    rng = np.random.default_rng(seed)
-    pick = rng.permutation(len(rows))[: max_queries]
-    return [QueryPair(clip_ids[i], *map(int, rows[i])) for i in pick]
+    return rows[np.random.default_rng(seed).permutation(len(rows))[: max_queries]]
 
 
 def build_pool(queries, u: UnlabeledSet, n_per_video: int, seed: int) -> CandidatePool:
-    """Candidate pool: every unique query frame and ground-truth frame,
-    plus n_per_video seeded-random distractor frames from each clip
-    represented among the queries. Duplicates are dropped."""
+    """Candidate pool: every query row (frames and truth), then n_per_video
+    seeded-random distractor frames from each clip the queries touch, drawn in
+    clip id order. A repeated row keeps its first place."""
     if n_per_video < 0:
         raise ValueError("n_per_video must be >= 0")
-    clips = u.clip_map()
-    keys = {}  # (clip id, frame) in insertion order; a repeat keeps its first place
-    for q in queries:
-        if q.clip_id not in clips:
-            raise ValueError(f"query references unknown clip {q.clip_id!r}")
-        for t in (q.t1, q.t2, q.t3):
-            keys[q.clip_id, t] = None
+    q = np.asarray(queries, dtype=np.intp).reshape(-1)
+    if len(q) and not 0 <= q.min() <= q.max() < u.starts[-1]:
+        raise ValueError(f"query rows must lie in [0, {u.starts[-1]}), the corpus's frames")
+    rows = dict.fromkeys(q.tolist())
     rng = np.random.default_rng(seed)
-    for cid in sorted({q.clip_id for q in queries}):
-        n_frames = len(clips[cid].frames)
-        for t in rng.permutation(n_frames)[: min(n_per_video, n_frames)]:
-            keys[cid, int(t)] = None
-    frames = tuple(clips[cid].frames[t] for cid, t in keys)
-    return CandidatePool(frames, tuple(keys))
+    clips = set((np.searchsorted(u.starts, q, "right") - 1).tolist())
+    for c in sorted(clips, key=lambda c: u.clips[c].clip_id):
+        pick = rng.permutation(len(u.clips[c].frames))[:n_per_video]
+        rows.update(dict.fromkeys((u.starts[c] + pick).tolist()))
+    rows = np.fromiter(rows, np.intp, len(rows))
+    clip = np.searchsorted(u.starts, rows, "right") - 1
+    frames = (u.clips[c].frames[t] for c, t in zip(clip, rows - u.starts[clip]))
+    return CandidatePool(frames, rows)
 
 
 def truth_ranks(z_pool: np.ndarray, z_tilde: np.ndarray, gt) -> np.ndarray:
@@ -154,16 +125,16 @@ def truth_ranks(z_pool: np.ndarray, z_tilde: np.ndarray, gt) -> np.ndarray:
 
 
 def seqcomp_ranks(queries, pool: CandidatePool, params: NetworkParams):
-    """Ranks for many queries, embedding the pool once."""
+    """Ranks for many queries (rows of :func:`make_queries`), embedding the pool once."""
+    q = np.asarray(queries, dtype=np.intp).reshape(-1, 3)
+    for cols, what in (([2], "ground truth"), ([0, 1], "query frames")):
+        miss = np.flatnonzero(~np.isin(q[:, cols], pool.rows).all(axis=1))
+        if len(miss):
+            raise ValueError(f"{what} {q[miss[0], cols].tolist()} of query {miss[0]} not in pool")
+    at = np.empty(pool.rows.max(initial=-1) + 1, np.intp)  # pool position of each pool row
+    at[pool.rows] = np.arange(len(pool))
+    idx = at[q]
     z_pool = embed(params, pool.frames)
-    idx = np.empty((len(queries), 3), dtype=np.intp)
-    for row, q in zip(idx, queries):
-        i1, i2, gt = (pool.index_of(q.clip_id, t) for t in (q.t1, q.t2, q.t3))
-        if gt is None:
-            raise ValueError(f"ground truth {(q.clip_id, q.t3)} not in pool")
-        if i1 is None or i2 is None:
-            raise ValueError(f"query frames of {q} not in pool")
-        row[:] = i1, i2, gt
     z_tilde = extrapolate(z_pool[idx[:, 0]], z_pool[idx[:, 1]])
     return truth_ranks(z_pool, z_tilde, idx[:, 2]).tolist()
 

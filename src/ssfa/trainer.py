@@ -125,8 +125,8 @@ def nesterov_step(theta, velocity, look, grad_fn, lr: float, momentum: float) ->
 
 def _resolve(u: UnlabeledSet, samples, members):
     """(frames, idx, p): ``frames`` is ``u.table``, every frame of ``u``
-    preprocessed, clip after clip, and the same object for every call on
-    ``u``; row i of ``idx`` holds the ``frames`` rows of sample i's
+    preprocessed, and the same object for every call on ``u``; row i of
+    ``idx`` holds the corpus rows (``u.starts``) of sample i's
     ``members``; ``p`` the int64 labels. The first sample naming an unknown
     clip or a frame past its clip's end raises ValueError."""
     n = len(samples)
@@ -134,7 +134,7 @@ def _resolve(u: UnlabeledSet, samples, members):
     # an unknown clip indexes the trailing 0-frame entry, so every frame it
     # names is past its end; a frame beyond intp is past every clip's end
     clip = np.fromiter((clip_of.get(s.clip_id, -1) for s in samples), np.intp, n)
-    length = np.array([len(c.frames) for c in u.clips] + [0], dtype=np.intp)
+    length = np.append(np.diff(u.starts), 0)
     top = np.iinfo(np.intp).max
     idx = np.empty((n, len(members)), dtype=np.intp)
     for col, m in enumerate(members):
@@ -146,7 +146,7 @@ def _resolve(u: UnlabeledSet, samples, members):
         if clip[i] < 0:
             raise ValueError(f"tuple {s} names unknown clip {s.clip_id!r}")
         raise ValueError(f"tuple {s} names a frame past the end of its {length[clip[i]]}-frame clip")
-    idx += (np.cumsum(length) - length)[clip, None]
+    idx += u.starts[clip, None]
     return u.table, idx, np.fromiter((s.p for s in samples), np.int64, n)
 
 

@@ -185,13 +185,15 @@ def test_failed_train_leaves_no_out_behind(pipeline, tmp_path, capsys):
     ["gradcheck", "--points", "1"],
 ], ids=lambda argv: argv[0])
 def test_every_subcommand_rejects_an_out_it_cannot_create_before_any_work(tmp_path, capsys,
-                                                                          argv):
+                                                                          monkeypatch, argv):
     # a file in the way of --out must be found before the inputs are read or
-    # any work is done, not after a long run
+    # any work is done, not after a long run; an empty --out is no directory
+    # either, and must not stand for the working directory
+    monkeypatch.chdir(tmp_path)
     blocker = tmp_path / "file"
     blocker.write_text("x")
-    for out in (blocker, blocker / "run"):
-        assert main(argv + ["--out", str(out)]) == 2
+    for out in (str(blocker), str(blocker / "run"), ""):
+        assert main(argv + ["--out", out]) == 2
         assert f"--out: cannot create directory {out}" in capsys.readouterr().err
     assert blocker.read_text() == "x"
     assert os.listdir(tmp_path) == ["file"]

@@ -8,7 +8,6 @@ from ssfa.cli import _write_report
 from ssfa.data import PREP_BLOCK_BYTES, Clip, LabeledSet, UnlabeledSet, _text_table, prep_stack
 from ssfa.evaluate import (
     CandidatePool,
-    QueryPair,
     build_pool,
     embed,
     eta,
@@ -61,21 +60,25 @@ def test_extrapolate_chains_along_a_line():
 def test_make_queries_structure_and_determinism():
     u = clip_corpus([12, 9])
     qs = make_queries(u, T_seconds=2.0, max_queries=15, seed=3)
-    assert len(qs) == 15
-    for q in qs:
-        assert q.t2 - q.t1 == q.t3 - q.t2 <= 2
-    assert qs == make_queries(u, 2.0, 15, seed=3)
-    assert qs != make_queries(u, 2.0, 15, seed=4)
+    assert qs.shape == (15, 3) and qs.dtype == np.intp
+    clip = np.searchsorted(u.starts, qs, "right") - 1
+    assert (clip == clip[:, :1]).all()  # all three rows of one clip
+    assert ((qs[:, 1] - qs[:, 0] == qs[:, 2] - qs[:, 1]) & (qs[:, 1] - qs[:, 0] >= 1)).all()
+    assert (qs[:, 1] - qs[:, 0] <= 2).all()
+    np.testing.assert_array_equal(qs, make_queries(u, 2.0, 15, seed=3))
+    assert not np.array_equal(qs, make_queries(u, 2.0, 15, seed=4))
 
 
 def _make_queries_loop(u, T_seconds, max_queries, seed):
-    """The nested-loop enumerator that make_queries replaced."""
-    cands = []
+    """The nested-loop enumerator that make_queries replaced, numbering the
+    corpus rows itself."""
+    cands, base = [], 0
     for clip in u.clips:
         tf = window_frames(T_seconds, clip.frame_period)
         for s in range(1, tf + 1):
             for t1 in range(len(clip.frames) - 2 * s):
-                cands.append(QueryPair(clip.clip_id, t1, t1 + s, t1 + 2 * s))
+                cands.append((base + t1, base + t1 + s, base + t1 + 2 * s))
+        base += len(clip.frames)
     pick = np.random.default_rng(seed).permutation(len(cands))[:max_queries]
     return [cands[i] for i in pick]
 
@@ -86,7 +89,7 @@ def test_make_queries_matches_nested_loop(corpus):
     for T in (1.0, 2.0, 3.5):
         for cap in (100, 10**9):  # 10**9 keeps every candidate, in drawn order
             expect = _make_queries_loop(u, T, cap, seed=1)
-            assert make_queries(u, T, cap, seed=1) == expect
+            assert make_queries(u, T, cap, seed=1).tolist() == [list(q) for q in expect]
 
 
 def test_make_queries_rejects_non_finite_window_and_clamps_a_huge_one():
@@ -95,7 +98,8 @@ def test_make_queries_rejects_non_finite_window_and_clamps_a_huge_one():
         with pytest.raises(ValueError, match="finite and > 0"):
             make_queries(u, T, 10, seed=1)
     # every spacing fits in a 12-frame window already
-    assert make_queries(u, 1e300, 10**9, seed=1) == make_queries(u, 12.0, 10**9, seed=1)
+    np.testing.assert_array_equal(make_queries(u, 1e300, 10**9, seed=1),
+                                  make_queries(u, 12.0, 10**9, seed=1))
 
 
 @pytest.mark.parametrize("max_queries", [0, -5])
@@ -107,42 +111,53 @@ def test_make_queries_rejects_fewer_than_one_query(max_queries):
         make_queries(u, 2.0, max_queries, seed=1)
 
 
-def test_query_pair_validation():
-    QueryPair("c", 0, 2, 4)
-    with pytest.raises(ValueError):
-        QueryPair("c", 0, 2, 5)
-    with pytest.raises(ValueError):
-        QueryPair("c", 2, 2, 2)
-
-
 def test_build_pool_minimal_is_queries_plus_truths():
     u = clip_corpus([12])
-    qs = [QueryPair("c0", 0, 1, 2), QueryPair("c0", 1, 2, 3)]
-    pool = build_pool(qs, u, n_per_video=0, seed=0)
-    # unique frames 0,1,2,3 of clip c0
-    assert sorted(pool.provenance) == [("c0", 0), ("c0", 1), ("c0", 2), ("c0", 3)]
+    pool = build_pool(np.array([[0, 1, 2], [1, 2, 3]]), u, n_per_video=0, seed=0)
+    # unique rows 0, 1, 2, 3 of clip c0, in first-seen order
+    assert pool.rows.tolist() == [0, 1, 2, 3] and len(pool) == 4
+    assert pool.rows.dtype == np.intp and not pool.rows.flags.writeable
 
 
 def test_build_pool_adds_distractors_and_dedupes():
     u = clip_corpus([12, 12])
-    qs = [QueryPair("c0", 0, 1, 2), QueryPair("c1", 4, 5, 6)]
+    qs = np.array([[0, 1, 2], [12 + 4, 12 + 5, 12 + 6]])
     pool = build_pool(qs, u, n_per_video=5, seed=1)
-    assert len(set(pool.provenance)) == len(pool)
-    per_clip = {"c0": 0, "c1": 0}
-    for cid, _ in pool.provenance:
-        per_clip[cid] += 1
-    # at least the query frames plus up to 5 distractors each
-    assert per_clip["c0"] >= 3 and per_clip["c1"] >= 3
-    assert pool.provenance == build_pool(qs, u, 5, seed=1).provenance
+    assert len(np.unique(pool.rows)) == len(pool)
+    assert pool.rows[:6].tolist() == qs.ravel().tolist()
+    per_clip = np.bincount(np.searchsorted(u.starts, pool.rows, "right") - 1, minlength=2)
+    # the query frames plus up to 5 distractors each
+    assert (3 <= per_clip).all() and (per_clip <= 3 + 5).all()
+    np.testing.assert_array_equal(pool.rows, build_pool(qs, u, 5, seed=1).rows)
     # reference distractor counts from the real protocols are accepted
     for n in (5, 10):
         build_pool(qs, u, n_per_video=n, seed=0)
 
 
-def test_build_pool_unknown_clip():
+def test_build_pool_draws_distractors_in_clip_id_order():
+    # corpus order c0, c1 against id order "a" < "b": the draw follows the ids
+    rng = np.random.default_rng(0)
+    u = UnlabeledSet([Clip(cid, rng.uniform(0, 1, (12, 2, 3)), 1.0) for cid in ("b", "a")])
+    pool = build_pool(np.array([[0, 1, 2], [12, 13, 14]]), u, n_per_video=4, seed=5)
+    draw = np.random.default_rng(5)
+    want = [0, 1, 2, 12, 13, 14]
+    for start in (12, 0):
+        want += [r for r in (start + draw.permutation(12)[:4]).tolist() if r not in want]
+    assert pool.rows.tolist() == want
+
+
+@pytest.mark.parametrize("row", [-1, 12])
+def test_build_pool_rejects_a_row_outside_the_corpus(row):
     u = clip_corpus([12])
-    with pytest.raises(ValueError, match="unknown clip"):
-        build_pool([QueryPair("zzz", 0, 1, 2)], u, 0, 0)
+    with pytest.raises(ValueError, match=r"query rows must lie in \[0, 12\)"):
+        build_pool(np.array([[0, 1, row]]), u, 0, 0)
+
+
+def test_candidate_pool_needs_one_frame_per_distinct_corpus_row():
+    frames = clip_corpus([3]).clips[0].frames
+    for rows in ([0, 1], [0, 0, 1], [0, 1, -1]):  # misaligned, a repeat, not a corpus row
+        with pytest.raises(ValueError, match="one frame per distinct corpus row"):
+            CandidatePool(frames, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -238,10 +253,12 @@ def test_pool_frames_are_views_of_the_corpus():
     u = clip_corpus([12, 10], seed=3)
     qs = make_queries(u, 2.0, 6, seed=1)
     pool = build_pool(qs, u, 2, seed=2)
-    clips = u.clip_map()
-    for frame, (cid, t) in zip(pool.frames, pool.provenance, strict=True):
-        assert frame.base is not None and np.shares_memory(frame, clips[cid].frames)
-        assert frame.tobytes() == clips[cid].frames[t].tobytes()
+    for frame, row in zip(pool.frames, pool.rows, strict=True):
+        c = int(np.searchsorted(u.starts, row, "right")) - 1
+        frames = u.clips[c].frames
+        assert frame.base is not None and np.shares_memory(frame, frames)
+        assert frame.tobytes() == frames[row - u.starts[c]].tobytes()
+        assert prep_stack([frame]).tobytes() == u.table[row].tobytes()
 
 
 def test_seqcomp_rank_matches_independent_embedding_path():
@@ -252,23 +269,41 @@ def test_seqcomp_rank_matches_independent_embedding_path():
     qs = make_queries(u, 2.0, 8, seed=5)
     pool = build_pool(qs, u, 3, seed=6)
     Z, _ = forward(params, prep_stack(pool.frames))
-    for q in qs:
-        i1 = pool.provenance.index((q.clip_id, q.t1))
-        i2 = pool.provenance.index((q.clip_id, q.t2))
-        gt = pool.provenance.index((q.clip_id, q.t3))
+    rows = pool.rows.tolist()
+    for q in qs.tolist():
+        i1, i2, gt = (rows.index(r) for r in q)
         zt = 2.0 * Z[i2] - Z[i1]
         d = np.linalg.norm(Z - zt, axis=1)
         brute = 1 + int(np.sum(d < d[gt]))
         assert seqcomp_ranks([q], pool, params) == [brute]
 
 
+def _pool_of(u, rows):
+    """A pool of the given rows of a one-clip corpus."""
+    return CandidatePool([u.clips[0].frames[r] for r in rows], rows)
+
+
 def test_seqcomp_rank_requires_ground_truth_in_pool():
     u = clip_corpus([8])
-    pool = CandidatePool(
-        (u.clips[0].frames[0], u.clips[0].frames[1]), (("c0", 0), ("c0", 1))
-    )
+    with pytest.raises(ValueError, match=r"ground truth \[2\] of query 0 not in pool"):
+        seqcomp_ranks([[0, 1, 2]], _pool_of(u, [0, 1]), identity_net(6))
+
+
+def test_seqcomp_rank_requires_query_frames_in_pool():
+    # the pool holds the truth and the second frame, not the first
+    u = clip_corpus([8])
+    with pytest.raises(ValueError, match=r"query frames \[0, 1\] of query 1 not in pool"):
+        seqcomp_ranks([[1, 2, 3], [0, 1, 2]], _pool_of(u, [1, 2, 3]), identity_net(6))
+
+
+def test_seqcomp_rank_reports_a_missing_truth_before_missing_frames():
+    u = clip_corpus([8])
     with pytest.raises(ValueError, match="ground truth"):
-        seqcomp_ranks([QueryPair("c0", 0, 1, 2)], pool, identity_net(6))
+        seqcomp_ranks([[0, 1, 2]], _pool_of(u, [1]), identity_net(6))
+
+
+def test_seqcomp_ranks_of_no_queries_on_an_empty_pool():
+    assert seqcomp_ranks(np.empty((0, 3), np.intp), CandidatePool((), ()), identity_net(6)) == []
 
 
 def test_seqcomp_ranks_matches_single_query_path():
@@ -277,7 +312,7 @@ def test_seqcomp_ranks_matches_single_query_path():
     pool = build_pool(qs, u, 4, seed=2)
     params = init_glorot(LayerSpec((6, 5, 4)), 3)
     batch = seqcomp_ranks(qs, pool, params)
-    singles = [seqcomp_ranks([q], pool, params)[0] for q in qs]
+    singles = [seqcomp_ranks(q[None], pool, params)[0] for q in qs]
     assert batch == singles
 
 

@@ -209,7 +209,7 @@ def test_resolve_pairs_produces_preprocessed_rows():
     assert frames.shape == (sum(len(c.frames) for c in u.clips), 64)
     assert idx.shape == (len(samples), 2) and len(p) == len(samples)
     s = samples[3]
-    clip = u.clip_map()[s.clip_id]
+    clip = next(c for c in u.clips if c.clip_id == s.clip_id)
     np.testing.assert_allclose(frames[idx[3, 0]], prep_stack([clip.frames[s.j]])[0])
     np.testing.assert_allclose(frames[idx[3, 1]], prep_stack([clip.frames[s.k]])[0])
 
@@ -221,8 +221,26 @@ def test_resolve_triplets_ordering():
     frames, idx, p = resolve_triplets(u, samples)
     assert idx.shape == (len(samples), 3)
     s = samples[0]
-    clip = u.clip_map()[s.clip_id]
+    clip = next(c for c in u.clips if c.clip_id == s.clip_id)
     np.testing.assert_allclose(frames[idx[0, 1]], prep_stack([clip.frames[s.m]])[0])
+
+
+def test_starts_is_the_one_corpus_numbering():
+    # clip c's frame t is table row starts[c] + t, and resolved tuples name
+    # the same rows
+    u = UnlabeledSet([Clip(f"c{i}", np.random.default_rng(i).uniform(0, 1, (n, 4, 3)), 1.0)
+                      for i, n in enumerate((5, 1, 7))])
+    assert u.starts.tolist() == [0, 5, 6, 13] and u.starts.dtype == np.intp
+    assert not u.starts.flags.writeable and u.starts is u.starts
+    for c, clip in enumerate(u.clips):
+        for t in range(len(clip.frames)):
+            row = u.table[u.starts[c] + t]
+            assert row.tobytes() == prep_stack(clip.frames[t:t + 1])[0].tobytes()
+    samples = [PairSample("c2", 6, 0, 1), PairSample("c0", 4, 2, 0), PairSample("c2", 3, 1, 0)]
+    _, idx, _ = resolve_pairs(u, samples)
+    for s, got in zip(samples, idx):
+        clip = [c.clip_id for c in u.clips].index(s.clip_id)
+        assert got.tolist() == (u.starts[clip] + np.array([s.j, s.k])).tolist()
 
 
 def test_resolve_shares_one_table_per_corpus(monkeypatch):
