@@ -151,9 +151,12 @@ def _creatable_out(text: str) -> None:
 
 def _hidden_sizes(text: str):
     try:
-        return tuple(_integer(t.strip()) for t in text.split(",") if t.strip())
+        sizes = tuple(_integer(t.strip()) for t in text.split(",") if t.strip())
     except argparse.ArgumentTypeError:
-        raise CliConfigError(f"--hidden: bad hidden layer list {text!r}") from None
+        sizes = None
+    if sizes is None or min(sizes, default=1) < 1:
+        raise CliConfigError(f"--hidden: bad hidden layer list {text!r}, expected widths >= 1")
+    return sizes
 
 
 def _load_manifest(path, flag: str, labeled: bool):
@@ -212,7 +215,6 @@ def cmd_fixtures(args) -> int:
 def cmd_mine(args) -> int:
     from . import mining
 
-    u = _load_manifest(args.data, "--data", labeled=False)
     cfg = mining.MiningConfig(
         T_seconds=args.T,
         pair_neg_ratio=args.pair_neg_ratio,
@@ -221,20 +223,17 @@ def cmd_mine(args) -> int:
         max_triplets=args.max_triplets,
         seed=args.seed,
     )
+    u = _load_manifest(args.data, "--data", labeled=False)
     # mined before anything is written: a failed mining writes nothing
     pairs = mining.mine_pairs(u, cfg)
     triplets = mining.mine_triplets(u, cfg)
     out = _echo_config(args)
     mining.save_tuples(out / "pairs.txt", pairs, cfg)
     mining.save_tuples(out / "triplets.txt", triplets, cfg)
-    n_pos = sum(p.p for p in pairs)
-    t_pos = sum(t.p for t in triplets)
-
-    def ratio(total, pos):
-        return f"1:{(total - pos) / pos:.2f}" if pos else "n/a"
-
-    print(f"pairs: {len(pairs)} (positives {n_pos}, achieved ratio {ratio(len(pairs), n_pos)})")
-    print(f"triplets: {len(triplets)} (positives {t_pos}, achieved ratio {ratio(len(triplets), t_pos)})")
+    for kind, tuples in (("pairs", pairs), ("triplets", triplets)):
+        pos = sum(s.p for s in tuples)
+        ratio = f"1:{(len(tuples) - pos) / pos:.2f}" if pos else "n/a"
+        print(f"{kind}: {len(tuples)} (positives {pos}, achieved ratio {ratio})")
     return 0
 
 
@@ -294,8 +293,10 @@ def cmd_train(args) -> int:
     from . import losses, network, trainer
 
     hidden = _hidden_sizes(args.hidden)
-    labeled = _load_manifest(args.labeled, "--labeled", labeled=True)
+    if args.dim < 1:
+        raise CliConfigError(f"--dim: expected a width >= 1, got {args.dim}")
     cfg = _train_config(args, losses, trainer)
+    labeled = _load_manifest(args.labeled, "--labeled", labeled=True)
 
     pairs, triplets = _train_tuples(args, cfg) if cfg.lam > 0 else (None, None)
 

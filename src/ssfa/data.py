@@ -18,7 +18,7 @@ import numpy as np
 
 STD_FLOOR = 1e-8
 # bytes of rows per block of the memory-bounded passes (embed, synth's fill,
-# truth_ranks; prep_stack takes an eighth of it), at least one row
+# truth_ranks; prep_stack and kNN's distances take an eighth), at least one row
 PREP_BLOCK_BYTES = 1 << 20
 
 UNLABELED_MANIFEST = "unlabeled.txt"

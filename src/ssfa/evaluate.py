@@ -39,22 +39,24 @@ class CandidatePool:
         return len(self.frames)
 
 
+def _blocks(n: int, row_bytes: int, block_bytes: int):
+    """(start, stop) of the blocks of ``block_bytes`` of rows (at least one)
+    of a GEMM pass over n rows. A tail under a quarter block joins the last:
+    a short GEMM block can take a BLAS kernel with other low-order bits (with
+    this rule, blocks were bit-equal to one pass on OpenBLAS 0.3.31)."""
+    rows = max(1, block_bytes // row_bytes)
+    edges = [0, *range(rows, n - max(1, rows // 4) + 1, rows), n] if n else [0]
+    return zip(edges, edges[1:])
+
+
 def embed(params: NetworkParams, images) -> np.ndarray:
     """Preprocess, flatten and map images (see :func:`prep_stack`) to an
-    (n, k) array of feature rows, (0, k) for no images.
-
-    Blocks of ``PREP_BLOCK_BYTES`` of input rows (at least one row) are
-    standardized and forwarded one at a time. A tail under a quarter block
-    joins the last block: a short trailing GEMM block can take another
-    BLAS kernel, with other low-order bits. With that rule the features
-    were bit-equal to one pass over the whole set at 256-25-25, 256-25-16
-    and 1024-256-64 on OpenBLAS 0.3.31 (scipy-openblas wheel, 2-core Xeon);
-    another BLAS build may pick its kernels at other row counts."""
+    (n, k) array of feature rows, (0, k) for no images, standardizing and
+    forwarding one :func:`_blocks` block of ``PREP_BLOCK_BYTES`` of input
+    rows at a time: the features are bit-equal to one pass over the set."""
     n = len(images)
-    rows = max(1, PREP_BLOCK_BYTES // (8 * np.size(images[0]))) if n else 1
-    edges = [0, *range(rows, n - max(1, rows // 4) + 1, rows), n] if n else [0]
     z = np.empty((n, params.layer_spec().out_dim))
-    for a, b in zip(edges, edges[1:]):
+    for a, b in _blocks(n, 8 * np.size(images[0]) if n else 1, PREP_BLOCK_BYTES):
         z[a:b] = forward(params, prep_stack(images[a:b]))[0]
     return z
 
@@ -159,9 +161,23 @@ def linear_accuracy(params: NetworkParams, W, test: LabeledSet) -> float:
     return float(np.mean(preds == np.array(test.labels)))
 
 
+def _neighbour_labels(zt: np.ndarray, yt: np.ndarray, zq: np.ndarray, k: int) -> np.ndarray:
+    """Each query's k nearest reference labels, nearest first (stable), in an
+    (n_query, k) array, from the squared distances of one whole matrix formed
+    one :func:`_blocks` block of an eighth of ``PREP_BLOCK_BYTES`` at a time."""
+    t_norms = np.sum(zt * zt, axis=1)
+    nbr = np.empty((len(zq), k), dtype=yt.dtype)
+    for a, b in _blocks(len(zq), 8 * len(zt), PREP_BLOCK_BYTES // 8):
+        q = zq[a:b]
+        d2 = np.sum(q * q, axis=1)[:, None] + t_norms
+        d2 -= (2.0 * q) @ zt.T
+        nbr[a:b] = yt[np.argsort(d2, axis=1, kind="stable")[:, :k]]
+    return nbr
+
+
 def knn_accuracy(params: NetworkParams, train: LabeledSet, test: LabeledSet,
                  k: int = 5) -> float:
-    """Majority vote among the k nearest training features (Euclidean).
+    """Majority vote among the k nearest training features (Euclidean), by blocks of distances.
 
     Vote ties go to the class of the nearest neighbor among the tied
     classes. A test image that is also in ``train`` is its own neighbor.
@@ -172,15 +188,8 @@ def knn_accuracy(params: NetworkParams, train: LabeledSet, test: LabeledSet,
         raise ValueError(f"need at least k={k} training items, have {len(train)}")
     if len(test) == 0:
         raise ValueError("empty test set")
-    zt = embed(params, train.images)
-    zq = embed(params, test.images)
     yt = np.array(train.labels)
-    d2 = (
-        np.sum(zq * zq, axis=1)[:, None]
-        + np.sum(zt * zt, axis=1)[None, :]
-        - 2.0 * zq @ zt.T
-    )
-    nbr = yt[np.argsort(d2, axis=1, kind="stable")[:, :k]]
+    nbr = _neighbour_labels(embed(params, train.images), yt, embed(params, test.images), k)
     # votes per (query, class), then each neighbor's class's votes: the
     # vote is the first neighbor whose class has the most votes
     q, classes = np.arange(len(nbr))[:, None], int(yt.max()) + 1

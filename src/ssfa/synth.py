@@ -23,16 +23,18 @@ SHAPE_NAMES = ("blob", "hbar", "vbar", "ring")
 # streams use indices 0..num_clips-1).
 _LABELED_STREAM = 0x4C41424C
 
+# a clip's (x, y) velocities in whole cells per frame, drawn per clip (steady) or step (jerky)
+VELOCITIES = ((1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-1, -1))
+
 
 @dataclass(frozen=True)
 class SynthConfig:
-    """Generator settings; ``velocity_set`` steps are whole cells per frame."""
+    """Generator settings."""
 
     grid: int = 16
     clip_len: int = 20
     num_clips: int = 8
     shapes: int = 4
-    velocity_set: tuple = ((1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-1, -1))
     motion_mode: str = "steady"
     noise_sigma: float = 0.0
     seed: int = 0
@@ -50,12 +52,6 @@ class SynthConfig:
             raise ValueError(f"unknown motion_mode {self.motion_mode!r}")
         if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
             raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
-        if not self.velocity_set:
-            raise ValueError("velocity_set must be nonempty")
-        vel = tuple((float(vx), float(vy)) for vx, vy in self.velocity_set)
-        if not all(v.is_integer() for pair in vel for v in pair):
-            raise ValueError(f"velocity_set must hold whole cells, got {self.velocity_set}")
-        object.__setattr__(self, "velocity_set", vel)
 
 
 def _toroidal_offsets(coords: np.ndarray, center, grid: int) -> np.ndarray:
@@ -109,14 +105,14 @@ def _clip_frames(cfg: SynthConfig, shape_idx: int, crng: Xorshift64Star) -> np.n
     per frame its noise and (jerky) the next velocity."""
     g, n = cfg.grid, cfg.clip_len
     x, y = float(crng.randint(g)), float(crng.randint(g))
-    vx, vy = crng.choice(cfg.velocity_set)
+    vx, vy = crng.choice(VELOCITIES)
     frames, at = np.zeros((n, g, g)), np.empty((n, 2), dtype=np.intp)
     for t in range(n):
         at[t] = y, x
         if cfg.noise_sigma > 0:
             frames[t] = np.reshape(crng.normals(g * g), (g, g))
         if cfg.motion_mode == "jerky":
-            vx, vy = crng.choice(cfg.velocity_set)
+            vx, vy = crng.choice(VELOCITIES)
         x, y = x + vx, y + vy
     # window (i, j) of the tiled render is the render shifted by (g - i, g - j)
     windows = sliding_window_view(np.tile(render_shape(shape_idx, g, 0.0, 0.0), (2, 2)), (g, g))

@@ -163,6 +163,26 @@ def test_train_checks_hidden_before_reading_any_file(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, code, message", [
+    (["mine", "--data", "MISSING", "--T", "0"], 3, "T_seconds must be finite and > 0, got 0.0"),
+    (["train", "--labeled", "MISSING", "--lr", "-1"], 3, "lr must be finite and > 0, got -1.0"),
+    (["train", "--labeled", "MISSING", "--hidden", "0"], 2, "--hidden: bad hidden layer list '0'"),
+    (["train", "--labeled", "MISSING", "--hidden", "25,-3"], 2,
+     "--hidden: bad hidden layer list '25,-3'"),
+    (["train", "--labeled", "MISSING", "--dim", "0"], 2, "--dim: expected a width >= 1, got 0"),
+], ids=["mine_T", "train_lr", "train_hidden_0", "train_hidden_negative", "train_dim_0"])
+def test_flag_values_are_checked_before_any_file_is_read(tmp_path, capsys, argv, code, message):
+    # these were found only once the manifests had loaded, so a missing one
+    # hid them behind "No such file" (and a width below 1 reached LayerSpec,
+    # exit 3, after every manifest and tuple file had been read)
+    out = tmp_path / "o"
+    argv = [str(tmp_path / "missing.txt") if a == "MISSING" else a for a in argv]
+    assert main(argv + ["--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert message in err and "No such file" not in err
+    assert not out.exists()
+
+
 def test_failed_train_leaves_no_out_behind(pipeline, tmp_path, capsys):
     # the config echo was written before training, so a diverged run left
     # run_config.txt behind as if it had produced a model
@@ -231,6 +251,25 @@ def test_eval_commands_write_reports(pipeline):
             "--test", str(data / "labeled.txt"), "--k", "3", "--out", str(ek)])
     rep = json.loads((ek / "knn.json").read_text())
     assert rep["accuracy"]["k"] == 3
+
+
+def test_eval_knn_of_a_set_against_itself_spans_distance_blocks(pipeline, tmp_path):
+    # what `eval-knn --train X --test X` runs; 300 x 300 distances are six
+    # blocks of queries
+    from ssfa.data import PREP_BLOCK_BYTES
+    from ssfa.evaluate import knn_accuracy
+    from ssfa.network import load_checkpoint
+
+    _, _, _, run = pipeline
+    ckpt, data, out = str(run / "checkpoint.ckpt"), tmp_path / "data", tmp_path / "ek"
+    run_ok(["synth", "--out", str(data), "--clips", "0", "--labeled-per-class", "75"])
+    labeled = str(data / "labeled.txt")
+    run_ok(["eval-knn", "--checkpoint", ckpt, "--train", labeled, "--test", labeled,
+            "--out", str(out)])
+    s = load_manifest(labeled)
+    assert 8 * len(s) ** 2 > 5 * (PREP_BLOCK_BYTES // 8)
+    acc = json.loads((out / "knn.json").read_text())["accuracy"]["knn"]
+    assert acc == knn_accuracy(load_checkpoint(ckpt)[0], s, s)
 
 
 @pytest.mark.parametrize("value", ["inf", "nan"])

@@ -8,6 +8,7 @@ from ssfa.cli import _write_report
 from ssfa.data import PREP_BLOCK_BYTES, Clip, LabeledSet, UnlabeledSet, _text_table, prep_stack
 from ssfa.evaluate import (
     CandidatePool,
+    _neighbour_labels,
     build_pool,
     embed,
     eta,
@@ -359,24 +360,57 @@ def test_embed_and_prep_stack_take_no_images():
     assert embed(params, ()).shape == (0, 3)
 
 
+def whole_knn(zt, yt, zq, k):
+    # the kNN of one whole distance matrix, as it was before query blocks:
+    # the k nearest labels and each query's vote
+    d2 = np.sum(zq * zq, axis=1)[:, None] + np.sum(zt * zt, axis=1)[None, :] - 2.0 * zq @ zt.T
+    nbr = yt[np.argsort(d2, axis=1, kind="stable")[:, :k]]
+    votes = []
+    for row in nbr:
+        counts = np.bincount(row)
+        votes.append(next(c for c in row if counts[c] == counts.max()))
+    return nbr, np.array(votes)
+
+
+@pytest.mark.parametrize("sizes, refs", [((256, 25, 25), 40), ((1024, 256, 64), 64),
+                                         ((256, 25, 16), 100)])
+def test_knn_blocks_keep_the_bits_of_one_distance_matrix(sizes, refs):
+    # query counts around the distance block edges and the quarter-block
+    # tail rule (see test_embed_streams_the_bits_of_one_pass). Each
+    # reference has its own label in the neighbour check, so any reordered
+    # neighbour shows.
+    side, k = int(sizes[0] ** 0.5), 5
+    params = init_glorot(LayerSpec(sizes), 3)
+    B = PREP_BLOCK_BYTES // 8 // (8 * refs)
+    rng = np.random.default_rng(sizes[-1])
+    train = LabeledSet(rng.uniform(0, 1, (refs, side, side)), np.arange(refs) % 4, 4)
+    images = rng.uniform(0, 1, (2 * B + 17, side, side))
+    labels = rng.integers(0, 4, len(images))
+    zt, zq = embed(params, train.images), embed(params, images)
+    for n in (B - 1, B, B + 1, B + B // 4 - 1, B + B // 4, 2 * B + 17):
+        want, _ = whole_knn(zt, np.arange(refs), zq[:n], k)
+        assert np.array_equal(_neighbour_labels(zt, np.arange(refs), zq[:n], k), want), n
+        _, vote = whole_knn(zt, np.array(train.labels), zq[:n], k)
+        test = LabeledSet(images[:n], labels[:n], 4)
+        assert knn_accuracy(params, train, test, k) == np.count_nonzero(vote == labels[:n]) / n
+
+
 def test_evaluation_holds_one_block_at_a_time():
-    # a desk-sized kNN: 2000 test and 40 reference images of 16x16 at
-    # 256->25->25. One pass held every test image standardized (4.1 MB)
-    # and its tape.
+    # desk's kNN (2000 test and 40 reference images) and one of many
+    # distance blocks (1200 x 1200), of 16x16 images at 256->25->25. One
+    # pass held every test image standardized (4.1 MB) and its tape; one
+    # distance matrix held 11.5 MB three times over at 1200 x 1200.
     import tracemalloc
 
     spec = LayerSpec((256, 25, 25))
     params = init_glorot(spec, 3)
-    rng = np.random.default_rng(9)
-    test = LabeledSet(rng.uniform(0, 1, (2000, 16, 16)), rng.integers(0, 4, 2000), 4)
-    train = LabeledSet(rng.uniform(0, 1, (40, 16, 16)), np.arange(40) % 4, 4)
     rows = PREP_BLOCK_BYTES // (8 * 256)
     tape = ActivationTape.buffers(spec, rows + rows // 4)  # the largest block's
     # one standardized block (512 rows here, up to 1.25 blocks) with
     # prep_stack's std temporaries of an eighth of a block, a tape, and
     # numpy's 64 KiB ufunc buffer
     held = 1.25 * PREP_BLOCK_BYTES + sum(a.nbytes for a in tape.post + tape.mask) + (128 << 10)
-    distances = 8 * len(test) * len(train)  # one block of distances: all of them here
+    distances = 1.25 * (PREP_BLOCK_BYTES // 8)  # the largest block of distances
 
     def peak(f):
         tracemalloc.start()
@@ -386,9 +420,13 @@ def test_evaluation_holds_one_block_at_a_time():
         finally:
             tracemalloc.stop()
 
-    assert peak(lambda: embed(params, test.images)) <= 8 * 25 * len(test) + held
-    assert peak(lambda: knn_accuracy(params, train, test)) <= (
-        8 * 25 * (len(test) + len(train)) + held + distances)
+    for n_test, n_train in ((2000, 40), (1200, 1200)):
+        rng = np.random.default_rng(9)
+        test = LabeledSet(rng.uniform(0, 1, (n_test, 16, 16)), rng.integers(0, 4, n_test), 4)
+        train = LabeledSet(rng.uniform(0, 1, (n_train, 16, 16)), np.arange(n_train) % 4, 4)
+        assert peak(lambda: embed(params, test.images)) <= 8 * 25 * len(test) + held
+        assert peak(lambda: knn_accuracy(params, train, test)) <= (
+            8 * 25 * (len(test) + len(train)) + held + distances), (n_test, n_train)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ssfa import gradcheck
 from ssfa.gradcheck import (
     HINGE_GAP,
     TOL_COMPOSED,
@@ -16,7 +17,6 @@ from ssfa.gradcheck import (
     run_gradcheck,
 )
 from ssfa.losses import Margins
-from ssfa.network import NetworkParams
 
 
 def test_central_diff_on_quadratic():
@@ -106,18 +106,23 @@ def test_l1_gradients_match_finite_differences():
     assert check_total(rng, 10, margins) <= TOL_COMPOSED
 
 
-def test_injected_sign_flip_is_detected():
-    def flip_theta(grads):
-        theta = NetworkParams(grads["theta"].layer_spec(), grads["theta"].flat.copy())
-        theta.weights[0][...] = -theta.weights[0]
-        return {**grads, "theta": theta}
+def test_injected_sign_flip_is_detected(monkeypatch):
+    # the analytic gradient of the total objective with one block's sign
+    # flipped (grads["theta"] and grads["W"] view grads["flat"])
+    real = gradcheck.total_objective
 
-    def flip_W(grads):
-        return {**grads, "W": -grads["W"]}
+    def flip(block):
+        def flipped(*args, **kwargs):
+            result = real(*args, **kwargs)
+            grad = result.grads["theta"].weights[0] if block == "theta" else result.grads["W"]
+            np.negative(grad, out=grad)
+            return result
+        return flipped
 
-    for corrupt in (flip_theta, flip_W):
-        rows, ok = run_gradcheck(seed=5, points=3, corrupt=corrupt)
-        assert not ok, corrupt.__name__
+    for block in ("theta", "W"):
+        monkeypatch.setattr(gradcheck, "total_objective", flip(block))
+        rows, ok = run_gradcheck(seed=5, points=3)
+        assert not ok, block
         bad = {r.name: r.ok for r in rows}
         assert bad["total_objective"] is False
         assert "FAIL" in format_report(rows)
