@@ -74,7 +74,6 @@ from .trainer import (
     ConfigError,
     OptimizerError,
     SearchError,
-    SearchGrids,
     TrainConfig,
     TrainHistory,
     greedy_cv,

@@ -273,8 +273,6 @@ def _train_tuples(args, cfg):
     training runs."""
     from . import mining, trainer
 
-    if not args.unlabeled or not args.pairs:
-        raise CliConfigError("this method needs --unlabeled and --pairs")
     u = _load_manifest(args.unlabeled, "--unlabeled", labeled=False)
     pair_samples, trip_samples = mining.load_tuples(args.pairs)
     if args.triplets:
@@ -296,6 +294,8 @@ def cmd_train(args) -> int:
     if args.dim < 1:
         raise CliConfigError(f"--dim: expected a width >= 1, got {args.dim}")
     cfg = _train_config(args, losses, trainer)
+    if cfg.lam > 0 and not (args.unlabeled and args.pairs):
+        raise CliConfigError("this method needs --unlabeled and --pairs")
     labeled = _load_manifest(args.labeled, "--labeled", labeled=True)
 
     pairs, triplets = _train_tuples(args, cfg) if cfg.lam > 0 else (None, None)

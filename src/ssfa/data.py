@@ -83,24 +83,27 @@ class Clip:
 @dataclass(frozen=True, eq=False)
 class LabeledSet:
     """Images with integer class labels in [0, num_classes). ``images`` is
-    one read-only (n, height, width) array, as :attr:`Clip.frames` is."""
+    one read-only (n, height, width) array, as :attr:`Clip.frames` is, and
+    ``labels`` one read-only intp array of n labels. Labels of any other
+    dtype (float, bool, str) or shape are a ValueError."""
 
     images: np.ndarray
-    labels: tuple
+    labels: np.ndarray
     num_classes: int
 
     def __post_init__(self):
         object.__setattr__(self, "images", _image_stack(self.images))
-        object.__setattr__(self, "labels", tuple(int(y) for y in self.labels))
-        if len(self.images) != len(self.labels):
-            raise ValueError(
-                f"{len(self.images)} images vs {len(self.labels)} labels"
-            )
+        y = np.array(self.labels)
+        if y.ndim != 1 or (y.size and y.dtype.kind not in "iu"):
+            raise ValueError(f"labels must be 1-D integers, got {y.dtype} of shape {y.shape}")
+        if len(self.images) != len(y):
+            raise ValueError(f"{len(self.images)} images vs {len(y)} labels")
         if self.num_classes < 1:
             raise ValueError("num_classes must be >= 1")
-        for y in self.labels:
-            if not 0 <= y < self.num_classes:
-                raise ValueError(f"label {y} out of range [0, {self.num_classes})")
+        bad = y[(y < 0) | (y >= self.num_classes)]
+        if bad.size:
+            raise ValueError(f"label {bad[0]} out of range [0, {self.num_classes})")
+        object.__setattr__(self, "labels", _read_only(y.astype(np.intp, copy=False)))
 
     def __len__(self):
         return len(self.images)
@@ -378,7 +381,7 @@ def _load_labeled(path: Path, lines) -> LabeledSet:
         labels.append(label)
     if not entries:
         raise ManifestError(f"{path}: labeled set is empty")
-    return LabeledSet(_load_images(path, entries), tuple(labels), num_classes)
+    return LabeledSet(_load_images(path, entries), labels, num_classes)
 
 
 def write_unlabeled(u: UnlabeledSet, out_dir) -> Path:

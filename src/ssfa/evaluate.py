@@ -158,7 +158,7 @@ def linear_accuracy(params: NetworkParams, W, test: LabeledSet) -> float:
         raise ValueError("empty test set")
     z = embed(params, test.images)
     preds = np.argmax(z @ np.asarray(W, dtype=np.float64).T, axis=1)
-    return float(np.mean(preds == np.array(test.labels)))
+    return float(np.mean(preds == test.labels))
 
 
 def _neighbour_labels(zt: np.ndarray, yt: np.ndarray, zq: np.ndarray, k: int) -> np.ndarray:
@@ -188,7 +188,7 @@ def knn_accuracy(params: NetworkParams, train: LabeledSet, test: LabeledSet,
         raise ValueError(f"need at least k={k} training items, have {len(train)}")
     if len(test) == 0:
         raise ValueError("empty test set")
-    yt = np.array(train.labels)
+    yt = train.labels
     nbr = _neighbour_labels(embed(params, train.images), yt, embed(params, test.images), k)
     # votes per (query, class), then each neighbor's class's votes: the
     # vote is the first neighbor whose class has the most votes
@@ -197,4 +197,4 @@ def knn_accuracy(params: NetworkParams, train: LabeledSet, test: LabeledSet,
     at_nbr = votes.reshape(len(nbr), classes)[q, nbr]
     first = np.argmax(at_nbr == at_nbr.max(axis=1, keepdims=True), axis=1)
     vote = nbr[q[:, 0], first]
-    return int(np.count_nonzero(vote == np.array(test.labels))) / len(test)
+    return int(np.count_nonzero(vote == test.labels)) / len(test)

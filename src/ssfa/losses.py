@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .network import ActivationTape, LayerSpec, NetworkParams, backward, forward, split_model
+from .network import ActivationTape, LayerSpec, NetworkParams, backward, forward
 
 
 @dataclass(frozen=True)
@@ -55,9 +55,9 @@ class LossValue:
       softmax_loss      "W", "z"
       pair_loss         "a", "b"              (per-row gradients)
       triplet_loss      "l", "m", "n"
-      total_objective   "theta" (NetworkParams), "W", "flat" (theta then W),
-                        views of one vector from one fused backward
-      coherence_objective the same, with a 0 x k "W" and "flat" = theta.flat
+      total_objective   "flat": theta.flat then W, row-major, one vector
+                        from one fused backward (``split_model`` views it)
+      coherence_objective "flat": theta.flat
     ``terms`` carries the sub-loss values ("sup", "slow", "steady") where
     applicable.
     """
@@ -342,11 +342,10 @@ def total_objective(batch_x, batch_y, pairs, triplets, params: NetworkParams, W,
 
     The parameter gradient is the exact sum grad(sup) + lam * grad(slow)
     + lam * lam_prime * grad(steady); the classifier gradient comes from
-    the supervised term only. Both live in one vector ``grads["flat"]``
-    (theta.flat followed by W, row-major) that ``grads["theta"]`` and
-    ``grads["W"]`` view. With lam = 0 the tuple inputs are ignored; with
-    ``batch_x`` None there is no supervised term: ``terms`` has no "sup"
-    and the classifier gradient is zero.
+    the supervised term only. Both live in one vector ``grads["flat"]``:
+    theta.flat followed by W, row-major. With lam = 0 the tuple inputs
+    are ignored; with ``batch_x`` None there is no supervised term:
+    ``terms`` has no "sup" and the classifier gradient is zero.
     ``work`` (a :class:`Workspace` with room for the batch and W's rows)
     holds the pass's arrays; None sizes one for this call. ``out`` (None: a
     fresh vector) takes the gradient; ``params`` and ``W`` may view it.
@@ -356,7 +355,7 @@ def total_objective(batch_x, batch_y, pairs, triplets, params: NetworkParams, W,
     lead, spec = 0 if batch_x is None else len(batch_x), params.layer_spec()
     ws = Workspace(spec, lead, pairs, triplets, len(W)) if work is None else work
     flat = np.empty(spec.param_count + W.size) if out is None else out
-    dtheta, dW = split_model(spec, flat)
+    dW = flat[spec.param_count :].reshape(W.shape)
     Z, tape, value, terms, dZ = _fused(ws, params, batch_x, pairs, triplets, lam, lam_prime,
                                        margins)
     if batch_x is None:
@@ -365,5 +364,5 @@ def total_objective(batch_x, batch_y, pairs, triplets, params: NetworkParams, W,
         zs = Z[:lead]
         sup = _softmax(W, zs, _labeled_batch(W, zs, batch_y), dZ[:lead], dW, ws.soft)
         value, terms = sup + lam * value, {"sup": sup, **terms}
-    backward(params, tape, dZ, dtheta.flat)
-    return LossValue(value, {"theta": dtheta, "W": dW, "flat": flat}, terms)
+    backward(params, tape, dZ, flat[: spec.param_count])
+    return LossValue(value, {"flat": flat}, terms)

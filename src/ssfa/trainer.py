@@ -279,8 +279,7 @@ def train(labeled: LabeledSet, pairs, triplets, layer_spec: LayerSpec, cfg: Trai
         raise ConfigError("labeled set is empty")
 
     seeds = np.random.SeedSequence(cfg.seed).spawn(6)
-    X = prep_stack(labeled.images)
-    y = np.array(labeled.labels)
+    X, y = prep_stack(labeled.images), labeled.labels
     if X.shape[1] != layer_spec.in_dim:
         raise ConfigError(f"image dim {X.shape[1]} != network input dim {layer_spec.in_dim}")
     tr_idx, va_idx = stratified_split(y, cfg.val_fraction, np.random.default_rng(seeds[2]))
@@ -358,34 +357,20 @@ def train_unsupervised(pairs, triplets, layer_spec: LayerSpec, cfg: TrainConfig,
 # ---------------------------------------------------------------------------
 # Greedy staged hyperparameter search
 
-_LOG_GRID = tuple(float(10.0 ** (k / 2.0)) for k in range(-4, 4))  # 1e-2 .. 10^1.5
+# the candidates of each stage of greedy_cv, tried in ascending order
+LR_GRID = (0.1, 0.01, 0.001, 0.0001)
+LAM_GRID = LAM_PRIME_GRID = tuple(float(10.0 ** (k / 2.0)) for k in range(-4, 4))  # 1e-2 .. 10^1.5
+DELTA_TRIPLET_GRID = (0.0, 0.1, 1.0)
 
 
-@dataclass(frozen=True)
-class SearchGrids:
-    lr: tuple = (0.1, 0.01, 0.001, 0.0001)
-    lam: tuple = _LOG_GRID
-    lam_prime: tuple = _LOG_GRID
-    delta_triplet: tuple = (0.0, 0.1, 1.0)
-
-    def __post_init__(self):
-        for name in ("lr", "lam", "lam_prime", "delta_triplet"):
-            if not getattr(self, name):
-                raise ConfigError(f"empty search grid {name}")
-
-
-def greedy_cv(labeled: LabeledSet, pairs, triplets, layer_spec: LayerSpec,
-              grids: SearchGrids = None, base: TrainConfig = None):
-    """Staged greedy search: (1) lr with no regularization, (2) lam with
-    lam_prime = 0, (3) lam_prime, (4) triplet margin. Each stage keeps the
-    candidate with the lowest best-epoch validation classification loss;
-    ties go to the smaller value. When neither pairs nor triplets hold a
-    tuple, only stage (1) runs and lam = lam_prime = 0. Returns (best
-    config, log rows).
+def greedy_cv(labeled: LabeledSet, pairs, triplets, layer_spec: LayerSpec, base: TrainConfig):
+    """Staged greedy search from ``base``: (1) lr with no regularization, (2)
+    lam with lam_prime = 0, (3) lam_prime, (4) triplet margin, over the
+    module's grids. Each stage keeps the candidate with the lowest
+    best-epoch validation classification loss; ties go to the smaller
+    value. When neither pairs nor triplets hold a tuple, only stage (1)
+    runs and lam = lam_prime = 0. Returns (best config, log rows).
     """
-    grids = grids or SearchGrids()
-    base = base or TrainConfig(lr=0.01)
-
     log = []
 
     def score(cfg: TrainConfig) -> float:
@@ -396,17 +381,18 @@ def greedy_cv(labeled: LabeledSet, pairs, triplets, layer_spec: LayerSpec,
         return min(e.val_loss for e in hist.epochs)
 
     stages = (
-        ("lr", lambda c, v: replace(c, lr=v)),
-        ("lam", lambda c, v: replace(c, lam=v)),
-        ("lam_prime", lambda c, v: replace(c, lam_prime=v)),
-        ("delta_triplet", lambda c, v: replace(c, margins=replace(c.margins, delta_triplet=v))),
+        ("lr", LR_GRID, lambda c, v: replace(c, lr=v)),
+        ("lam", LAM_GRID, lambda c, v: replace(c, lam=v)),
+        ("lam_prime", LAM_PRIME_GRID, lambda c, v: replace(c, lam_prime=v)),
+        ("delta_triplet", DELTA_TRIPLET_GRID,
+         lambda c, v: replace(c, margins=replace(c.margins, delta_triplet=v))),
     )
     if not (has_tuples(pairs) or has_tuples(triplets)):
         stages = stages[:1]
     cfg = replace(base, lam=0.0, lam_prime=0.0)
-    for name, setter in stages:
+    for name, grid, setter in stages:
         best_val, best_cand = float("inf"), None
-        for cand in sorted(getattr(grids, name)):
+        for cand in sorted(grid):
             s = score(setter(cfg, cand))
             log.append({"stage": name, "candidate": float(cand), "val_loss": s})
             if s < best_val:

@@ -8,10 +8,14 @@ import sys
 import numpy as np
 import pytest
 
+from ssfa import gradcheck
 from ssfa.cli import (CliConfigError, _apply_config, _build_parser, _parse_config_file, _real,
                       main)
 from ssfa.data import ManifestError, load_manifest
+from ssfa.losses import Margins
 from ssfa.mining import PairSample, TripletSample, load_tuples
+from ssfa.network import LayerSpec, save_checkpoint
+from ssfa.trainer import TrainConfig, resolve_pairs, train
 
 
 def run_ok(argv):
@@ -152,6 +156,34 @@ def test_train_ssfa_requires_tuples(pipeline):
     assert code == 2
 
 
+def test_train_sfa1_is_library_training_on_the_l1_pair_loss(pipeline, tmp_path):
+    # the l1 method was tested only at the library level, never through train
+    _, data, mined, _ = pipeline
+    out = tmp_path / "sfa1"
+    run_ok(["train", "--labeled", str(data / "labeled.txt"),
+            "--unlabeled", str(data / "unlabeled.txt"), "--pairs", str(mined / "pairs.txt"),
+            "--method", "sfa1", "--epochs", "4", "--patience", "4", "--seed", "3",
+            "--out", str(out)])
+    labeled, u = load_manifest(data / "labeled.txt"), load_manifest(data / "unlabeled.txt")
+    pairs = resolve_pairs(u, load_tuples(mined / "pairs.txt")[0])
+    cfg = TrainConfig(lr=0.01, lam=1.0, lam_prime=0.0, margins=Margins(metric="l1"),
+                      max_epochs=4, patience=4, seed=3)
+    params, W, _ = train(labeled, pairs, None, LayerSpec((256, 25, 25)), cfg)
+    save_checkpoint(tmp_path / "library.ckpt", params, W)
+    assert (out / "checkpoint.ckpt").read_bytes() == (tmp_path / "library.ckpt").read_bytes()
+
+
+def test_train_ssfa_with_only_a_pair_file_exits_2(pipeline, tmp_path, capsys):
+    _, data, mined, _ = pipeline
+    out = tmp_path / "o"
+    code = main(["train", "--labeled", str(data / "labeled.txt"),
+                 "--unlabeled", str(data / "unlabeled.txt"), "--pairs", str(mined / "pairs.txt"),
+                 "--method", "ssfa", "--out", str(out)])
+    assert code == 2
+    assert "method ssfa needs triplet tuples (--triplets)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_checks_hidden_before_reading_any_file(tmp_path, capsys):
     # a bad --hidden used to surface only after the manifest was read, so a
     # missing manifest hid it behind exit 3
@@ -170,11 +202,24 @@ def test_train_checks_hidden_before_reading_any_file(tmp_path, capsys):
     (["train", "--labeled", "MISSING", "--hidden", "25,-3"], 2,
      "--hidden: bad hidden layer list '25,-3'"),
     (["train", "--labeled", "MISSING", "--dim", "0"], 2, "--dim: expected a width >= 1, got 0"),
-], ids=["mine_T", "train_lr", "train_hidden_0", "train_hidden_negative", "train_dim_0"])
+    (["train", "--labeled", "MISSING", "--method", "ssfa"], 2,
+     "this method needs --unlabeled and --pairs"),
+    (["train", "--labeled", "MISSING", "--momentum", "1"], 3, "momentum must be in [0, 1)"),
+    (["train", "--labeled", "MISSING", "--batch-labeled", "0"], 3, "batch_labeled must be >= 1"),
+    (["train", "--labeled", "MISSING", "--batch-pairs", "-1"], 3, "batch sizes must be >= 0"),
+    (["train", "--labeled", "MISSING", "--epochs", "0"], 3,
+     "max_epochs and patience must be >= 1"),
+    (["train", "--labeled", "MISSING", "--val-fraction", "1"], 3,
+     "val_fraction must be in (0, 1)"),
+    (["mine", "--data", "MISSING", "--max-pairs", "0"], 3, "caps must be >= 1"),
+], ids=["mine_T", "train_lr", "train_hidden_0", "train_hidden_negative", "train_dim_0",
+        "train_needs_tuple_files", "train_momentum", "train_batch_labeled", "train_batch_pairs",
+        "train_epochs", "train_val_fraction", "mine_max_pairs"])
 def test_flag_values_are_checked_before_any_file_is_read(tmp_path, capsys, argv, code, message):
     # these were found only once the manifests had loaded, so a missing one
     # hid them behind "No such file" (and a width below 1 reached LayerSpec,
-    # exit 3, after every manifest and tuple file had been read)
+    # exit 3, after every manifest and tuple file had been read); a method
+    # with lam > 0 and no tuple files was found only after --labeled loaded
     out = tmp_path / "o"
     argv = [str(tmp_path / "missing.txt") if a == "MISSING" else a for a in argv]
     assert main(argv + ["--out", str(out)]) == code
@@ -322,6 +367,24 @@ def test_gradcheck_cli_passes():
     assert main(["gradcheck", "--points", "3", "--seed", "0"]) == 0
 
 
+def test_gradcheck_cli_reports_a_wrong_gradient_and_exits_3(tmp_path, capsys, monkeypatch):
+    # the FAILED exit had no test through the CLI
+    real = gradcheck.total_objective
+
+    def flipped(*args, **kwargs):
+        result = real(*args, **kwargs)
+        np.negative(result.grads["flat"], out=result.grads["flat"])
+        return result
+
+    monkeypatch.setattr(gradcheck, "total_objective", flipped)
+    out = tmp_path / "g"
+    assert main(["gradcheck", "--points", "2", "--seed", "0", "--out", str(out)]) == 3
+    assert "gradient check FAILED" in capsys.readouterr().err
+    rows = (out / "gradcheck.csv").read_text().splitlines()
+    assert [r.split(",")[-1] for r in rows] == ["status", "pass", "pass", "pass", "FAIL"]
+    assert rows[-1].startswith("total_objective,")
+
+
 @pytest.mark.parametrize("points", ["0", "-3"])
 def test_gradcheck_fewer_than_one_point_exits_3(tmp_path, capsys, points):
     # --points 0 printed "pass" on every row and exited 0
@@ -377,6 +440,12 @@ def test_config_file_supplies_defaults_flags_override(pipeline, tmp_path):
     assert "method = sfa2" in echo
     lines = (out / "history.csv").read_text().splitlines()
     assert len(lines) == 1 + 4
+
+
+def test_missing_config_file_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "missing.cfg"
+    assert main(["gradcheck", "--config", str(cfg), "--points", "1"]) == 2
+    assert f"error: config file not found: {cfg}" in capsys.readouterr().err
 
 
 def test_config_file_unknown_key_exits_2(pipeline, tmp_path, capsys):

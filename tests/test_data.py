@@ -70,11 +70,18 @@ def test_manifest_frame_period_must_be_finite(tmp_path, period):
 
 def test_labeled_set_bounds():
     img = np.array([[0.5]])
-    LabeledSet([img, img], [0, 1], 2)
+    s = LabeledSet([img, img], [0, 1], 2)
     with pytest.raises(ValueError):
         LabeledSet([img], [2], 2)
     with pytest.raises(ValueError):
         LabeledSet([img, img], [0], 2)
+    with pytest.raises(ValueError, match="num_classes must be >= 1"):
+        LabeledSet([img], [0], 0)
+    # labels were read with int(): 0.7 and 1.9 became 0 and 1, "1" and True both 1
+    for labels in ([0.7, 1.9], ["1", True], [True, False], [[0, 1]]):
+        with pytest.raises(ValueError, match="labels must be 1-D integers"):
+            LabeledSet([img, img], labels, 2)
+    assert s.labels.dtype == np.intp and not s.labels.flags.writeable
 
 
 def test_unlabeled_set_unique_ids():
@@ -452,7 +459,7 @@ def test_labeled_manifest_round_trip(tmp_path):
     m.write_text("classes\t2\n" + f"{paths[0]}\t0\n{paths[1]}\t1\n")
     s = load_manifest(m)
     assert isinstance(s, LabeledSet)
-    assert (len(s), s.num_classes, s.labels) == (2, 2, (0, 1))
+    assert (len(s), s.num_classes, s.labels.tolist()) == (2, 2, [0, 1])
 
 
 def test_labeled_manifest_label_out_of_range(tmp_path):
@@ -489,6 +496,19 @@ def test_header_only_labeled_manifest_is_a_manifest_error(tmp_path):
     m.write_text("classes\t2\n# no images\n")
     with pytest.raises(ManifestError, match=re.escape(f"{m}: labeled set is empty")):
         load_manifest(m)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("# only a comment\n\n", "empty manifest"),
+    ("classes\t2\tx\nIMG\t0\n", "bad classes header 'classes\\t2\\tx'"),
+    ("classes\t2\nIMG\t0\nIMG\n", "line 3: expected 2 tab-separated fields"),
+], ids=["empty", "classes_header", "labeled_line_fields"])
+def test_manifest_format_errors_name_the_file(tmp_path, text, message):
+    m = tmp_path / "s.txt"
+    m.write_text(text.replace("IMG", _mini_clip_files(tmp_path)[0]))
+    with pytest.raises(ManifestError) as err:
+        load_manifest(m)
+    assert str(err.value) == f"{m}: {message}"
 
 
 @pytest.mark.parametrize("period", ["1_0", "\u0661.\u0665", " 1.0", "0x1p0", "1.0f", ""],
@@ -567,7 +587,7 @@ def test_writers_round_trip(tmp_path):
     s = LabeledSet([clips[0].frames[0], clips[1].frames[1]], [0, 1], 2)
     manifest = write_labeled(s, tmp_path / "out2")
     s2 = load_manifest(manifest)
-    assert s2.labels == s.labels and s2.num_classes == 2
+    assert np.array_equal(s2.labels, s.labels) and s2.num_classes == 2
     assert s2.images.shape == (2, 2, 3)
     assert np.max(np.abs(s.images - s2.images)) <= 1 / 510 + 1e-12
 

@@ -317,7 +317,7 @@ def test_objectives_match_per_branch_reference(case):
     assert lv.terms == pytest.approx(terms, rel=GRAD_RTOL)
     co = coherence_objective(pb, tb, params, lam_prime, margins)
     terms, ref = _ref_coherence(ref_pb, ref_tb, params, lam_prime, margins)
-    _assert_close([co.grads["theta"].flat], ref, GRAD_RTOL)
+    _assert_close([co.grads["flat"]], ref, GRAD_RTOL)
     assert co.terms == pytest.approx(terms, rel=GRAD_RTOL)
 
 

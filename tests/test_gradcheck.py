@@ -17,6 +17,7 @@ from ssfa.gradcheck import (
     run_gradcheck,
 )
 from ssfa.losses import Margins
+from ssfa.network import split_model
 
 
 def test_central_diff_on_quadratic():
@@ -108,13 +109,14 @@ def test_l1_gradients_match_finite_differences():
 
 def test_injected_sign_flip_is_detected(monkeypatch):
     # the analytic gradient of the total objective with one block's sign
-    # flipped (grads["theta"] and grads["W"] view grads["flat"])
+    # flipped (split_model views grads["flat"] as the parameters and W)
     real = gradcheck.total_objective
 
     def flip(block):
         def flipped(*args, **kwargs):
             result = real(*args, **kwargs)
-            grad = result.grads["theta"].weights[0] if block == "theta" else result.grads["W"]
+            theta, W = split_model(args[4].layer_spec(), result.grads["flat"])
+            grad = theta.weights[0] if block == "theta" else W
             np.negative(grad, out=grad)
             return result
         return flipped

@@ -392,13 +392,13 @@ def _setup_objective(seed):
 def test_total_objective_lam_zero_is_pure_supervised():
     from ssfa.network import backward, forward
 
-    _, params, W, bx, by, pairs, triplets = _setup_objective(7)
+    spec, params, W, bx, by, pairs, triplets = _setup_objective(7)
     lv = total_objective(bx, by, pairs, triplets, params, W, 0.0, 1.0, M)
     zs, tape = forward(params, bx)
     sup = softmax_loss(W, zs, by)
     assert lv.value == sup.value
     ref = backward(params, tape, sup.grads["z"])
-    for a, b in zip(lv.grads["theta"].weights, ref.weights):
+    for a, b in zip(split_model(spec, lv.grads["flat"])[0].weights, ref.weights):
         np.testing.assert_array_equal(a, b)
     assert lv.terms["slow"] == 0.0 and lv.terms["steady"] == 0.0
 
@@ -407,7 +407,7 @@ def test_total_objective_gradient_is_monolithic_sum():
     # grad(total) == grad(sup) + lam*grad(slow) + lam*lam_prime*grad(steady)
     from ssfa.network import backward, forward
 
-    _, params, W, bx, by, pairs, triplets = _setup_objective(8)
+    spec, params, W, bx, by, pairs, triplets = _setup_objective(8)
     lam, lam_prime = 0.7, 0.3
     lv = total_objective(bx, by, pairs, triplets, params, W, lam, lam_prime, M)
 
@@ -436,9 +436,8 @@ def test_total_objective_gradient_is_monolithic_sum():
     add(acc, backward(params, tm, r3.grads["m"]), lam * lam_prime)
     add(acc, backward(params, tn, r3.grads["n"]), lam * lam_prime)
 
-    for a, b in zip(
-        lv.grads["theta"].weights + lv.grads["theta"].biases, acc.weights + acc.biases
-    ):
+    dtheta, _ = split_model(spec, lv.grads["flat"])
+    for a, b in zip(dtheta.weights + dtheta.biases, acc.weights + acc.biases):
         np.testing.assert_allclose(a, b, atol=1e-12)
     expect = sup.value + lam * r2.value + lam * lam_prime * r3.value
     assert abs(lv.value - expect) < 1e-12
@@ -471,7 +470,7 @@ def test_reused_workspace_gives_the_bits_of_a_fresh_one():
         assert (reused.value, reused.terms) == (fresh.value, fresh.terms)
         fresh = coherence_objective(pb, tb, params, 0.3, M)
         reused = coherence_objective(pb, tb, params, 0.3, M, work=co_work)
-        assert reused.grads["theta"].flat.tobytes() == fresh.grads["theta"].flat.tobytes()
+        assert reused.grads["flat"].tobytes() == fresh.grads["flat"].tobytes()
         assert (reused.value, reused.terms) == (fresh.value, fresh.terms)
 
 
@@ -489,7 +488,8 @@ def test_total_objective_into_the_vector_of_its_parameters_keeps_the_bits(superv
     at_params, at_W = split_model(spec, v)
     lv = total_objective(*args, at_params, at_W, 0.7, 0.3, M, out=v)
     assert lv.grads["flat"] is v
-    assert lv.grads["theta"].flat.base is v and lv.grads["W"].base is v
+    dtheta, dW = split_model(spec, lv.grads["flat"])
+    assert dtheta.flat.base is v and dW.base is v
     assert v.tobytes() == fresh.grads["flat"].tobytes()
     assert (lv.value, lv.terms) == (fresh.value, fresh.terms)
 

@@ -354,6 +354,13 @@ def test_checkpoint_rejects_garbage(tmp_path):
     (tmp_path / "trunc.ckpt").write_bytes(body[:-8])
     with pytest.raises(ValueError, match="truncated"):
         load_checkpoint(tmp_path / "trunc.ckpt")
+    for name, data, message in (("cut.ckpt", body[: body.index(b"classes")],
+                                 "truncated checkpoint header"),
+                                ("long.ckpt", body + bytes(3), "3 trailing bytes in checkpoint")):
+        (tmp_path / name).write_bytes(data)
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(tmp_path / name)
+        assert str(err.value) == f"{tmp_path / name}: {message}"
 
 
 @pytest.mark.parametrize("kind, line", [

@@ -244,7 +244,7 @@ def test_bulk_render_has_the_bits_of_a_frame_by_frame_render(monkeypatch, grid, 
         assert clip.frames.tobytes() == ref.tobytes(), clip.clip_id
     s = gen_labeled(cfg, 3)
     assert s.images.tobytes() == _ref_labeled(cfg, 3).tobytes()
-    assert s.labels == (0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3)
+    assert s.labels.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3]
 
 
 def test_render_shape_of_centre_arrays_renders_each_centre():

@@ -6,11 +6,11 @@ from ssfa.losses import softmax_loss
 from ssfa.mining import MiningConfig, PairSample, TripletSample, mine_pairs, mine_triplets
 from ssfa.network import LayerSpec, forward, init_glorot
 from ssfa.synth import SynthConfig, gen_labeled, gen_unlabeled
+from ssfa import trainer
 from ssfa.trainer import (
     ConfigError,
     OptimizerError,
     SearchError,
-    SearchGrids,
     TrainConfig,
     greedy_cv,
     nesterov_step,
@@ -477,54 +477,60 @@ def test_train_unsupervised_ignores_lam():
 # ---------------------------------------------------------------------------
 # greedy staged search
 
-def test_greedy_cv_visits_documented_grids_and_orders_stages():
+def _grids(monkeypatch, lr, lam, lam_prime, delta_triplet):
+    """Set the four search grids of greedy_cv for one test."""
+    for name, grid in (("LR_GRID", lr), ("LAM_GRID", lam), ("LAM_PRIME_GRID", lam_prime),
+                       ("DELTA_TRIPLET_GRID", delta_triplet)):
+        monkeypatch.setattr(trainer, name, grid)
+
+
+def test_greedy_cv_visits_documented_grids_and_orders_stages(monkeypatch):
     labeled, pairs, triplets = small_data()
     base = TrainConfig(lr=0.01, max_epochs=2, patience=2, seed=0)
-    grids = SearchGrids(lr=(0.1, 0.01), lam=(0.1, 1.0), lam_prime=(0.1,), delta_triplet=(0.0, 1.0))
-    cfg, log = greedy_cv(labeled, pairs, triplets, SPEC, grids=grids, base=base)
+    _grids(monkeypatch, (0.1, 0.01), (0.1, 1.0), (0.1,), (0.0, 1.0))
+    cfg, log = greedy_cv(labeled, pairs, triplets, SPEC, base=base)
     stages = [r["stage"] for r in log]
     assert stages == ["lr", "lr", "lam", "lam", "lam_prime", "delta_triplet", "delta_triplet"]
-    assert cfg.lr in grids.lr and cfg.lam in grids.lam
+    assert cfg.lr in trainer.LR_GRID and cfg.lam in trainer.LAM_GRID
     assert cfg.lam_prime == 0.1
-    assert cfg.margins.delta_triplet in grids.delta_triplet
+    assert cfg.margins.delta_triplet in trainer.DELTA_TRIPLET_GRID
 
 
 def test_default_grids_match_protocol():
-    g = SearchGrids()
-    assert g.lr == (0.1, 0.01, 0.001, 0.0001)
-    np.testing.assert_allclose(g.lam, [10 ** (k / 2) for k in range(-4, 4)])
-    assert g.lam == g.lam_prime
-    assert g.delta_triplet == (0.0, 0.1, 1.0)
+    assert trainer.LR_GRID == (0.1, 0.01, 0.001, 0.0001)
+    np.testing.assert_allclose(trainer.LAM_GRID, [10 ** (k / 2) for k in range(-4, 4)])
+    assert trainer.LAM_GRID == trainer.LAM_PRIME_GRID
+    assert trainer.DELTA_TRIPLET_GRID == (0.0, 0.1, 1.0)
 
 
-def test_greedy_cv_ties_break_to_smaller_value():
+def test_greedy_cv_ties_break_to_smaller_value(monkeypatch):
     # lam_prime has no effect without triplets: all candidates tie, smallest wins
     labeled, pairs, _ = small_data()
     base = TrainConfig(lr=0.01, max_epochs=2, patience=2, seed=0)
-    grids = SearchGrids(lr=(0.05,), lam=(0.5,), lam_prime=(0.3, 0.1, 1.0), delta_triplet=(1.0,))
-    cfg, log = greedy_cv(labeled, pairs, None, SPEC, grids=grids, base=base)
+    _grids(monkeypatch, (0.05,), (0.5,), (0.3, 0.1, 1.0), (1.0,))
+    cfg, log = greedy_cv(labeled, pairs, None, SPEC, base=base)
     assert cfg.lam_prime == 0.1
     vals = [r["val_loss"] for r in log if r["stage"] == "lam_prime"]
     assert len(set(vals)) == 1
 
 
-def test_greedy_cv_without_tuples_searches_lr_only():
+def test_greedy_cv_without_tuples_searches_lr_only(monkeypatch):
     # the lam stage used to train with lam > 0 and nothing to optimize
     labeled, _, _ = small_data()
     base = TrainConfig(lr=0.01, lam=0.5, lam_prime=0.5, max_epochs=2, patience=2, seed=0)
-    grids = SearchGrids(lr=(0.1, 0.01), lam=(0.1,), lam_prime=(0.1,), delta_triplet=(1.0,))
-    cfg, log = greedy_cv(labeled, None, None, SPEC, grids=grids, base=base)
-    assert cfg.lam == 0.0 and cfg.lam_prime == 0.0 and cfg.lr in grids.lr
+    _grids(monkeypatch, (0.1, 0.01), (0.1,), (0.1,), (1.0,))
+    cfg, log = greedy_cv(labeled, None, None, SPEC, base=base)
+    assert cfg.lam == 0.0 and cfg.lam_prime == 0.0 and cfg.lr in trainer.LR_GRID
     assert [(r["stage"], r["candidate"]) for r in log] == [("lr", 0.01), ("lr", 0.1)]
 
 
-def test_greedy_cv_diverging_stage_raises():
+def test_greedy_cv_diverging_stage_raises(monkeypatch):
     # linear net (no ReLU stall) with an absurd lr overflows to non-finite
     labeled, pairs, triplets = small_data()
     base = TrainConfig(lr=0.01, max_epochs=12, patience=12, seed=0)
-    grids = SearchGrids(lr=(1e30,), lam=(0.1,), lam_prime=(0.1,), delta_triplet=(1.0,))
+    _grids(monkeypatch, (1e30,), (0.1,), (0.1,), (1.0,))
     with pytest.raises(SearchError, match="lr"), np.errstate(over="ignore"):
-        greedy_cv(labeled, pairs, triplets, LayerSpec((64, 8)), grids=grids, base=base)
+        greedy_cv(labeled, pairs, triplets, LayerSpec((64, 8)), base=base)
 
 
 # ---------------------------------------------------------------------------
