@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 STD_FLOOR = 1e-8
-# bytes of rows per block of the memory-bounded passes (embed, synth's fill,
-# truth_ranks; prep_stack and kNN's distances take an eighth), at least one row
+# every memory-bounded pass cuts its rows by _blocks: PREP_BLOCK_BYTES // share bytes
+# of rows per block (at least one row), and a tail under a quarter block joins the last
 PREP_BLOCK_BYTES = 1 << 20
 
 UNLABELED_MANIFEST = "unlabeled.txt"
@@ -138,6 +138,16 @@ class UnlabeledSet:
         return _read_only(prep_stack([f for clip in self.clips for f in clip.frames]))
 
 
+def _blocks(n: int, row_bytes: int, share: int = 1):
+    """(start, stop) of the blocks of a pass over n rows of ``row_bytes`` each
+    (see PREP_BLOCK_BYTES), each at most 1.25 shares. The tail rule keeps GEMM
+    blocks long: a short one can take a BLAS kernel with other low-order bits
+    (with the rule, blocks were bit-equal to one pass on OpenBLAS 0.3.31)."""
+    rows = max(1, PREP_BLOCK_BYTES // share // max(1, row_bytes))
+    edges = [0, *range(rows, n - max(1, rows // 4) + 1, rows), n] if n else [0]
+    return zip(edges, edges[1:])
+
+
 def prep_stack(images) -> np.ndarray:
     """Standardize and flatten same-sized images (an (n, h, w) array, or a
     sequence of (h, w) arrays) into a new (n, h*w) array: each row minus
@@ -145,15 +155,14 @@ def prep_stack(images) -> np.ndarray:
     ``STD_FLOOR``, so a constant image maps to zeros.
 
     The stacked array is the only full-size one: it is standardized in
-    place, an eighth of ``PREP_BLOCK_BYTES`` of rows at a time (at least one
-    row), so the temporaries of the std are an eighth of a block. Every
-    operation is per row, so the result is bit-identical to standardizing
-    the whole array at once."""
+    place one :func:`_blocks` block of share 8 at a time, so the
+    temporaries of the std are an eighth of a block. Every operation is per
+    row, so the result is bit-identical to standardizing the whole array at
+    once."""
     X = np.array(images, dtype=np.float64)
     X = X.reshape(len(X), int(np.prod(X.shape[1:])))  # (0, h*w) for no images
-    rows = max(1, PREP_BLOCK_BYTES // 8 // max(1, 8 * X.shape[1]))
-    for start in range(0, len(X), rows):
-        B = X[start:start + rows]
+    for a, b in _blocks(len(X), 8 * X.shape[1], 8):
+        B = X[a:b]
         mu = B.mean(axis=1, keepdims=True)
         sd = np.maximum(B.std(axis=1, keepdims=True), STD_FLOOR)
         B -= mu

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import PREP_BLOCK_BYTES, LabeledSet, UnlabeledSet, _read_only, prep_stack
+from .data import LabeledSet, UnlabeledSet, _blocks, _read_only, prep_stack
 from .mining import clip_window, triplet_positives
 from .network import NetworkParams, forward
 
@@ -39,24 +39,14 @@ class CandidatePool:
         return len(self.frames)
 
 
-def _blocks(n: int, row_bytes: int, block_bytes: int):
-    """(start, stop) of the blocks of ``block_bytes`` of rows (at least one)
-    of a GEMM pass over n rows. A tail under a quarter block joins the last:
-    a short GEMM block can take a BLAS kernel with other low-order bits (with
-    this rule, blocks were bit-equal to one pass on OpenBLAS 0.3.31)."""
-    rows = max(1, block_bytes // row_bytes)
-    edges = [0, *range(rows, n - max(1, rows // 4) + 1, rows), n] if n else [0]
-    return zip(edges, edges[1:])
-
-
 def embed(params: NetworkParams, images) -> np.ndarray:
     """Preprocess, flatten and map images (see :func:`prep_stack`) to an
     (n, k) array of feature rows, (0, k) for no images, standardizing and
-    forwarding one :func:`_blocks` block of ``PREP_BLOCK_BYTES`` of input
-    rows at a time: the features are bit-equal to one pass over the set."""
+    forwarding one :func:`_blocks` block of input rows (share 1) at a time:
+    the features are bit-equal to one pass over the set."""
     n = len(images)
     z = np.empty((n, params.layer_spec().out_dim))
-    for a, b in _blocks(n, 8 * np.size(images[0]) if n else 1, PREP_BLOCK_BYTES):
+    for a, b in _blocks(n, 8 * np.size(images[0]) if n else 0):
         z[a:b] = forward(params, prep_stack(images[a:b]))[0]
     return z
 
@@ -112,14 +102,13 @@ def truth_ranks(z_pool: np.ndarray, z_tilde: np.ndarray, gt) -> np.ndarray:
     """Per query i, 1 + the number of candidates strictly closer to
     ``z_tilde[i]`` than the ground truth ``z_pool[gt[i]]`` (optimistic
     ties). Distances take the arithmetic of ``np.linalg.norm(..., axis=-1)``
-    in chunks of queries whose differences fill one reused buffer of at
-    most ``PREP_BLOCK_BYTES`` (at least one query)."""
+    one :func:`_blocks` block of queries (share 1) at a time, whose
+    differences fill one reused buffer sized for the largest block."""
     ranks = np.empty(len(gt), dtype=np.intp)
-    step = max(1, PREP_BLOCK_BYTES // max(1, z_pool.nbytes))
-    buf = np.empty((min(step, len(gt)),) + z_pool.shape)
-    for start in range(0, len(gt), step):
-        diff = buf[: min(step, len(gt) - start)]
-        q = slice(start, start + len(diff))
+    blocks = [slice(a, b) for a, b in _blocks(len(gt), z_pool.nbytes)]
+    buf = np.empty((max((q.stop - q.start for q in blocks), default=0),) + z_pool.shape)
+    for q in blocks:
+        diff = buf[: q.stop - q.start]
         np.subtract(z_pool, z_tilde[q, None, :], out=diff)
         d = np.sqrt(np.add.reduce(np.multiply(diff, diff, out=diff), axis=-1))
         ranks[q] = 1 + np.count_nonzero(d < d[np.arange(len(d)), gt[q], None], axis=1)
@@ -164,10 +153,10 @@ def linear_accuracy(params: NetworkParams, W, test: LabeledSet) -> float:
 def _neighbour_labels(zt: np.ndarray, yt: np.ndarray, zq: np.ndarray, k: int) -> np.ndarray:
     """Each query's k nearest reference labels, nearest first (stable), in an
     (n_query, k) array, from the squared distances of one whole matrix formed
-    one :func:`_blocks` block of an eighth of ``PREP_BLOCK_BYTES`` at a time."""
+    one :func:`_blocks` block (share 8) at a time."""
     t_norms = np.sum(zt * zt, axis=1)
     nbr = np.empty((len(zq), k), dtype=yt.dtype)
-    for a, b in _blocks(len(zq), 8 * len(zt), PREP_BLOCK_BYTES // 8):
+    for a, b in _blocks(len(zq), 8 * len(zt), 8):
         q = zq[a:b]
         d2 = np.sum(q * q, axis=1)[:, None] + t_norms
         d2 -= (2.0 * q) @ zt.T

@@ -23,6 +23,8 @@ H = 1e-5
 TOL_DIRECT = 1e-6
 TOL_COMPOSED = 1e-4
 HINGE_GAP = 1e-3
+# the margins and metric that the pair, triplet and total checks audit
+MARGINS = Margins()
 
 
 def central_diff(f, x: np.ndarray) -> np.ndarray:
@@ -108,30 +110,30 @@ def check_softmax(rng, points: int = 100) -> float:
     return _max_fd_error(rng, points, draw)
 
 
-def _check_tuples(rng, points, loss_fn, names, margins):
+def _check_tuples(rng, points, loss_fn, names):
     """Max relative FD error of a contrastive loss over tuples whose
     members are named by the characters of ``names``."""
 
     def draw(rng):
         n, dim = int(rng.integers(1, 5)), int(rng.integers(2, 6))
-        *zs, p = _sample_tuples(rng, len(names), n, dim, margins)
-        return (lambda *z: loss_fn(*z, p, margins).value,
-                dict(zip(names, zs)), loss_fn(*zs, p, margins).grads)
+        *zs, p = _sample_tuples(rng, len(names), n, dim, MARGINS)
+        return (lambda *z: loss_fn(*z, p, MARGINS).value,
+                dict(zip(names, zs)), loss_fn(*zs, p, MARGINS).grads)
 
     return _max_fd_error(rng, points, draw)
 
 
-def check_pair(rng, points: int = 100, margins: Margins = None) -> float:
+def check_pair(rng, points: int = 100) -> float:
     """Max relative FD error of the pair (slowness) loss gradients."""
-    return _check_tuples(rng, points, pair_loss, "ab", margins or Margins())
+    return _check_tuples(rng, points, pair_loss, "ab")
 
 
-def check_triplet(rng, points: int = 100, margins: Margins = None) -> float:
+def check_triplet(rng, points: int = 100) -> float:
     """Max relative FD error of the triplet (steadiness) loss gradients."""
-    return _check_tuples(rng, points, triplet_loss, "lmn", margins or Margins())
+    return _check_tuples(rng, points, triplet_loss, "lmn")
 
 
-def check_total(rng, points: int = 100, margins: Margins = None) -> float:
+def check_total(rng, points: int = 100) -> float:
     """Max relative FD error of the full objective gradient through a
     1-hidden-layer network, over the one vector of all network parameters
     followed by the classifier (the layout of ``split_model``). The tuples
@@ -142,7 +144,6 @@ def check_total(rng, points: int = 100, margins: Margins = None) -> float:
     here with forward's ops) or contrastive distance sits within the reach of
     a kink (ReLU corner or hinge margin), where the loss is non-differentiable.
     """
-    margins = margins or Margins()
     spec = LayerSpec((6, 5, 4))
 
     def draw(rng):
@@ -166,8 +167,8 @@ def check_total(rng, points: int = 100, margins: Margins = None) -> float:
             Z, _ = forward(params, X)
             pre = X @ params.weights[0].T + params.biases[0]  # forward's layer-0 ops
             if np.min(np.abs(pre)) > HINGE_GAP and all(
-                _smooth(_contrast(Z[3 + batch[1].T]), batch[2], delta, margins.metric)
-                for batch, delta in ((pb, margins.delta_pair), (tb, margins.delta_triplet))
+                _smooth(_contrast(Z[3 + batch[1].T]), batch[2], delta, MARGINS.metric)
+                for batch, delta in ((pb, MARGINS.delta_pair), (tb, MARGINS.delta_triplet))
             ):
                 break
 
@@ -175,7 +176,7 @@ def check_total(rng, points: int = 100, margins: Margins = None) -> float:
 
         def loss(vec):
             theta, W_ = split_model(spec, vec)
-            return total_objective(bx, by, pb, tb, theta, W_, lam, lam_prime, margins, work=work)
+            return total_objective(bx, by, pb, tb, theta, W_, lam, lam_prime, MARGINS, work=work)
 
         vec = np.concatenate((params.flat, W.ravel()))
         return (lambda v: loss(v).value), {"flat": vec}, {"flat": loss(vec).grads["flat"]}

@@ -323,15 +323,14 @@ def _fused(ws: Workspace, params: NetworkParams, lead_x, pairs, triplets, lam: f
 
 
 def coherence_objective(pairs, triplets, params: NetworkParams, lam_prime: float,
-                        margins: Margins, *, work: Workspace = None) -> LossValue:
+                        margins: Margins) -> LossValue:
     """Unsupervised coherence loss through the network: the joint objective
     with no labeled rows, a 0 x k classifier and lam = 1, over resolved
     (frames, idx, p) tuples on one frame table, so ``terms`` holds "slow"
     and "steady" and ``grads["flat"]`` is theta.flat. The triplet side is
     skipped entirely when lam_prime is 0."""
     return total_objective(None, None, pairs, triplets, params,
-                           np.empty((0, params.layer_spec().out_dim)), 1.0, lam_prime, margins,
-                           work=work)
+                           np.empty((0, params.layer_spec().out_dim)), 1.0, lam_prime, margins)
 
 
 def total_objective(batch_x, batch_y, pairs, triplets, params: NetworkParams, W, lam: float,

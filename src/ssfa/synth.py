@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .data import PREP_BLOCK_BYTES, Clip, LabeledSet, UnlabeledSet
+from .data import Clip, LabeledSet, UnlabeledSet, _blocks
 from .rng import Xorshift64Star, derive_seed
 
 SHAPE_NAMES = ("blob", "hbar", "vbar", "ring")
@@ -86,15 +86,14 @@ def render_shape(shape_idx: int, grid: int, cx, cy) -> np.ndarray:
 
 def _fill(out: np.ndarray, noise_sigma: float, render) -> None:
     """Turn the noise draws in ``out`` (zeros when noise-free) into
-    clip(render(rows) + noise_sigma * noise, 0, 1), half of
-    ``PREP_BLOCK_BYTES`` of images at a time, so that a rendered block and
-    its offset columns stay within one block. Without noise that is the
-    render itself: it adds 0 to values in [0, 1]."""
-    rows = max(1, PREP_BLOCK_BYTES // (2 * out[0].nbytes))
-    for start in range(0, len(out), rows):
-        block = out[start:start + rows]
+    clip(render(rows) + noise_sigma * noise, 0, 1), one :func:`_blocks`
+    block of images (share 2) at a time, so that a rendered block and its
+    offset columns stay within one block. Without noise that is the render
+    itself: it adds 0 to values in [0, 1]."""
+    for a, b in _blocks(len(out), out[0].nbytes, 2):
+        block = out[a:b]
         block *= noise_sigma
-        block += render(slice(start, start + rows))
+        block += render(slice(a, b))
         np.clip(block, 0.0, 1.0, out=block)
 
 

@@ -340,6 +340,21 @@ def test_eval_seqcomp_fewer_than_one_query_exits_3(pipeline, tmp_path, capsys, q
     assert not (tmp_path / "e").exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--T", "0.5", "no clip admits a completion query"),  # frame period 1: a 0-frame window
+    ("--pool-n", "-1", "n_per_video must be >= 0"),
+])
+def test_eval_seqcomp_without_queries_or_with_a_negative_pool_exits_3(pipeline, tmp_path, capsys,
+                                                                       flag, value, message):
+    _, data, _, run = pipeline
+    code = main(["eval-seqcomp", "--checkpoint", str(run / "checkpoint.ckpt"),
+                 "--unlabeled", str(data / "unlabeled.txt"), flag, value,
+                 "--out", str(tmp_path / "e")])
+    assert code == 3
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "e").exists()
+
+
 def test_eval_missing_checkpoint_exits_3(pipeline):
     base, data, _, _ = pipeline
     code = main(["eval-cls", "--checkpoint", str(base / "nope.ckpt"),

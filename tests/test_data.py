@@ -33,6 +33,13 @@ def test_image_sets_validate_their_shape():
     assert len(LabeledSet(np.zeros((0, 3, 2)), [], 2)) == 0
 
 
+def test_clips_and_corpora_need_frames():
+    with pytest.raises(ValueError, match="clip 'c' has no frames"):
+        Clip("c", np.zeros((0, 2, 2)), 1.0)
+    with pytest.raises(ValueError, match="unlabeled set has no clips"):
+        UnlabeledSet(())
+
+
 def test_image_sets_are_read_only():
     # views of the array they are given, so the caller's array stays writable
     px = np.zeros((2, 1, 2))
@@ -615,3 +622,76 @@ def test_significant_lines_rejects_non_text_at_call(tmp_path):
     path.write_bytes(b"ok\n\xff\n")
     with pytest.raises(ValueError, match="not utf-8 text"):
         _significant_lines(path)  # before any line is drawn
+
+
+# ---------------------------------------------------------------------------
+# One block rule: data.PREP_BLOCK_BYTES and data._blocks size every bounded pass
+
+def test_one_constant_sets_every_block(monkeypatch):
+    # every input is sized so that its tail joins its last block; at this
+    # block a 16x16 embed block is 128 rows, more than the 48-row GEMM
+    # blocks whose kernel gives other bits at 256->25->25
+    import tracemalloc
+
+    from ssfa import evaluate
+    from ssfa.network import ActivationTape, LayerSpec, forward, init_glorot
+    from ssfa.synth import SynthConfig, gen_labeled
+
+    spec, rng = LayerSpec((256, 25, 25)), np.random.default_rng(4)
+    params = init_glorot(spec, 3)
+    images = rng.uniform(0, 1, (410, 16, 16))  # embed 128, 128, 154; distances 4 x 102 + 2
+    test = LabeledSet(images, rng.integers(0, 4, len(images)), 4)
+    train = LabeledSet(rng.uniform(0, 1, (40, 16, 16)), np.arange(40) % 4, 4)
+    z_pool, gt = rng.normal(size=(100, 25)), rng.integers(0, 100, 54)  # ranks 13, 13, 13, 15
+    z_tilde, frames = rng.normal(size=(54, 25)), rng.uniform(0, 1, (5 * 16 + 3, 16, 16))
+    run = {
+        "embed": lambda: evaluate.embed(params, images),
+        "truth_ranks": lambda: evaluate.truth_ranks(z_pool, z_tilde, gt),
+        "knn": lambda: evaluate.knn_accuracy(params, train, test),
+        "prep_stack": lambda: prep_stack(frames),  # 16-row blocks, 5 x 16 + 3
+        "gen_labeled": lambda: gen_labeled(SynthConfig(grid=16), 202).images,  # 64, 64, 74
+    }
+    want = {name: np.asarray(f()).tobytes() for name, f in run.items()}
+
+    block = 1 << 18
+    monkeypatch.setattr("ssfa.data.PREP_BLOCK_BYTES", block)
+    rows = []
+    monkeypatch.setattr(evaluate, "forward", lambda p, x: rows.append(len(x)) or forward(p, x))
+    out, peak = {}, {}
+    for name, f in run.items():
+        rows.clear()
+        tracemalloc.start()
+        try:
+            out[name] = np.asarray(f())
+            peak[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out[name].tobytes() == want[name], name
+        if name == "embed":  # one forward per block
+            assert rows == [128, 128, 154]
+
+    ufunc = 128 << 10  # numpy's 64 KiB ufunc buffers, as the tests of each pass allow
+    tape = ActivationTape.buffers(spec, 128 + 128 // 4)  # the largest embed block's
+    held = 1.25 * block + sum(a.nbytes for a in tape.post + tape.mask) + ufunc
+    assert peak["truth_ranks"] <= out["truth_ranks"].nbytes + 1.25 * block + ufunc
+    assert peak["knn"] <= 8 * 25 * (len(test) + len(train)) + held + 1.25 * block / 8
+    assert peak["prep_stack"] <= out["prep_stack"].nbytes + 1.25 * block / 8 + ufunc
+    # a render block (share 2) and its offset columns and broadcast temporary
+    # take at most a block (test_bulk_render_holds_its_output_plus_one_block)
+    assert peak["gen_labeled"] <= out["gen_labeled"].nbytes + 1.25 * block + ufunc
+
+
+def test_data_alone_holds_the_block_rule():
+    import ast
+    from pathlib import Path
+
+    import ssfa
+
+    for path in sorted(Path(ssfa.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+        defs = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+        if path.name != "data.py":
+            assert "PREP_BLOCK_BYTES" not in names and "_blocks" not in defs, path.name

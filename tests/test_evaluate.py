@@ -237,7 +237,7 @@ def test_exact_collinear_features_rank_first():
 def test_truth_ranks_equal_the_one_query_oracle_with_exact_ties(monkeypatch, block):
     # pools of few distinct rows, so distances tie exactly; query points on
     # pool rows and between them; chunks of one query, of a few, and all
-    monkeypatch.setattr("ssfa.evaluate.PREP_BLOCK_BYTES", block)
+    monkeypatch.setattr("ssfa.data.PREP_BLOCK_BYTES", block)
     rng = np.random.default_rng(8)
     for _ in range(40):
         distinct = rng.integers(-2, 3, (int(rng.integers(1, 5)), 3)).astype(float)
@@ -599,3 +599,13 @@ def test_eval_report_round_trip(tmp_path):
     }
     assert (tmp_path / "run_config.txt").read_text() == f"out = {tmp_path}\nseed = 5\n"
     assert _text_table("query,rank", enumerate([1, 4, 2])) == "query,rank\n0,1\n1,4\n2,2\n"
+
+
+def test_accuracies_reject_an_empty_test_set():
+    params = init_glorot(LayerSpec((16, 5, 3)), 0)
+    train = LabeledSet(np.zeros((6, 4, 4)), np.arange(6) % 2, 2)
+    empty = LabeledSet(np.zeros((0, 4, 4)), [], 2)
+    with pytest.raises(ValueError, match="empty test set"):
+        linear_accuracy(params, np.zeros((2, 3)), empty)
+    with pytest.raises(ValueError, match="empty test set"):
+        knn_accuracy(params, train, empty, k=3)

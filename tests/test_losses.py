@@ -62,6 +62,14 @@ def test_softmax_empty_batch_rejected():
         softmax_loss(np.zeros((2, 3)), np.zeros((0, 3)), [])
 
 
+def test_softmax_batch_shape_and_label_range_rejected():
+    W, zs = np.zeros((3, 2)), np.zeros((2, 2))
+    with pytest.raises(ValueError, match="batch shapes"):
+        softmax_loss(W, zs, [0])
+    with pytest.raises(ValueError, match="label out of range"):
+        softmax_loss(W, zs, [0, 3])
+
+
 def test_softmax_stable_for_huge_logits():
     W = np.array([[1000.0, 0.0], [0.0, 1000.0]])
     lv = softmax_loss(W, np.array([[1.0, 0.0]]), [0])
@@ -469,7 +477,8 @@ def test_reused_workspace_gives_the_bits_of_a_fresh_one():
         assert reused.grads["flat"].tobytes() == fresh.grads["flat"].tobytes()
         assert (reused.value, reused.terms) == (fresh.value, fresh.terms)
         fresh = coherence_objective(pb, tb, params, 0.3, M)
-        reused = coherence_objective(pb, tb, params, 0.3, M, work=co_work)
+        reused = total_objective(None, None, pb, tb, params, np.empty((0, spec.out_dim)), 1.0,
+                                 0.3, M, work=co_work)
         assert reused.grads["flat"].tobytes() == fresh.grads["flat"].tobytes()
         assert (reused.value, reused.terms) == (fresh.value, fresh.terms)
 
@@ -506,3 +515,8 @@ def test_margins_reject_non_finite_values(field, value):
     # a NaN margin made every negative hinge `> 0` test false
     with pytest.raises(ValueError, match="finite"):
         Margins(**{field: value})
+
+
+def test_margins_reject_an_unknown_metric():
+    with pytest.raises(ValueError, match="unknown metric 'l3'"):
+        Margins(metric="l3")

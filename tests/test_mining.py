@@ -376,3 +376,10 @@ def test_mining_peak_is_one_permutation_of_the_candidates():
     largest = sum((3000 - g1 - 4) * (3000 - g1 - 3) // 2 for g1 in (1, 2))
     print(f"mining peak grew {grown / 2**20:.1f} MB for {largest} candidates")
     assert grown < 4 * largest + 16 * 2**20, (grown, largest)
+
+
+def test_save_tuples_refuses_a_non_sample_and_writes_nothing(tmp_path):
+    path = tmp_path / "t.txt"
+    with pytest.raises(TypeError, match="cannot serialize tuple"):
+        save_tuples(path, [PairSample("c", 1, 0, 1), ("c", 1, 0, 1)], MiningConfig(T_seconds=2.0))
+    assert not path.exists()

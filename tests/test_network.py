@@ -411,3 +411,17 @@ def test_tape_buffers_hold_one_array_per_layer(sizes):
     arrays = tape.post + tape.mask
     assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1:])
     assert sum(a.nbytes for a in arrays) == 6 * (8 * sum(sizes[1:]) + sum(hidden))
+
+
+def test_backward_rejects_a_dz_of_another_shape():
+    params = init_glorot(LayerSpec((6, 5, 4)), 0)
+    _, tape = forward(params, np.zeros((3, 6)))
+    with pytest.raises(ValueError, match=r"dZ shape \(3, 5\) != output shape \(3, 4\)"):
+        backward(params, tape, np.zeros((3, 5)))
+
+
+def test_save_checkpoint_rejects_a_classifier_of_another_width(tmp_path):
+    path = tmp_path / "c.ckpt"
+    with pytest.raises(ValueError, match=r"classifier shape \(3, 5\) incompatible"):
+        save_checkpoint(path, init_glorot(LayerSpec((6, 5, 4)), 0), np.zeros((3, 5)))
+    assert not path.exists()

@@ -34,6 +34,11 @@ def test_rng_zero_seed_is_usable():
     assert r.next_u64() != 0
 
 
+def test_rng_randint_needs_a_positive_range():
+    with pytest.raises(ValueError, match="randint needs n >= 1"):
+        Xorshift64Star(0).randint(0)
+
+
 def test_derive_seed_separates_streams():
     seeds = {derive_seed(5, i) for i in range(100)}
     assert len(seeds) == 100
@@ -286,8 +291,13 @@ def test_noisy_bulk_render_holds_its_output_plus_one_block(monkeypatch):
     # the noise is drawn into the output, and each block adds its render in
     # place; a quarter-size block keeps the pure-Python normal draws few
     block = PREP_BLOCK_BYTES // 4
-    monkeypatch.setattr("ssfa.synth.PREP_BLOCK_BYTES", block)
+    monkeypatch.setattr("ssfa.data.PREP_BLOCK_BYTES", block)
     over, output = _peak_over_output(lambda: gen_unlabeled(
         SynthConfig(grid=16, clip_len=260, num_clips=1, noise_sigma=0.1, motion_mode="jerky")))
     assert output > 2 * block
     assert over <= block
+
+
+def test_gen_labeled_needs_one_image_per_class():
+    with pytest.raises(ValueError, match="per_class must be >= 1"):
+        gen_labeled(SynthConfig(), 0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ssfa.data import Clip, UnlabeledSet, prep_stack
+from ssfa.data import Clip, LabeledSet, UnlabeledSet, prep_stack
 from ssfa.losses import softmax_loss
 from ssfa.mining import MiningConfig, PairSample, TripletSample, mine_pairs, mine_triplets
 from ssfa.network import LayerSpec, forward, init_glorot
@@ -199,6 +199,11 @@ def test_stratified_split_is_per_class():
 def test_stratified_split_empty_val_is_config_error():
     with pytest.raises(ConfigError):
         stratified_split(np.array([0, 0, 1, 1]), 0.2, np.random.default_rng(0))
+
+
+def test_stratified_split_empty_train_is_config_error():
+    with pytest.raises(ConfigError, match="training split is empty"):
+        stratified_split(np.array([0, 0, 1, 1]), 1.0, np.random.default_rng(0))
 
 
 def test_resolve_pairs_produces_preprocessed_rows():
@@ -404,6 +409,22 @@ def test_train_unsupervised_rejects_a_frame_table_of_another_width():
     cfg = TrainConfig(lr=0.01, lam=1.0, lam_prime=0.5)
     with pytest.raises(ConfigError, match="frame table dim 64 != network input dim 256"):
         train_unsupervised(pairs, triplets, LayerSpec((256, 10, 8)), cfg, passes=1)
+
+
+def test_train_rejects_an_empty_set_and_images_of_another_size():
+    labeled, pairs, triplets = small_data()
+    cfg = TrainConfig(lr=0.01, lam=0.5, lam_prime=0.5, max_epochs=2, patience=2)
+    empty = LabeledSet(np.zeros((0, 8, 8)), [], 4)
+    with pytest.raises(ConfigError, match="labeled set is empty"):
+        train(empty, pairs, triplets, SPEC, cfg)
+    with pytest.raises(ConfigError, match="image dim 64 != network input dim 256"):
+        train(labeled, pairs, triplets, LayerSpec((256, 10, 8)), cfg)
+
+
+def test_train_unsupervised_needs_a_pass():
+    _, pairs, triplets = small_data()
+    with pytest.raises(ConfigError, match="passes must be >= 1"):
+        train_unsupervised(pairs, triplets, SPEC, TrainConfig(lr=0.01), passes=0)
 
 
 def test_two_tables_are_refused_even_when_one_side_draws_nothing():
