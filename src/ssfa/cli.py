@@ -9,11 +9,11 @@ writes byte-identical outputs; the effective configuration is echoed to
 A config file (plain `key = value` lines, '#' comments) may supply any
 flag's value, keyed by the flag's name without its "--" (`lambda`,
 `pair-neg-ratio`); explicit flags always win. Every subcommand checks that
-it can create --out before any work, and writes it only after that work
-has succeeded. --threads sets the BLAS thread
-variables before the subcommand runs; importing the package has loaded
-numpy by then, so they reach this process's BLAS pool only when they were
-already set when it started.
+it can create --out, then every flag value, before it reads any input,
+and writes --out only after its work has succeeded. --threads sets the
+BLAS thread variables before the subcommand runs; importing the package
+has loaded numpy by then, so they reach this process's BLAS pool only
+when they were already set when it started.
 """
 
 from __future__ import annotations
@@ -53,6 +53,13 @@ def _integer(text: str) -> int:
 
     if not _decimal(text[1:] if text.startswith("-") else text):
         raise argparse.ArgumentTypeError(f"expected an integer in ASCII digits, got {text!r}")
+    return int(text)
+
+
+def _seed(text: str) -> int:
+    """The reader of --seed and the config key ``seed``: an integer >= 0, numpy's seed domain."""
+    if _integer(text) < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
     return int(text)
 
 
@@ -328,6 +335,7 @@ def cmd_train(args) -> int:
 def cmd_eval_seqcomp(args) -> int:
     from . import data, evaluate, network
 
+    evaluate.check_protocol(args.T, args.queries, args.pool_n)
     params, _ = network.load_checkpoint(args.checkpoint)
     u = _load_manifest(args.unlabeled, "--unlabeled", labeled=False)
     queries = evaluate.make_queries(u, args.T, args.queries, args.seed)
@@ -356,6 +364,7 @@ def cmd_eval_cls(args) -> int:
 def cmd_eval_knn(args) -> int:
     from . import evaluate, network
 
+    evaluate.check_protocol(k=args.k)
     params, _ = network.load_checkpoint(args.checkpoint)
     train_set = _load_manifest(args.train, "--train", labeled=True)
     test_set = _load_manifest(args.test, "--test", labeled=True)
@@ -388,16 +397,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def add(name, func, help, out_required=True, **defaults):
+        """A subparser with the flags every subcommand shares, bound to ``func``."""
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="key = value config file; flags override it")
         p.add_argument("--threads", type=_integer,
                        help="BLAS thread cap; overrides preset OMP/OPENBLAS/MKL_NUM_THREADS "
                             "(default: keep preset values, else 1 for bit-stable runs)")
-        p.add_argument("--seed", type=_integer, default=0)
+        p.add_argument("--seed", type=_seed, default=0, help="an integer >= 0")
+        p.add_argument("--out", required=out_required, help="output directory")
+        p.set_defaults(func=func, **defaults)
+        return p
 
-    p = sub.add_parser("synth", help="generate synthetic shape clips and labeled images")
-    common(p)
-    p.add_argument("--out", required=True)
+    p = add("synth", cmd_synth, "generate synthetic shape clips and labeled images")
     p.add_argument("--mode", choices=("steady", "jerky"), default="steady")
     p.add_argument("--clips", type=_integer, default=8, help="unlabeled clips; 0 writes labeled "
                    "images only")
@@ -406,28 +418,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shapes", type=_integer, default=4)
     p.add_argument("--noise", type=_real, default=0.0)
     p.add_argument("--labeled-per-class", type=_integer, default=0)
-    p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("fixtures", help="write the canonical benchmark datasets")
-    common(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_fixtures, seed=7)
+    add("fixtures", cmd_fixtures, "write the canonical benchmark datasets", seed=7)
 
-    p = sub.add_parser("mine", help="mine temporal pair/triplet tuples")
-    common(p)
+    p = add("mine", cmd_mine, "mine temporal pair/triplet tuples")
     p.add_argument("--data", required=True, help="unlabeled manifest")
-    p.add_argument("--out", required=True)
     p.add_argument("--T", type=_real, default=2.0, help="temporal window, seconds")
     p.add_argument("--pair-neg-ratio", type=_real, default=3.0)
     p.add_argument("--triplet-neg-ratio", type=_real, default=1.0)
     p.add_argument("--max-pairs", type=_integer, default=10000)
     p.add_argument("--max-triplets", type=_integer, default=10000)
-    p.set_defaults(func=cmd_mine)
 
-    p = sub.add_parser("train", help="train a feature map and classifier")
-    common(p)
+    p = add("train", cmd_train, "train a feature map and classifier")
     p.add_argument("--labeled", required=True, help="labeled manifest")
-    p.add_argument("--out", required=True)
     p.add_argument("--unlabeled", help="unlabeled manifest (for resolving tuples)")
     p.add_argument("--pairs", help="mined pair tuple file")
     p.add_argument("--triplets", help="mined triplet tuple file")
@@ -449,40 +452,28 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hidden", default="25", help="hidden widths, comma separated")
     p.add_argument("--dim", type=_integer, default=25, help="feature dimension")
     p.add_argument("--cv", action="store_true", help="greedy staged hyperparameter search")
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval-seqcomp", help="sequence completion (mean percentile rank)")
-    common(p)
+    p = add("eval-seqcomp", cmd_eval_seqcomp, "sequence completion (mean percentile rank)")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--unlabeled", required=True, help="held-out clips manifest")
-    p.add_argument("--out", required=True)
     p.add_argument("--T", type=_real, default=2.0)
     p.add_argument("--queries", type=_integer, default=200)
     p.add_argument("--pool-n", type=_integer, default=5,
                    help="random distractor frames per represented clip")
-    p.set_defaults(func=cmd_eval_seqcomp)
 
-    p = sub.add_parser("eval-cls", help="linear classifier accuracy")
-    common(p)
+    p = add("eval-cls", cmd_eval_cls, "linear classifier accuracy")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--test", required=True, help="labeled manifest")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_eval_cls)
 
-    p = sub.add_parser("eval-knn", help="k-nearest-neighbor accuracy")
-    common(p)
+    p = add("eval-knn", cmd_eval_knn, "k-nearest-neighbor accuracy")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--train", required=True, help="labeled manifest")
     p.add_argument("--test", required=True, help="labeled manifest")
-    p.add_argument("--out", required=True)
     p.add_argument("--k", type=_integer, default=5)
-    p.set_defaults(func=cmd_eval_knn)
 
-    p = sub.add_parser("gradcheck", help="finite-difference check of all loss gradients")
-    common(p)
+    p = add("gradcheck", cmd_gradcheck, "finite-difference check of all loss gradients",
+            out_required=False)
     p.add_argument("--points", type=_integer, default=100)
-    p.add_argument("--out", help="optional report directory")
-    p.set_defaults(func=cmd_gradcheck)
 
     return top
 
@@ -496,9 +487,8 @@ def main(argv=None) -> int:
         # parsed again, so explicit flags still win
         args = top.parse_args(argv)
         if args.config is not None:
-            subparsers = next(
-                a for a in top._actions if isinstance(a, argparse._SubParsersAction)
-            )
+            subparsers = next(a for a in top._actions
+                              if isinstance(a, argparse._SubParsersAction))
             _apply_config(subparsers.choices[args.command], _parse_config_file(Path(args.config)))
             args = top.parse_args(argv)
         _apply_threads(args.threads)

@@ -60,14 +60,24 @@ def extrapolate(z1, z2) -> np.ndarray:
     return 2.0 * z2 - z1
 
 
-def make_queries(u: UnlabeledSet, T_seconds: float, max_queries: int, seed: int):
-    """Sample evenly spaced in-sequence triplets (spacing in [1, T_frames])
-    as completion queries, uniformly over the corpus, seeded: an (n, 3) intp
-    array of corpus rows (:attr:`UnlabeledSet.starts`), t1, t2 and truth t3."""
+def check_protocol(T_seconds=1.0, max_queries=1, n_per_video=0, k=1) -> None:
+    """The one home of the protocols' data-free rules (every default passes): a
+    ValueError for the first value that make_queries, build_pool or knn_accuracy rejects."""
     if not (math.isfinite(T_seconds) and T_seconds > 0):
         raise ValueError(f"T_seconds must be finite and > 0, got {T_seconds}")
     if max_queries < 1:
         raise ValueError(f"max_queries must be >= 1, got {max_queries}")
+    if n_per_video < 0:
+        raise ValueError("n_per_video must be >= 0")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+
+
+def make_queries(u: UnlabeledSet, T_seconds: float, max_queries: int, seed: int):
+    """Sample evenly spaced in-sequence triplets (spacing in [1, T_frames])
+    as completion queries, uniformly over the corpus, seeded: an (n, 3) intp
+    array of corpus rows (:attr:`UnlabeledSet.starts`), t1, t2 and truth t3."""
+    check_protocol(T_seconds, max_queries)
     pos = (triplet_positives(len(c.frames), clip_window(T_seconds, c)) for c in u.clips)
     # candidate order: by clip, then spacing, then first frame
     rows = np.concatenate([start + p[np.lexsort((p[:, 0], p[:, 1] - p[:, 0]))]
@@ -81,8 +91,7 @@ def build_pool(queries, u: UnlabeledSet, n_per_video: int, seed: int) -> Candida
     """Candidate pool: every query row (frames and truth), then n_per_video
     seeded-random distractor frames from each clip the queries touch, drawn in
     clip id order. A repeated row keeps its first place."""
-    if n_per_video < 0:
-        raise ValueError("n_per_video must be >= 0")
+    check_protocol(n_per_video=n_per_video)
     q = np.asarray(queries, dtype=np.intp).reshape(-1)
     if len(q) and not 0 <= q.min() <= q.max() < u.starts[-1]:
         raise ValueError(f"query rows must lie in [0, {u.starts[-1]}), the corpus's frames")
@@ -171,8 +180,7 @@ def knn_accuracy(params: NetworkParams, train: LabeledSet, test: LabeledSet,
     Vote ties go to the class of the nearest neighbor among the tied
     classes. A test image that is also in ``train`` is its own neighbor.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    check_protocol(k=k)
     if len(train) < k:
         raise ValueError(f"need at least k={k} training items, have {len(train)}")
     if len(test) == 0:

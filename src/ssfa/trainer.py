@@ -265,6 +265,7 @@ def _stepper(theta, layer_spec: LayerSpec, lead: int, streams, cfg: TrainConfig)
     return steps
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite values raise OptimizerError
 def train(labeled: LabeledSet, pairs, triplets, layer_spec: LayerSpec, cfg: TrainConfig):
     """Optimize the joint objective; returns (params, W, history).
 
@@ -324,6 +325,7 @@ def train(labeled: LabeledSet, pairs, triplets, layer_spec: LayerSpec, cfg: Trai
     return best_params, best_W, TrainHistory(history, best_epoch)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as in train
 def train_unsupervised(pairs, triplets, layer_spec: LayerSpec, cfg: TrainConfig,
                        passes: int = 3):
     """Optimize the coherence loss alone (no supervised term, no classifier):

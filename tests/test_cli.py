@@ -228,6 +228,101 @@ def test_flag_values_are_checked_before_any_file_is_read(tmp_path, capsys, argv,
     assert not out.exists()
 
 
+# flags that name an input file, and the other flags that take no value from a domain
+PATH_FLAGS = {"--data", "--labeled", "--unlabeled", "--pairs", "--triplets", "--checkpoint",
+              "--train", "--test"}
+NO_RULE_FLAGS = PATH_FLAGS | {"--config", "--out", "--cv"}
+
+# every other flag: an out-of-domain value, its exit code and its message;
+# a flag that every subcommand shares is keyed by its name alone
+FLAG_RULES = {
+    "--threads": ("0", 2, "--threads: expected a count >= 1, got 0"),
+    "--seed": ("-1", 2, "argument --seed: expected an integer >= 0, got '-1'"),
+    ("synth", "--mode"): ("bogus", 2, "argument --mode: invalid choice: 'bogus'"),
+    ("synth", "--clips"): ("-1", 3, "--clips and --labeled-per-class must be >= 0, got -1 and 0"),
+    ("synth", "--clip-len"): ("4", 3, "clip_len must be >= 5"),
+    ("synth", "--grid"): ("7", 3, "grid must be >= 8"),
+    ("synth", "--shapes"): ("1", 3, "shapes must be in [2, "),
+    ("synth", "--noise"): ("-1", 3, "noise_sigma must be finite and >= 0, got -1.0"),
+    ("synth", "--labeled-per-class"): ("-1", 3,
+                                       "--clips and --labeled-per-class must be >= 0, got 8 and -1"),
+    ("mine", "--T"): ("0", 3, "T_seconds must be finite and > 0, got 0.0"),
+    ("mine", "--pair-neg-ratio"): ("-1", 3, "negative ratios must be finite and >= 0, got -1.0, 1.0"),
+    ("mine", "--triplet-neg-ratio"): ("-1", 3,
+                                      "negative ratios must be finite and >= 0, got 3.0, -1.0"),
+    ("mine", "--max-pairs"): ("0", 3, "caps must be >= 1"),
+    ("mine", "--max-triplets"): ("0", 3, "caps must be >= 1"),
+    ("train", "--method"): ("bogus", 2, "argument --method: invalid choice: 'bogus'"),
+    ("train", "--lambda"): ("-1", 3, "regularization weights must be finite and >= 0, got "
+                                     "lam=-1.0, lam_prime=1.0"),
+    ("train", "--lambda2"): ("-1", 3, "regularization weights must be finite and >= 0, got "
+                                      "lam=1.0, lam_prime=-1.0"),
+    ("train", "--lr"): ("0", 3, "lr must be finite and > 0, got 0.0"),
+    ("train", "--momentum"): ("1", 3, "momentum must be in [0, 1)"),
+    ("train", "--delta-pair"): ("-1", 3, "margins must be finite and >= 0, got "
+                                         "delta_pair=-1.0, delta_triplet=1.0"),
+    ("train", "--delta-triplet"): ("-1", 3, "margins must be finite and >= 0, got "
+                                            "delta_pair=1.0, delta_triplet=-1.0"),
+    ("train", "--batch-labeled"): ("0", 3, "batch_labeled must be >= 1"),
+    ("train", "--batch-pairs"): ("-1", 3, "batch sizes must be >= 0"),
+    ("train", "--batch-triplets"): ("-1", 3, "batch sizes must be >= 0"),
+    ("train", "--epochs"): ("0", 3, "max_epochs and patience must be >= 1"),
+    ("train", "--patience"): ("0", 3, "max_epochs and patience must be >= 1"),
+    ("train", "--val-fraction"): ("0", 3, "val_fraction must be in (0, 1)"),
+    ("train", "--hidden"): ("0", 2, "--hidden: bad hidden layer list '0'"),
+    ("train", "--dim"): ("0", 2, "--dim: expected a width >= 1, got 0"),
+    ("eval-seqcomp", "--T"): ("-1", 3, "T_seconds must be finite and > 0, got -1.0"),
+    ("eval-seqcomp", "--queries"): ("0", 3, "max_queries must be >= 1, got 0"),
+    ("eval-seqcomp", "--pool-n"): ("-1", 3, "n_per_video must be >= 0"),
+    ("eval-knn", "--k"): ("0", 3, "k must be >= 1"),
+    ("gradcheck", "--points"): ("0", 3, "points must be >= 1, got 0"),
+}
+
+
+def _subparsers():
+    return next(a for a in _build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _flags(parser):
+    return [opt for a in parser._actions for opt in a.option_strings if opt not in ("-h", "--help")]
+
+
+@pytest.mark.parametrize("command, flag", [pytest.param(c, f, id=c + f)
+                                           for c, p in _subparsers().items()
+                                           for f in _flags(p) if f not in NO_RULE_FLAGS])
+def test_every_flag_rule_is_reached_before_any_input_is_read(tmp_path, capsys, command, flag):
+    # eval-knn --k, eval-seqcomp --queries, --T and --pool-n were checked only
+    # once the checkpoint and manifests had loaded, and --seed -1 reached
+    # numpy's seeding (or was masked), so a missing file hid each behind
+    # "No such file"; a flag in neither table fails here
+    rule = FLAG_RULES.get((command, flag), FLAG_RULES.get(flag))
+    assert rule is not None, f"{command} {flag} has no out-of-domain case in FLAG_RULES"
+    value, code, message = rule
+    missing, out = str(tmp_path / "missing"), tmp_path / "o"
+    argv = [command] + [a for f in _flags(_subparsers()[command]) if f in PATH_FLAGS
+                        for a in (f, missing)]
+    try:
+        got = main(argv + ["--out", str(out), flag, value])
+    except SystemExit as e:  # argparse rejects a value outside a type or choices itself
+        got = e.code
+    err = capsys.readouterr().err
+    assert got == code and message in err, err
+    assert "No such file" not in err
+    assert not out.exists()
+
+
+def test_every_subcommand_shares_four_flags_and_the_rule_table_is_current():
+    subparsers = _subparsers()
+    for command, parser in subparsers.items():
+        assert {"--config", "--threads", "--seed", "--out"} <= set(_flags(parser)), command
+        for a in parser._actions:  # a flag with a domain cannot hide among the exempt ones
+            if set(a.option_strings) & NO_RULE_FLAGS:
+                assert a.type is None and a.choices is None, a.option_strings
+    flags = {(c, f) for c, p in subparsers.items() for f in _flags(p)}
+    assert {key for key in FLAG_RULES if isinstance(key, tuple)} <= flags
+
+
 def test_failed_train_leaves_no_out_behind(pipeline, tmp_path, capsys):
     # the config echo was written before training, so a diverged run left
     # run_config.txt behind as if it had produced a model

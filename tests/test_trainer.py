@@ -673,3 +673,23 @@ def test_unsupervised_run_peak_holds_no_copy_of_the_last_snapshot(monkeypatch):
         monkeypatch, lambda: train_unsupervised(pairs, triplets, spec, cfg, passes=2))
     bound = work + 4.5 * theta
     assert peak < bound, (peak, bound)
+
+
+def test_greedy_cv_scores_a_diverging_candidate_inf_without_a_warning(monkeypatch):
+    # the diverging lr's overflow in matmul was a numpy RuntimeWarning, which
+    # the suite's filterwarnings turns into an error, before it scored inf
+    labeled, _, _ = small_data()
+    base = TrainConfig(lr=0.01, max_epochs=12, patience=12, seed=0)
+    _grids(monkeypatch, (1e3, 0.01), (0.1,), (0.1,), (1.0,))
+    cfg, log = greedy_cv(labeled, None, None, SPEC, base=base)
+    assert cfg.lr == 0.01
+    assert [(r["candidate"], r["val_loss"]) for r in log][1] == (1000.0, float("inf"))
+    assert np.isfinite(log[0]["val_loss"])
+
+
+def test_diverging_unsupervised_run_raises_optimizer_error_not_a_warning():
+    # the overflow in multiply was a numpy RuntimeWarning, an error under the
+    # suite's filterwarnings, before the loss check could name the term
+    _, pairs, triplets = small_data()
+    with pytest.raises(OptimizerError, match="non-finite loss term slow"):
+        train_unsupervised(pairs, triplets, SPEC, TrainConfig(lr=1e3, lam_prime=0.5, seed=0))
