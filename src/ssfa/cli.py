@@ -115,8 +115,8 @@ def _apply_config(parser: argparse.ArgumentParser, cfg: dict) -> None:
         else:
             try:
                 defaults[dest] = action.type(value)
-            except (ValueError, argparse.ArgumentTypeError):
-                raise CliConfigError(f"config key {key!r}: bad value {value!r}") from None
+            except argparse.ArgumentTypeError as e:  # the reader's reason, as a flag gives it
+                raise CliConfigError(f"config key {key!r}: {e}") from None
         if action.choices is not None and defaults[dest] not in action.choices:
             raise CliConfigError(f"config key {key!r}: {value!r} is not one of {action.choices}")
     parser.set_defaults(**defaults)

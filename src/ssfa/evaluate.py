@@ -10,13 +10,12 @@ the optimistic tie rule: only strictly smaller distances count.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import LabeledSet, UnlabeledSet, _blocks, _read_only, prep_stack
-from .mining import clip_window, triplet_positives
+from .mining import _check_window, clip_window, triplet_positives
 from .network import NetworkParams, forward
 
 
@@ -63,8 +62,7 @@ def extrapolate(z1, z2) -> np.ndarray:
 def check_protocol(T_seconds=1.0, max_queries=1, n_per_video=0, k=1) -> None:
     """The one home of the protocols' data-free rules (every default passes): a
     ValueError for the first value that make_queries, build_pool or knn_accuracy rejects."""
-    if not (math.isfinite(T_seconds) and T_seconds > 0):
-        raise ValueError(f"T_seconds must be finite and > 0, got {T_seconds}")
+    _check_window(T_seconds)
     if max_queries < 1:
         raise ValueError(f"max_queries must be >= 1, got {max_queries}")
     if n_per_video < 0:

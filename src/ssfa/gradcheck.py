@@ -172,7 +172,7 @@ def check_total(rng, points: int = 100) -> float:
             ):
                 break
 
-        work = Workspace(spec, len(bx), pb, tb, len(W))
+        work = Workspace(spec, len(bx), pb, tb)
 
         def loss(vec):
             theta, W_ = split_model(spec, vec)

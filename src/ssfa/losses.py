@@ -14,11 +14,12 @@ distance gradient at coincident points is 0, the hinge gradient exactly at
 the margin is 0, and sign(0) = 0 for l1.
 
 Both contrastive terms run through one private kernel over stacked contrast
-rows, and both softmax callers through one buffered softmax kernel: the
-public losses wrap them for feature batches, and the one objective runs
-them on a :class:`Workspace`'s buffers, so the finite-difference audit of
-the public losses checks the code that training runs. The coherence
-objective is that objective with no labeled rows.
+rows, and both softmax callers through one softmax kernel; each kernel
+allocates its own scratch on every call. The public losses wrap them for
+feature batches, and the one objective runs them on the rows of a
+:class:`Workspace`, so the finite-difference audit of the public losses
+checks the code that training runs. The coherence objective is that
+objective with no labeled rows.
 """
 
 from __future__ import annotations
@@ -70,20 +71,7 @@ class LossValue:
 _NO_LABELS = np.zeros(0, dtype=np.intp)
 
 
-class _ContrastScratch:
-    """The buffers of :func:`_contrastive` for up to ``rows`` contrast rows
-    of width k: the rows, their unit rows (first their squares or absolute
-    values), five per-row float vectors and three per-row masks."""
-
-    def __init__(self, rows: int, k: int):
-        self.c = np.empty((rows, k))
-        self.u = np.empty((rows, k))
-        self.f = np.empty((5, rows))
-        self.b = np.empty((3, rows), dtype=bool)
-
-
-def _contrastive(s: _ContrastScratch, block, p_pair, p_trip, lam: float, lam_prime: float,
-                 margins: Margins):
+def _contrastive(block, p_pair, p_trip, lam: float, lam_prime: float, margins: Margins):
     """The one contrastive kernel behind every coherence term.
 
     ``block`` holds the members' feature rows: the pairs' a then b, then
@@ -97,15 +85,18 @@ def _contrastive(s: _ContrastScratch, block, p_pair, p_trip, lam: float, lam_pri
     pair, lam_prime * g, lam_prime * ((-g) - g) and lam_prime * g for a
     triplet, each times lam. Returns (value, terms): the pair mean plus
     lam_prime times the triplet mean, and each mean as "slow" / "steady"
-    (0.0 for a side without tuples).
+    (0.0 for a side without tuples). The kernel's scratch is the contrast
+    rows, their unit rows (first their squares or absolute values), five
+    per-row float vectors and three per-row masks, which every operation
+    writes through ``out=``.
     """
     n_p, n_t, k = len(p_pair), len(p_trip), block.shape[1]
     rows = n_p + n_t
     a, b = block[: 2 * n_p].reshape(2, n_p, k)
     l, m, n = block[2 * n_p : 2 * n_p + 3 * n_t].reshape(3, n_t, k)
-    c, u = s.c[:rows], s.u[:rows]
-    d, hinge, values, coeff, safe = s.f[:, :rows]
-    neg, act, zero = s.b[:, :rows]
+    c, u = np.empty((rows, k)), np.empty((rows, k))
+    d, hinge, values, coeff, safe = np.empty((5, rows))
+    neg, act, zero = np.empty((3, rows), dtype=bool)
     np.subtract(a, b, out=c[:n_p])
     np.subtract(l, m, out=c[n_p:])
     c[n_p:] -= np.subtract(m, n, out=u[n_p:])
@@ -164,8 +155,7 @@ def _tuple_loss(zs, p, margins: Margins):
         raise ValueError(f"{kind} batch shapes {[z.shape for z in zs]}, {p.shape} disagree")
     block = np.concatenate(zs)
     labels = (p, _NO_LABELS) if kind == "pair" else (_NO_LABELS, p)
-    value, _ = _contrastive(_ContrastScratch(len(p), block.shape[1]), block, *labels, 1.0, 1.0,
-                            margins)
+    value, _ = _contrastive(block, *labels, 1.0, 1.0, margins)
     return value, np.split(block, len(zs))
 
 
@@ -197,29 +187,27 @@ def _labeled_batch(W, zs, ys):
     return ys
 
 
-def _softmax(W, zs, ys, dz, dW, buf) -> float:
+def _softmax(W, zs, ys, dz, dW) -> float:
     """The softmax kernel on checked inputs: returns the mean loss and
     writes the feature gradient G @ W into ``dz`` and the classifier
     gradient G.T @ zs into ``dW``. With ``dz`` and ``dW`` None it returns
-    the loss alone and runs no gradient GEMM. ``buf`` is flat scratch of
-    at least n * (2 * classes + 1) floats."""
-    n, classes = len(zs), len(W)
-    shifted, e = buf[: 2 * n * classes].reshape(2, n, classes)
-    col = buf[2 * n * classes : (2 * classes + 1) * n].reshape(n, 1)
-    np.matmul(zs, W.T, out=shifted)
-    shifted -= np.maximum.reduce(shifted, axis=1, keepdims=True, out=col)
-    np.log(np.add.reduce(np.exp(shifted, out=e), axis=1, keepdims=True, out=col), out=col)
-    logp = np.subtract(shifted, col, out=shifted)
+    the loss alone and runs no gradient GEMM."""
+    n = len(zs)
+    logits = zs @ W.T
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     picked = (np.arange(n), ys)
-    value = -(np.add.reduce(logp[picked]) / n)
+    value = float(-logp[picked].mean())
     if dz is None:
-        return float(value)
-    G = np.exp(logp, out=logp)
+        return value
+    G = np.exp(logp)
     G[picked] -= 1.0
     G /= n
+    # dz first: in the training step dW is a view of the vector that W views,
+    # so writing dW overwrites the W that G @ W reads
     np.matmul(G, W, out=dz)
     np.matmul(G.T, zs, out=dW)
-    return float(value)
+    return value
 
 
 def softmax_loss(W, zs, ys) -> LossValue:
@@ -230,7 +218,7 @@ def softmax_loss(W, zs, ys) -> LossValue:
     zs = np.atleast_2d(np.asarray(zs, dtype=np.float64))
     ys = _labeled_batch(W, zs, ys)
     dz, dW = np.empty(zs.shape), np.empty(W.shape)
-    value = _softmax(W, zs, ys, dz, dW, np.empty(len(zs) * (2 * len(W) + 1)))
+    value = _softmax(W, zs, ys, dz, dW)
     return LossValue(value, {"W": dW, "z": dz})
 
 
@@ -241,18 +229,18 @@ def has_tuples(batch) -> bool:
 
 
 class Workspace:
-    """The buffers of one fused pass, reused by every objective call that
-    passes it as ``work``. They are sized for ``lead`` labeled rows,
-    ``classes`` classes and the largest ``pairs`` and ``triplets`` batches
-    (None, or a frame table and idx rows first): the stacked batch X, the
-    forward tape with backward's scratch, dZ, the member block (each idx
-    entry's feature row, then its gradient), the contrastive kernel's rows,
-    the softmax scratch and a table-sized row-position map. The next call
-    with the same workspace overwrites them. The gradient is not among
-    them: it goes into the objective's ``out``.
+    """The arrays of one fused pass, reused by every objective call that
+    passes it as ``work``. They are sized for ``lead`` labeled rows and the
+    largest ``pairs`` and ``triplets`` batches (None, or a frame table and
+    idx rows first): the stacked batch X, the forward tape with backward's
+    scratch, dZ, the member block (each idx entry's feature row, then its
+    gradient) with its flat element indices, a table-sized row-position map
+    and the column index. The next call with the same workspace overwrites
+    them. The loss kernels' scratch is not among them, nor is the
+    gradient: it goes into the objective's ``out``.
     """
 
-    def __init__(self, spec: LayerSpec, lead: int, pairs, triplets, classes: int = 0):
+    def __init__(self, spec: LayerSpec, lead: int, pairs, triplets):
         batches = [b for b in (pairs, triplets) if b is not None]
         table_rows = len(batches[0][0]) if batches else 0
         members = sum(b[1].size for b in batches)
@@ -262,8 +250,6 @@ class Workspace:
         self.dZ = np.empty((rows, k))
         self.member = np.empty((members, k))
         self.member_at = np.empty((members, k), dtype=np.intp)
-        self.contrast = _ContrastScratch(members // 2, k)
-        self.soft = np.empty(lead * (2 * classes + 1))
         self.pos = np.zeros(table_rows, dtype=np.intp)  # all zero between calls
         self.cols = np.arange(k)
 
@@ -312,7 +298,7 @@ def _fused(ws: Workspace, params: NetworkParams, lead_x, pairs, triplets, lam: f
     Z, tape = forward(params, X, out=ws.tape)
     block = np.take(Z, at, axis=0, out=ws.member[: len(members)], mode="clip")
     labels = [_NO_LABELS if b is None else b[2] for b in (pairs, triplets)]
-    value, terms = _contrastive(ws.contrast, block, *labels, lam, lam_prime, margins)
+    value, terms = _contrastive(block, *labels, lam, lam_prime, margins)
     # the block now holds each member's gradient; np.add.at over flat element
     # indices takes numpy's fast path, row indices do not
     flat_at = np.add(at[:, None] * Z.shape[1], ws.cols, out=ws.member_at[: len(members)])
@@ -345,14 +331,14 @@ def total_objective(batch_x, batch_y, pairs, triplets, params: NetworkParams, W,
     theta.flat followed by W, row-major. With lam = 0 the tuple inputs
     are ignored; with ``batch_x`` None there is no supervised term:
     ``terms`` has no "sup" and the classifier gradient is zero.
-    ``work`` (a :class:`Workspace` with room for the batch and W's rows)
-    holds the pass's arrays; None sizes one for this call. ``out`` (None: a
+    ``work`` (a :class:`Workspace` with room for the batch) holds the
+    pass's arrays; None sizes one for this call. ``out`` (None: a
     fresh vector) takes the gradient; ``params`` and ``W`` may view it.
     """
     W = np.asarray(W, dtype=np.float64)
     pairs, triplets = _tuples(pairs, triplets, lam_prime) if lam != 0.0 else (None, None)
     lead, spec = 0 if batch_x is None else len(batch_x), params.layer_spec()
-    ws = Workspace(spec, lead, pairs, triplets, len(W)) if work is None else work
+    ws = Workspace(spec, lead, pairs, triplets) if work is None else work
     flat = np.empty(spec.param_count + W.size) if out is None else out
     dW = flat[spec.param_count :].reshape(W.shape)
     Z, tape, value, terms, dZ = _fused(ws, params, batch_x, pairs, triplets, lam, lam_prime,
@@ -361,7 +347,7 @@ def total_objective(batch_x, batch_y, pairs, triplets, params: NetworkParams, W,
         dW.fill(0.0)
     else:
         zs = Z[:lead]
-        sup = _softmax(W, zs, _labeled_batch(W, zs, batch_y), dZ[:lead], dW, ws.soft)
+        sup = _softmax(W, zs, _labeled_batch(W, zs, batch_y), dZ[:lead], dW)
         value, terms = sup + lam * value, {"sup": sup, **terms}
     backward(params, tape, dZ, flat[: spec.param_count])
     return LossValue(value, {"flat": flat}, terms)

@@ -76,13 +76,19 @@ class MiningConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.T_seconds) and self.T_seconds > 0):
-            raise ValueError(f"T_seconds must be finite and > 0, got {self.T_seconds}")
+        _check_window(self.T_seconds)
         if not all(math.isfinite(r) and r >= 0 for r in (self.pair_neg_ratio, self.triplet_neg_ratio)):
             raise ValueError("negative ratios must be finite and >= 0, got "
                              f"{self.pair_neg_ratio}, {self.triplet_neg_ratio}")
         if self.max_pairs < 1 or self.max_triplets < 1:
             raise ValueError("caps must be >= 1")
+
+
+def _check_window(T_seconds: float) -> None:
+    """The one rule of a temporal window, for mining and the completion
+    queries alike: a ValueError unless it is finite and > 0 seconds."""
+    if not (math.isfinite(T_seconds) and T_seconds > 0):
+        raise ValueError(f"T_seconds must be finite and > 0, got {T_seconds}")
 
 
 def window_frames(T_seconds: float, frame_period: float) -> int:

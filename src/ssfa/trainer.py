@@ -7,11 +7,12 @@ embeds the labeled rows and the unique table rows in one forward pass and
 returns one flat gradient from one backward pass, for a single in-place
 update of the flat parameter vector (network parameters followed by the
 classifier). Supervised and unsupervised runs share one step loop: it
-sizes the objective's buffers (a losses.Workspace), the velocity and the
-lookahead vector once, and every step reuses them, writing its gradient
-over the lookahead. An unsupervised step is a joint step with no labeled
-batch, no classifier and lam = 1. No later step touches the parameters a
-run returns. An epoch is one full pass over the labeled training split;
+sizes the objective's pass arrays (a losses.Workspace), the velocity and
+the lookahead vector once, and every step reuses them, writing its
+gradient over the lookahead; the loss kernels allocate their own
+scratch. An unsupervised step is a joint step with no labeled batch, no
+classifier and lam = 1. No later step touches the parameters a run
+returns. An epoch is one full pass over the labeled training split;
 tuple streams cycle independently with their own reshuffling. Training
 is bit-reproducible for a fixed config.
 """
@@ -240,7 +241,7 @@ def _stepper(theta, layer_spec: LayerSpec, lead: int, streams, cfg: TrainConfig)
     velocity, look = np.zeros_like(theta), np.empty_like(theta)
     look_net, look_W = split_model(layer_spec, look)  # the objective evaluates here
     batches = (None if s is None else (s.frames, s.idx[: s.batch]) for s in streams)
-    work = Workspace(layer_spec, lead, *batches, len(look_W))
+    work = Workspace(layer_spec, lead, *batches)
 
     def steps(batches):
         sums = {"sup": 0.0, "slow": 0.0, "steady": 0.0}
@@ -285,7 +286,6 @@ def train(labeled: LabeledSet, pairs, triplets, layer_spec: LayerSpec, cfg: Trai
         raise ConfigError(f"image dim {X.shape[1]} != network input dim {layer_spec.in_dim}")
     tr_idx, va_idx = stratified_split(y, cfg.val_fraction, np.random.default_rng(seeds[2]))
     yt, Xv, yv = y[tr_idx], X[va_idx], y[va_idx]
-    val_buf = np.empty(len(yv) * (2 * labeled.num_classes + 1))  # the softmax's scratch
 
     rng_shuffle = np.random.default_rng(seeds[3])
     streams = _tuple_streams(pairs, triplets, cfg, seeds[4:6]) if cfg.lam > 0 else (None, None)
@@ -306,7 +306,7 @@ def train(labeled: LabeledSet, pairs, triplets, layer_spec: LayerSpec, cfg: Trai
         means = steps((X[tr_idx[sel]], yt[sel]) for sel in sels)
 
         zv, _ = forward(net, Xv)
-        val_loss = _softmax(Wc, zv, yv, None, None, val_buf)  # the value alone
+        val_loss = _softmax(Wc, zv, yv, None, None)  # the value alone
         val_acc = float(np.mean(np.argmax(zv @ Wc.T, axis=1) == yv))
         history.append(
             EpochStats(epoch, means["sup"], means["slow"], means["steady"], val_loss, val_acc)

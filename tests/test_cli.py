@@ -714,17 +714,20 @@ def test_abbreviated_config_and_threads_flags_are_honored(monkeypatch, tmp_path)
     assert [os.environ[v] for v in BLAS_VARS] == ["3", "3", "3"]
 
 
-@pytest.mark.parametrize("command, key, value", [
-    ("train", "epochs", "1_0"),
-    ("train", "batch-pairs", "+3"),
-    ("train", "hidden", "2_5"),
-    ("eval-knn", "k", "\u0663"),
-], ids=["epochs_underscore", "batch_pairs_plus", "hidden_underscore", "k_arabic_indic"])
+@pytest.mark.parametrize("command, key, value, reason", [
+    ("train", "epochs", "1_0", "expected an integer in ASCII digits"),
+    ("train", "batch-pairs", "+3", "expected an integer in ASCII digits"),
+    ("train", "hidden", "2_5", "bad hidden layer list"),
+    ("eval-knn", "k", "\u0663", "expected an integer in ASCII digits"),
+    ("train", "seed", "-1", "expected an integer >= 0"),
+], ids=["epochs_underscore", "batch_pairs_plus", "hidden_underscore", "k_arabic_indic",
+        "seed_negative"])
 @pytest.mark.parametrize("via", ["flag", "config"])
 def test_integer_flags_and_config_values_are_ascii_decimal(pipeline, tmp_path, capsys, command,
-                                                           key, value, via):
-    # int() took these: 10 epochs, a pair batch of 3, a 25-unit hidden layer
-    # and k = 3; each is now exit 2 with the flag or key named, before any output
+                                                           key, value, reason, via):
+    # int() took the first four: 10 epochs, a pair batch of 3, a 25-unit
+    # hidden layer and k = 3; each is now exit 2 with the flag or key named,
+    # and the reader's reason, before any output
     _, data, _, run = pipeline
     labeled, out = str(data / "labeled.txt"), str(tmp_path / "out")
     argv = {
@@ -744,7 +747,7 @@ def test_integer_flags_and_config_values_are_ascii_decimal(pipeline, tmp_path, c
         code = e.code
     assert code == 2
     err = capsys.readouterr().err
-    assert key in err and repr(value) in err, err
+    assert key in err and repr(value) in err and reason in err, err
     assert not (tmp_path / "out").exists()
 
 
@@ -760,7 +763,8 @@ def test_integer_flags_and_config_values_are_ascii_decimal(pipeline, tmp_path, c
 def test_float_flags_and_config_values_are_ascii(pipeline, tmp_path, capsys, command, key, value,
                                                  via):
     # float() took these: noise 0.1, T = 2, lr 0.01, lambda 1.5 and T = 2;
-    # each is now exit 2 with the flag or key named, before any output
+    # each is now exit 2 with the flag or key named, and the reader's
+    # reason, before any output
     _, data, _, run = pipeline
     labeled, unlabeled = str(data / "labeled.txt"), str(data / "unlabeled.txt")
     out = str(tmp_path / "out")
@@ -783,6 +787,7 @@ def test_float_flags_and_config_values_are_ascii(pipeline, tmp_path, capsys, com
     assert code == 2
     err = capsys.readouterr().err
     assert key in err and repr(value) in err, err
+    assert "expected a real number in ASCII" in err, err
     assert not (tmp_path / "out").exists()
 
 

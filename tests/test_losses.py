@@ -323,7 +323,7 @@ def _same_bits(got: LossValue, ref: LossValue):
 @pytest.mark.parametrize("labels", ["mixed", "pos", "neg"])
 @pytest.mark.parametrize("metric", ["l2", "l1"])
 def test_contrastive_kernel_keeps_the_bits_of_the_per_term_code(metric, labels):
-    from ssfa.losses import _ContrastScratch, _contrastive
+    from ssfa.losses import _contrastive
 
     rng = np.random.default_rng(12)
     margins = Margins(delta_pair=1.0, delta_triplet=1.5, metric=metric)
@@ -343,8 +343,7 @@ def test_contrastive_kernel_keeps_the_bits_of_the_per_term_code(metric, labels):
         for lam in (1.0, 3.0):
             block = np.concatenate([z for b in (pb, tb) if b is not None for z in b[:-1]])
             no_labels = np.zeros(0, dtype=int)
-            value, terms = _contrastive(_ContrastScratch(12, 4), block,
-                                        no_labels if pb is None else pb[-1],
+            value, terms = _contrastive(block, no_labels if pb is None else pb[-1],
                                         no_labels if tb is None else tb[-1], lam, lam_prime,
                                         margins)
             expect = np.concatenate(list(ref.grads.values()))
@@ -376,8 +375,7 @@ def test_softmax_value_alone_has_the_bits_of_softmax_loss():
     for n, classes in ((1, 2), (9, 4), (40, 7)):
         W, zs = rng.normal(size=(classes, 5)) * 30.0, rng.normal(size=(n, 5))
         ys = rng.integers(0, classes, n)
-        buf = np.full(n * (2 * classes + 1), np.nan)
-        assert _softmax(W, zs, ys, None, None, buf) == softmax_loss(W, zs, ys).value
+        assert _softmax(W, zs, ys, None, None) == softmax_loss(W, zs, ys).value
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +462,7 @@ def test_reused_workspace_gives_the_bits_of_a_fresh_one():
     # step after a larger one must not read the larger one's leftover rows
     spec, params, W, bx, by, pairs, triplets = _setup_objective(11)
     rng = np.random.default_rng(11)
-    work = Workspace(spec, len(bx), pairs, triplets, len(W))
+    work = Workspace(spec, len(bx), pairs, triplets)
     co_work = Workspace(spec, 0, pairs, triplets)
     for n_lead, n_tuples in ((4, 5), (2, 3), (4, 1), (1, 5)):
         pb = (pairs[0], pairs[1][:n_tuples], pairs[2][:n_tuples])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ssfa.data import Clip, LabeledSet, UnlabeledSet, prep_stack
-from ssfa.losses import softmax_loss
+from ssfa.losses import Workspace, softmax_loss
 from ssfa.mining import MiningConfig, PairSample, TripletSample, mine_pairs, mine_triplets
 from ssfa.network import LayerSpec, forward, init_glorot
 from ssfa.synth import SynthConfig, gen_labeled, gen_unlabeled
@@ -619,6 +619,24 @@ def _owned_bytes(obj) -> int:
     if isinstance(obj, list):
         return sum(map(_owned_bytes, obj))
     return sum(map(_owned_bytes, vars(obj).values())) if hasattr(obj, "__dict__") else 0
+
+
+def test_workspace_owns_only_its_pass_arrays():
+    # the loss kernels allocate their own scratch on each call, so a
+    # workspace owns the pass's arrays alone: X and dZ for the lead rows
+    # plus the unique table rows, the tape, the member block with its flat
+    # indices, the position map and the column index
+    from ssfa.network import ActivationTape
+
+    spec, table = LayerSpec((6, 5, 4)), np.zeros((9, 6))
+    pairs = (table, np.zeros((3, 2), dtype=np.intp))
+    triplets = (table, np.zeros((1, 3), dtype=np.intp))
+    work = Workspace(spec, 2, pairs, triplets)
+    assert set(vars(work)) == {"X", "tape", "dZ", "member", "member_at", "pos", "cols"}
+    rows, members, k = 2 + 9, 3 * 2 + 1 * 3, spec.out_dim
+    expect = 8 * (rows * spec.in_dim + rows * k + 2 * members * k + len(table) + k)
+    expect += _owned_bytes(ActivationTape.buffers(spec, rows))
+    assert _owned_bytes(work) == expect
 
 
 def _traced_peak(monkeypatch, run):
