@@ -75,3 +75,29 @@ def test_eval_report_texts(tmp_path):
         '{\n  "accuracy": {\n    "k": 1,\n    "knn": 0.6666666666666666\n  },\n'
         '  "config": {\n    "test_size": 3,\n    "train_size": 2\n  },\n'
         '  "eta": null,\n  "ranks": null\n}\n')
+
+
+def _run_config_lines(labeled, out):
+    return ["batch_labeled = 16", "batch_pairs = 32", "batch_triplets = 32", "command = train",
+            "cv = False", "delta_pair = 1.0", "delta_triplet = 1.0", "dim = 25", "epochs = 150",
+            "hidden = 25", f"labeled = {labeled}", "lam = 1.0", "lam2 = 1.0", "lr = 0.01",
+            "method = unreg", "momentum = 0.9", f"out = {out}", "pairs = None", "patience = 15",
+            "seed = 0", "triplets = None", "unlabeled = None", "val_fraction = 0.2"]
+
+
+def test_train_run_config_text(tmp_path):
+    # the echoed configuration of a default unreg run, and of one with a
+    # spaced --hidden list
+    grid = np.linspace(0.0, 1.0, 4).reshape(2, 2)
+    images = [grid ** (i + 1) for i in range(5)] + [grid.T ** (i + 1) for i in range(5)]
+    write_labeled(LabeledSet(images, (0,) * 5 + (1,) * 5, 2), tmp_path / "set")
+    labeled = str(tmp_path / "set" / "labeled.txt")
+    plain, spaced = str(tmp_path / "plain"), str(tmp_path / "spaced")
+    assert main(["train", "--labeled", labeled, "--method", "unreg", "--out", plain]) == 0
+    assert main(["train", "--labeled", labeled, "--method", "unreg", "--hidden", "25, 10",
+                 "--out", spaced]) == 0
+    lines = _run_config_lines(labeled, plain)
+    assert (tmp_path / "plain" / "run_config.txt").read_text() == "\n".join(lines) + "\n"
+    lines = _run_config_lines(labeled, spaced)
+    lines[lines.index("hidden = 25")] = "hidden = 25, 10"
+    assert (tmp_path / "spaced" / "run_config.txt").read_text() == "\n".join(lines) + "\n"
