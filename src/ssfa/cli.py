@@ -8,12 +8,14 @@ writes byte-identical outputs; the effective configuration is echoed to
 
 A config file (plain `key = value` lines, '#' comments) may supply any
 flag's value, keyed by the flag's name without its "--" (`lambda`,
-`pair-neg-ratio`); explicit flags always win. Every subcommand checks that
-it can create --out, then every flag value, before it reads any input,
-and writes --out only after its work has succeeded. --threads sets the
-BLAS thread variables before the subcommand runs; importing the package
-has loaded numpy by then, so they reach this process's BLAS pool only
-when they were already set when it started.
+`pair-neg-ratio`); explicit flags always win. A flag's reader (its argparse
+``type``) checks its value from either source, naming the flag or the
+key (exit 2); then every subcommand checks that it can create --out, then
+its other flag values, before it reads any input, and writes --out only
+after its work has succeeded. --threads sets the BLAS thread variables
+before the subcommand runs; importing the package has loaded numpy by
+then, so they reach this process's BLAS pool only when they were already
+set when it started.
 """
 
 from __future__ import annotations
@@ -33,11 +35,7 @@ def _apply_threads(threads) -> None:
     """Pin BLAS thread pools to ``threads`` (the parsed --threads, from the
     command line or the config file's ``threads`` key), overriding BLAS
     variables already set in the environment. With None, preset values
-    are kept and unset ones default to 1. A count below 1 (which OpenBLAS
-    reads as no cap) is a CliConfigError, raised before any variable is
-    written."""
-    if threads is not None and threads < 1:
-        raise CliConfigError(f"--threads: expected a count >= 1, got {threads}")
+    are kept and unset ones default to 1."""
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         if threads is None:
             os.environ.setdefault(var, "1")
@@ -56,11 +54,24 @@ def _integer(text: str) -> int:
     return int(text)
 
 
-def _seed(text: str) -> int:
-    """The reader of --seed and the config key ``seed``: an integer >= 0, numpy's seed domain."""
-    if _integer(text) < 0:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
-    return int(text)
+def _at_least(low: int):
+    """The reader of integer flags and config keys with a floor (--seed >= 0,
+    numpy's seed domain; --threads and --dim >= 1): ``_integer`` values
+    below ``low`` are an ArgumentTypeError."""
+    def read(text: str) -> int:
+        if _integer(text) < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return int(text)
+    return read
+
+
+def _hidden_sizes(text: str) -> tuple:
+    """The reader of --hidden and the config key ``hidden``: comma-separated widths >= 1."""
+    try:
+        return tuple(_at_least(1)(t.strip()) for t in text.split(",") if t.strip())
+    except argparse.ArgumentTypeError:
+        raise argparse.ArgumentTypeError(
+            f"bad hidden layer list {text!r}, expected widths >= 1") from None
 
 
 def _real(text: str) -> float:
@@ -129,7 +140,9 @@ def _echo_config(args) -> Path:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    lines = [f"{key} = {value}" for key, value in sorted(vars(args).items())
+    # the --hidden widths, a tuple, are echoed in the flag's form: "25,10"
+    lines = [f"{key} = {','.join(map(str, value)) if isinstance(value, tuple) else value}"
+             for key, value in sorted(vars(args).items())
              if key not in ("func", "config", "threads")]
     write_atomic(out / "run_config.txt", "\n".join(lines) + "\n")
     return out
@@ -154,16 +167,6 @@ def _creatable_out(text: str) -> None:
         probe = probe.parent
     if not text or not probe.is_dir() or not os.access(probe, os.W_OK | os.X_OK):
         raise CliConfigError(f"--out: cannot create directory {text}")
-
-
-def _hidden_sizes(text: str):
-    try:
-        sizes = tuple(_integer(t.strip()) for t in text.split(",") if t.strip())
-    except argparse.ArgumentTypeError:
-        sizes = None
-    if sizes is None or min(sizes, default=1) < 1:
-        raise CliConfigError(f"--hidden: bad hidden layer list {text!r}, expected widths >= 1")
-    return sizes
 
 
 def _load_manifest(path, flag: str, labeled: bool):
@@ -297,9 +300,6 @@ def _train_tuples(args, cfg):
 def cmd_train(args) -> int:
     from . import losses, network, trainer
 
-    hidden = _hidden_sizes(args.hidden)
-    if args.dim < 1:
-        raise CliConfigError(f"--dim: expected a width >= 1, got {args.dim}")
     cfg = _train_config(args, losses, trainer)
     if cfg.lam > 0 and not (args.unlabeled and args.pairs):
         raise CliConfigError("this method needs --unlabeled and --pairs")
@@ -307,7 +307,7 @@ def cmd_train(args) -> int:
 
     pairs, triplets = _train_tuples(args, cfg) if cfg.lam > 0 else (None, None)
 
-    spec = network.LayerSpec((labeled.images[0].size,) + hidden + (args.dim,))
+    spec = network.LayerSpec((labeled.images[0].size,) + args.hidden + (args.dim,))
 
     if args.cv:
         cfg, log = trainer.greedy_cv(labeled, pairs, triplets, spec, base=cfg)
@@ -401,10 +401,10 @@ def _build_parser() -> argparse.ArgumentParser:
         """A subparser with the flags every subcommand shares, bound to ``func``."""
         p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="key = value config file; flags override it")
-        p.add_argument("--threads", type=_integer,
+        p.add_argument("--threads", type=_at_least(1),
                        help="BLAS thread cap; overrides preset OMP/OPENBLAS/MKL_NUM_THREADS "
                             "(default: keep preset values, else 1 for bit-stable runs)")
-        p.add_argument("--seed", type=_seed, default=0, help="an integer >= 0")
+        p.add_argument("--seed", type=_at_least(0), default=0, help="an integer >= 0")
         p.add_argument("--out", required=out_required, help="output directory")
         p.set_defaults(func=func, **defaults)
         return p
@@ -449,8 +449,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=_integer, default=150)
     p.add_argument("--patience", type=_integer, default=15)
     p.add_argument("--val-fraction", type=_real, default=0.2)
-    p.add_argument("--hidden", default="25", help="hidden widths, comma separated")
-    p.add_argument("--dim", type=_integer, default=25, help="feature dimension")
+    p.add_argument("--hidden", type=_hidden_sizes, default="25",
+                   help="hidden widths, comma separated")
+    p.add_argument("--dim", type=_at_least(1), default=25, help="feature dimension")
     p.add_argument("--cv", action="store_true", help="greedy staged hyperparameter search")
 
     p = add("eval-seqcomp", cmd_eval_seqcomp, "sequence completion (mean percentile rank)")

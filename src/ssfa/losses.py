@@ -232,12 +232,12 @@ class Workspace:
     """The arrays of one fused pass, reused by every objective call that
     passes it as ``work``. They are sized for ``lead`` labeled rows and the
     largest ``pairs`` and ``triplets`` batches (None, or a frame table and
-    idx rows first): the stacked batch X, the forward tape with backward's
-    scratch, dZ, the member block (each idx entry's feature row, then its
-    gradient) with its flat element indices, a table-sized row-position map
-    and the column index. The next call with the same workspace overwrites
-    them. The loss kernels' scratch is not among them, nor is the
-    gradient: it goes into the objective's ``out``.
+    idx rows first): the stacked batch X, the forward tape, dZ, the member
+    block (each idx entry's feature row, then its gradient) with its flat
+    element indices, a table-sized row-position map and the column index.
+    The next call with the same workspace overwrites them. The loss
+    kernels' scratch is not among them, nor is the gradient: it goes into
+    the objective's ``out``.
     """
 
     def __init__(self, spec: LayerSpec, lead: int, pairs, triplets):

@@ -78,10 +78,10 @@ class NetworkParams:
 @dataclass
 class ActivationTape:
     """Intermediates of one forward pass, consumed by backward(): the input
-    rows, each layer's output (``post[i]``: ReLU applied on hidden layers;
-    the last is the features), and per-hidden-layer scratch for backward's
-    ReLU masks. backward() overwrites the hidden outputs with its deltas, so
-    a tape serves one backward; ``x`` and the features stay as they are.
+    rows and each layer's output (``post[i]``: ReLU applied on hidden
+    layers; the last is the features). backward() overwrites the hidden
+    outputs with its deltas, so a tape serves one backward; ``x`` and the
+    features stay as they are.
 
     ``buffers`` makes a tape of empty arrays that ``forward(..., out=)``
     fills, so a caller that repeats passes of at most the same row count
@@ -89,14 +89,11 @@ class ActivationTape:
 
     x: np.ndarray
     post: list
-    mask: list
 
     @classmethod
     def buffers(cls, spec: "LayerSpec", rows: int) -> "ActivationTape":
-        """One array for up to ``rows`` rows of every layer, with backward's
-        mask scratch; ``x`` stays None."""
-        return cls(None, [np.empty((rows, w)) for w in spec.sizes[1:]],
-                   [np.empty((rows, w), dtype=bool) for w in spec.sizes[1:-1]])
+        """One array for up to ``rows`` rows of every layer; ``x`` stays None."""
+        return cls(None, [np.empty((rows, w)) for w in spec.sizes[1:]])
 
 
 def glorot_uniform(rng, fan_out: int, fan_in: int) -> np.ndarray:
@@ -132,21 +129,20 @@ def forward(params: NetworkParams, X, out: ActivationTape = None):
 
     The activations go into the first n rows of the arrays of ``out`` (from
     ``ActivationTape.buffers`` for at least n rows; None: a tape sized for
-    this batch), and the returned tape and Z view them, with the first n
-    rows of its mask scratch; the next pass into ``out`` overwrites
-    them."""
+    this batch), and the returned tape and Z view them; the next pass into
+    ``out`` overwrites them."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != params.weights[0].shape[1]:
         raise ValueError(f"input shape {X.shape} != (rows, {params.weights[0].shape[1]})")
     n = len(X)
     if out is None:
         out = ActivationTape.buffers(params.layer_spec(), n)
-    tape = ActivationTape(X, [a[:n] for a in out.post], [a[:n] for a in out.mask])
+    tape = ActivationTape(X, [a[:n] for a in out.post])
     h = X
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         h = np.matmul(h, w.T, out=tape.post[i])
         h += b
-        if i < len(tape.mask):
+        if i < len(tape.post) - 1:
             np.maximum(h, 0.0, out=h)
     return h, tape
 
@@ -157,9 +153,9 @@ def backward(params: NetworkParams, tape: ActivationTape, dZ, out=None) -> Netwo
     Returns the parameter gradient, written into the flat vector ``out`` (a
     fresh one when None). Each weight matrix W_i with i >= 1 is read from a
     copy, so ``out`` may be ``params.flat``. The input's gradient is never
-    formed. Once layer i has read hidden output ``tape.post[i-1]``, its
-    ReLU mask goes to the tape's scratch and layer i-1's delta overwrites
-    it: a tape serves one call, and ``dZ``, ``x`` and Z are only read. The
+    formed. Once layer i has read hidden output ``tape.post[i-1]`` and
+    formed its ReLU mask, layer i-1's delta overwrites it: a tape serves
+    one call, and ``dZ``, ``x`` and Z are only read. The
     ReLU mask is ``post > 0``: the subgradient at exactly 0 is 0.
     """
     delta = np.asarray(dZ, dtype=np.float64)
@@ -173,7 +169,7 @@ def backward(params: NetworkParams, tape: ActivationTape, dZ, out=None) -> Netwo
         np.matmul(delta.T, inp, out=grad.weights[i])
         delta.sum(axis=0, out=grad.biases[i])
         if i > 0:
-            mask = np.greater(inp, 0.0, out=tape.mask[i - 1])
+            mask = np.greater(inp, 0.0)
             delta = np.matmul(delta, w, out=inp)
             delta *= mask
     return grad

@@ -186,22 +186,25 @@ def test_train_ssfa_with_only_a_pair_file_exits_2(pipeline, tmp_path, capsys):
 
 def test_train_checks_hidden_before_reading_any_file(tmp_path, capsys):
     # a bad --hidden used to surface only after the manifest was read, so a
-    # missing manifest hid it behind exit 3
+    # missing manifest hid it behind exit 3; its reader now rejects it
     out = tmp_path / "o"
-    code = main(["train", "--labeled", str(tmp_path / "missing.txt"), "--hidden", "2_5",
-                 "--out", str(out)])
-    assert code == 2
-    assert "--hidden: bad hidden layer list '2_5'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as e:
+        main(["train", "--labeled", str(tmp_path / "missing.txt"), "--hidden", "2_5",
+              "--out", str(out)])
+    assert e.value.code == 2
+    assert "argument --hidden: bad hidden layer list '2_5'" in capsys.readouterr().err
     assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, code, message", [
     (["mine", "--data", "MISSING", "--T", "0"], 3, "T_seconds must be finite and > 0, got 0.0"),
     (["train", "--labeled", "MISSING", "--lr", "-1"], 3, "lr must be finite and > 0, got -1.0"),
-    (["train", "--labeled", "MISSING", "--hidden", "0"], 2, "--hidden: bad hidden layer list '0'"),
+    (["train", "--labeled", "MISSING", "--hidden", "0"], 2,
+     "argument --hidden: bad hidden layer list '0'"),
     (["train", "--labeled", "MISSING", "--hidden", "25,-3"], 2,
-     "--hidden: bad hidden layer list '25,-3'"),
-    (["train", "--labeled", "MISSING", "--dim", "0"], 2, "--dim: expected a width >= 1, got 0"),
+     "argument --hidden: bad hidden layer list '25,-3'"),
+    (["train", "--labeled", "MISSING", "--dim", "0"], 2,
+     "argument --dim: expected an integer >= 1, got '0'"),
     (["train", "--labeled", "MISSING", "--method", "ssfa"], 2,
      "this method needs --unlabeled and --pairs"),
     (["train", "--labeled", "MISSING", "--momentum", "1"], 3, "momentum must be in [0, 1)"),
@@ -222,7 +225,11 @@ def test_flag_values_are_checked_before_any_file_is_read(tmp_path, capsys, argv,
     # with lam > 0 and no tuple files was found only after --labeled loaded
     out = tmp_path / "o"
     argv = [str(tmp_path / "missing.txt") if a == "MISSING" else a for a in argv]
-    assert main(argv + ["--out", str(out)]) == code
+    try:
+        got = main(argv + ["--out", str(out)])
+    except SystemExit as e:  # argparse rejects a value outside a type itself
+        got = e.code
+    assert got == code
     err = capsys.readouterr().err
     assert message in err and "No such file" not in err
     assert not out.exists()
@@ -236,7 +243,7 @@ NO_RULE_FLAGS = PATH_FLAGS | {"--config", "--out", "--cv"}
 # every other flag: an out-of-domain value, its exit code and its message;
 # a flag that every subcommand shares is keyed by its name alone
 FLAG_RULES = {
-    "--threads": ("0", 2, "--threads: expected a count >= 1, got 0"),
+    "--threads": ("0", 2, "argument --threads: expected an integer >= 1, got '0'"),
     "--seed": ("-1", 2, "argument --seed: expected an integer >= 0, got '-1'"),
     ("synth", "--mode"): ("bogus", 2, "argument --mode: invalid choice: 'bogus'"),
     ("synth", "--clips"): ("-1", 3, "--clips and --labeled-per-class must be >= 0, got -1 and 0"),
@@ -269,8 +276,8 @@ FLAG_RULES = {
     ("train", "--epochs"): ("0", 3, "max_epochs and patience must be >= 1"),
     ("train", "--patience"): ("0", 3, "max_epochs and patience must be >= 1"),
     ("train", "--val-fraction"): ("0", 3, "val_fraction must be in (0, 1)"),
-    ("train", "--hidden"): ("0", 2, "--hidden: bad hidden layer list '0'"),
-    ("train", "--dim"): ("0", 2, "--dim: expected a width >= 1, got 0"),
+    ("train", "--hidden"): ("0", 2, "argument --hidden: bad hidden layer list '0'"),
+    ("train", "--dim"): ("0", 2, "argument --dim: expected an integer >= 1, got '0'"),
     ("eval-seqcomp", "--T"): ("-1", 3, "T_seconds must be finite and > 0, got -1.0"),
     ("eval-seqcomp", "--queries"): ("0", 3, "max_queries must be >= 1, got 0"),
     ("eval-seqcomp", "--pool-n"): ("-1", 3, "n_per_video must be >= 0"),
@@ -309,6 +316,27 @@ def test_every_flag_rule_is_reached_before_any_input_is_read(tmp_path, capsys, c
     err = capsys.readouterr().err
     assert got == code and message in err, err
     assert "No such file" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag", [pytest.param(c, f, id=c + f)
+                                           for c in _subparsers() for f in ("--seed", "--threads")]
+                         + [pytest.param("train", f, id="train" + f) for f in ("--dim", "--hidden")])
+def test_every_reader_rule_names_the_config_key(tmp_path, capsys, command, flag):
+    # --threads, --dim and --hidden were checked after parsing, so a bad
+    # config value was reported under the flag's name; each flag's reader
+    # now checks a config value too and names the key, with the reason the
+    # flag gives, before any input is read
+    value, code, message = FLAG_RULES.get((command, flag), FLAG_RULES.get(flag))
+    key = flag[2:]
+    missing, out = str(tmp_path / "missing"), tmp_path / "o"
+    (tmp_path / "c.txt").write_text(f"{key} = {value}\n")
+    argv = [command] + [a for f in _flags(_subparsers()[command]) if f in PATH_FLAGS
+                        for a in (f, missing)]
+    assert main(argv + ["--out", str(out), "--config", str(tmp_path / "c.txt")]) == code == 2
+    err = capsys.readouterr().err
+    assert message.replace(f"argument {flag}", f"config key {key!r}") in err, err
+    assert flag not in err and "No such file" not in err
     assert not out.exists()
 
 
@@ -698,8 +726,11 @@ def test_thread_count_below_1_exits_2_and_leaves_env(monkeypatch, tmp_path, argv
     monkeypatch.setenv("OMP_NUM_THREADS", "7")
     if config is not None:
         (tmp_path / "c.txt").write_text(config)
-        argv = argv + ["--config", str(tmp_path / "c.txt")]
-    assert main(["gradcheck", "--points", "1"] + argv) == 2
+        assert main(["gradcheck", "--points", "1", "--config", str(tmp_path / "c.txt")]) == 2
+    else:  # argparse rejects a flag value outside its reader's domain itself
+        with pytest.raises(SystemExit) as e:
+            main(["gradcheck", "--points", "1"] + argv)
+        assert e.value.code == 2
     assert os.environ["OMP_NUM_THREADS"] == "7"
     assert not any(v in os.environ for v in BLAS_VARS[1:])
 

@@ -672,7 +672,7 @@ def test_one_constant_sets_every_block(monkeypatch):
 
     ufunc = 128 << 10  # numpy's 64 KiB ufunc buffers, as the tests of each pass allow
     tape = ActivationTape.buffers(spec, 128 + 128 // 4)  # the largest embed block's
-    held = 1.25 * block + sum(a.nbytes for a in tape.post + tape.mask) + ufunc
+    held = 1.25 * block + sum(a.nbytes for a in tape.post) + ufunc
     assert peak["truth_ranks"] <= out["truth_ranks"].nbytes + 1.25 * block + ufunc
     assert peak["knn"] <= 8 * 25 * (len(test) + len(train)) + held + 1.25 * block / 8
     assert peak["prep_stack"] <= out["prep_stack"].nbytes + 1.25 * block / 8 + ufunc

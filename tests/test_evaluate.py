@@ -409,7 +409,7 @@ def test_evaluation_holds_one_block_at_a_time():
     # one standardized block (512 rows here, up to 1.25 blocks) with
     # prep_stack's std temporaries of an eighth of a block, a tape, and
     # numpy's 64 KiB ufunc buffer
-    held = 1.25 * PREP_BLOCK_BYTES + sum(a.nbytes for a in tape.post + tape.mask) + (128 << 10)
+    held = 1.25 * PREP_BLOCK_BYTES + sum(a.nbytes for a in tape.post) + (128 << 10)
     distances = 1.25 * (PREP_BLOCK_BYTES // 8)  # the largest block of distances
 
     def peak(f):

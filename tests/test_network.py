@@ -233,9 +233,9 @@ def test_backward_consumes_only_the_hidden_rows_of_its_pass(sizes):
     rng = np.random.default_rng(sum(sizes))
     spec = LayerSpec(sizes)
     buf = ActivationTape.buffers(spec, 9)
-    for a in buf.post + buf.mask:
-        a[...] = rng.normal(size=a.shape) > 0 if a.dtype == bool else rng.normal(size=a.shape)
-    spare = [a[6:].copy() for a in buf.post + buf.mask]
+    for a in buf.post:
+        a[...] = rng.normal(size=a.shape)
+    spare = [a[6:].copy() for a in buf.post]
     for step in range(3):
         params = init_glorot(spec, step)
         x = rng.normal(size=(6, spec.in_dim))
@@ -245,7 +245,7 @@ def test_backward_consumes_only_the_hidden_rows_of_its_pass(sizes):
         grad = backward(params, tape, dz)
         assert tape.x is x and x.tobytes() == x_was.tobytes()
         assert tape.post[-1].tobytes() == z.tobytes() == z_was.tobytes()
-        assert all(a[6:].tobytes() == b.tobytes() for a, b in zip(buf.post + buf.mask, spare))
+        assert all(a[6:].tobytes() == b.tobytes() for a, b in zip(buf.post, spare))
         assert grad.flat.tobytes() == backward(params, forward(params, x)[1], dz).flat.tobytes()
 
 
@@ -398,19 +398,16 @@ def test_checkpoint_with_no_classes_round_trips(tmp_path):
 @pytest.mark.parametrize("sizes", [(5, 3), (5, 4, 3), (64, 9, 7, 5)])
 def test_tape_buffers_hold_one_array_per_layer(sizes):
     # each layer's output is its only activation array: no separate
-    # pre-activation copy, no delta scratch, and nothing aliased
+    # pre-activation copy, no delta or mask scratch, and nothing aliased
     spec = LayerSpec(sizes)
     tape = ActivationTape.buffers(spec, 6)
-    hidden = list(sizes[1:-1])
     assert tape.x is None
-    assert list(vars(tape)) == ["x", "post", "mask"]
+    assert list(vars(tape)) == ["x", "post"]
     assert [a.shape for a in tape.post] == [(6, w) for w in sizes[1:]]
-    assert [a.shape for a in tape.mask] == [(6, w) for w in hidden]
     assert all(a.dtype == np.float64 for a in tape.post)
-    assert all(a.dtype == bool for a in tape.mask)
-    arrays = tape.post + tape.mask
+    arrays = tape.post
     assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1:])
-    assert sum(a.nbytes for a in arrays) == 6 * (8 * sum(sizes[1:]) + sum(hidden))
+    assert sum(a.nbytes for a in arrays) == 6 * 8 * sum(sizes[1:])
 
 
 def test_backward_rejects_a_dz_of_another_shape():

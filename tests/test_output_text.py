@@ -87,7 +87,7 @@ def _run_config_lines(labeled, out):
 
 def test_train_run_config_text(tmp_path):
     # the echoed configuration of a default unreg run, and of one with a
-    # spaced --hidden list
+    # spaced --hidden list, whose widths are echoed joined by commas
     grid = np.linspace(0.0, 1.0, 4).reshape(2, 2)
     images = [grid ** (i + 1) for i in range(5)] + [grid.T ** (i + 1) for i in range(5)]
     write_labeled(LabeledSet(images, (0,) * 5 + (1,) * 5, 2), tmp_path / "set")
@@ -99,5 +99,5 @@ def test_train_run_config_text(tmp_path):
     lines = _run_config_lines(labeled, plain)
     assert (tmp_path / "plain" / "run_config.txt").read_text() == "\n".join(lines) + "\n"
     lines = _run_config_lines(labeled, spaced)
-    lines[lines.index("hidden = 25")] = "hidden = 25, 10"
+    lines[lines.index("hidden = 25")] = "hidden = 25,10"
     assert (tmp_path / "spaced" / "run_config.txt").read_text() == "\n".join(lines) + "\n"
