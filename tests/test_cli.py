@@ -319,9 +319,12 @@ def test_every_flag_rule_is_reached_before_any_input_is_read(tmp_path, capsys, c
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command, flag", [pytest.param(c, f, id=c + f)
-                                           for c in _subparsers() for f in ("--seed", "--threads")]
-                         + [pytest.param("train", f, id="train" + f) for f in ("--dim", "--hidden")])
+# the flags whose FLAG_RULES row is their argparse reader's rule
+READER_RULES = ([(c, f) for c in _subparsers() for f in ("--seed", "--threads")]
+                + [("train", "--dim"), ("train", "--hidden")])
+
+
+@pytest.mark.parametrize("command, flag", [pytest.param(c, f, id=c + f) for c, f in READER_RULES])
 def test_every_reader_rule_names_the_config_key(tmp_path, capsys, command, flag):
     # --threads, --dim and --hidden were checked after parsing, so a bad
     # config value was reported under the flag's name; each flag's reader
