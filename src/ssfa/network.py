@@ -6,11 +6,16 @@ the last (identity output). Everything is float64; forward and backward work
 on batches of flattened images, one sample per row. The parameters are one
 flat vector that ``NetworkParams(spec, flat)`` views per layer, and a
 forward pass keeps one output array per layer on its tape.
+
+A large product of forward or backward runs as two row halves on two
+threads (``_matmul``). Each output element keeps its operands and k-order,
+so the bits are those of one ``np.matmul``; the shapes alone decide the split.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -20,6 +25,9 @@ import numpy as np
 from .data import _decimal, write_atomic
 
 CHECKPOINT_MAGIC = "SSFA-CKPT v1"
+
+_SPLIT_MADDS = 1 << 23  # m·n·k from which a product runs as two row halves
+_SPLIT_ROWS = 64  # fewest rows per half: a smaller BLAS panel may take other kernels
 
 
 @dataclass(frozen=True)
@@ -122,6 +130,32 @@ def init_classifier(num_classes: int, dim: int, seed) -> np.ndarray:
     return glorot_uniform(np.random.default_rng(seed), num_classes, dim)
 
 
+def _matmul(a, b, out):
+    """``np.matmul(a, b, out=out)``. A large product runs its first row half
+    on a helper thread started for this call and its second here; numpy
+    releases the GIL in BLAS, and the helper's exception is raised here."""
+    h = len(a) // 2
+    if len(a) * b.size < _SPLIT_MADDS or h < _SPLIT_ROWS:
+        return np.matmul(a, b, out=out)
+    failed = []
+
+    def first_half():
+        try:
+            np.matmul(a[:h], b, out=out[:h])
+        except BaseException as e:  # raised again on the calling thread
+            failed.append(e)
+
+    helper = threading.Thread(target=first_half)
+    helper.start()
+    try:
+        np.matmul(a[h:], b, out=out[h:])
+    finally:
+        helper.join()
+    if failed:
+        raise failed[0]
+    return out
+
+
 def forward(params: NetworkParams, X, out: ActivationTape = None):
     """Map an (n, d) batch of preprocessed, flattened images, one per row, to
     (Z, tape): the (n, k) features and the activation tape for backward().
@@ -140,7 +174,7 @@ def forward(params: NetworkParams, X, out: ActivationTape = None):
     tape = ActivationTape(X, [a[:n] for a in out.post])
     h = X
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = np.matmul(h, w.T, out=tape.post[i])
+        h = _matmul(h, w.T, tape.post[i])
         h += b
         if i < len(tape.post) - 1:
             np.maximum(h, 0.0, out=h)
@@ -166,11 +200,11 @@ def backward(params: NetworkParams, tape: ActivationTape, dZ, out=None) -> Netwo
     for i in reversed(range(len(params.weights))):
         inp = tape.x if i == 0 else tape.post[i - 1]
         w = params.weights[i].copy() if i > 0 else None  # out may overwrite W_i
-        np.matmul(delta.T, inp, out=grad.weights[i])
+        _matmul(delta.T, inp, grad.weights[i])
         delta.sum(axis=0, out=grad.biases[i])
         if i > 0:
             mask = np.greater(inp, 0.0)
-            delta = np.matmul(delta, w, out=inp)
+            delta = _matmul(delta, w, inp)
             delta *= mask
     return grad
 

@@ -59,11 +59,12 @@ def _toroidal_offsets(coords: np.ndarray, center, grid: int) -> np.ndarray:
     return (coords - center + grid / 2.0) % grid - grid / 2.0
 
 
-def render_shape(shape_idx: int, grid: int, cx, cy) -> np.ndarray:
+def render_shape(shape_idx: int, grid: int, cx, cy, out=None) -> np.ndarray:
     """Render one shape pattern centered at (cx, cy) on a (grid, grid)
-    toroidal canvas, values in [0, 1]. Arrays of centres give an (n, grid,
-    grid) stack; every operation is element-wise (and in place on the
-    stack), so each image has the bits of rendering its centre alone.
+    toroidal canvas, values in [0, 1], into ``out`` (a new array when
+    None). Arrays of centres give an (n, grid, grid) stack; every operation
+    is element-wise and in place on it, so each image has the bits of
+    rendering its centre alone.
 
     Patterns depend only on wraparound offsets from the center, so moving
     the center by an integer amount circularly shifts the image exactly.
@@ -71,29 +72,34 @@ def render_shape(shape_idx: int, grid: int, cx, cy) -> np.ndarray:
     cells = np.arange(grid, dtype=np.float64)
     dr = _toroidal_offsets(cells, np.asarray(cy, dtype=np.float64)[..., None], grid)[..., :, None]
     dc = _toroidal_offsets(cells, np.asarray(cx, dtype=np.float64)[..., None], grid)[..., None, :]
+    img = np.empty(np.broadcast_shapes(dr.shape, dc.shape)) if out is None else out
     name = SHAPE_NAMES[shape_idx]
     s = grid / (6.0 if name == "blob" else 12.0)
-    if name == "hbar":
-        return np.exp(-(dr * dr) / (2.0 * s * s)) * np.ones_like(dc)
-    if name == "vbar":
-        return np.ones_like(dr) * np.exp(-(dc * dc) / (2.0 * s * s))
-    img = np.add(dr * dr, dc * dc)
+    if name in ("hbar", "vbar"):  # one Gaussian across the rows or the columns
+        d = dr if name == "hbar" else dc
+        img[...] = np.exp(-(d * d) / (2.0 * s * s))
+        return img
+    img[...] = dr * dr
+    img += dc * dc
     if name == "ring":  # Gaussian shell at radius grid/4
-        img = np.square(np.subtract(np.sqrt(img, out=img), grid / 4.0, out=img), out=img)
-    img = np.divide(np.negative(img, out=img), 2.0 * s * s, out=img)
+        np.square(np.subtract(np.sqrt(img, out=img), grid / 4.0, out=img), out=img)
+    np.divide(np.negative(img, out=img), 2.0 * s * s, out=img)
     return np.exp(img, out=img)
 
 
 def _fill(out: np.ndarray, noise_sigma: float, render) -> None:
     """Turn the noise draws in ``out`` (zeros when noise-free) into
-    clip(render(rows) + noise_sigma * noise, 0, 1), one :func:`_blocks`
-    block of images (share 2) at a time, so that a rendered block and its
-    offset columns stay within one block. Without noise that is the render
-    itself: it adds 0 to values in [0, 1]."""
+    clip(render + noise_sigma * noise, 0, 1), one :func:`_blocks` block of
+    images (share 2) at a time. ``render(rows, dest)`` returns the render of
+    those rows, written into ``dest`` when it can: without noise that is the
+    block itself, since the render's values lie in [0, 1]."""
     for a, b in _blocks(len(out), out[0].nbytes, 2):
         block = out[a:b]
+        if noise_sigma == 0:
+            block[...] = render(slice(a, b), block)
+            continue
         block *= noise_sigma
-        block += render(slice(a, b))
+        block += render(slice(a, b), None)
         np.clip(block, 0.0, 1.0, out=block)
 
 
@@ -116,7 +122,7 @@ def _clip_frames(cfg: SynthConfig, shape_idx: int, crng: Xorshift64Star) -> np.n
     # window (i, j) of the tiled render is the render shifted by (g - i, g - j)
     windows = sliding_window_view(np.tile(render_shape(shape_idx, g, 0.0, 0.0), (2, 2)), (g, g))
     i, j = (g - at % g).T
-    _fill(frames, cfg.noise_sigma, lambda rows: windows[i[rows], j[rows]])
+    _fill(frames, cfg.noise_sigma, lambda rows, dest: windows[i[rows], j[rows]])
     return frames
 
 
@@ -158,7 +164,8 @@ def gen_labeled(cfg: SynthConfig, per_class: int) -> LabeledSet:
             if cfg.noise_sigma > 0:
                 out[k] = np.reshape(rng.normals(g * g), (g, g))
         cx, cy = centres.T
-        _fill(out, cfg.noise_sigma, lambda rows: render_shape(cls, g, cx[rows], cy[rows]))
+        _fill(out, cfg.noise_sigma,
+              lambda rows, dest: render_shape(cls, g, cx[rows], cy[rows], dest))
     return LabeledSet(images, np.repeat(np.arange(cfg.shapes), per_class), cfg.shapes)
 
 

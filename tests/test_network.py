@@ -1,8 +1,17 @@
+import hashlib
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from ssfa import network
 from ssfa.data import LabeledSet
 from ssfa.evaluate import linear_accuracy
 from ssfa.network import (
@@ -422,3 +431,149 @@ def test_save_checkpoint_rejects_a_classifier_of_another_width(tmp_path):
     with pytest.raises(ValueError, match=r"classifier shape \(3, 5\) incompatible"):
         save_checkpoint(path, init_glorot(LayerSpec((6, 5, 4)), 0), np.zeros((3, 5)))
     assert not path.exists()
+
+
+# ---------------------------------------------------------------------------
+# Row-split products
+
+
+def _products(sizes, rng, rows):
+    """The products that forward and backward run at ``sizes``, as (name,
+    a, b) with operands of ``rows`` rows whose leading rows serve any
+    smaller batch: each layer's output and weight gradient (through the
+    transposed ``delta.T`` view), and the delta of every layer but the
+    first."""
+    out = []
+    for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
+        w = rng.normal(size=(fan_out, fan_in))
+        x, delta = rng.normal(size=(rows, fan_in)), rng.normal(size=(rows, fan_out))
+        out += [(f"layer{i}", x, w.T), (f"wgrad{i}", delta.T, x)]
+        if i > 0:
+            out.append((f"delta{i}", delta, w))
+    return out
+
+
+class _CountingThread(threading.Thread):
+    started = 0
+
+    def start(self):
+        type(self).started += 1
+        super().start()
+
+
+@pytest.mark.parametrize("sizes", [(256, 25, 25), (256, 25, 16), (1024, 256, 64)])
+def test_split_products_give_the_bits_of_one_matmul(sizes, monkeypatch):
+    # a product of at least 2**23 multiply-adds whose halves keep 64 rows
+    # runs as two row halves; every output row keeps its operands and
+    # k-order, so the result equals one np.matmul bit for bit. At the desk
+    # shapes only layer 0's output at 1312 rows reaches the bound.
+    monkeypatch.setattr(network, "threading", SimpleNamespace(Thread=_CountingThread))
+    monkeypatch.setattr(_CountingThread, "started", 0)
+    products, split = _products(sizes, np.random.default_rng(sum(sizes)), 1312), []
+    for rows in [*range(1, 301), 599, 600, 672, 1312]:
+        for name, a, b in products:
+            a = a[:, :rows] if name.startswith("wgrad") else a[:rows]
+            b = b[:rows] if name.startswith("wgrad") else b
+            expect = np.matmul(a, b)
+            got = network._matmul(a, b, np.full_like(expect, np.nan))
+            assert np.array_equal(got, expect), (name, rows)
+            if len(a) * b.size >= 2**23 and len(a) >= 128:
+                split.append((name, rows))
+    assert _CountingThread.started == len(split)
+    if sizes != (1024, 256, 64):
+        assert split == [("layer0", 1312)]
+    else:
+        assert {name for name, _ in split} == {"layer0", "wgrad0", "layer1", "delta1"}
+
+
+def test_split_product_raises_the_helper_threads_error(monkeypatch):
+    # the first half fails on the helper thread: the caller's half still
+    # runs, the helper is joined, and its exception reaches the caller
+    def matmul(a, b, out):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("first half failed")
+        return np.matmul(a, b, out=out)
+
+    monkeypatch.setattr(network, "np", SimpleNamespace(matmul=matmul))
+    a, b = np.ones((256, 256)), np.ones((256, 256))
+    out = np.zeros((256, 256))
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="first half failed"):
+        network._matmul(a, b, out)
+    assert threading.active_count() == before
+    assert not out[:128].any() and (out[128:] == 256.0).all()
+
+
+def _split_product_in_child():
+    a, b = np.random.default_rng(1).normal(size=(2, 512, 1024))
+    assert np.array_equal(network._matmul(a, b.T, np.empty((512, 512))), a @ b.T)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs fork")
+def test_a_forked_child_runs_a_split_product():
+    # the helper thread lives for one product, so a process forked after a
+    # split holds no thread or lock that the child's next split waits on
+    _split_product_in_child()
+    child = multiprocessing.get_context("fork").Process(target=_split_product_in_child)
+    child.start()
+    child.join(timeout=60)
+    if child.is_alive():
+        child.terminate()
+        child.join()
+    assert child.exitcode == 0
+
+
+def _wide_training_digests():
+    """sha256 of the parameters that ``train`` (3 epochs) and
+    ``train_unsupervised`` (2 passes) give at 1024->256->64, with the row
+    split and with it turned off. Every step stacks 554 to 585 rows, so
+    each layer's output, layer 0's weight gradient and layer 1's delta run
+    as two halves."""
+    from ssfa.mining import MiningConfig, mine_pairs, mine_triplets
+    from ssfa.synth import SynthConfig, gen_labeled, gen_unlabeled
+    from ssfa.trainer import TrainConfig, resolve_pairs, resolve_triplets, train, train_unsupervised
+
+    spec = LayerSpec((1024, 256, 64))
+    u = gen_unlabeled(SynthConfig(grid=32, clip_len=40, num_clips=16, seed=1))
+    labeled = gen_labeled(SynthConfig(grid=32, seed=51), 10)
+    mc = MiningConfig(T_seconds=2.0, seed=0, max_pairs=512, max_triplets=512)
+    pairs = resolve_pairs(u, mine_pairs(u, mc))
+    triplets = resolve_triplets(u, mine_triplets(u, mc))
+    cfg = TrainConfig(lr=0.01, lam=1.0, lam_prime=0.5, batch_labeled=16, batch_pairs=256,
+                      batch_triplets=256, max_epochs=3, patience=3, seed=0)
+    digests, bound = [], network._SPLIT_MADDS
+    for network._SPLIT_MADDS in (bound, math.inf):
+        params, W, _ = train(labeled, pairs, triplets, spec, cfg)
+        init, snapshots, _ = train_unsupervised(pairs, triplets, spec, cfg, passes=2)
+        arrays = (params.flat, W, init.flat, *(s.flat for s in snapshots))
+        digests.append(hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest())
+    network._SPLIT_MADDS = bound
+    return digests
+
+
+_PINNED_DIGESTS = """
+import os, sys
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+sys.path.insert(0, sys.argv[1])
+from test_network import _wide_training_digests
+print(*_wide_training_digests())
+"""
+
+
+def test_wide_training_with_split_products_keeps_its_bits():
+    split, whole = _wide_training_digests()
+    assert split == whole
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
+def test_wide_training_on_one_cpu_keeps_its_bits():
+    # both halves share one CPU, so the helper may run before, after or
+    # between slices of the caller's half: the bits do not depend on it
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"),
+                                                        os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _PINNED_DIGESTS, str(root / "tests")], env=env,
+                          capture_output=True, text=True, timeout=300, check=True)
+    split, whole = proc.stdout.split()
+    assert split == whole

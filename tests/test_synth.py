@@ -287,6 +287,25 @@ def test_bulk_render_holds_its_output_plus_one_block(make):
     assert over <= PREP_BLOCK_BYTES
 
 
+@pytest.mark.parametrize("make", [
+    lambda: gen_unlabeled(SynthConfig(grid=32, clip_len=400, num_clips=2)),
+    lambda: gen_labeled(SynthConfig(grid=16), 300),
+    lambda: gen_labeled(SynthConfig(grid=32), 300),
+    lambda: gen_labeled(SynthConfig(grid=8), 1000),
+    lambda: gen_labeled(SynthConfig(grid=16, noise_sigma=0.1), 150),
+], ids=["clips", "labeled", "labeled_grid_32", "labeled_grid_8", "noisy_labeled"])
+def test_bulk_render_holds_its_output_plus_one_small_block(make, monkeypatch):
+    # a small block shows the render's own temporaries: a labeled block is
+    # rendered in place into the output (a noisy one into one block of its
+    # own), where a render apart from the output, added to it, held about
+    # 2.3 of the 128 KiB shares over the output
+    block = 256 * 1024
+    monkeypatch.setattr("ssfa.data.PREP_BLOCK_BYTES", block)
+    over, output = _peak_over_output(make)
+    assert output > 2 * block
+    assert over <= block
+
+
 def test_noisy_bulk_render_holds_its_output_plus_one_block(monkeypatch):
     # the noise is drawn into the output, and each block adds its render in
     # place; a quarter-size block keeps the pure-Python normal draws few
