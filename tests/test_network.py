@@ -541,14 +541,19 @@ def _wide_training_digests():
     triplets = resolve_triplets(u, mine_triplets(u, mc))
     cfg = TrainConfig(lr=0.01, lam=1.0, lam_prime=0.5, batch_labeled=16, batch_pairs=256,
                       batch_triplets=256, max_epochs=3, patience=3, seed=0)
-    digests, bound = [], network._SPLIT_MADDS
-    for network._SPLIT_MADDS in (bound, math.inf):
+
+    def digest():
         params, W, _ = train(labeled, pairs, triplets, spec, cfg)
         init, snapshots, _ = train_unsupervised(pairs, triplets, spec, cfg, passes=2)
         arrays = (params.flat, W, init.flat, *(s.flat for s in snapshots))
-        digests.append(hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest())
-    network._SPLIT_MADDS = bound
-    return digests
+        return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+
+    split, bound = digest(), network._SPLIT_MADDS
+    network._SPLIT_MADDS = math.inf
+    try:
+        return split, digest()
+    finally:
+        network._SPLIT_MADDS = bound
 
 
 _PINNED_DIGESTS = """

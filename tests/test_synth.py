@@ -292,7 +292,7 @@ def test_bulk_render_holds_its_output_plus_one_block(make):
     lambda: gen_labeled(SynthConfig(grid=16), 300),
     lambda: gen_labeled(SynthConfig(grid=32), 300),
     lambda: gen_labeled(SynthConfig(grid=8), 1000),
-    lambda: gen_labeled(SynthConfig(grid=16, noise_sigma=0.1), 150),
+    lambda: gen_labeled(SynthConfig(grid=16, noise_sigma=0.1), 70),
 ], ids=["clips", "labeled", "labeled_grid_32", "labeled_grid_8", "noisy_labeled"])
 def test_bulk_render_holds_its_output_plus_one_small_block(make, monkeypatch):
     # a small block shows the render's own temporaries: a labeled block is
