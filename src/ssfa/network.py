@@ -7,15 +7,17 @@ on batches of flattened images, one sample per row. The parameters are one
 flat vector that ``NetworkParams(spec, flat)`` views per layer, and a
 forward pass keeps one output array per layer on its tape.
 
-A large product of forward or backward runs as two row halves on two
-threads (``_matmul``). Each output element keeps its operands and k-order,
-so the bits are those of one ``np.matmul``; the shapes alone decide the split.
+At one BLAS thread, a large product of forward or backward runs as two row
+halves on two threads (``_matmul``). Each output element keeps its operands
+and k-order, so the bits are those of one ``np.matmul`` either way.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
-import threading
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -28,6 +30,12 @@ CHECKPOINT_MAGIC = "SSFA-CKPT v1"
 
 _SPLIT_MADDS = 1 << 23  # m·n·k from which a product runs as two row halves
 _SPLIT_ROWS = 64  # fewest rows per half: a smaller BLAS panel may take other kernels
+# Split only at one BLAS thread: a wider pool runs both halves on its cores.
+# numpy, imported above, sized the pool from the environment as it is now, as
+# OpenBLAS reads it: the first positive of these variables, else one per core.
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+_SPLIT_POOL = next((int(v) for v in map(os.environ.get, _BLAS_VARS)
+                    if v and v.strip().isdigit() and int(v) > 0), 0) == 1
 
 
 @dataclass(frozen=True)
@@ -131,28 +139,17 @@ def init_classifier(num_classes: int, dim: int, seed) -> np.ndarray:
 
 
 def _matmul(a, b, out):
-    """``np.matmul(a, b, out=out)``. A large product runs its first row half
-    on a helper thread started for this call and its second here; numpy
+    """``np.matmul(a, b, out=out)``. A large product at one BLAS thread runs
+    its first row half on a helper thread started for this call, in the
+    caller's context (its ``np.errstate``), and its second half here; numpy
     releases the GIL in BLAS, and the helper's exception is raised here."""
     h = len(a) // 2
-    if len(a) * b.size < _SPLIT_MADDS or h < _SPLIT_ROWS:
+    if not _SPLIT_POOL or len(a) * b.size < _SPLIT_MADDS or h < _SPLIT_ROWS:
         return np.matmul(a, b, out=out)
-    failed = []
-
-    def first_half():
-        try:
-            np.matmul(a[:h], b, out=out[:h])
-        except BaseException as e:  # raised again on the calling thread
-            failed.append(e)
-
-    helper = threading.Thread(target=first_half)
-    helper.start()
-    try:
+    with ThreadPoolExecutor(1) as helper:
+        first = helper.submit(contextvars.copy_context().run, np.matmul, a[:h], b, out=out[:h])
         np.matmul(a[h:], b, out=out[h:])
-    finally:
-        helper.join()
-    if failed:
-        raise failed[0]
+    first.result()
     return out
 
 

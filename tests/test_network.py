@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -453,12 +454,12 @@ def _products(sizes, rng, rows):
     return out
 
 
-class _CountingThread(threading.Thread):
-    started = 0
+class _CountingPool(network.ThreadPoolExecutor):
+    submitted = 0
 
-    def start(self):
-        type(self).started += 1
-        super().start()
+    def submit(self, *args, **kwargs):
+        type(self).submitted += 1
+        return super().submit(*args, **kwargs)
 
 
 @pytest.mark.parametrize("sizes", [(256, 25, 25), (256, 25, 16), (1024, 256, 64)])
@@ -467,8 +468,9 @@ def test_split_products_give_the_bits_of_one_matmul(sizes, monkeypatch):
     # runs as two row halves; every output row keeps its operands and
     # k-order, so the result equals one np.matmul bit for bit. At the desk
     # shapes only layer 0's output at 1312 rows reaches the bound.
-    monkeypatch.setattr(network, "threading", SimpleNamespace(Thread=_CountingThread))
-    monkeypatch.setattr(_CountingThread, "started", 0)
+    monkeypatch.setattr(network, "_SPLIT_POOL", True)
+    monkeypatch.setattr(network, "ThreadPoolExecutor", _CountingPool)
+    monkeypatch.setattr(_CountingPool, "submitted", 0)
     products, split = _products(sizes, np.random.default_rng(sum(sizes)), 1312), []
     for rows in [*range(1, 301), 599, 600, 672, 1312]:
         for name, a, b in products:
@@ -479,16 +481,41 @@ def test_split_products_give_the_bits_of_one_matmul(sizes, monkeypatch):
             assert np.array_equal(got, expect), (name, rows)
             if len(a) * b.size >= 2**23 and len(a) >= 128:
                 split.append((name, rows))
-    assert _CountingThread.started == len(split)
+    assert _CountingPool.submitted == len(split)
     if sizes != (1024, 256, 64):
         assert split == [("layer0", 1312)]
     else:
         assert {name for name, _ in split} == {"layer0", "wgrad0", "layer1", "delta1"}
+    # a BLAS pool of more than one thread runs every product as one call
+    monkeypatch.setattr(network, "_SPLIT_POOL", False)
+    name, a, b = products[0]
+    assert np.array_equal(network._matmul(a, b, np.empty((1312, sizes[1]))), a @ b)
+    assert _CountingPool.submitted == len(split)
+
+
+@pytest.mark.parametrize("env, split", [
+    ({}, False),
+    ({"OPENBLAS_NUM_THREADS": "1"}, True),
+    ({"OMP_NUM_THREADS": " 1 "}, True),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
+    ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, True),
+])
+def test_products_split_only_when_numpy_loaded_one_blas_thread(env, split):
+    # the split reads the pool size as OpenBLAS does when numpy loads: the
+    # first positive of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and
+    # OMP_NUM_THREADS, else one thread per core
+    root = Path(__file__).resolve().parents[1]
+    base = {k: v for k, v in os.environ.items() if k not in network._BLAS_VARS}
+    proc = subprocess.run([sys.executable, "-c", "from ssfa import network; print(network._SPLIT_POOL)"],
+                          env={**base, **env, "PYTHONPATH": str(root / "src")},
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout.strip() == str(split)
 
 
 def test_split_product_raises_the_helper_threads_error(monkeypatch):
     # the first half fails on the helper thread: the caller's half still
     # runs, the helper is joined, and its exception reaches the caller
+    monkeypatch.setattr(network, "_SPLIT_POOL", True)
     def matmul(a, b, out):
         if threading.current_thread() is not threading.main_thread():
             raise RuntimeError("first half failed")
@@ -504,15 +531,29 @@ def test_split_product_raises_the_helper_threads_error(monkeypatch):
     assert not out[:128].any() and (out[128:] == 256.0).all()
 
 
+def test_split_product_keeps_the_callers_errstate(monkeypatch):
+    # the helper runs in the caller's context, so an overflow in the first
+    # half is silenced by the caller's np.errstate like one in the second
+    monkeypatch.setattr(network, "_SPLIT_POOL", True)
+    a, b = np.ones((256, 256)), np.full((256, 256), 1e10)
+    a[:64] = a[-64:] = 1e300
+    with np.errstate(over="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = network._matmul(a, b, np.empty((256, 256)))
+    assert np.isinf(out[:64]).all() and np.isinf(out[-64:]).all()
+    assert (out[64:-64] == 2.56e12).all()
+
+
 def _split_product_in_child():
     a, b = np.random.default_rng(1).normal(size=(2, 512, 1024))
     assert np.array_equal(network._matmul(a, b.T, np.empty((512, 512))), a @ b.T)
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs fork")
-def test_a_forked_child_runs_a_split_product():
+def test_a_forked_child_runs_a_split_product(monkeypatch):
     # the helper thread lives for one product, so a process forked after a
     # split holds no thread or lock that the child's next split waits on
+    monkeypatch.setattr(network, "_SPLIT_POOL", True)
     _split_product_in_child()
     child = multiprocessing.get_context("fork").Process(target=_split_product_in_child)
     child.start()
@@ -560,12 +601,14 @@ _PINNED_DIGESTS = """
 import os, sys
 os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 sys.path.insert(0, sys.argv[1])
-from test_network import _wide_training_digests
+from test_network import _wide_training_digests, network
+assert network._SPLIT_POOL
 print(*_wide_training_digests())
 """
 
 
-def test_wide_training_with_split_products_keeps_its_bits():
+def test_wide_training_with_split_products_keeps_its_bits(monkeypatch):
+    monkeypatch.setattr(network, "_SPLIT_POOL", True)
     split, whole = _wide_training_digests()
     assert split == whole
 
