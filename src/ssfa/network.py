@@ -10,6 +10,9 @@ forward pass keeps one output array per layer on its tape.
 At one BLAS thread, a large product of forward or backward runs as two row
 halves on two threads (``_matmul``). Each output element keeps its operands
 and k-order, so the bits are those of one ``np.matmul`` either way.
+One long-lived helper thread runs the first half of every split
+(``_halves``): of products, the Nesterov update and the table gather. The
+first split starts it, a forked child starts its own; a half never splits.
 """
 
 from __future__ import annotations
@@ -30,12 +33,15 @@ CHECKPOINT_MAGIC = "SSFA-CKPT v1"
 
 _SPLIT_MADDS = 1 << 23  # m·n·k from which a product runs as two row halves
 _SPLIT_ROWS = 64  # fewest rows per half: a smaller BLAS panel may take other kernels
+_SPLIT_ELEMS = 1 << 17  # elements from which an elementwise or row copy runs as two halves
 # Split only at one BLAS thread: a wider pool runs both halves on its cores.
 # numpy, imported above, sized the pool from the environment as it is now, as
 # OpenBLAS reads it: the first positive of these variables, else one per core.
 _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 _SPLIT_POOL = next((int(v) for v in map(os.environ.get, _BLAS_VARS)
                     if v and v.strip().isdigit() and int(v) > 0), 0) == 1
+_helper = []  # the one-worker executor of every first half, once the first split starts it
+os.register_at_fork(after_in_child=_helper.clear)  # a forked child has no helper thread
 
 
 @dataclass(frozen=True)
@@ -138,18 +144,26 @@ def init_classifier(num_classes: int, dim: int, seed) -> np.ndarray:
     return glorot_uniform(np.random.default_rng(seed), num_classes, dim)
 
 
+def _halves(n, fn):
+    """``fn(0, n // 2)`` on the helper thread in the caller's context (its ``np.errstate``),
+    and ``fn(n // 2, n)`` here; both end before the return, the caller's exception first.
+    ``fn`` never calls ``_halves``: the one helper thread would wait on itself."""
+    if not _helper:
+        _helper.append(ThreadPoolExecutor(1))
+    first = _helper[0].submit(contextvars.copy_context().run, fn, 0, n // 2)
+    try:
+        fn(n // 2, n)
+    finally:
+        first.exception()  # waits for the first half
+    first.result()
+
+
 def _matmul(a, b, out):
     """``np.matmul(a, b, out=out)``. A large product at one BLAS thread runs
-    its first row half on a helper thread started for this call, in the
-    caller's context (its ``np.errstate``), and its second half here; numpy
-    releases the GIL in BLAS, and the helper's exception is raised here."""
-    h = len(a) // 2
-    if not _SPLIT_POOL or len(a) * b.size < _SPLIT_MADDS or h < _SPLIT_ROWS:
+    as two row halves (``_halves``); numpy releases the GIL in BLAS."""
+    if not _SPLIT_POOL or len(a) * b.size < _SPLIT_MADDS or len(a) // 2 < _SPLIT_ROWS:
         return np.matmul(a, b, out=out)
-    with ThreadPoolExecutor(1) as helper:
-        first = helper.submit(contextvars.copy_context().run, np.matmul, a[:h], b, out=out[:h])
-        np.matmul(a[h:], b, out=out[h:])
-    first.result()
+    _halves(len(a), lambda i, j: np.matmul(a[i:j], b, out=out[i:j]))
     return out
 
 

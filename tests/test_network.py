@@ -454,12 +454,29 @@ def _products(sizes, rng, rows):
     return out
 
 
-class _CountingPool(network.ThreadPoolExecutor):
-    submitted = 0
+def _count_halves(monkeypatch):
+    """The sizes that ``network._halves`` is called with from now on."""
+    calls, halves = [], network._halves
 
-    def submit(self, *args, **kwargs):
-        type(self).submitted += 1
-        return super().submit(*args, **kwargs)
+    def counting(n, fn):
+        calls.append(n)
+        return halves(n, fn)
+
+    monkeypatch.setattr(network, "_halves", counting)
+    return calls
+
+
+@pytest.fixture
+def fresh_helper(monkeypatch):
+    """Splits on, and no helper thread until the test's first split; the
+    helper that the test starts is shut down after it."""
+    monkeypatch.setattr(network, "_SPLIT_POOL", True)
+    kept = network._helper[:]
+    network._helper.clear()  # in place: the at-fork reset clears this list
+    yield
+    for helper in network._helper:
+        helper.shutdown()
+    network._helper[:] = kept
 
 
 @pytest.mark.parametrize("sizes", [(256, 25, 25), (256, 25, 16), (1024, 256, 64)])
@@ -469,8 +486,7 @@ def test_split_products_give_the_bits_of_one_matmul(sizes, monkeypatch):
     # k-order, so the result equals one np.matmul bit for bit. At the desk
     # shapes only layer 0's output at 1312 rows reaches the bound.
     monkeypatch.setattr(network, "_SPLIT_POOL", True)
-    monkeypatch.setattr(network, "ThreadPoolExecutor", _CountingPool)
-    monkeypatch.setattr(_CountingPool, "submitted", 0)
+    calls = _count_halves(monkeypatch)
     products, split = _products(sizes, np.random.default_rng(sum(sizes)), 1312), []
     for rows in [*range(1, 301), 599, 600, 672, 1312]:
         for name, a, b in products:
@@ -481,7 +497,7 @@ def test_split_products_give_the_bits_of_one_matmul(sizes, monkeypatch):
             assert np.array_equal(got, expect), (name, rows)
             if len(a) * b.size >= 2**23 and len(a) >= 128:
                 split.append((name, rows))
-    assert _CountingPool.submitted == len(split)
+    assert len(calls) == len(split)
     if sizes != (1024, 256, 64):
         assert split == [("layer0", 1312)]
     else:
@@ -490,7 +506,7 @@ def test_split_products_give_the_bits_of_one_matmul(sizes, monkeypatch):
     monkeypatch.setattr(network, "_SPLIT_POOL", False)
     name, a, b = products[0]
     assert np.array_equal(network._matmul(a, b, np.empty((1312, sizes[1]))), a @ b)
-    assert _CountingPool.submitted == len(split)
+    assert len(calls) == len(split)
 
 
 @pytest.mark.parametrize("env, split", [
@@ -512,23 +528,40 @@ def test_products_split_only_when_numpy_loaded_one_blas_thread(env, split):
     assert proc.stdout.strip() == str(split)
 
 
-def test_split_product_raises_the_helper_threads_error(monkeypatch):
+def test_one_helper_thread_runs_every_first_half(fresh_helper):
+    # the helper starts at the first split and serves every later one
+    before, firsts, seconds = threading.active_count(), set(), set()
+
+    def half(i, j):
+        (firsts if i == 0 else seconds).add(threading.get_ident())
+
+    for _ in range(100):
+        network._halves(9, half)
+    assert threading.active_count() == before + 1
+    assert len(firsts) == 1 and seconds == {threading.get_ident()} != firsts
+
+
+def test_split_product_raises_the_helper_threads_error(fresh_helper, monkeypatch):
     # the first half fails on the helper thread: the caller's half still
-    # runs, the helper is joined, and its exception reaches the caller
-    monkeypatch.setattr(network, "_SPLIT_POOL", True)
+    # runs, the first half has ended, and its exception reaches the caller
+    failed = []
+
     def matmul(a, b, out):
         if threading.current_thread() is not threading.main_thread():
+            failed.append(threading.get_ident())
             raise RuntimeError("first half failed")
         return np.matmul(a, b, out=out)
 
     monkeypatch.setattr(network, "np", SimpleNamespace(matmul=matmul))
     a, b = np.ones((256, 256)), np.ones((256, 256))
     out = np.zeros((256, 256))
-    before = threading.active_count()
     with pytest.raises(RuntimeError, match="first half failed"):
         network._matmul(a, b, out)
-    assert threading.active_count() == before
     assert not out[:128].any() and (out[128:] == 256.0).all()
+    # the same helper thread runs the next split
+    count, firsts = threading.active_count(), []
+    network._halves(2, lambda i, j: firsts.append(threading.get_ident()) if i == 0 else None)
+    assert firsts == failed and threading.active_count() == count
 
 
 def test_split_product_keeps_the_callers_errstate(monkeypatch):
@@ -551,8 +584,8 @@ def _split_product_in_child():
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs fork")
 def test_a_forked_child_runs_a_split_product(monkeypatch):
-    # the helper thread lives for one product, so a process forked after a
-    # split holds no thread or lock that the child's next split waits on
+    # a forked child has no copy of the parent's helper thread: it drops the
+    # parent's executor and its first split starts its own helper
     monkeypatch.setattr(network, "_SPLIT_POOL", True)
     _split_product_in_child()
     child = multiprocessing.get_context("fork").Process(target=_split_product_in_child)
@@ -566,10 +599,11 @@ def test_a_forked_child_runs_a_split_product(monkeypatch):
 
 def _wide_training_digests():
     """sha256 of the parameters that ``train`` (3 epochs) and
-    ``train_unsupervised`` (2 passes) give at 1024->256->64, with the row
-    split and with it turned off. Every step stacks 554 to 585 rows, so
-    each layer's output, layer 0's weight gradient and layer 1's delta run
-    as two halves."""
+    ``train_unsupervised`` (2 passes) give at 1024->256->64, with the
+    splits and with every split turned off. Every step stacks 554 to 585
+    rows, so each layer's output, layer 0's weight gradient and layer 1's
+    delta run as two halves, and so do the table gather and the Nesterov
+    lookahead and update."""
     from ssfa.mining import MiningConfig, mine_pairs, mine_triplets
     from ssfa.synth import SynthConfig, gen_labeled, gen_unlabeled
     from ssfa.trainer import TrainConfig, resolve_pairs, resolve_triplets, train, train_unsupervised
@@ -589,12 +623,12 @@ def _wide_training_digests():
         arrays = (params.flat, W, init.flat, *(s.flat for s in snapshots))
         return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
 
-    split, bound = digest(), network._SPLIT_MADDS
-    network._SPLIT_MADDS = math.inf
+    split, pool = digest(), network._SPLIT_POOL
+    network._SPLIT_POOL = False
     try:
         return split, digest()
     finally:
-        network._SPLIT_MADDS = bound
+        network._SPLIT_POOL = pool
 
 
 _PINNED_DIGESTS = """

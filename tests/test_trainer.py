@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from ssfa.losses import Workspace, softmax_loss
 from ssfa.mining import MiningConfig, PairSample, TripletSample, mine_pairs, mine_triplets
 from ssfa.network import LayerSpec, forward, init_glorot
 from ssfa.synth import SynthConfig, gen_labeled, gen_unlabeled
-from ssfa import trainer
+from ssfa import network, trainer
 from ssfa.trainer import (
     ConfigError,
     OptimizerError,
@@ -148,6 +150,56 @@ def test_nesterov_gradient_written_over_the_lookahead_keeps_the_bits():
     with pytest.raises(OptimizerError, match="non-finite gradient in 1 of 50"):
         nesterov_step(theta, velocity, look, non_finite, lr, mu)
     assert theta.tobytes() == t1.tobytes() and velocity.tobytes() == v1.tobytes()
+
+
+_BOUND = network._SPLIT_ELEMS
+
+
+@pytest.mark.parametrize("n", [_BOUND - 1, _BOUND, 200_001, 279_104])
+def test_nesterov_halves_give_the_whole_updates_bits(n, monkeypatch):
+    # at one BLAS thread a theta of at least network._SPLIT_ELEMS entries
+    # forms the lookahead and the update as two element halves; each entry
+    # takes the whole step's operations, so the bits are equal
+    rng = np.random.default_rng(n)
+    theta, velocity = rng.normal(size=(2, n))
+    lr, mu = 0.03, 0.9
+    calls, halves = [], network._halves
+    monkeypatch.setattr(network, "_halves", lambda m, fn: (calls.append(m), halves(m, fn)))
+    steps = {}
+    for split in (False, True):
+        monkeypatch.setattr(network, "_SPLIT_POOL", split)
+        t, v = theta.copy(), velocity.copy()
+        nesterov_step(t, v, np.empty(n), lambda x: np.sin(x, out=x), lr, mu)
+        steps[split] = t, v
+    assert calls == ([n, n] if n >= _BOUND else [])
+    g = np.sin(theta + mu * velocity)
+    for t, v in steps.values():
+        assert np.array_equal(v, mu * velocity - lr * g)
+        assert np.array_equal(t, theta + (mu * velocity - lr * g))
+
+    # the finiteness check runs whole, before either half writes
+    def non_finite(x):
+        x[[0, n - 1]] = np.nan
+        return x
+
+    t, v = theta.copy(), velocity.copy()
+    with pytest.raises(OptimizerError, match=f"non-finite gradient in 2 of {n}"):
+        nesterov_step(t, v, np.empty(n), non_finite, lr, mu)
+    assert np.array_equal(t, theta) and np.array_equal(v, velocity)
+
+
+def test_nesterov_halves_keep_the_callers_errstate(monkeypatch):
+    # the helper runs its half in the caller's context, so an overflow in the
+    # first half is silenced by the caller's np.errstate like one in the second
+    monkeypatch.setattr(network, "_SPLIT_POOL", True)
+    n = _BOUND
+    theta, velocity = np.zeros(n), np.zeros(n)
+    theta[:8] = theta[-8:] = velocity[:8] = velocity[-8:] = 1e308  # the lookahead overflows
+    with np.errstate(over="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # lr * grad overflows in every entry
+        nesterov_step(theta, velocity, np.empty(n), lambda x: np.full(n, 1e10), 1e300, 0.9)
+    assert (velocity == -np.inf).all() and (theta == -np.inf).all()
 
 
 @pytest.mark.parametrize("field, value", [
