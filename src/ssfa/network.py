@@ -7,12 +7,13 @@ on batches of flattened images, one sample per row. The parameters are one
 flat vector that ``NetworkParams(spec, flat)`` views per layer, and a
 forward pass keeps one output array per layer on its tape.
 
-At one BLAS thread, a large product of forward or backward runs as two row
-halves on two threads (``_matmul``). Each output element keeps its operands
-and k-order, so the bits are those of one ``np.matmul`` either way.
-One long-lived helper thread runs the first half of every split
-(``_halves``): of products, the Nesterov update and the table gather. The
+At one BLAS thread, a large forward pass runs as two row halves on two
+threads, and backward as two halves of each hidden layer's units (``_split``).
+Each output element keeps its operands and k-order, so the bits are those of
+the whole pass. One long-lived helper thread runs the first half of every
+split (``_halves``): of passes, the Nesterov update and the table gather. The
 first split starts it, a forked child starts its own; a half never splits.
+Between splits each side polls for the other for ``_POLL_S`` before it blocks.
 """
 
 from __future__ import annotations
@@ -20,9 +21,10 @@ from __future__ import annotations
 import contextvars
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
+import time
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -31,16 +33,18 @@ from .data import _decimal, write_atomic
 
 CHECKPOINT_MAGIC = "SSFA-CKPT v1"
 
-_SPLIT_MADDS = 1 << 23  # m·n·k from which a product runs as two row halves
-_SPLIT_ROWS = 64  # fewest rows per half: a smaller BLAS panel may take other kernels
+_SPLIT_MADDS = 1 << 23  # m·n·k from which every product of a pass may run as two halves
+_SPLIT_ROWS = 64  # fewest rows or units per half: a smaller BLAS panel may take other kernels
 _SPLIT_ELEMS = 1 << 17  # elements from which an elementwise or row copy runs as two halves
 # Split only at one BLAS thread: a wider pool runs both halves on its cores.
-# numpy, imported above, sized the pool from the environment as it is now, as
-# OpenBLAS reads it: the first positive of these variables, else one per core.
+# numpy, imported above, sized the pool as OpenBLAS reads the environment: the
+# first positive of these variables (atoi reads "²" as 0), else one per core.
 _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 _SPLIT_POOL = next((int(v) for v in map(os.environ.get, _BLAS_VARS)
-                    if v and v.strip().isdigit() and int(v) > 0), 0) == 1
-_helper = []  # the one-worker executor of every first half, once the first split starts it
+                    if v and _decimal(v.strip()) and int(v) > 0), 0) == 1
+_POLL_S = 0.002  # how long a side of a split polls for the other before it blocks
+_POLL_TICK = 2e-5  # the timed wait of one poll, with the GIL released
+_helper = []  # the one _Helper of every first half, once the first split starts it
 os.register_at_fork(after_in_child=_helper.clear)  # a forked child has no helper thread
 
 
@@ -144,27 +148,62 @@ def init_classifier(num_classes: int, dim: int, seed) -> np.ndarray:
     return glorot_uniform(np.random.default_rng(seed), num_classes, dim)
 
 
-def _halves(n, fn):
-    """``fn(0, n // 2)`` on the helper thread in the caller's context (its ``np.errstate``),
-    and ``fn(n // 2, n)`` here; both end before the return, the caller's exception first.
-    ``fn`` never calls ``_halves``: the one helper thread would wait on itself."""
+def _await(event):
+    """Wait for ``event``; polling it in short timed waits for ``_POLL_S`` first keeps this
+    thread's CPU from halting, so a hand-off in that time wakes it fast."""
+    end = time.perf_counter() + _POLL_S
+    while not event.wait(_POLL_TICK) and time.perf_counter() < end:
+        pass
+    event.wait()
+
+
+class _Helper:
+    """The daemon thread that runs the first half of every split, one split at a time."""
+
+    def __init__(self):
+        self.todo, self.done, self.lock = threading.Event(), threading.Event(), threading.Lock()
+        self.task = self.error = None
+        threading.Thread(target=self._serve, daemon=True).start()
+
+    def _serve(self):
+        while True:
+            _await(self.todo)
+            self.todo.clear()
+            try:
+                self.task()
+            except BaseException as exc:  # raised again on the caller
+                self.error = exc
+            self.task = None  # it holds the caller's arrays
+            self.done.set()
+
+
+def _halves(n, fn, split=True):
+    """``fn(0, n)`` when not ``split``. Else ``fn(0, n // 2)`` on the helper thread in the
+    caller's context (its ``np.errstate``) and ``fn(n // 2, n)`` here; both end before the
+    return, the caller's exception first. ``fn`` never splits: the helper would wait on itself."""
+    if not split:
+        return fn(0, n)
     if not _helper:
-        _helper.append(ThreadPoolExecutor(1))
-    first = _helper[0].submit(contextvars.copy_context().run, fn, 0, n // 2)
-    try:
-        fn(n // 2, n)
-    finally:
-        first.exception()  # waits for the first half
-    first.result()
+        _helper.append(_Helper())
+    helper = _helper[0]
+    with helper.lock:  # a split on another thread waits for this one
+        helper.task = partial(contextvars.copy_context().run, fn, 0, n // 2)
+        helper.done.clear()
+        helper.todo.set()
+        try:
+            fn(n // 2, n)
+        finally:
+            _await(helper.done)  # the first half has ended
+        error, helper.error = helper.error, None
+    if error is not None:
+        raise error
 
 
-def _matmul(a, b, out):
-    """``np.matmul(a, b, out=out)``. A large product at one BLAS thread runs
-    as two row halves (``_halves``); numpy releases the GIL in BLAS."""
-    if not _SPLIT_POOL or len(a) * b.size < _SPLIT_MADDS or len(a) // 2 < _SPLIT_ROWS:
-        return np.matmul(a, b, out=out)
-    _halves(len(a), lambda i, j: np.matmul(a[i:j], b, out=out[i:j]))
-    return out
+def _split(sizes, n):
+    """Whether a pass of ``n`` rows at layer widths ``sizes`` splits: at one BLAS thread, when each
+    product has ``_SPLIT_MADDS`` multiply-adds and each half ``_SPLIT_ROWS`` rows and units."""
+    return (_SPLIT_POOL and min((n, *sizes[1:-1])) // 2 >= _SPLIT_ROWS
+            and n * min(a * b for a, b in zip(sizes, sizes[1:])) >= _SPLIT_MADDS)
 
 
 def forward(params: NetworkParams, X, out: ActivationTape = None):
@@ -183,13 +222,17 @@ def forward(params: NetworkParams, X, out: ActivationTape = None):
     if out is None:
         out = ActivationTape.buffers(params.layer_spec(), n)
     tape = ActivationTape(X, [a[:n] for a in out.post])
-    h = X
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = _matmul(h, w.T, tape.post[i])
-        h += b
-        if i < len(tape.post) - 1:
-            np.maximum(h, 0.0, out=h)
-    return h, tape
+
+    def rows(i, j):  # every layer of rows i:j; numpy releases the GIL in BLAS
+        h = X[i:j]
+        for k, (w, b) in enumerate(zip(params.weights, params.biases)):
+            h = np.matmul(h, w.T, out=tape.post[k][i:j])
+            h += b
+            if k < len(tape.post) - 1:
+                np.maximum(h, 0.0, out=h)
+
+    _halves(n, rows, _split(params.layer_spec().sizes, n))
+    return tape.post[-1], tape
 
 
 def backward(params: NetworkParams, tape: ActivationTape, dZ, out=None) -> NetworkParams:
@@ -198,25 +241,37 @@ def backward(params: NetworkParams, tape: ActivationTape, dZ, out=None) -> Netwo
     Returns the parameter gradient, written into the flat vector ``out`` (a
     fresh one when None). Each weight matrix W_i with i >= 1 is read from a
     copy, so ``out`` may be ``params.flat``. The input's gradient is never
-    formed. Once layer i has read hidden output ``tape.post[i-1]`` and
-    formed its ReLU mask, layer i-1's delta overwrites it: a tape serves
-    one call, and ``dZ``, ``x`` and Z are only read. The
-    ReLU mask is ``post > 0``: the subgradient at exactly 0 is 0.
+    formed. Top down, each hidden layer's units u form the top weight
+    gradient's columns ``dZᵀ @ post[:, u]`` (top layer only), their delta
+    ``(delta @ W[:, u]) * mask`` over ``post[:, u]`` (a tape serves one call;
+    ``dZ``, ``x`` and Z are only read), then their weight-gradient rows and
+    biases. The ReLU mask is ``post > 0``: the subgradient at exactly 0 is 0.
     """
     delta = np.asarray(dZ, dtype=np.float64)
     if delta.shape != tape.post[-1].shape:
         raise ValueError(f"dZ shape {delta.shape} != output shape {tape.post[-1].shape}")
     spec = params.layer_spec()
     grad = NetworkParams(spec, np.empty(spec.param_count) if out is None else out)
-    for i in reversed(range(len(params.weights))):
-        inp = tape.x if i == 0 else tape.post[i - 1]
-        w = params.weights[i].copy() if i > 0 else None  # out may overwrite W_i
-        _matmul(delta.T, inp, grad.weights[i])
-        delta.sum(axis=0, out=grad.biases[i])
-        if i > 0:
-            mask = np.greater(inp, 0.0)
-            delta = _matmul(delta, w, inp)
-            delta *= mask
+    weights = [w.copy() for w in params.weights[1:]]  # out may overwrite them
+    delta.sum(axis=0, out=grad.biases[-1])
+    if not weights:  # no hidden layer
+        np.matmul(delta.T, tape.x, out=grad.weights[0])
+    for i in reversed(range(len(weights))):  # hidden layer i: W_i's output, W_i+1's input
+        post, inp = tape.post[i], tape.x if i == 0 else tape.post[i - 1]
+        mask = np.empty(post.shape, dtype=bool)
+
+        def units(a, b):  # the work of hidden units a:b
+            p, m = post[:, a:b], mask[:, a:b]
+            if i == len(weights) - 1:
+                np.matmul(delta.T, p, out=grad.weights[-1][:, a:b])
+            np.greater(p, 0.0, out=m)
+            d = np.matmul(delta, weights[i][:, a:b], out=p)
+            d *= m
+            np.matmul(d.T, inp, out=grad.weights[i][a:b])
+            d.sum(axis=0, out=grad.biases[i][a:b])
+
+        _halves(post.shape[1], units, _split(spec.sizes, len(post)))
+        delta = post
     return grad
 
 

@@ -3,7 +3,9 @@ import contextlib
 import gc
 import json
 import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -669,6 +671,18 @@ def test_threads_default_keeps_preset_blas_env(monkeypatch):
     monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
     run_ok(["gradcheck", "--points", "1", "--seed", "3"])
     assert [os.environ[v] for v in BLAS_VARS] == ["7", "1", "1"]
+
+
+def test_a_non_ascii_digit_in_a_preset_blas_variable_is_read_as_unset(tmp_path):
+    # OpenBLAS's atoi reads "²" as 0, that is unset; importing ssfa must not
+    # fail on it either, so the command runs and exits 0
+    root = Path(__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env.update(OPENBLAS_NUM_THREADS="²", OMP_NUM_THREADS="³", PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-m", "ssfa.cli", "synth", "--out", str(tmp_path / "s"),
+                           "--clips", "1"], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "s" / "unlabeled.txt").exists()
 
 
 def _unset_blas_env(monkeypatch):

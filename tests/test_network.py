@@ -5,7 +5,9 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import warnings
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -435,32 +437,17 @@ def test_save_checkpoint_rejects_a_classifier_of_another_width(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Row-split products
-
-
-def _products(sizes, rng, rows):
-    """The products that forward and backward run at ``sizes``, as (name,
-    a, b) with operands of ``rows`` rows whose leading rows serve any
-    smaller batch: each layer's output and weight gradient (through the
-    transposed ``delta.T`` view), and the delta of every layer but the
-    first."""
-    out = []
-    for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
-        w = rng.normal(size=(fan_out, fan_in))
-        x, delta = rng.normal(size=(rows, fan_in)), rng.normal(size=(rows, fan_out))
-        out += [(f"layer{i}", x, w.T), (f"wgrad{i}", delta.T, x)]
-        if i > 0:
-            out.append((f"delta{i}", delta, w))
-    return out
+# Split passes
 
 
 def _count_halves(monkeypatch):
-    """The sizes that ``network._halves`` is called with from now on."""
+    """The sizes that ``network._halves`` splits from now on."""
     calls, halves = [], network._halves
 
-    def counting(n, fn):
-        calls.append(n)
-        return halves(n, fn)
+    def counting(n, fn, split=True):
+        if split:
+            calls.append(n)
+        return halves(n, fn, split)
 
     monkeypatch.setattr(network, "_halves", counting)
     return calls
@@ -469,44 +456,52 @@ def _count_halves(monkeypatch):
 @pytest.fixture
 def fresh_helper(monkeypatch):
     """Splits on, and no helper thread until the test's first split; the
-    helper that the test starts is shut down after it."""
+    helper that the test starts is left blocked, and the old one restored."""
     monkeypatch.setattr(network, "_SPLIT_POOL", True)
     kept = network._helper[:]
     network._helper.clear()  # in place: the at-fork reset clears this list
     yield
-    for helper in network._helper:
-        helper.shutdown()
     network._helper[:] = kept
 
 
-@pytest.mark.parametrize("sizes", [(256, 25, 25), (256, 25, 16), (1024, 256, 64)])
-def test_split_products_give_the_bits_of_one_matmul(sizes, monkeypatch):
-    # a product of at least 2**23 multiply-adds whose halves keep 64 rows
-    # runs as two row halves; every output row keeps its operands and
-    # k-order, so the result equals one np.matmul bit for bit. At the desk
-    # shapes only layer 0's output at 1312 rows reaches the bound.
-    monkeypatch.setattr(network, "_SPLIT_POOL", True)
+def _pass(params, X, dZ, out=None):
+    """One forward and backward pass: (Z, the tape after forward, the tape
+    after backward, the gradient), each copied."""
+    Z, tape = forward(params, X, out=out)
+    posts = [a.copy() for a in tape.post]
+    grad = backward(params, tape, dZ).flat
+    return Z.copy(), posts, [a.copy() for a in tape.post], grad
+
+
+@pytest.mark.parametrize("sizes", [(256, 25, 25), (256, 25, 16), (1024, 256, 64), (512, 64, 16)])
+def test_split_passes_give_the_bits_of_whole_ones(sizes, monkeypatch):
+    # a pass splits when each of its products has at least 2**23
+    # multiply-adds and each half keeps 64 rows and 64 hidden units: forward
+    # by rows, backward by hidden units. Every output element keeps its
+    # operands and k-order, so Z, the tape and the gradient equal those of
+    # the whole pass bit for bit. Only 1024->256->64 at 512 rows or more
+    # reaches the bound (its layer 1 has 16384 multiply-adds per row).
     calls = _count_halves(monkeypatch)
-    products, split = _products(sizes, np.random.default_rng(sum(sizes)), 1312), []
+    rng = np.random.default_rng(sum(sizes))
+    params = init_glorot(LayerSpec(sizes), 0)
+    params.flat[:] = rng.normal(scale=0.1, size=params.flat.shape)
+    X, dZ = rng.normal(size=(1312, sizes[0])), rng.normal(size=(1312, sizes[-1]))
+    buffers = ActivationTape.buffers(params.layer_spec(), 1312)
+    split = []
     for rows in [*range(1, 301), 599, 600, 672, 1312]:
-        for name, a, b in products:
-            a = a[:, :rows] if name.startswith("wgrad") else a[:rows]
-            b = b[:rows] if name.startswith("wgrad") else b
-            expect = np.matmul(a, b)
-            got = network._matmul(a, b, np.full_like(expect, np.nan))
-            assert np.array_equal(got, expect), (name, rows)
-            if len(a) * b.size >= 2**23 and len(a) >= 128:
-                split.append((name, rows))
-    assert len(calls) == len(split)
-    if sizes != (1024, 256, 64):
-        assert split == [("layer0", 1312)]
-    else:
-        assert {name for name, _ in split} == {"layer0", "wgrad0", "layer1", "delta1"}
-    # a BLAS pool of more than one thread runs every product as one call
-    monkeypatch.setattr(network, "_SPLIT_POOL", False)
-    name, a, b = products[0]
-    assert np.array_equal(network._matmul(a, b, np.empty((1312, sizes[1]))), a @ b)
-    assert len(calls) == len(split)
+        passes = []
+        for pool in (True, False):
+            monkeypatch.setattr(network, "_SPLIT_POOL", pool)
+            for a in buffers.post:
+                a.fill(np.nan)
+            passes.append(_pass(params, X[:rows], dZ[:rows], buffers))
+        (Z, *tapes, grad), (Z1, *tapes1, grad1) = passes
+        assert np.array_equal(Z, Z1) and np.array_equal(grad, grad1), rows
+        assert all(np.array_equal(a, b) for t, t1 in zip(tapes, tapes1) for a, b in zip(t, t1))
+        if len(calls) > 2 * len(split):
+            split.append(rows)
+    assert calls == [n for rows in split for n in (rows, sizes[1])]
+    assert split == ([599, 600, 672, 1312] if sizes == (1024, 256, 64) else [])
 
 
 @pytest.mark.parametrize("env, split", [
@@ -515,11 +510,14 @@ def test_split_products_give_the_bits_of_one_matmul(sizes, monkeypatch):
     ({"OMP_NUM_THREADS": " 1 "}, True),
     ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
     ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, True),
+    ({"OPENBLAS_NUM_THREADS": "²", "OMP_NUM_THREADS": "1"}, True),
+    ({"OMP_NUM_THREADS": "¹"}, False),
 ])
 def test_products_split_only_when_numpy_loaded_one_blas_thread(env, split):
     # the split reads the pool size as OpenBLAS does when numpy loads: the
     # first positive of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and
-    # OMP_NUM_THREADS, else one thread per core
+    # OMP_NUM_THREADS, else one thread per core; a value that is not ASCII
+    # digits ("²") counts as unset, as OpenBLAS's atoi reads it
     root = Path(__file__).resolve().parents[1]
     base = {k: v for k, v in os.environ.items() if k not in network._BLAS_VARS}
     proc = subprocess.run([sys.executable, "-c", "from ssfa import network; print(network._SPLIT_POOL)"],
@@ -541,7 +539,48 @@ def test_one_helper_thread_runs_every_first_half(fresh_helper):
     assert len(firsts) == 1 and seconds == {threading.get_ident()} != firsts
 
 
-def test_split_product_raises_the_helper_threads_error(fresh_helper, monkeypatch):
+def test_splits_from_many_threads_each_run_both_halves(fresh_helper):
+    # the one helper serves one split at a time: a split on another thread
+    # waits its turn, and every split runs both of its own halves
+    seen, switch = {k: [] for k in range(4)}, sys.getswitchinterval()
+
+    def caller(k):
+        for _ in range(200):
+            got = []
+            network._halves(8, lambda i, j: got.append((i, j)))
+            seen[k].append(sorted(got))
+
+    threads = [threading.Thread(target=caller, args=(k,), daemon=True) for k in range(4)]
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert all(v == [[(0, 4), (4, 8)]] * 200 for v in seen.values())
+
+
+def test_the_helper_stops_polling_when_idle(fresh_helper):
+    # between splits the helper polls for the next half, but only for
+    # network._POLL_S: then it blocks and takes no CPU time
+    network._halves(2, lambda i, j: None)
+    time.sleep(10 * network._POLL_S)
+    start = time.process_time()
+    time.sleep(0.2)
+    assert time.process_time() - start < 0.005
+
+
+def _wide_pass(rows=600):
+    """(params, X, dZ) of a 1024->256->64 pass of ``rows`` rows, which splits."""
+    rng = np.random.default_rng(rows)
+    params = init_glorot(LayerSpec((1024, 256, 64)), 0)
+    return params, rng.normal(size=(rows, 1024)), rng.normal(size=(rows, 64))
+
+
+def test_split_pass_raises_the_helper_threads_error(fresh_helper, monkeypatch):
     # the first half fails on the helper thread: the caller's half still
     # runs, the first half has ended, and its exception reaches the caller
     failed = []
@@ -552,43 +591,52 @@ def test_split_product_raises_the_helper_threads_error(fresh_helper, monkeypatch
             raise RuntimeError("first half failed")
         return np.matmul(a, b, out=out)
 
-    monkeypatch.setattr(network, "np", SimpleNamespace(matmul=matmul))
-    a, b = np.ones((256, 256)), np.ones((256, 256))
-    out = np.zeros((256, 256))
+    params, X, _ = _wide_pass()
+    Z, _ = forward(params, X)
+    out = ActivationTape.buffers(params.layer_spec(), 600)
+    for a in out.post:
+        a.fill(np.nan)
+    monkeypatch.setattr(network, "np", SimpleNamespace(
+        asarray=np.asarray, float64=np.float64, maximum=np.maximum, matmul=matmul))
     with pytest.raises(RuntimeError, match="first half failed"):
-        network._matmul(a, b, out)
-    assert not out[:128].any() and (out[128:] == 256.0).all()
+        forward(params, X, out=out)
+    assert np.isnan(out.post[0][:300]).all() and np.array_equal(out.post[1][300:], Z[300:])
     # the same helper thread runs the next split
     count, firsts = threading.active_count(), []
     network._halves(2, lambda i, j: firsts.append(threading.get_ident()) if i == 0 else None)
     assert firsts == failed and threading.active_count() == count
 
 
-def test_split_product_keeps_the_callers_errstate(monkeypatch):
+def test_split_pass_keeps_the_callers_errstate(monkeypatch):
     # the helper runs in the caller's context, so an overflow in the first
     # half is silenced by the caller's np.errstate like one in the second
     monkeypatch.setattr(network, "_SPLIT_POOL", True)
-    a, b = np.ones((256, 256)), np.full((256, 256), 1e10)
-    a[:64] = a[-64:] = 1e300
+    params, X, _ = _wide_pass()
+    params.flat.fill(1.0)
+    X[:64] = X[-64:] = 1e306  # layer 0 sums 1024 of them
     with np.errstate(over="ignore"), warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = network._matmul(a, b, np.empty((256, 256)))
-    assert np.isinf(out[:64]).all() and np.isinf(out[-64:]).all()
-    assert (out[64:-64] == 2.56e12).all()
+        Z, _ = forward(params, X)
+    assert (Z[:64] == np.inf).all() and (Z[-64:] == np.inf).all()
+    assert np.isfinite(Z[64:-64]).all()
 
 
-def _split_product_in_child():
-    a, b = np.random.default_rng(1).normal(size=(2, 512, 1024))
-    assert np.array_equal(network._matmul(a, b.T, np.empty((512, 512))), a @ b.T)
+def _split_pass_in_child():
+    params, X, dZ = _wide_pass()
+    split = _pass(params, X, dZ)
+    network._SPLIT_POOL = False
+    whole = _pass(params, X, dZ)
+    assert np.array_equal(split[0], whole[0]) and np.array_equal(split[-1], whole[-1])
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs fork")
-def test_a_forked_child_runs_a_split_product(monkeypatch):
+def test_a_forked_child_runs_a_split_pass(monkeypatch):
     # a forked child has no copy of the parent's helper thread: it drops the
-    # parent's executor and its first split starts its own helper
+    # parent's helper and its first split starts its own
     monkeypatch.setattr(network, "_SPLIT_POOL", True)
-    _split_product_in_child()
-    child = multiprocessing.get_context("fork").Process(target=_split_product_in_child)
+    params, X, dZ = _wide_pass()
+    _pass(params, X, dZ)
+    child = multiprocessing.get_context("fork").Process(target=_split_pass_in_child)
     child.start()
     child.join(timeout=60)
     if child.is_alive():
@@ -597,25 +645,32 @@ def test_a_forked_child_runs_a_split_product(monkeypatch):
     assert child.exitcode == 0
 
 
-def _wide_training_digests():
-    """sha256 of the parameters that ``train`` (3 epochs) and
-    ``train_unsupervised`` (2 passes) give at 1024->256->64, with the
-    splits and with every split turned off. Every step stacks 554 to 585
-    rows, so each layer's output, layer 0's weight gradient and layer 1's
-    delta run as two halves, and so do the table gather and the Nesterov
-    lookahead and update."""
+def _wide_data():
+    """(labeled set, resolved pairs, resolved triplets, config) of a 1024->256->64
+    training run whose every step stacks 554 to 585 rows."""
     from ssfa.mining import MiningConfig, mine_pairs, mine_triplets
     from ssfa.synth import SynthConfig, gen_labeled, gen_unlabeled
-    from ssfa.trainer import TrainConfig, resolve_pairs, resolve_triplets, train, train_unsupervised
+    from ssfa.trainer import TrainConfig, resolve_pairs, resolve_triplets
 
-    spec = LayerSpec((1024, 256, 64))
     u = gen_unlabeled(SynthConfig(grid=32, clip_len=40, num_clips=16, seed=1))
     labeled = gen_labeled(SynthConfig(grid=32, seed=51), 10)
     mc = MiningConfig(T_seconds=2.0, seed=0, max_pairs=512, max_triplets=512)
-    pairs = resolve_pairs(u, mine_pairs(u, mc))
-    triplets = resolve_triplets(u, mine_triplets(u, mc))
     cfg = TrainConfig(lr=0.01, lam=1.0, lam_prime=0.5, batch_labeled=16, batch_pairs=256,
                       batch_triplets=256, max_epochs=3, patience=3, seed=0)
+    return (labeled, resolve_pairs(u, mine_pairs(u, mc)), resolve_triplets(u, mine_triplets(u, mc)),
+            cfg)
+
+
+def _wide_training_digests():
+    """sha256 of the parameters that ``train`` (3 epochs) and
+    ``train_unsupervised`` (2 passes) give at 1024->256->64, with the
+    splits and with every split turned off. Every step splits its
+    forward and backward pass, the table gather and the Nesterov
+    lookahead and update."""
+    from ssfa.trainer import train, train_unsupervised
+
+    spec = LayerSpec((1024, 256, 64))
+    labeled, pairs, triplets, cfg = _wide_data()
 
     def digest():
         params, W, _ = train(labeled, pairs, triplets, spec, cfg)
@@ -629,6 +684,33 @@ def _wide_training_digests():
         return split, digest()
     finally:
         network._SPLIT_POOL = pool
+
+
+def test_a_wide_step_makes_five_hand_offs_and_a_desk_step_none(monkeypatch):
+    # one step of 1024->256->64 hands the helper its lookahead, table
+    # gather, forward pass, backward pass and update; at the desk and
+    # long_clips shape and batch sizes nothing reaches a bound
+    from ssfa.mining import MiningConfig, mine_pairs, mine_triplets
+    from ssfa.synth import SynthConfig, gen_labeled, gen_unlabeled
+    from ssfa.trainer import TrainConfig, resolve_pairs, resolve_triplets, train
+
+    monkeypatch.setattr(network, "_SPLIT_POOL", True)
+    calls = _count_halves(monkeypatch)
+    labeled, pairs, triplets, cfg = _wide_data()
+    spec = LayerSpec((1024, 256, 64))
+    train(labeled, pairs, triplets, spec, replace(cfg, batch_labeled=64, max_epochs=1))
+    theta, lead = spec.param_count + labeled.num_classes * 64, 32  # 32 training images
+    assert calls == [theta, calls[1], calls[1] + lead, 256, theta] and calls[1] + lead >= 512
+
+    calls.clear()
+    u = gen_unlabeled(SynthConfig(clip_len=200, num_clips=2, seed=7))
+    mc = MiningConfig(T_seconds=2.0, seed=7)
+    pairs, triplets = resolve_pairs(u, mine_pairs(u, mc)), resolve_triplets(u, mine_triplets(u, mc))
+    for batches in ((4, 64, 64), (16, 32, 32)):  # desk, long_clips
+        desk = TrainConfig(0.01, lam=3.0, lam_prime=0.3, max_epochs=1, seed=1,
+                           **dict(zip(("batch_labeled", "batch_pairs", "batch_triplets"), batches)))
+        train(gen_labeled(SynthConfig(seed=7), 25), pairs, triplets, LayerSpec((256, 25, 25)), desk)
+    assert calls == []
 
 
 _PINNED_DIGESTS = """
