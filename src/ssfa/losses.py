@@ -295,11 +295,9 @@ def _fused(ws: Workspace, params: NetworkParams, lead_x, pairs, triplets, lam: f
         X[:lead] = lead_x
     # both index arrays are in range (they come from the table-sized map), and
     # np.take's default mode="raise" would copy through a temporary instead of into out
-    if network._SPLIT_POOL and rows.size * X.shape[1] >= network._SPLIT_ELEMS:
-        network._halves(len(rows), lambda i, j: np.take(  # two row halves
-            batches[0][0], rows[i:j], axis=0, out=X[lead + i : lead + j], mode="clip"))
-    else:
-        np.take(batches[0][0], rows, axis=0, out=X[lead:], mode="clip")
+    network._halves(len(rows), lambda i, j: np.take(
+        batches[0][0], rows[i:j], axis=0, out=X[lead + i : lead + j], mode="clip"),
+        network._split_elems(rows.size * X.shape[1]))
     Z, tape = forward(params, X, out=ws.tape)
     block = np.take(Z, at, axis=0, out=ws.member[: len(members)], mode="clip")
     labels = [_NO_LABELS if b is None else b[2] for b in (pairs, triplets)]

@@ -18,15 +18,12 @@ would: tuple files are unchanged by the decode.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import UnlabeledSet, _decimal, _significant_lines, write_atomic
-
-log = logging.getLogger(__name__)
 
 
 class MiningError(RuntimeError):
@@ -207,7 +204,9 @@ def _mine(u: UnlabeledSet, cfg: MiningConfig, groups, kind: str, cap, ratio, see
         for parts, (base, count, step) in zip(tables, (pos, neg)):
             parts.append((np.full(len(count), c), base, count, step))
     if skipped:
-        log.warning("%s mining skipped %d clip(s) with no positive candidates", kind, skipped)
+        import logging  # here only: importing it adds about 0.4 MB to a process's peak RSS
+        logging.getLogger(__name__).warning(
+            "%s mining skipped %d clip(s) with no positive candidates", kind, skipped)
     if not tables[0]:
         raise MiningError(f"no clip admits a positive {kind}")
     pos, neg = (_stack(parts) for parts in tables)

@@ -7,13 +7,14 @@ on batches of flattened images, one sample per row. The parameters are one
 flat vector that ``NetworkParams(spec, flat)`` views per layer, and a
 forward pass keeps one output array per layer on its tape.
 
-At one BLAS thread, a large forward pass runs as two row halves on two
-threads, and backward as two halves of each hidden layer's units (``_split``).
-Each output element keeps its operands and k-order, so the bits are those of
-the whole pass. One long-lived helper thread runs the first half of every
-split (``_halves``): of passes, the Nesterov update and the table gather. The
-first split starts it, a forked child starts its own; a half never splits.
-Between splits each side polls for the other for ``_POLL_S`` before it blocks.
+At one BLAS thread, large work runs as two halves on two threads: a forward
+pass by rows, backward by each hidden layer's units (``_split``), a Nesterov
+step by elements and the table gather by rows (``_split_elems``). Each output
+element keeps its operands and order, so the bits are those of the whole.
+Each site hands one closure to ``_halves``: run whole on the caller, or split
+with its first half on one helper thread, which the first split starts (a
+forked child its own) and whose exception is raised on the caller unless the
+caller's half raised. Between splits each side polls for ``_POLL_S``, then blocks.
 """
 
 from __future__ import annotations
@@ -45,7 +46,9 @@ _SPLIT_POOL = next((int(v) for v in map(os.environ.get, _BLAS_VARS)
 _POLL_S = 0.002  # how long a side of a split polls for the other before it blocks
 _POLL_TICK = 2e-5  # the timed wait of one poll, with the GIL released
 _helper = []  # the one _Helper of every first half, once the first split starts it
-os.register_at_fork(after_in_child=_helper.clear)  # a forked child has no helper thread
+_lock = threading.Lock()  # held through each split, so threads that split first start one helper
+os.register_at_fork(after_in_child=_helper.clear)  # a forked child has no helper thread,
+os.register_at_fork(after_in_child=_lock._at_fork_reinit)  # nor one that holds the lock
 
 
 @dataclass(frozen=True)
@@ -161,7 +164,7 @@ class _Helper:
     """The daemon thread that runs the first half of every split, one split at a time."""
 
     def __init__(self):
-        self.todo, self.done, self.lock = threading.Event(), threading.Event(), threading.Lock()
+        self.todo, self.done = threading.Event(), threading.Event()
         self.task = self.error = None
         threading.Thread(target=self._serve, daemon=True).start()
 
@@ -183,10 +186,10 @@ def _halves(n, fn, split=True):
     return, the caller's exception first. ``fn`` never splits: the helper would wait on itself."""
     if not split:
         return fn(0, n)
-    if not _helper:
-        _helper.append(_Helper())
-    helper = _helper[0]
-    with helper.lock:  # a split on another thread waits for this one
+    with _lock:  # a split on another thread waits for this one
+        if not _helper:
+            _helper.append(_Helper())
+        helper = _helper[0]
         helper.task = partial(contextvars.copy_context().run, fn, 0, n // 2)
         helper.done.clear()
         helper.todo.set()
@@ -194,9 +197,14 @@ def _halves(n, fn, split=True):
             fn(n // 2, n)
         finally:
             _await(helper.done)  # the first half has ended
-        error, helper.error = helper.error, None
+            error, helper.error = helper.error, None  # taken also when the caller's half raised
     if error is not None:
         raise error
+
+
+def _split_elems(elems):
+    """Whether an elementwise pass or row copy of ``elems`` elements splits (``_SPLIT_ELEMS``)."""
+    return _SPLIT_POOL and elems >= _SPLIT_ELEMS
 
 
 def _split(sizes, n):

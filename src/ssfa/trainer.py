@@ -106,15 +106,11 @@ def nesterov_step(theta, velocity, look, grad_fn, lr: float, momentum: float) ->
     updated in place with the same operations, in the same order, as
     ``velocity = momentum*velocity - lr*grad; theta = theta + velocity``.
     A non-finite gradient raises OptimizerError and leaves both unchanged.
-    At one BLAS thread, a theta of ``network._SPLIT_ELEMS`` entries or more
-    runs the lookahead and the update as two halves (``network._halves``).
+    A large theta runs the lookahead and the update as two halves (``network._halves``).
     """
-    halves = network._SPLIT_POOL and theta.size >= network._SPLIT_ELEMS
-    if halves:
-        network._halves(theta.size, lambda i, j: np.add(theta[i:j], np.multiply(
-            momentum, velocity[i:j], out=look[i:j]), out=look[i:j]))
-    else:
-        np.add(theta, np.multiply(momentum, velocity, out=look), out=look)
+    split = network._split_elems(theta.size)
+    network._halves(theta.size, lambda i, j: np.add(theta[i:j], np.multiply(
+        momentum, velocity[i:j], out=look[i:j]), out=look[i:j]), split)
     grad = grad_fn(look)
     # grad @ grad allocates nothing; only a non-finite product (a NaN or
     # inf entry, or finite entries whose squares overflow) needs the
@@ -124,17 +120,14 @@ def nesterov_step(theta, velocity, look, grad_fn, lr: float, momentum: float) ->
     if not np.isfinite(norm2) and not np.all(np.isfinite(grad)):
         bad = int(np.count_nonzero(~np.isfinite(grad)))
         raise OptimizerError(f"non-finite gradient in {bad} of {grad.size} coordinates")
-    if halves:
-        def update(i, j):
-            v = velocity[i:j]
-            v *= momentum
-            v -= np.multiply(lr, grad[i:j], out=look[i:j])
-            theta[i:j] += v
-        network._halves(theta.size, update)
-    else:
-        velocity *= momentum
-        velocity -= np.multiply(lr, grad, out=look)
-        theta += velocity
+
+    def update(i, j):
+        v = velocity[i:j]
+        v *= momentum
+        v -= np.multiply(lr, grad[i:j], out=look[i:j])
+        theta[i:j] += v
+
+    network._halves(theta.size, update, split)
 
 
 # ---------------------------------------------------------------------------

@@ -573,6 +573,39 @@ def test_the_helper_stops_polling_when_idle(fresh_helper):
     assert time.process_time() - start < 0.005
 
 
+def test_a_split_whose_halves_both_raise_leaves_no_error_behind(fresh_helper):
+    # the caller's exception is raised and the helper's is dropped with it,
+    # so the next split, whose halves both succeed, does not raise it again
+    def both_fail(i, j):
+        raise ValueError(f"half {i}:{j}")
+
+    with pytest.raises(ValueError, match="half 2:4"):
+        network._halves(4, both_fail)
+    network._halves(4, lambda i, j: None)
+
+
+def test_threads_that_split_first_at_once_start_one_helper(fresh_helper):
+    # the first split starts the helper under the split lock, so threads
+    # released together into their first split share one helper thread
+    before, barrier, switch = threading.active_count(), threading.Barrier(8), sys.getswitchinterval()
+
+    def first_split():
+        barrier.wait()
+        network._halves(2, lambda i, j: None)
+
+    threads = [threading.Thread(target=first_split, daemon=True) for _ in range(8)]
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert len(network._helper) == 1 and threading.active_count() == before + 1
+
+
 def _wide_pass(rows=600):
     """(params, X, dZ) of a 1024->256->64 pass of ``rows`` rows, which splits."""
     rng = np.random.default_rng(rows)
@@ -638,6 +671,21 @@ def test_a_forked_child_runs_a_split_pass(monkeypatch):
     _pass(params, X, dZ)
     child = multiprocessing.get_context("fork").Process(target=_split_pass_in_child)
     child.start()
+    child.join(timeout=60)
+    if child.is_alive():
+        child.terminate()
+        child.join()
+    assert child.exitcode == 0
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs fork")
+def test_a_child_forked_while_the_split_lock_is_held_runs_a_split_pass(monkeypatch):
+    # a fork while a split holds the lock: the child's copy of the lock is
+    # reset, so the child's first split does not wait on it forever
+    monkeypatch.setattr(network, "_SPLIT_POOL", True)
+    with network._lock:  # as a split on another thread holds it
+        child = multiprocessing.get_context("fork").Process(target=_split_pass_in_child)
+        child.start()
     child.join(timeout=60)
     if child.is_alive():
         child.terminate()
