@@ -5,46 +5,24 @@ ssfa: adds the steadiness triplet loss on top. With 5 labeled images per
 class, the temporal-coherence regularizers carry most of the signal:
 they lift test accuracy far above the unregularized baseline and make
 feature-space extrapolation (sequence completion) much more accurate.
+The protocol is the acceptance suite's, from ssfa.desk.
 """
 
 import time
 
 import ssfa
+from ssfa import desk
 
 t0 = time.time()
-train_clips = ssfa.gen_unlabeled(ssfa.SynthConfig(num_clips=40, seed=7))
-eval_clips = ssfa.gen_unlabeled(ssfa.SynthConfig(num_clips=12, seed=1007))
-labeled_train = ssfa.gen_labeled(ssfa.SynthConfig(seed=2007), per_class=5)
-labeled_test = ssfa.gen_labeled(ssfa.SynthConfig(seed=3007), per_class=100)
-
-mining = ssfa.MiningConfig(T_seconds=2.0, seed=0, max_pairs=6000, max_triplets=6000)
-pairs = ssfa.resolve_pairs(train_clips, ssfa.mine_pairs(train_clips, mining))
-triplets = ssfa.resolve_triplets(train_clips, ssfa.mine_triplets(train_clips, mining))
-
-queries = ssfa.make_queries(eval_clips, T_seconds=2.0, max_queries=100, seed=1)
-pool = ssfa.build_pool(queries, eval_clips, n_per_video=5, seed=2)
+results, (pairs, triplets, queries, pool) = desk.sweep(ssfa.build_fixtures(7), seeds=(1,))
 print(f"data ready: {len(pairs[-1])} pairs, {len(triplets[-1])} triplets, "
       f"{len(queries)} queries over a pool of {len(pool)}")
-
-spec = ssfa.LayerSpec((256, 25, 25))
-methods = {"unreg": (0.0, 0.0), "sfa2": (3.0, 0.0), "ssfa": (3.0, 0.3)}
-
 print(f"\n{'method':8s} {'epochs':>6s} {'val_acc':>8s} {'test_acc':>9s} {'eta':>7s}")
-for name, (lam, lam_prime) in methods.items():
-    cfg = ssfa.TrainConfig(
-        lr=0.01, lam=lam, lam_prime=lam_prime, max_epochs=600, patience=100,
-        batch_labeled=4, batch_pairs=64, batch_triplets=64, seed=1,
-    )
-    p = pairs if lam > 0 else None
-    t = triplets if lam > 0 and lam_prime > 0 else None
-    params, W, hist = ssfa.train(labeled_train, p, t, spec, cfg)
+for name in desk.METHODS:
+    r = results[name]
+    hist = r["history"][0]
     best = hist.epochs[hist.best_epoch - 1]
-    acc = ssfa.linear_accuracy(params, W, labeled_test)
-    eta = ssfa.eta(ssfa.seqcomp_ranks(queries, pool, params), len(pool))
-    print(f"{name:8s} {len(hist.epochs):6d} {best.val_acc:8.2f} {acc:9.3f} {eta:7.2f}")
-
-rand_eta = ssfa.eta(
-    ssfa.seqcomp_ranks(queries, pool, ssfa.init_glorot(spec, 1)), len(pool)
-)
-print(f"{'random':8s} {'-':>6s} {'-':>8s} {'-':>9s} {rand_eta:7.2f}")
+    print(f"{name:8s} {len(hist.epochs):6d} {best.val_acc:8.2f} {r['acc'][0]:9.3f} "
+          f"{r['eta'][0]:7.2f}")
+print(f"{'random':8s} {'-':>6s} {'-':>8s} {'-':>9s} {results['random']['eta'][0]:7.2f}")
 print(f"\n(lower eta = steadier features; done in {time.time() - t0:.0f}s)")

@@ -10,24 +10,15 @@ frames beat it.
 import numpy as np
 
 import ssfa
+from ssfa import desk
 
-train_clips = ssfa.gen_unlabeled(ssfa.SynthConfig(num_clips=40, seed=7))
-eval_clips = ssfa.gen_unlabeled(ssfa.SynthConfig(num_clips=12, seed=1007))
-labeled = ssfa.gen_labeled(ssfa.SynthConfig(seed=2007), per_class=5)
-
-mining = ssfa.MiningConfig(T_seconds=2.0, seed=0, max_pairs=6000, max_triplets=6000)
-pairs = ssfa.resolve_pairs(train_clips, ssfa.mine_pairs(train_clips, mining))
-triplets = ssfa.resolve_triplets(train_clips, ssfa.mine_triplets(train_clips, mining))
-
-spec = ssfa.LayerSpec((256, 25, 25))
-cfg = ssfa.TrainConfig(
-    lr=0.01, lam=3.0, lam_prime=0.3, max_epochs=600, patience=100,
-    batch_labeled=4, batch_pairs=64, batch_triplets=64, seed=1,
-)
-params, W, _ = ssfa.train(labeled, pairs, triplets, spec, cfg)
+data = ssfa.build_fixtures(7)
+eval_clips = data["eval_clips"]
+params, W, _ = desk.train_method("ssfa", data["labeled_train"], *desk.mined(data["train_clips"]),
+                                 seed=1)
 print("trained steadiness-regularized model")
 
-queries = ssfa.make_queries(eval_clips, T_seconds=2.0, max_queries=12, seed=3)
+queries = ssfa.make_queries(eval_clips, T_seconds=desk.T_SECONDS, max_queries=12, seed=3)
 pool = ssfa.build_pool(queries, eval_clips, n_per_video=5, seed=4)
 z_pool = ssfa.embed(params, pool.frames)
 ranks = ssfa.seqcomp_ranks(queries, pool, params)

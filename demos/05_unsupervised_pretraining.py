@@ -7,24 +7,10 @@ the tuple data.
 """
 
 import ssfa
+from ssfa import desk
 
-clips = ssfa.gen_unlabeled(ssfa.SynthConfig(num_clips=40, seed=7))
-knn_train = ssfa.gen_labeled(ssfa.SynthConfig(seed=4007), per_class=10)
-knn_test = ssfa.gen_labeled(ssfa.SynthConfig(seed=5007), per_class=500)
-
-mining = ssfa.MiningConfig(T_seconds=2.0, seed=0, max_pairs=2500, max_triplets=2500)
-pairs = ssfa.resolve_pairs(clips, ssfa.mine_pairs(clips, mining))
-triplets = ssfa.resolve_triplets(clips, ssfa.mine_triplets(clips, mining))
-
-spec = ssfa.LayerSpec((256, 25, 25))
 print("kNN accuracy (k=5) after each pass over the tuples, 5 runs:\n")
 print("run   init  pass1  pass2  pass3")
-for seed in (1, 2, 3, 4, 5):
-    cfg = ssfa.TrainConfig(
-        lr=0.007, momentum=0.0, lam=1.0, lam_prime=0.8,
-        batch_pairs=128, batch_triplets=128, seed=seed,
-    )
-    init, stages, _ = ssfa.train_unsupervised(pairs, triplets, spec, cfg, passes=3)
-    accs = [ssfa.knn_accuracy(m, knn_train, knn_test, k=5) for m in [init] + stages]
+for seed, accs in zip(desk.SEEDS, desk.knn_trend(ssfa.build_fixtures(7))):
     print(f"  {seed}  " + "  ".join(f"{a:.3f}" for a in accs))
 print("\nfeatures improve without ever seeing a label")

@@ -401,9 +401,9 @@ def _build_parser() -> argparse.ArgumentParser:
         """A subparser with the flags every subcommand shares, bound to ``func``."""
         p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="key = value config file; flags override it")
-        p.add_argument("--threads", type=_at_least(1),
-                       help="BLAS thread cap; overrides preset OMP/OPENBLAS/MKL_NUM_THREADS "
-                            "(default: keep preset values, else 1 for bit-stable runs)")
+        p.add_argument("--threads", type=_at_least(1), help=(
+            "sets OMP/OPENBLAS/MKL_NUM_THREADS over preset values (default: keep them, else 1); "
+            "this process's BLAS takes the values preset at its start, else one thread per core"))
         p.add_argument("--seed", type=_at_least(0), default=0, help="an integer >= 0")
         p.add_argument("--out", required=out_required, help="output directory")
         p.set_defaults(func=func, **defaults)

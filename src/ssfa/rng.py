@@ -34,6 +34,7 @@ class Xorshift64Star:
     def __init__(self, seed: int):
         _, state = splitmix64(seed & _MASK)
         self._state = state or _GOLDEN
+        self._spare = None
 
     def next_u64(self) -> int:
         x = self._state
@@ -58,7 +59,7 @@ class Xorshift64Star:
 
     def normal(self) -> float:
         """Standard normal via Box-Muller (one fresh pair per call, cached)."""
-        if getattr(self, "_spare", None) is not None:
+        if self._spare is not None:
             z = self._spare
             self._spare = None
             return z

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines. The desk-scale experiments (criteria 5-7) use the canonical fixture
-datasets from ssfa.synth.build_fixtures and fixed training seeds 1..5;
+lines. The desk-scale experiments (criteria 5-7) run the protocol of
+ssfa.desk on the canonical fixture datasets from ssfa.build_fixtures(7);
 every number in this module is bit-reproducible.
 """
 
@@ -13,10 +13,8 @@ import numpy as np
 import pytest
 
 import ssfa
+from ssfa import desk
 from ssfa.gradcheck import run_gradcheck
-
-SPEC = ssfa.LayerSpec((256, 25, 25))
-SEEDS = (1, 2, 3, 4, 5)
 
 
 def report(num, name, ok, detail=""):
@@ -33,55 +31,12 @@ def datasets():
 
 
 @pytest.fixture(scope="module")
-def mined(datasets):
-    u = datasets["train_clips"]
-    cfg = ssfa.MiningConfig(T_seconds=2.0, seed=0, max_pairs=6000, max_triplets=6000)
-    pairs = ssfa.resolve_pairs(u, ssfa.mine_pairs(u, cfg))
-    triplets = ssfa.resolve_triplets(u, ssfa.mine_triplets(u, cfg))
-    return pairs, triplets
-
-
-@pytest.fixture(scope="module")
-def desk_results(datasets, mined):
+def desk_results(datasets):
     """Criteria 5+6 share one training sweep: unreg/sfa2/ssfa x 5 seeds."""
     t0 = time.time()
-    pairs, triplets = mined
-    lab_train = datasets["labeled_train"]
-    lab_test = datasets["labeled_test"]
-    eval_u = datasets["eval_clips"]
-    queries = ssfa.make_queries(eval_u, 2.0, 100, seed=1)
-    pool = ssfa.build_pool(queries, eval_u, 5, seed=2)
-
-    def train_method(lam, lam_prime, seed):
-        cfg = ssfa.TrainConfig(
-            lr=0.01, lam=lam, lam_prime=lam_prime, max_epochs=600, patience=100,
-            batch_labeled=4, batch_pairs=64, batch_triplets=64, seed=seed,
-        )
-        p = pairs if lam > 0 else None
-        t = triplets if (lam > 0 and lam_prime > 0) else None
-        return ssfa.train(lab_train, p, t, SPEC, cfg)
-
-    out = {}
-    for name, lam, lam_prime in (("unreg", 0.0, 0.0), ("sfa2", 3.0, 0.0), ("ssfa", 3.0, 0.3)):
-        etas, accs = [], []
-        for seed in SEEDS:
-            params, W, _ = train_method(lam, lam_prime, seed)
-            etas.append(ssfa.eta(ssfa.seqcomp_ranks(queries, pool, params), len(pool)))
-            accs.append(ssfa.linear_accuracy(params, W, lab_test))
-        out[name] = {"eta": float(np.mean(etas)), "acc": float(np.mean(accs))}
-    out["random"] = {
-        "eta": float(
-            np.mean(
-                [
-                    ssfa.eta(
-                        ssfa.seqcomp_ranks(queries, pool, ssfa.init_glorot(SPEC, s)),
-                        len(pool),
-                    )
-                    for s in SEEDS
-                ]
-            )
-        )
-    }
+    runs, _ = desk.sweep(datasets)
+    out = {m: {k: float(np.mean(v)) for k, v in r.items() if k != "history"}
+           for m, r in runs.items()}
     out["elapsed"] = time.time() - t0
     return out
 
@@ -251,23 +206,8 @@ def test_desk_quality_numbers_are_pinned(desk_results):
 # 7. purely unsupervised kNN trend
 
 def test_criterion_7_unsupervised_knn_trend(datasets):
-    u = datasets["train_clips"]
-    knn_train = datasets["labeled_knn_train"]
-    knn_test = datasets["labeled_knn_test"]
-    cfg7 = ssfa.MiningConfig(T_seconds=2.0, seed=0, max_pairs=2500, max_triplets=2500)
-    pairs = ssfa.resolve_pairs(u, ssfa.mine_pairs(u, cfg7))
-    triplets = ssfa.resolve_triplets(u, ssfa.mine_triplets(u, cfg7))
-    monotone = 0
-    curves = []
-    for seed in SEEDS:
-        cfg = ssfa.TrainConfig(
-            lr=0.007, momentum=0.0, lam=1.0, lam_prime=0.8,
-            batch_pairs=128, batch_triplets=128, seed=seed,
-        )
-        init, stages, _ = ssfa.train_unsupervised(pairs, triplets, SPEC, cfg, passes=3)
-        accs = [ssfa.knn_accuracy(m, knn_train, knn_test, k=5) for m in [init] + stages]
-        curves.append(accs)
-        monotone += all(a < b for a, b in zip(accs, accs[1:]))
+    curves = desk.knn_trend(datasets)
+    monotone = sum(all(a < b for a, b in zip(accs, accs[1:])) for accs in curves)
     detail = f"{monotone}/5 seeds strictly improving; curves " + "; ".join(
         "->".join(f"{a:.3f}" for a in c) for c in curves
     )
