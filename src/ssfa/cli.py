@@ -12,10 +12,9 @@ flag's value, keyed by the flag's name without its "--" (`lambda`,
 ``type``) checks its value from either source, naming the flag or the
 key (exit 2); then every subcommand checks that it can create --out, then
 its other flag values, before it reads any input, and writes --out only
-after its work has succeeded. --threads sets the BLAS thread variables
-before the subcommand runs; importing the package has loaded numpy by
-then, so they reach this process's BLAS pool only when they were already
-set when it started.
+after its work has succeeded. --threads (or the key ``threads``) sets the
+BLAS pool of this process and the BLAS variables of its children; without
+it the pool has one thread unless a BLAS variable was set at start.
 """
 
 from __future__ import annotations
@@ -26,30 +25,32 @@ import os
 import sys
 from pathlib import Path
 
+from . import data, evaluate, losses, mining, network, synth, trainer
+
+# a BLAS variable set as the package loaded numpy, so one that sized its OpenBLAS pool
+_PRESET = any(os.environ.get(f"{v}_NUM_THREADS") for v in ("OMP", "OPENBLAS", "GOTO", "MKL"))
+
 
 class CliConfigError(ValueError):
     """Bad config file or flag combination."""
 
 
 def _apply_threads(threads) -> None:
-    """Pin BLAS thread pools to ``threads`` (the parsed --threads, from the
-    command line or the config file's ``threads`` key), overriding BLAS
-    variables already set in the environment. With None, preset values
-    are kept and unset ones default to 1."""
+    """Pin BLAS threads to ``threads`` (the parsed --threads, from the command line or the
+    config key ``threads``): this process's pool, and the variables that child processes
+    read, over preset values. With None, unset variables default to 1, and so does the pool
+    unless a BLAS variable was preset (``_PRESET``): OpenBLAS sized it from that at load."""
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        if threads is None:
-            os.environ.setdefault(var, "1")
-        else:
-            os.environ[var] = str(threads)
+        os.environ[var] = os.environ.get(var, "1") if threads is None else str(threads)
+    if threads is not None or not _PRESET:
+        network.blas_pool(1 if threads is None else threads)
 
 
 def _integer(text: str) -> int:
     """The one reader of integer flags, integer config values and --hidden
     widths: an optional "-" then ASCII digits. "+3", "1_0", blanks and
     non-ASCII digits, which int() takes, are an ArgumentTypeError."""
-    from .data import _decimal
-
-    if not _decimal(text[1:] if text.startswith("-") else text):
+    if not data._decimal(text[1:] if text.startswith("-") else text):
         raise argparse.ArgumentTypeError(f"expected an integer in ASCII digits, got {text!r}")
     return int(text)
 
@@ -78,20 +79,16 @@ def _real(text: str) -> float:
     """The one reader of float flags and float config values, in the form of
     a manifest's frame period (``data._REAL``): "1_0", blanks and non-ASCII
     digits, which float() takes, are an ArgumentTypeError."""
-    from .data import _REAL
-
-    if not _REAL.fullmatch(text):
+    if not data._REAL.fullmatch(text):
         raise argparse.ArgumentTypeError(f"expected a real number in ASCII, got {text!r}")
     return float(text)
 
 
 def _parse_config_file(path: Path) -> dict:
-    from .data import _significant_lines
-
     if not path.is_file():
         raise CliConfigError(f"config file not found: {path}")
     try:
-        lines = _significant_lines(path)
+        lines = data._significant_lines(path)
     except ValueError as e:  # not text
         raise CliConfigError(str(e)) from None
     out = {}
@@ -136,26 +133,22 @@ def _apply_config(parser: argparse.ArgumentParser, cfg: dict) -> None:
 def _echo_config(args) -> Path:
     """Create ``--out`` and echo the effective configuration into its
     run_config.txt; returns ``--out`` as a Path."""
-    from .data import write_atomic
-
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     # the --hidden widths, a tuple, are echoed in the flag's form: "25,10"
     lines = [f"{key} = {','.join(map(str, value)) if isinstance(value, tuple) else value}"
              for key, value in sorted(vars(args).items())
              if key not in ("func", "config", "threads")]
-    write_atomic(out / "run_config.txt", "\n".join(lines) + "\n")
+    data.write_atomic(out / "run_config.txt", "\n".join(lines) + "\n")
     return out
 
 
 def _write_report(args, name: str, config: dict, eta=None, ranks=None, accuracy=None) -> Path:
     """Echo the config into ``--out``, then write there the JSON report
     ``name`` with its four keys; returns ``--out`` as a Path."""
-    from .data import write_atomic
-
     out = _echo_config(args)
     report = {"eta": eta, "ranks": ranks, "accuracy": accuracy or {}, "config": config}
-    write_atomic(out / name, json.dumps(report, sort_keys=True, indent=2) + "\n")
+    data.write_atomic(out / name, json.dumps(report, sort_keys=True, indent=2) + "\n")
     return out
 
 
@@ -171,21 +164,16 @@ def _creatable_out(text: str) -> None:
 
 def _load_manifest(path, flag: str, labeled: bool):
     """The dataset at ``path``; a CliConfigError unless its kind is the one ``flag`` needs."""
-    from .data import LabeledSet, load_manifest
-
-    ds = load_manifest(path)
-    if isinstance(ds, LabeledSet) != labeled:
+    ds = data.load_manifest(path)
+    if isinstance(ds, data.LabeledSet) != labeled:
         raise CliConfigError(f"{flag} {path} is not {'a' if labeled else 'an un'}labeled manifest")
     return ds
 
 
 # ---------------------------------------------------------------------------
-# Subcommand implementations. Their imports are deferred past thread pinning,
-# but that matters only once importing the package no longer loads numpy.
+# Subcommand implementations
 
 def cmd_synth(args) -> int:
-    from . import data, synth
-
     if args.clips < 0 or args.labeled_per_class < 0:
         raise ValueError("--clips and --labeled-per-class must be >= 0, got "
                          f"{args.clips} and {args.labeled_per_class}")
@@ -212,8 +200,6 @@ def cmd_synth(args) -> int:
 
 
 def cmd_fixtures(args) -> int:
-    from . import data, synth
-
     sets = synth.build_fixtures(args.seed)
     out = _echo_config(args)
     for name, ds in sorted(sets.items()):
@@ -223,8 +209,6 @@ def cmd_fixtures(args) -> int:
 
 
 def cmd_mine(args) -> int:
-    from . import mining
-
     cfg = mining.MiningConfig(
         T_seconds=args.T,
         pair_neg_ratio=args.pair_neg_ratio,
@@ -250,7 +234,7 @@ def cmd_mine(args) -> int:
 _METHODS = ("unreg", "sfa1", "sfa2", "ssfa")
 
 
-def _train_config(args, losses, trainer):
+def _train_config(args):
     lam, lam2, metric = args.lam, args.lam2, "l2"
     if args.method == "unreg":
         lam, lam2 = 0.0, 0.0
@@ -281,8 +265,6 @@ def _train_tuples(args, cfg):
     """The resolved (pairs, triplets) of ``train``'s tuple files (either None
     when not used). The samples die with this call, so none is alive while
     training runs."""
-    from . import mining, trainer
-
     u = _load_manifest(args.unlabeled, "--unlabeled", labeled=False)
     pair_samples, trip_samples = mining.load_tuples(args.pairs)
     if args.triplets:
@@ -298,9 +280,7 @@ def _train_tuples(args, cfg):
 
 
 def cmd_train(args) -> int:
-    from . import losses, network, trainer
-
-    cfg = _train_config(args, losses, trainer)
+    cfg = _train_config(args)
     if cfg.lam > 0 and not (args.unlabeled and args.pairs):
         raise CliConfigError("this method needs --unlabeled and --pairs")
     labeled = _load_manifest(args.labeled, "--labeled", labeled=True)
@@ -333,8 +313,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval_seqcomp(args) -> int:
-    from . import data, evaluate, network
-
     evaluate.check_protocol(args.T, args.queries, args.pool_n)
     params, _ = network.load_checkpoint(args.checkpoint)
     u = _load_manifest(args.unlabeled, "--unlabeled", labeled=False)
@@ -351,8 +329,6 @@ def cmd_eval_seqcomp(args) -> int:
 
 
 def cmd_eval_cls(args) -> int:
-    from . import evaluate, network
-
     params, W = network.load_checkpoint(args.checkpoint)
     test = _load_manifest(args.test, "--test", labeled=True)
     acc = evaluate.linear_accuracy(params, W, test)
@@ -362,8 +338,6 @@ def cmd_eval_cls(args) -> int:
 
 
 def cmd_eval_knn(args) -> int:
-    from . import evaluate, network
-
     evaluate.check_protocol(k=args.k)
     params, _ = network.load_checkpoint(args.checkpoint)
     train_set = _load_manifest(args.train, "--train", labeled=True)
@@ -376,7 +350,7 @@ def cmd_eval_knn(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    from . import data, gradcheck
+    from . import gradcheck  # the package never imports it
 
     rows, ok = gradcheck.run_gradcheck(seed=args.seed, points=args.points)
     text = gradcheck.format_report(rows)
@@ -402,8 +376,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="key = value config file; flags override it")
         p.add_argument("--threads", type=_at_least(1), help=(
-            "sets OMP/OPENBLAS/MKL_NUM_THREADS over preset values (default: keep them, else 1); "
-            "this process's BLAS takes the values preset at its start, else one thread per core"))
+            "BLAS threads of this process, and OMP/OPENBLAS/MKL_NUM_THREADS over preset values "
+            "(default: 1, unless a BLAS variable was preset at start)"))
         p.add_argument("--seed", type=_at_least(0), default=0, help="an integer >= 0")
         p.add_argument("--out", required=out_required, help="output directory")
         p.set_defaults(func=func, **defaults)
@@ -482,6 +456,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     top = _build_parser()
+    pool = network.blas_pool()  # given back on return, so callers in this process keep theirs
     try:
         # argparse is the only reader of argv (so abbreviated flags work);
         # a config file becomes the subcommand's defaults and argv is
@@ -500,8 +475,6 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # runtime/computation failures
-        from . import mining, trainer
-
         # ValueError covers the config, manifest and PGM errors
         known = (mining.MiningError, trainer.OptimizerError, trainer.SearchError, OSError,
                  ValueError, MemoryError)
@@ -509,6 +482,8 @@ def main(argv=None) -> int:
             print(f"error: {e}", file=sys.stderr)
             return 3
         raise
+    finally:
+        network.blas_pool(pool)
 
 
 if __name__ == "__main__":

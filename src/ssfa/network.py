@@ -7,10 +7,10 @@ on batches of flattened images, one sample per row. The parameters are one
 flat vector that ``NetworkParams(spec, flat)`` views per layer, and a
 forward pass keeps one output array per layer on its tape.
 
-At one BLAS thread, large work runs as two halves on two threads: a forward
-pass by rows, backward by each hidden layer's units (``_split``), a Nesterov
-step by elements and the table gather by rows (``_split_elems``). Each output
-element keeps its operands and order, so the bits are those of the whole.
+At one BLAS thread (``blas_pool``), large work runs as two halves on two threads:
+a forward pass by rows, backward by each hidden layer's units (``_split``), a
+Nesterov step by elements and the table gather by rows (``_split_elems``). Each
+output element keeps its operands and order, so the bits are those of the whole.
 Each site hands one closure to ``_halves``: run whole on the caller, or split
 with its first half on one helper thread, which the first split starts (a
 forked child its own) and whose exception is raised on the caller unless the
@@ -20,6 +20,7 @@ caller's half raised. Between splits each side polls for ``_POLL_S``, then block
 from __future__ import annotations
 
 import contextvars
+import ctypes
 import math
 import os
 import threading
@@ -37,12 +38,6 @@ CHECKPOINT_MAGIC = "SSFA-CKPT v1"
 _SPLIT_MADDS = 1 << 23  # m·n·k from which every product of a pass may run as two halves
 _SPLIT_ROWS = 64  # fewest rows or units per half: a smaller BLAS panel may take other kernels
 _SPLIT_ELEMS = 1 << 17  # elements from which an elementwise or row copy runs as two halves
-# Split only at one BLAS thread: a wider pool runs both halves on its cores.
-# numpy, imported above, sized the pool as OpenBLAS reads the environment: the
-# first positive of these variables (atoi reads "²" as 0), else one per core.
-_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-_SPLIT_POOL = next((int(v) for v in map(os.environ.get, _BLAS_VARS)
-                    if v and _decimal(v.strip()) and int(v) > 0), 0) == 1
 _POLL_S = 0.002  # how long a side of a split polls for the other before it blocks
 _POLL_TICK = 2e-5  # the timed wait of one poll, with the GIL released
 _helper = []  # the one _Helper of every first half, once the first split starts it
@@ -181,25 +176,54 @@ class _Helper:
 
 
 def _halves(n, fn, split=True):
-    """``fn(0, n)`` when not ``split``. Else ``fn(0, n // 2)`` on the helper thread in the
-    caller's context (its ``np.errstate``) and ``fn(n // 2, n)`` here; both end before the
-    return, the caller's exception first. ``fn`` never splits: the helper would wait on itself."""
+    """``fn(0, n)`` when not ``split``. Else ``fn(0, h)`` on the helper thread in the caller's
+    context (its ``np.errstate``) and ``fn(h, n)`` here; both end before the return, the
+    caller's exception first. h is n // 2, from 2·``_SPLIT_ROWS`` on rounded down to a multiple
+    of 8: under the Haswell and Nehalem kernels a cut at n // 2 changed bits, one at a multiple
+    of 8 never did. ``fn`` never splits: the helper would wait on itself."""
     if not split:
         return fn(0, n)
+    h = n // 2 if n < 2 * _SPLIT_ROWS else n // 2 // 8 * 8
     with _lock:  # a split on another thread waits for this one
         if not _helper:
             _helper.append(_Helper())
         helper = _helper[0]
-        helper.task = partial(contextvars.copy_context().run, fn, 0, n // 2)
+        helper.task = partial(contextvars.copy_context().run, fn, 0, h)
         helper.done.clear()
         helper.todo.set()
         try:
-            fn(n // 2, n)
+            fn(h, n)
         finally:
             _await(helper.done)  # the first half has ended
             error, helper.error = helper.error, None  # taken also when the caller's half raised
     if error is not None:
         raise error
+
+
+def _openblas():
+    """numpy's bundled OpenBLAS through ctypes, the library numpy loaded; None over another BLAS."""
+    root = Path(np.__file__).parent
+    for lib in [*root.parent.glob("numpy.libs/*openblas*"), *root.glob(".dylibs/*openblas*")]:
+        blas = ctypes.CDLL(str(lib))
+        if hasattr(blas, "scipy_openblas_set_num_threads64_"):
+            blas.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+            blas.scipy_openblas_set_num_threads64_.restype = None  # the getter's int () is the default
+            return blas
+
+
+def blas_pool(threads=None):
+    """The live size of numpy's OpenBLAS pool, once set to ``threads`` if given (capped at the
+    cores, as OpenBLAS caps a variable); None without the handle. Splits need a pool of one."""
+    global _SPLIT_POOL
+    if _BLAS is not None and threads is not None:
+        _BLAS.scipy_openblas_set_num_threads64_(min(threads, os.cpu_count() or 1))
+    pool = None if _BLAS is None else _BLAS.scipy_openblas_get_num_threads64_()
+    _SPLIT_POOL = pool == 1
+    return pool
+
+
+_BLAS = _openblas()
+_SPLIT_POOL = blas_pool() == 1  # as OpenBLAS sized the pool from the environment at load
 
 
 def _split_elems(elems):

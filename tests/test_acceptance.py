@@ -191,7 +191,10 @@ def test_criterion_6_recognition_ordering(desk_results):
 
 def test_desk_quality_numbers_are_pinned(desk_results):
     # every number here is bit-reproducible at seed 7, so a change in the
-    # low-order bits of training or evaluation shows as a mismatch
+    # low-order bits of training or evaluation shows as a mismatch. They are
+    # the bits of OpenBLAS 0.3.31's SkylakeX kernel: under its Haswell,
+    # Sandybridge and Nehalem kernels (OPENBLAS_CORETYPE) this test fails,
+    # although desk never splits a pass
     r = desk_results
     assert {m: r[m]["eta"] for m in ("unreg", "sfa2", "ssfa", "random")} == {
         "unreg": 6.67431693989071, "sfa2": 3.8983606557377053,

@@ -10,9 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ssfa import gradcheck
-from ssfa.cli import (CliConfigError, _apply_config, _build_parser, _parse_config_file, _real,
-                      main)
+from ssfa import gradcheck, network
+from ssfa.cli import (CliConfigError, _apply_config, _apply_threads, _build_parser,
+                      _parse_config_file, _real, main)
 from ssfa.data import ManifestError, load_manifest
 from ssfa.losses import Margins
 from ssfa.mining import PairSample, TripletSample, load_tuples
@@ -683,6 +683,70 @@ def test_a_non_ascii_digit_in_a_preset_blas_variable_is_read_as_unset(tmp_path):
                            "--clips", "1"], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "s" / "unlabeled.txt").exists()
+
+
+def _child(args, tmp_path, **env):
+    """Run ``python`` with ``args`` in a child that has no BLAS variable preset but ``env``."""
+    root = Path(__file__).resolve().parents[1]
+    base = {k: v for k, v in os.environ.items() if k not in BLAS_VARS + ("GOTO_NUM_THREADS",)}
+    proc = subprocess.run([sys.executable, *args], cwd=tmp_path, capture_output=True, text=True,
+                          env={**base, **env, "PYTHONPATH": str(root / "src")}, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.skipif(network.blas_pool() is None, reason="needs numpy's bundled OpenBLAS")
+def test_threads_sets_the_live_blas_pool_of_this_process(tmp_path):
+    # numpy has loaded OpenBLAS before the CLI parses --threads, so the
+    # count reaches this process's pool through the live setter
+    code = ("from ssfa import cli, network\n"
+            "for n in (1, 2):\n    cli._apply_threads(n)\n    print(network.blas_pool())")
+    assert _child(["-c", code], tmp_path).split() == ["1", str(min(2, os.cpu_count()))]
+
+
+def test_threads_1_writes_the_checkpoint_of_a_preset_one_thread_pool(tmp_path):
+    # at 1024->256->64 a wider pool sums the products in another order, so
+    # --threads 1 with nothing preset must run the pool that a preset
+    # OPENBLAS_NUM_THREADS=1 gives, and write the same bytes
+    data, mined = tmp_path / "data", tmp_path / "mined"
+    run_ok(["synth", "--out", str(data), "--grid", "32", "--clips", "16", "--clip-len", "40",
+            "--labeled-per-class", "10", "--seed", "7"])
+    run_ok(["mine", "--data", str(data / "unlabeled.txt"), "--out", str(mined), "--seed", "7",
+            "--max-pairs", "1024", "--max-triplets", "1024"])
+    train = ["-m", "ssfa.cli", "train", "--labeled", str(data / "labeled.txt"),
+             "--unlabeled", str(data / "unlabeled.txt"), "--pairs", str(mined / "pairs.txt"),
+             "--triplets", str(mined / "triplets.txt"), "--hidden", "256", "--dim", "64",
+             "--epochs", "1", "--batch-pairs", "256", "--batch-triplets", "256", "--seed", "1"]
+    _child([*train, "--threads", "1", "--out", "flag"], tmp_path)
+    _child([*train, "--out", "preset"], tmp_path, OPENBLAS_NUM_THREADS="1")
+    ckpt = [(tmp_path / run / "checkpoint.ckpt").read_bytes() for run in ("flag", "preset")]
+    assert ckpt[0] == ckpt[1]
+
+
+@pytest.mark.skipif(network.blas_pool() is None, reason="needs numpy's bundled OpenBLAS")
+def test_main_gives_back_the_blas_pool_it_found(monkeypatch):
+    # --threads sets the pool for the run only: a caller in the same process
+    # keeps its own pool, and splits as before
+    before, split = network.blas_pool(), network._SPLIT_POOL
+    for var in BLAS_VARS:
+        monkeypatch.setenv(var, "7")
+    run_ok(["gradcheck", "--points", "1", "--threads", "1" if before > 1 else "2"])
+    assert (network.blas_pool(), network._SPLIT_POOL) == (before, split)
+
+
+def test_without_the_blas_handle_threads_only_writes_the_variables(monkeypatch):
+    # over another BLAS the pool is unknown: nothing splits, and --threads
+    # reaches child processes through the variables alone
+    pool = network.blas_pool()
+    monkeypatch.setattr(network, "_BLAS", None)
+    monkeypatch.setattr(network, "_SPLIT_POOL", True)
+    for var in BLAS_VARS:
+        monkeypatch.setenv(var, "7")
+    _apply_threads(1)
+    assert not network._SPLIT_POOL and network.blas_pool() is None
+    assert [os.environ[v] for v in BLAS_VARS] == ["1", "1", "1"]
+    monkeypatch.undo()
+    assert network.blas_pool() == pool
 
 
 def _unset_blas_env(monkeypatch):

@@ -473,6 +473,34 @@ def _pass(params, X, dZ, out=None):
     return Z.copy(), posts, [a.copy() for a in tape.post], grad
 
 
+def _split_bits(sizes, counts):
+    """Run a forward and backward pass of each row count in ``counts`` at layer widths
+    ``sizes`` with splits on and off, and assert that Z, the tape and the gradient keep
+    their bits."""
+    rng = np.random.default_rng(sum(sizes))
+    params = init_glorot(LayerSpec(sizes), 0)
+    params.flat[:] = rng.normal(scale=0.1, size=params.flat.shape)
+    X, dZ = rng.normal(size=(1312, sizes[0])), rng.normal(size=(1312, sizes[-1]))
+    buffers = ActivationTape.buffers(params.layer_spec(), 1312)
+    kept = network._SPLIT_POOL
+    try:
+        for rows in counts:
+            passes = []
+            for pool in (True, False):
+                network._SPLIT_POOL = pool
+                for a in buffers.post:
+                    a.fill(np.nan)
+                passes.append(_pass(params, X[:rows], dZ[:rows], buffers))
+            (Z, *tapes, grad), (Z1, *tapes1, grad1) = passes
+            assert np.array_equal(Z, Z1) and np.array_equal(grad, grad1), rows
+            assert all(np.array_equal(a, b) for t, t1 in zip(tapes, tapes1) for a, b in zip(t, t1))
+    finally:
+        network._SPLIT_POOL = kept
+
+
+_SPLIT_COUNTS = (599, 600, 672, 1312)  # the row counts that split at 1024->256->64
+
+
 @pytest.mark.parametrize("sizes", [(256, 25, 25), (256, 25, 16), (1024, 256, 64), (512, 64, 16)])
 def test_split_passes_give_the_bits_of_whole_ones(sizes, monkeypatch):
     # a pass splits when each of its products has at least 2**23
@@ -482,26 +510,38 @@ def test_split_passes_give_the_bits_of_whole_ones(sizes, monkeypatch):
     # the whole pass bit for bit. Only 1024->256->64 at 512 rows or more
     # reaches the bound (its layer 1 has 16384 multiply-adds per row).
     calls = _count_halves(monkeypatch)
-    rng = np.random.default_rng(sum(sizes))
-    params = init_glorot(LayerSpec(sizes), 0)
-    params.flat[:] = rng.normal(scale=0.1, size=params.flat.shape)
-    X, dZ = rng.normal(size=(1312, sizes[0])), rng.normal(size=(1312, sizes[-1]))
-    buffers = ActivationTape.buffers(params.layer_spec(), 1312)
-    split = []
-    for rows in [*range(1, 301), 599, 600, 672, 1312]:
-        passes = []
-        for pool in (True, False):
-            monkeypatch.setattr(network, "_SPLIT_POOL", pool)
-            for a in buffers.post:
-                a.fill(np.nan)
-            passes.append(_pass(params, X[:rows], dZ[:rows], buffers))
-        (Z, *tapes, grad), (Z1, *tapes1, grad1) = passes
-        assert np.array_equal(Z, Z1) and np.array_equal(grad, grad1), rows
-        assert all(np.array_equal(a, b) for t, t1 in zip(tapes, tapes1) for a, b in zip(t, t1))
-        if len(calls) > 2 * len(split):
-            split.append(rows)
+    _split_bits(sizes, [*range(1, 301), *_SPLIT_COUNTS])
+    split = _SPLIT_COUNTS if sizes == (1024, 256, 64) else ()
     assert calls == [n for rows in split for n in (rows, sizes[1])]
-    assert split == ([599, 600, 672, 1312] if sizes == (1024, 256, 64) else [])
+
+
+_KERNEL_BITS = """
+import ctypes, sys
+sys.path.insert(0, sys.argv[1])
+from test_network import _SPLIT_COUNTS, _split_bits, network
+network._BLAS.scipy_openblas_get_corename64_.restype = ctypes.c_char_p
+print(network._BLAS.scipy_openblas_get_corename64_().decode(), flush=True)
+_split_bits((1024, 256, 64), _SPLIT_COUNTS)
+"""
+
+
+@pytest.mark.skipif(network._BLAS is None, reason="needs numpy's bundled OpenBLAS")
+@pytest.mark.parametrize("kernel", ["Haswell", "SandyBridge", "Nehalem"])
+def test_split_passes_keep_their_bits_under_other_blas_kernels(kernel):
+    # OPENBLAS_CORETYPE makes this OpenBLAS load another kernel where the
+    # CPU runs it. Under Haswell and Nehalem a cut at 599 // 2 gave the
+    # 299-row half other bits, so the split's first half ends on a
+    # multiple of 8 rows
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               OPENBLAS_CORETYPE=kernel, PYTHONPATH=os.pathsep.join(
+                   filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _KERNEL_BITS, str(root / "tests")], env=env,
+                          capture_output=True, text=True, timeout=300)
+    name = proc.stdout.split()[0] if proc.stdout.split() else None
+    if name is not None and name.lower() != kernel.lower():
+        pytest.skip(f"OPENBLAS_CORETYPE={kernel} runs the {name} kernel on this host")
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("env, split", [
@@ -514,12 +554,13 @@ def test_split_passes_give_the_bits_of_whole_ones(sizes, monkeypatch):
     ({"OMP_NUM_THREADS": "¹"}, False),
 ])
 def test_products_split_only_when_numpy_loaded_one_blas_thread(env, split):
-    # the split reads the pool size as OpenBLAS does when numpy loads: the
-    # first positive of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and
-    # OMP_NUM_THREADS, else one thread per core; a value that is not ASCII
-    # digits ("²") counts as unset, as OpenBLAS's atoi reads it
+    # the split reads the live pool, which OpenBLAS sized when numpy loaded:
+    # the first positive of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and
+    # OMP_NUM_THREADS, else one thread per core (these cases assume two or
+    # more); a value that is not ASCII digits ("²") counts as unset (atoi)
     root = Path(__file__).resolve().parents[1]
-    base = {k: v for k, v in os.environ.items() if k not in network._BLAS_VARS}
+    blas_vars = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    base = {k: v for k, v in os.environ.items() if k not in blas_vars}
     proc = subprocess.run([sys.executable, "-c", "from ssfa import network; print(network._SPLIT_POOL)"],
                           env={**base, **env, "PYTHONPATH": str(root / "src")},
                           capture_output=True, text=True, timeout=60, check=True)
@@ -633,7 +674,7 @@ def test_split_pass_raises_the_helper_threads_error(fresh_helper, monkeypatch):
         asarray=np.asarray, float64=np.float64, maximum=np.maximum, matmul=matmul))
     with pytest.raises(RuntimeError, match="first half failed"):
         forward(params, X, out=out)
-    assert np.isnan(out.post[0][:300]).all() and np.array_equal(out.post[1][300:], Z[300:])
+    assert np.isnan(out.post[0][:296]).all() and np.array_equal(out.post[1][296:], Z[296:])
     # the same helper thread runs the next split
     count, firsts = threading.active_count(), []
     network._halves(2, lambda i, j: firsts.append(threading.get_ident()) if i == 0 else None)
