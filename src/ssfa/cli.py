@@ -376,8 +376,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="key = value config file; flags override it")
         p.add_argument("--threads", type=_at_least(1), help=(
-            "BLAS threads of this process, and OMP/OPENBLAS/MKL_NUM_THREADS over preset values "
-            "(default: 1, unless a BLAS variable was preset at start)"))
+            "BLAS threads of this process (at most its CPUs) and OMP/OPENBLAS/MKL_NUM_THREADS "
+            "over preset values (default: 1, unless a BLAS variable was preset at start)"))
         p.add_argument("--seed", type=_at_least(0), default=0, help="an integer >= 0")
         p.add_argument("--out", required=out_required, help="output directory")
         p.set_defaults(func=func, **defaults)

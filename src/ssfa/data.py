@@ -141,8 +141,9 @@ class UnlabeledSet:
 def _blocks(n: int, row_bytes: int, share: int = 1):
     """(start, stop) of the blocks of a pass over n rows of ``row_bytes`` each
     (see PREP_BLOCK_BYTES), each at most 1.25 shares. The tail rule keeps GEMM
-    blocks long: a short one can take a BLAS kernel with other low-order bits
-    (with the rule, blocks were bit-equal to one pass on OpenBLAS 0.3.31)."""
+    blocks long: a short one can take a BLAS kernel with other low-order bits.
+    Blocks keep one pass's bits only at the shapes and kernel checked (README,
+    "Bounded passes"): not at 72x72 images, 333 kNN references or Haswell."""
     rows = max(1, PREP_BLOCK_BYTES // share // max(1, row_bytes))
     edges = [0, *range(rows, n - max(1, rows // 4) + 1, rows), n] if n else [0]
     return zip(edges, edges[1:])

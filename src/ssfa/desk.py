@@ -33,10 +33,10 @@ def completion_draw(eval_clips):
 
 
 def train_method(name, labeled, pairs, triplets, seed):
-    """``train``'s (params, W, history) for one method of ``METHODS``."""
+    """``train``'s (params, W, history) for one method of ``METHODS`` (it drops unused tuples)."""
     lam, lam_prime = METHODS[name]
-    return train(labeled, pairs if lam > 0 else None, triplets if lam_prime > 0 else None,
-                 SPEC, replace(TRAIN, lam=lam, lam_prime=lam_prime, seed=seed))
+    cfg = replace(TRAIN, lam=lam, lam_prime=lam_prime, seed=seed)
+    return train(labeled, pairs, triplets, SPEC, cfg)
 
 
 def sweep(data, seeds=SEEDS):

@@ -42,7 +42,7 @@ def embed(params: NetworkParams, images) -> np.ndarray:
     """Preprocess, flatten and map images (see :func:`prep_stack`) to an
     (n, k) array of feature rows, (0, k) for no images, standardizing and
     forwarding one :func:`_blocks` block of input rows (share 1) at a time:
-    the features are bit-equal to one pass over the set."""
+    bit-equal to one pass only at the shapes and kernel that :func:`_blocks` names."""
     n = len(images)
     z = np.empty((n, params.layer_spec().out_dim))
     for a, b in _blocks(n, 8 * np.size(images[0]) if n else 0):
@@ -159,8 +159,8 @@ def linear_accuracy(params: NetworkParams, W, test: LabeledSet) -> float:
 
 def _neighbour_labels(zt: np.ndarray, yt: np.ndarray, zq: np.ndarray, k: int) -> np.ndarray:
     """Each query's k nearest reference labels, nearest first (stable), in an
-    (n_query, k) array, from the squared distances of one whole matrix formed
-    one :func:`_blocks` block (share 8) at a time."""
+    (n_query, k) array, from squared distances formed one :func:`_blocks` block
+    (share 8) at a time: those of one whole matrix only where :func:`_blocks` says."""
     t_norms = np.sum(zt * zt, axis=1)
     nbr = np.empty((len(zq), k), dtype=yt.dtype)
     for a, b in _blocks(len(zq), 8 * len(zt), 8):

@@ -7,14 +7,14 @@ on batches of flattened images, one sample per row. The parameters are one
 flat vector that ``NetworkParams(spec, flat)`` views per layer, and a
 forward pass keeps one output array per layer on its tape.
 
-At one BLAS thread (``blas_pool``), large work runs as two halves on two threads:
-a forward pass by rows, backward by each hidden layer's units (``_split``), a
-Nesterov step by elements and the table gather by rows (``_split_elems``). Each
-output element keeps its operands and order, so the bits are those of the whole.
-Each site hands one closure to ``_halves``: run whole on the caller, or split
-with its first half on one helper thread, which the first split starts (a
-forked child its own) and whose exception is raised on the caller unless the
-caller's half raised. Between splits each side polls for ``_POLL_S``, then blocks.
+At one BLAS thread, large work runs as two halves on two threads: a forward pass by
+rows, backward by each hidden layer's units (``_split``), a Nesterov step by elements
+and the table gather by rows (``_split_elems``); each gate reads the live pool
+(``blas_pool``) after its size tests. Each output element keeps its operands and order,
+so the bits are those of the whole. Each site hands one closure to ``_halves``: run
+whole on the caller, or split with its first half on one helper thread, which the first
+split starts (a forked child its own) and whose exception is raised on the caller
+unless the caller's half raised. Between splits each side polls for ``_POLL_S``, then blocks.
 """
 
 from __future__ import annotations
@@ -175,12 +175,12 @@ class _Helper:
             self.done.set()
 
 
-def _halves(n, fn, split=True):
-    """``fn(0, n)`` when not ``split``. Else ``fn(0, h)`` on the helper thread in the caller's
-    context (its ``np.errstate``) and ``fn(h, n)`` here; both end before the return, the
-    caller's exception first. h is n // 2, from 2·``_SPLIT_ROWS`` on rounded down to a multiple
-    of 8: under the Haswell and Nehalem kernels a cut at n // 2 changed bits, one at a multiple
-    of 8 never did. ``fn`` never splits: the helper would wait on itself."""
+def _halves(n, fn, split):
+    """``fn(0, n)`` when not ``split``, the caller's gate. Else ``fn(0, h)`` on the helper thread
+    in the caller's context (its ``np.errstate``) and ``fn(h, n)`` here; both end before the
+    return, the caller's exception first. h is n // 2, from 2·``_SPLIT_ROWS`` on rounded down to
+    a multiple of 8: under the Haswell and Nehalem kernels a cut at n // 2 changed bits, one at
+    a multiple of 8 never did. ``fn`` never splits: the helper would wait on itself."""
     if not split:
         return fn(0, n)
     h = n // 2 if n < 2 * _SPLIT_ROWS else n // 2 // 8 * 8
@@ -207,35 +207,32 @@ def _openblas():
         blas = ctypes.CDLL(str(lib))
         if hasattr(blas, "scipy_openblas_set_num_threads64_"):
             blas.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
-            blas.scipy_openblas_set_num_threads64_.restype = None  # the getter's int () is the default
+            blas.scipy_openblas_set_num_threads64_.restype = None  # the getters' int is the default
             return blas
 
 
 def blas_pool(threads=None):
     """The live size of numpy's OpenBLAS pool, once set to ``threads`` if given (capped at the
-    cores, as OpenBLAS caps a variable); None without the handle. Splits need a pool of one."""
-    global _SPLIT_POOL
+    CPUs OpenBLAS counts, which honour this process's affinity); None without the handle."""
     if _BLAS is not None and threads is not None:
-        _BLAS.scipy_openblas_set_num_threads64_(min(threads, os.cpu_count() or 1))
-    pool = None if _BLAS is None else _BLAS.scipy_openblas_get_num_threads64_()
-    _SPLIT_POOL = pool == 1
-    return pool
+        _BLAS.scipy_openblas_set_num_threads64_(min(threads, _BLAS.scipy_openblas_get_num_procs64_()))
+    return None if _BLAS is None else _BLAS.scipy_openblas_get_num_threads64_()
 
 
 _BLAS = _openblas()
-_SPLIT_POOL = blas_pool() == 1  # as OpenBLAS sized the pool from the environment at load
 
 
 def _split_elems(elems):
     """Whether an elementwise pass or row copy of ``elems`` elements splits (``_SPLIT_ELEMS``)."""
-    return _SPLIT_POOL and elems >= _SPLIT_ELEMS
+    return elems >= _SPLIT_ELEMS and blas_pool() == 1
 
 
 def _split(sizes, n):
     """Whether a pass of ``n`` rows at layer widths ``sizes`` splits: at one BLAS thread, when each
     product has ``_SPLIT_MADDS`` multiply-adds and each half ``_SPLIT_ROWS`` rows and units."""
-    return (_SPLIT_POOL and min((n, *sizes[1:-1])) // 2 >= _SPLIT_ROWS
-            and n * min(a * b for a, b in zip(sizes, sizes[1:])) >= _SPLIT_MADDS)
+    return (min((n, *sizes[1:-1])) // 2 >= _SPLIT_ROWS
+            and n * min(a * b for a, b in zip(sizes, sizes[1:])) >= _SPLIT_MADDS
+            and blas_pool() == 1)
 
 
 def forward(params: NetworkParams, X, out: ActivationTape = None):

@@ -698,10 +698,27 @@ def _child(args, tmp_path, **env):
 @pytest.mark.skipif(network.blas_pool() is None, reason="needs numpy's bundled OpenBLAS")
 def test_threads_sets_the_live_blas_pool_of_this_process(tmp_path):
     # numpy has loaded OpenBLAS before the CLI parses --threads, so the
-    # count reaches this process's pool through the live setter
+    # count reaches this process's pool through the live setter, capped at
+    # the CPUs that OpenBLAS counts
     code = ("from ssfa import cli, network\n"
+            "print(network._BLAS.scipy_openblas_get_num_procs64_())\n"
             "for n in (1, 2):\n    cli._apply_threads(n)\n    print(network.blas_pool())")
-    assert _child(["-c", code], tmp_path).split() == ["1", str(min(2, os.cpu_count()))]
+    procs, *pools = _child(["-c", code], tmp_path).split()
+    assert pools == ["1", str(min(2, int(procs)))]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or network.blas_pool() is None
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs sched_setaffinity, numpy's bundled OpenBLAS and two CPUs")
+def test_threads_runs_the_pool_a_preset_count_gives_under_an_affinity(tmp_path):
+    # pinned to one CPU before numpy loads, OpenBLAS caps a preset
+    # OPENBLAS_NUM_THREADS=2 at that one CPU; --threads 2 takes the same cap,
+    # so both runs sum in one order and take the same split gates
+    pin = ("import os\nos.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+           "from ssfa import cli, network\n")
+    flag = _child(["-c", pin + "cli._apply_threads(2)\nprint(network.blas_pool())"], tmp_path)
+    preset = _child(["-c", pin + "print(network.blas_pool())"], tmp_path, OPENBLAS_NUM_THREADS="2")
+    assert flag == preset
 
 
 def test_threads_1_writes_the_checkpoint_of_a_preset_one_thread_pool(tmp_path):
@@ -727,11 +744,11 @@ def test_threads_1_writes_the_checkpoint_of_a_preset_one_thread_pool(tmp_path):
 def test_main_gives_back_the_blas_pool_it_found(monkeypatch):
     # --threads sets the pool for the run only: a caller in the same process
     # keeps its own pool, and splits as before
-    before, split = network.blas_pool(), network._SPLIT_POOL
+    before = network.blas_pool()
     for var in BLAS_VARS:
         monkeypatch.setenv(var, "7")
     run_ok(["gradcheck", "--points", "1", "--threads", "1" if before > 1 else "2"])
-    assert (network.blas_pool(), network._SPLIT_POOL) == (before, split)
+    assert network.blas_pool() == before
 
 
 def test_without_the_blas_handle_threads_only_writes_the_variables(monkeypatch):
@@ -739,11 +756,10 @@ def test_without_the_blas_handle_threads_only_writes_the_variables(monkeypatch):
     # reaches child processes through the variables alone
     pool = network.blas_pool()
     monkeypatch.setattr(network, "_BLAS", None)
-    monkeypatch.setattr(network, "_SPLIT_POOL", True)
     for var in BLAS_VARS:
         monkeypatch.setenv(var, "7")
     _apply_threads(1)
-    assert not network._SPLIT_POOL and network.blas_pool() is None
+    assert not network._split_elems(network._SPLIT_ELEMS) and network.blas_pool() is None
     assert [os.environ[v] for v in BLAS_VARS] == ["1", "1", "1"]
     monkeypatch.undo()
     assert network.blas_pool() == pool

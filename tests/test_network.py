@@ -10,6 +10,7 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -444,7 +445,7 @@ def _count_halves(monkeypatch):
     """The sizes that ``network._halves`` splits from now on."""
     calls, halves = [], network._halves
 
-    def counting(n, fn, split=True):
+    def counting(n, fn, split):
         if split:
             calls.append(n)
         return halves(n, fn, split)
@@ -455,9 +456,10 @@ def _count_halves(monkeypatch):
 
 @pytest.fixture
 def fresh_helper(monkeypatch):
-    """Splits on, and no helper thread until the test's first split; the
-    helper that the test starts is left blocked, and the old one restored."""
-    monkeypatch.setattr(network, "_SPLIT_POOL", True)
+    """Splits on (the gates read a pool of one thread), and no helper thread until the
+    test's first split; the helper that the test starts is left blocked, and the old one
+    restored."""
+    monkeypatch.setattr(network, "blas_pool", lambda threads=None: 1)
     kept = network._helper[:]
     network._helper.clear()  # in place: the at-fork reset clears this list
     yield
@@ -482,20 +484,16 @@ def _split_bits(sizes, counts):
     params.flat[:] = rng.normal(scale=0.1, size=params.flat.shape)
     X, dZ = rng.normal(size=(1312, sizes[0])), rng.normal(size=(1312, sizes[-1]))
     buffers = ActivationTape.buffers(params.layer_spec(), 1312)
-    kept = network._SPLIT_POOL
-    try:
-        for rows in counts:
-            passes = []
-            for pool in (True, False):
-                network._SPLIT_POOL = pool
+    for rows in counts:
+        passes = []
+        for pool in (1, None):  # the pool that the split gates read: splits on, then off
+            with mock.patch.object(network, "blas_pool", return_value=pool):
                 for a in buffers.post:
                     a.fill(np.nan)
                 passes.append(_pass(params, X[:rows], dZ[:rows], buffers))
-            (Z, *tapes, grad), (Z1, *tapes1, grad1) = passes
-            assert np.array_equal(Z, Z1) and np.array_equal(grad, grad1), rows
-            assert all(np.array_equal(a, b) for t, t1 in zip(tapes, tapes1) for a, b in zip(t, t1))
-    finally:
-        network._SPLIT_POOL = kept
+        (Z, *tapes, grad), (Z1, *tapes1, grad1) = passes
+        assert np.array_equal(Z, Z1) and np.array_equal(grad, grad1), rows
+        assert all(np.array_equal(a, b) for t, t1 in zip(tapes, tapes1) for a, b in zip(t, t1))
 
 
 _SPLIT_COUNTS = (599, 600, 672, 1312)  # the row counts that split at 1024->256->64
@@ -561,10 +559,26 @@ def test_products_split_only_when_numpy_loaded_one_blas_thread(env, split):
     root = Path(__file__).resolve().parents[1]
     blas_vars = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
     base = {k: v for k, v in os.environ.items() if k not in blas_vars}
-    proc = subprocess.run([sys.executable, "-c", "from ssfa import network; print(network._SPLIT_POOL)"],
+    code = "from ssfa import network; print(network._split_elems(network._SPLIT_ELEMS))"
+    proc = subprocess.run([sys.executable, "-c", code],
                           env={**base, **env, "PYTHONPATH": str(root / "src")},
                           capture_output=True, text=True, timeout=60, check=True)
     assert proc.stdout.strip() == str(split)
+
+
+@pytest.mark.skipif(network.blas_pool() is None or (os.cpu_count() or 1) < 2,
+                    reason="needs numpy's bundled OpenBLAS and two CPUs")
+def test_splits_follow_a_pool_resized_outside_blas_pool():
+    # threadpoolctl and other libraries resize the pool through OpenBLAS's own
+    # setter, not through blas_pool: the gates read the live pool, so they follow
+    pool = network.blas_pool()
+    try:
+        network.blas_pool(1)
+        assert network._split((1024, 256, 64), 672) and network._split_elems(1 << 17)
+        network._BLAS.scipy_openblas_set_num_threads64_(2)
+        assert not network._split((1024, 256, 64), 672) and not network._split_elems(1 << 17)
+    finally:
+        network.blas_pool(pool)
 
 
 def test_one_helper_thread_runs_every_first_half(fresh_helper):
@@ -575,7 +589,7 @@ def test_one_helper_thread_runs_every_first_half(fresh_helper):
         (firsts if i == 0 else seconds).add(threading.get_ident())
 
     for _ in range(100):
-        network._halves(9, half)
+        network._halves(9, half, True)
     assert threading.active_count() == before + 1
     assert len(firsts) == 1 and seconds == {threading.get_ident()} != firsts
 
@@ -588,7 +602,7 @@ def test_splits_from_many_threads_each_run_both_halves(fresh_helper):
     def caller(k):
         for _ in range(200):
             got = []
-            network._halves(8, lambda i, j: got.append((i, j)))
+            network._halves(8, lambda i, j: got.append((i, j)), True)
             seen[k].append(sorted(got))
 
     threads = [threading.Thread(target=caller, args=(k,), daemon=True) for k in range(4)]
@@ -607,7 +621,7 @@ def test_splits_from_many_threads_each_run_both_halves(fresh_helper):
 def test_the_helper_stops_polling_when_idle(fresh_helper):
     # between splits the helper polls for the next half, but only for
     # network._POLL_S: then it blocks and takes no CPU time
-    network._halves(2, lambda i, j: None)
+    network._halves(2, lambda i, j: None, True)
     time.sleep(10 * network._POLL_S)
     start = time.process_time()
     time.sleep(0.2)
@@ -621,8 +635,8 @@ def test_a_split_whose_halves_both_raise_leaves_no_error_behind(fresh_helper):
         raise ValueError(f"half {i}:{j}")
 
     with pytest.raises(ValueError, match="half 2:4"):
-        network._halves(4, both_fail)
-    network._halves(4, lambda i, j: None)
+        network._halves(4, both_fail, True)
+    network._halves(4, lambda i, j: None, True)
 
 
 def test_threads_that_split_first_at_once_start_one_helper(fresh_helper):
@@ -632,7 +646,7 @@ def test_threads_that_split_first_at_once_start_one_helper(fresh_helper):
 
     def first_split():
         barrier.wait()
-        network._halves(2, lambda i, j: None)
+        network._halves(2, lambda i, j: None, True)
 
     threads = [threading.Thread(target=first_split, daemon=True) for _ in range(8)]
     sys.setswitchinterval(1e-6)
@@ -677,14 +691,15 @@ def test_split_pass_raises_the_helper_threads_error(fresh_helper, monkeypatch):
     assert np.isnan(out.post[0][:296]).all() and np.array_equal(out.post[1][296:], Z[296:])
     # the same helper thread runs the next split
     count, firsts = threading.active_count(), []
-    network._halves(2, lambda i, j: firsts.append(threading.get_ident()) if i == 0 else None)
+    network._halves(2, lambda i, j: firsts.append(threading.get_ident()) if i == 0 else None,
+                    True)
     assert firsts == failed and threading.active_count() == count
 
 
 def test_split_pass_keeps_the_callers_errstate(monkeypatch):
     # the helper runs in the caller's context, so an overflow in the first
     # half is silenced by the caller's np.errstate like one in the second
-    monkeypatch.setattr(network, "_SPLIT_POOL", True)
+    monkeypatch.setattr(network, "blas_pool", lambda threads=None: 1)
     params, X, _ = _wide_pass()
     params.flat.fill(1.0)
     X[:64] = X[-64:] = 1e306  # layer 0 sums 1024 of them
@@ -698,8 +713,8 @@ def test_split_pass_keeps_the_callers_errstate(monkeypatch):
 def _split_pass_in_child():
     params, X, dZ = _wide_pass()
     split = _pass(params, X, dZ)
-    network._SPLIT_POOL = False
-    whole = _pass(params, X, dZ)
+    with mock.patch.object(network, "blas_pool", return_value=None):
+        whole = _pass(params, X, dZ)
     assert np.array_equal(split[0], whole[0]) and np.array_equal(split[-1], whole[-1])
 
 
@@ -707,7 +722,7 @@ def _split_pass_in_child():
 def test_a_forked_child_runs_a_split_pass(monkeypatch):
     # a forked child has no copy of the parent's helper thread: it drops the
     # parent's helper and its first split starts its own
-    monkeypatch.setattr(network, "_SPLIT_POOL", True)
+    monkeypatch.setattr(network, "blas_pool", lambda threads=None: 1)
     params, X, dZ = _wide_pass()
     _pass(params, X, dZ)
     child = multiprocessing.get_context("fork").Process(target=_split_pass_in_child)
@@ -723,7 +738,7 @@ def test_a_forked_child_runs_a_split_pass(monkeypatch):
 def test_a_child_forked_while_the_split_lock_is_held_runs_a_split_pass(monkeypatch):
     # a fork while a split holds the lock: the child's copy of the lock is
     # reset, so the child's first split does not wait on it forever
-    monkeypatch.setattr(network, "_SPLIT_POOL", True)
+    monkeypatch.setattr(network, "blas_pool", lambda threads=None: 1)
     with network._lock:  # as a split on another thread holds it
         child = multiprocessing.get_context("fork").Process(target=_split_pass_in_child)
         child.start()
@@ -767,12 +782,9 @@ def _wide_training_digests():
         arrays = (params.flat, W, init.flat, *(s.flat for s in snapshots))
         return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
 
-    split, pool = digest(), network._SPLIT_POOL
-    network._SPLIT_POOL = False
-    try:
+    split = digest()
+    with mock.patch.object(network, "blas_pool", return_value=None):
         return split, digest()
-    finally:
-        network._SPLIT_POOL = pool
 
 
 def test_a_wide_step_makes_five_hand_offs_and_a_desk_step_none(monkeypatch):
@@ -783,7 +795,7 @@ def test_a_wide_step_makes_five_hand_offs_and_a_desk_step_none(monkeypatch):
     from ssfa.synth import SynthConfig, gen_labeled, gen_unlabeled
     from ssfa.trainer import TrainConfig, resolve_pairs, resolve_triplets, train
 
-    monkeypatch.setattr(network, "_SPLIT_POOL", True)
+    monkeypatch.setattr(network, "blas_pool", lambda threads=None: 1)
     calls = _count_halves(monkeypatch)
     labeled, pairs, triplets, cfg = _wide_data()
     spec = LayerSpec((1024, 256, 64))
@@ -807,13 +819,13 @@ import os, sys
 os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 sys.path.insert(0, sys.argv[1])
 from test_network import _wide_training_digests, network
-assert network._SPLIT_POOL
+assert network.blas_pool() == 1
 print(*_wide_training_digests())
 """
 
 
 def test_wide_training_with_split_products_keeps_its_bits(monkeypatch):
-    monkeypatch.setattr(network, "_SPLIT_POOL", True)
+    monkeypatch.setattr(network, "blas_pool", lambda threads=None: 1)
     split, whole = _wide_training_digests()
     assert split == whole
 

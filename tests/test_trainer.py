@@ -1,4 +1,5 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -165,18 +166,18 @@ def test_nesterov_halves_give_the_whole_updates_bits(n, monkeypatch):
     lr, mu = 0.03, 0.9
     calls, halves = [], network._halves
 
-    def counting(m, fn, split=True):  # the sizes that split
+    def counting(m, fn, split):  # the sizes that split
         if split:
             calls.append(m)
         return halves(m, fn, split)
 
     monkeypatch.setattr(network, "_halves", counting)
     steps = {}
-    for split in (False, True):
-        monkeypatch.setattr(network, "_SPLIT_POOL", split)
+    for pool in (2, 1):  # the pool that the split gates read: whole, then split
+        monkeypatch.setattr(network, "blas_pool", mock.Mock(return_value=pool))
         t, v = theta.copy(), velocity.copy()
         nesterov_step(t, v, np.empty(n), lambda x: np.sin(x, out=x), lr, mu)
-        steps[split] = t, v
+        steps[pool] = t, v
     assert calls == ([n, n] if n >= _BOUND else [])
     g = np.sin(theta + mu * velocity)
     for t, v in steps.values():
@@ -197,7 +198,7 @@ def test_nesterov_halves_give_the_whole_updates_bits(n, monkeypatch):
 def test_nesterov_halves_keep_the_callers_errstate(monkeypatch):
     # the helper runs its half in the caller's context, so an overflow in the
     # first half is silenced by the caller's np.errstate like one in the second
-    monkeypatch.setattr(network, "_SPLIT_POOL", True)
+    monkeypatch.setattr(network, "blas_pool", lambda threads=None: 1)
     n = _BOUND
     theta, velocity = np.zeros(n), np.zeros(n)
     theta[:8] = theta[-8:] = velocity[:8] = velocity[-8:] = 1e308  # the lookahead overflows
