@@ -26,6 +26,7 @@ from ssfa.mining import (
     triplet_candidates,
     window_frames,
 )
+from ssfa.synth import SynthConfig, gen_unlabeled
 
 
 def make_corpus(lengths, period=1.0):
@@ -247,23 +248,70 @@ def test_tuple_file_integers_are_ascii_decimal(tmp_path, line, bad):
         load_tuples(path)
 
 
+def long_clips_pairs(tmp_path, n):
+    """A pair file shaped like long_clips' (two 500-frame clips), ``n``
+    pairs."""
+    path = tmp_path / "pairs.txt"
+    samples = [PairSample(f"clip{i % 2:04d}", i % 497 + 1 + i % 3, i % 497, i % 2) for i in range(n)]
+    save_tuples(path, samples, MiningConfig(T_seconds=4.0))
+    return path
+
+
+def traced_load(path):
+    """``load_tuples(path)`` under tracemalloc, after a warm-up call: the
+    tuples, then the bytes held at the end and the peak."""
+    load_tuples(path)
+    tracemalloc.start()
+    try:
+        tuples = load_tuples(path)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return tuples, held, peak
+
+
 def test_load_tuples_peak_per_tuple(tmp_path):
     # slotted samples, one clip-id string per clip and a line-at-a-time
     # reader: a long_clips-shaped pair file peaks below 150 B per tuple
     n = 10000
-    path = tmp_path / "pairs.txt"
-    samples = [PairSample(f"clip{i % 2:04d}", i % 497 + 1 + i % 3, i % 497, i % 2) for i in range(n)]
-    save_tuples(path, samples, MiningConfig(T_seconds=4.0))
-    del samples
-    load_tuples(path)  # warm up the code path
-    tracemalloc.start()
-    try:
-        pairs, triplets = load_tuples(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (pairs, triplets), _, peak = traced_load(long_clips_pairs(tmp_path, n))
     assert len(pairs) == n and not triplets
     assert peak < 150 * n, peak / n
+
+
+def test_load_tuples_holds_under_85_bytes_per_tuple(tmp_path):
+    # a pair is a 64-byte slotted sample plus its 8-byte list slot; frame
+    # indices above 256 shared through one int per distinct token keep the
+    # rest near zero (each unshared one was another 28-byte object)
+    n = 10000
+    (pairs, _), held, _ = traced_load(long_clips_pairs(tmp_path, n))
+    assert len(pairs) == n
+    assert held < 85 * n, held / n
+
+
+def assert_shared_indices(samples):
+    """Equal frame indices of ``samples`` are one int object, and some are
+    above 256 (the ints CPython does not share itself) on both labels."""
+    first, above = {}, {0: set(), 1: set()}
+    for s in samples:
+        for v in (s.j, s.k) if isinstance(s, PairSample) else (s.l, s.m, s.n):
+            assert first.setdefault(v, v) is v, v
+            if v > 256:
+                above[s.p].add(v)
+    assert above[0] & above[1]
+
+
+def test_equal_frame_indices_share_one_int(tmp_path):
+    u = gen_unlabeled(SynthConfig(num_clips=1, clip_len=300))
+    cfg = MiningConfig(T_seconds=4.0)
+    pairs, trips = mine_pairs(u, cfg), mine_triplets(u, cfg)
+    assert_shared_indices(pairs)
+    assert_shared_indices(trips)
+    path = tmp_path / "t.txt"
+    save_tuples(path, pairs + trips, cfg)
+    loaded = load_tuples(path)
+    assert loaded == (pairs, trips)
+    assert_shared_indices(loaded[0] + loaded[1])  # one cache per file
 
 
 # ---------------------------------------------------------------------------
